@@ -37,6 +37,7 @@ from .model import (
     prior_posterior,
     validate_model,
 )
+from .sets import mask_from_flags
 from .transcript import COMPLEMENT, INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
 TestOracle = Callable[[int], bool]
@@ -86,13 +87,6 @@ def resolve_f2(config: AdaptiveConfig, graph: Hypergraph, dist: EdgeDistribution
     return max(1, math.ceil(mu / config.eps))
 
 
-def _mask_from_bool(flags: np.ndarray) -> int:
-    m = 0
-    for v in np.flatnonzero(flags):
-        m |= 1 << int(v)
-    return m
-
-
 def _split_scan(q: np.ndarray, member: np.ndarray, nonmember: np.ndarray,
                 active: np.ndarray, c: float) -> tuple[np.ndarray, bool, np.ndarray]:
     """Greedy node removal over the active set.
@@ -128,7 +122,7 @@ def find_split_set(post: Posterior, c: float) -> tuple[int, bool]:
     member = post.graph.membership
     active = node_marginals(post) > 0.0
     s, found, _ = _split_scan(post.q, member, 1.0 - member, active, c)
-    return _mask_from_bool(s), found
+    return mask_from_flags(s), found
 
 
 def _apply(post: Posterior, t_mask: int, outcome: bool) -> tuple[Posterior, float]:
@@ -186,7 +180,7 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
 
         active = ~known_negative
         s, found, in_s = _split_scan(post.q, member, nonmember, active, c)
-        t_mask = _mask_from_bool(active & ~s)
+        t_mask = mask_from_flags(active & ~s)
 
         if found:
             outcome = oracle(t_mask)
@@ -238,7 +232,7 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
             if len(sizes) > 1:
                 raise NotRegular(f"surviving edge sizes {sorted(sizes)} at stage-2 entry")
             if len(surviving) < int(s.sum()):
-                s_mask = _mask_from_bool(s)
+                s_mask = mask_from_flags(s)
                 for e in surviving:
                     if post.q[e] <= 0.0:
                         continue

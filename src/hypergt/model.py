@@ -10,6 +10,7 @@ rescales the surviving mass to 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -23,7 +24,16 @@ from .errors import (
     NotNormalized,
     ZeroSurvivorMass,
 )
-from .sets import bit_count, full_mask, is_subset, mask_of, nodes_of
+from .sets import (
+    bit_count,
+    full_mask,
+    intersects,
+    is_subset,
+    mask_of,
+    nodes_of,
+    pack_words,
+    unpack_words,
+)
 
 NORMALIZATION_TOL = 1e-9
 # q is treated as certain once it reaches 1 - CERTAINTY_TOL.
@@ -39,10 +49,13 @@ class Hypergraph:
 
     def __init__(self, n: int, edges: Iterable[Iterable[int] | int]):
         self.n = int(n)
+        if self.n < 0:
+            raise NodeOutOfRange(f"node count {self.n} is negative")
         masks = []
         for e in edges:
             masks.append(e if isinstance(e, int) else mask_of(e))
         self.edge_masks: tuple[int, ...] = tuple(masks)
+        self._words: np.ndarray | None = None
         self._membership: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
 
@@ -59,14 +72,20 @@ class Hypergraph:
         return self._sizes
 
     @property
+    def words(self) -> np.ndarray:
+        """(ceil(n/64), |E|) uint64 store of the edges; see `sets`.
+
+        Built on first use, so out-of-range masks reach validate_model intact.
+        """
+        if self._words is None:
+            self._words = pack_words(self.edge_masks, self.n)
+        return self._words
+
+    @property
     def membership(self) -> np.ndarray:
         """(|E|, n) float matrix, entry 1.0 iff node v belongs to edge e."""
         if self._membership is None:
-            mat = np.zeros((len(self.edge_masks), self.n))
-            for i, m in enumerate(self.edge_masks):
-                for v in nodes_of(m):
-                    mat[i, v] = 1.0
-            self._membership = mat
+            self._membership = unpack_words(self.words, self.n)
         return self._membership
 
     def __repr__(self) -> str:
@@ -125,18 +144,21 @@ def validate_model(graph: Hypergraph, dist: EdgeDistribution) -> None:
         raise ModelError(
             f"{len(dist)} probabilities for {len(graph)} edges"
         )
+    masks = graph.edge_masks
     limit = full_mask(graph.n)
-    seen = set()
-    for i, m in enumerate(graph.edge_masks):
-        if m & ~limit or m < 0:
-            raise NodeOutOfRange(f"edge {i} uses a node index outside 0..{graph.n - 1}")
-        if m in seen:
-            raise DuplicateEdge(f"edge {i} duplicates an earlier edge")
-        seen.add(m)
+    if (masks and (min(masks) < 0 or max(masks) > limit)) or len(set(masks)) != len(masks):
+        seen = set()  # walk the edges only to name the first offender
+        for i, m in enumerate(masks):
+            if m & ~limit or m < 0:
+                raise NodeOutOfRange(f"edge {i} uses a node index outside 0..{graph.n - 1}")
+            if m in seen:
+                raise DuplicateEdge(f"edge {i} duplicates an earlier edge")
+            seen.add(m)
     if np.any(dist.probs < 0):
         raise NegativeProbability("edge probabilities must be >= 0")
     total = float(dist.probs.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    # NaN or +inf anywhere makes the sum non-finite; -inf was rejected above.
+    if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"edge probabilities sum to {total!r}")
 
 
@@ -183,7 +205,7 @@ def edge_entropy(dist: EdgeDistribution | np.ndarray) -> float:
 
 def edge_outcomes(graph: Hypergraph, t_mask: int) -> np.ndarray:
     """Noiseless outcome of testing t for each candidate edge (True = positive)."""
-    return np.array([bool(m & t_mask) for m in graph.edge_masks])
+    return intersects(graph.words, t_mask)
 
 
 def reweight(post: Posterior, t_mask: int, outcome: bool, likelihood: np.ndarray) -> Posterior:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, _mask_from_bool, _split_scan, _uncertain_nodes
+from .adaptive import AdaptiveConfig, _split_scan, _uncertain_nodes
 from .model import (
     CERTAINTY_TOL,
     EdgeDistribution,
@@ -35,6 +35,7 @@ from .model import (
     reweight,
     validate_model,
 )
+from .sets import mask_from_flags
 from .snagt import SnagtConfig, _run as _snagt_run
 from .transcript import INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
@@ -195,7 +196,7 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
 
         active = node_marginals(post) > 0.0  # noise never zeroes a marginal
         s, found, _ = _split_scan(post.q, member, nonmember, active, c)
-        t_mask = _mask_from_bool(active & ~s)
+        t_mask = mask_from_flags(active & ~s)
 
         if found:
             verdict = run_repeats(t_mask, 1, SPLIT)

@@ -1,12 +1,24 @@
-"""Node sets as integer bitmasks.
+"""Node sets as integer bitmasks, and a hypergraph's edges as packed words.
 
-Python ints give arbitrary-width masks, so subset/intersection tests cost one
-machine-word op per 64 nodes regardless of n.
+One node set (a query, a target, a single edge) is a Python int with bit v set
+iff node v is in the set; Python ints give arbitrary-width masks. The edges of
+a hypergraph are also kept as a packed store of little-endian uint64 words of
+shape (ceil(n/64), |E|): row j holds nodes 64j..64j+63 of every edge, so one
+row is contiguous and one vector op answers a question about all edges at
+once. `intersects` is that question for a group test: which edges does the
+query hit?
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+WORD_BITS = 64
+WORD_DTYPE = np.dtype("<u8")
+_WORD_MASK = (1 << WORD_BITS) - 1
+_U8 = np.dtype(np.uint8)
 
 
 def mask_of(nodes: Iterable[int]) -> int:
@@ -16,8 +28,16 @@ def mask_of(nodes: Iterable[int]) -> int:
     return m
 
 
+def mask_from_flags(flags: np.ndarray) -> int:
+    """Mask of the indices where a bool array is True."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def nodes_of(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
+    """Sorted node indices of a non-negative mask."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, _U8), bitorder="little")
+    return tuple(bits.nonzero()[0].tolist())
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -40,3 +60,50 @@ def bit_count(mask: int) -> int:
 def is_subset(a: int, b: int) -> bool:
     """True iff every bit of a is set in b."""
     return a & ~b == 0
+
+
+def pack_words(masks: Sequence[int], n: int) -> np.ndarray:
+    """(ceil(n/64), len(masks)) word store; bits at or beyond the last word are dropped."""
+    words = np.empty(((n + WORD_BITS - 1) // WORD_BITS, len(masks)), dtype=WORD_DTYPE)
+    for j in range(words.shape[0]):
+        shift = j * WORD_BITS
+        words[j] = np.fromiter(((m >> shift) & _WORD_MASK for m in masks),
+                               dtype=WORD_DTYPE, count=len(masks))
+    return words
+
+
+def intersects(words: np.ndarray, t_mask: int) -> np.ndarray:
+    """For each column of a word store, whether it shares a node with t_mask.
+
+    The query is packed once and only its nonzero words are touched. Query
+    bits beyond the store's last word meet no column.
+    """
+    rows = words.shape[0]
+    t_words = np.frombuffer(
+        (t_mask & full_mask(rows * WORD_BITS)).to_bytes(rows * 8, "little"), WORD_DTYPE)
+    acc = None
+    for j in t_words.nonzero()[0].tolist():
+        hit = words[j] & t_words[j]
+        if acc is None:
+            acc = hit
+        else:
+            acc |= hit
+    if acc is None:
+        return np.zeros(words.shape[1], dtype=bool)
+    return acc != 0
+
+
+def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """(columns, n) float matrix, entry 1.0 iff node v is in column e.
+
+    Unpacks one 64-node block at a time, so no (columns, n) byte matrix is
+    ever held beside the result.
+    """
+    cols = words.shape[1]
+    out = np.empty((cols, n))
+    for j in range(words.shape[0]):
+        lo = j * WORD_BITS
+        hi = min(n, lo + WORD_BITS)
+        block = np.unpackbits(words[j].view(_U8).reshape(cols, 8), axis=1, bitorder="little")
+        out[:, lo:hi] = block[:, :hi - lo]
+    return out

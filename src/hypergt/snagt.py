@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import EmptySupport
 from .model import EdgeDistribution, Hypergraph, validate_model
+from .sets import intersects, mask_from_flags
 from .transcript import RANDOM, Transcript
 
 
@@ -123,11 +124,7 @@ def partition_dyadic(dist: EdgeDistribution, n: int | None = None) -> SubgraphPa
 
 def random_test_set(n: int, u: int, rng: np.random.Generator) -> int:
     """Each node enters the test independently with probability 1/u."""
-    draw = rng.random(n) < 1.0 / u
-    mask = 0
-    for v in np.flatnonzero(draw):
-        mask |= 1 << int(v)
-    return mask
+    return mask_from_flags(rng.random(n) < 1.0 / u)
 
 
 def run_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle,
@@ -152,8 +149,11 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
         for e in edges:
             bucket_of[e] = i
     alive_count = dict(part.bucket_counts())
-    alive = [dist2.probs[e] > 0.0 for e in range(len(graph2))]
-    masks = graph2.edge_masks
+    alive = dist2.probs > 0.0
+    # Live edges (graph2 indices) and their columns of the caller's cached
+    # word store; dead columns are dropped after every test.
+    live = np.flatnonzero(alive)
+    live_words = graph.words[:, np.asarray(orig_index)[live]]
 
     threshold = math.ceil(config.stop_coeff * u * math.log2(n))
     cap = math.floor(config.cap_coeff * u * n + 1e-9)
@@ -194,13 +194,14 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
         tests += 1
 
         # Eliminate edges inconsistent with the verdict.
-        for e in range(len(masks)):
-            if not alive[e]:
-                continue
-            hit = bool(masks[e] & t_mask)
-            if hit != verdict:
-                alive[e] = False
+        dead = intersects(live_words, t_mask) != verdict
+        if dead.any():
+            gone = live[dead]
+            alive[gone] = False
+            for e in gone.tolist():
                 alive_count[bucket_of[e]] -= 1
+            live = live[~dead]
+            live_words = live_words[:, ~dead]
 
         tracker.tick()
         tracker.refresh(alive_count)

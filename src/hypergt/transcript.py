@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .sets import nodes_of
+from .sets import mask_of, nodes_of
 
 # Stage tags.
 SPLIT = "split"  # weight-window test found in stage 1
@@ -64,10 +64,7 @@ class Transcript:
     def returned_mask(self) -> int | None:
         if self.result_nodes is None:
             return None
-        m = 0
-        for v in self.result_nodes:
-            m |= 1 << v
-        return m
+        return mask_of(self.result_nodes)
 
     def add(self, query_mask: int, outcome: bool, stage: str, **extras: Any) -> TestEntry:
         entry = TestEntry(nodes_of(query_mask), bool(outcome), stage, **extras)

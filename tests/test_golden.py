@@ -1,0 +1,98 @@
+"""Golden transcripts: every engine, on a fixed grid of models and seeds,
+must keep producing byte-identical transcripts.
+
+Each cell hashes `Transcript.to_json()` (keys sorted, floats by repr) for a
+few seeded trials. The models cover one 64-bit word (n=12, n=64) and several
+words (n=70, n=130), so a change to how node sets are stored or intersected
+shows up here as a changed hash. A model's split constant c is chosen so that
+its adaptive runs reach stage 2; the truncated variant always runs at c=1/3.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from hypergt.adaptive import AdaptiveConfig, run_adaptive
+from hypergt.builders import ModelSpec, build_model
+from hypergt.model import noiseless_oracle, sample_truth
+from hypergt.noisy import (
+    NoiseChannel,
+    RepetitionSchedule,
+    noisy_oracle,
+    run_noisy_adaptive,
+    run_noisy_snagt,
+)
+from hypergt.snagt import SnagtConfig, run_snagt
+
+# name: (spec, c)
+MODELS = {
+    "community12": (ModelSpec("community", {"sizes": [3, 3, 3, 3], "q": 0.3, "p": [0.5] * 4}), 0.45),
+    "cosize70": (ModelSpec("cosize", {"n": 70}), 1.0 / 3.0),
+    "regular64": (ModelSpec("random_regular", {"n": 64, "d": 3, "count": 300, "seed": 1}), 0.45),
+    "regular130": (ModelSpec("random_regular", {"n": 130, "d": 3, "count": 400, "seed": 2}), 0.45),
+}
+SEEDS = (0, 1, 2)
+DELTA = 0.05
+
+
+def run_engine(engine, graph, dist, c, seed):
+    ss = np.random.SeedSequence(entropy=seed)
+    rng_target, rng_engine, rng_noise = (np.random.default_rng(s) for s in ss.spawn(3))
+    truth = sample_truth(graph, dist, rng_target)
+    clean = noiseless_oracle(truth)
+    noisy = noisy_oracle(truth, NoiseChannel(DELTA), rng_noise)
+    if engine in ("base", "regular"):
+        return run_adaptive(graph, dist, clean, AdaptiveConfig(c=c, variant=engine))
+    if engine == "truncated":
+        return run_adaptive(graph, dist, clean, AdaptiveConfig(variant="truncated", eps=0.1),
+                            rng=rng_engine)
+    if engine == "snagt":
+        return run_snagt(graph, dist, clean, SnagtConfig(u=4, seed=seed))
+    if engine == "noisy_adaptive":
+        return run_noisy_adaptive(graph, dist, noisy, AdaptiveConfig(c=c), NoiseChannel(DELTA),
+                                  RepetitionSchedule(), max_physical_tests=2000)
+    if engine == "noisy_snagt":
+        return run_noisy_snagt(graph, dist, noisy, SnagtConfig(u=4, seed=seed),
+                               NoiseChannel(DELTA))
+    raise ValueError(engine)
+
+
+def cell_hash(model, engine):
+    spec, c = MODELS[model]
+    graph, dist = build_model(spec)
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        doc = run_engine(engine, graph, dist, c, seed).to_json()
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    return digest.hexdigest()[:16]
+
+
+# Recorded on the per-edge bitmask loop that the packed kernel replaced.
+GOLDEN = {
+    ("community12", "base"): "bb9a23c56d42861e",
+    ("community12", "snagt"): "c0f5ef27018432c4",
+    ("community12", "noisy_adaptive"): "96664b7f2d0b848d",
+    ("community12", "noisy_snagt"): "0d8237e6a70e9de5",
+    ("cosize70", "base"): "e728f301dd6159c5",
+    ("cosize70", "truncated"): "e4ccca508dfb2e51",
+    ("cosize70", "regular"): "e728f301dd6159c5",
+    ("cosize70", "noisy_adaptive"): "c2eff85f803639d3",
+    ("regular64", "base"): "3af2dd6b240e4b2c",
+    ("regular64", "regular"): "d4b856543699f337",
+    ("regular64", "snagt"): "c0760ecc2c394a08",
+    ("regular64", "noisy_adaptive"): "4dd11e03c984d50d",
+    ("regular64", "noisy_snagt"): "d0b6aeba27fc2fbb",
+    ("regular130", "base"): "58b2c7ce2c0c94b9",
+    ("regular130", "truncated"): "7233eeebc0b86161",
+    ("regular130", "regular"): "a139764944321e65",
+    ("regular130", "snagt"): "0864092a627b51c2",
+    ("regular130", "noisy_adaptive"): "d1041e1e4ac4d8a3",
+    ("regular130", "noisy_snagt"): "754b173df2370344",
+}
+
+
+@pytest.mark.parametrize("model,engine", sorted(GOLDEN))
+def test_transcripts_unchanged(model, engine):
+    assert cell_hash(model, engine) == GOLDEN[(model, engine)]

@@ -65,6 +65,35 @@ class TestValidation:
         g = Hypergraph(2, [[0], [1]])
         validate_model(g, EdgeDistribution([1.0, 0.0]))
 
+    @pytest.mark.parametrize("probs", [
+        [math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0], [1.0, math.inf],
+    ])
+    def test_non_finite_probability(self, probs):
+        g = Hypergraph(2, [[0], [1]])
+        with pytest.raises(NotNormalized):
+            validate_model(g, EdgeDistribution(probs))
+
+    def test_negative_infinity_is_negative(self):
+        g = Hypergraph(2, [[0], [1]])
+        with pytest.raises(NegativeProbability):
+            validate_model(g, EdgeDistribution([-math.inf, 1.0]))
+
+    def test_negative_node_count(self):
+        with pytest.raises(NodeOutOfRange):
+            Hypergraph(-3, [])
+
+    def test_first_offender_is_named(self):
+        # Edge 1 duplicates edge 0 before edge 2 leaves the node range.
+        g = Hypergraph(3, [[0], [0], [5]])
+        with pytest.raises(DuplicateEdge, match="edge 1 "):
+            validate_model(g, EdgeDistribution([0.25, 0.25, 0.5]))
+        g = Hypergraph(3, [[0], [7], [0]])
+        with pytest.raises(NodeOutOfRange, match="edge 1 "):
+            validate_model(g, EdgeDistribution([0.25, 0.25, 0.5]))
+        g = Hypergraph(3, [[0], -1])
+        with pytest.raises(NodeOutOfRange, match="edge 1 "):
+            validate_model(g, EdgeDistribution([0.5, 0.5]))
+
 
 class TestEdgeSet:
     def test_fig1_subset(self, fig1):
