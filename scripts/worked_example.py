@@ -15,7 +15,7 @@ from hypergt import (
     noiseless_oracle,
     optimal_expected_tests,
     prior_posterior,
-    run_base,
+    run_adaptive,
 )
 from hypergt.model import GroundTruth
 
@@ -37,7 +37,7 @@ print("\nadaptive runs (c = 0.1), one per target:")
 expected = 0.0
 for i, p in enumerate(dist.probs):
     truth = GroundTruth(i, graph.edge_masks[i], graph.n)
-    tr = run_base(graph, dist, noiseless_oracle(truth), AdaptiveConfig(c=0.1))
+    tr = run_adaptive(graph, dist, noiseless_oracle(truth), AdaptiveConfig(c=0.1))
     seq = ", ".join(f"{r.query}{'+' if r.outcome else '-'}" for r in tr.records)
     print(f"  target {graph.edge_nodes(i)}: {tr.total} tests  [{seq}]")
     expected += p * tr.total

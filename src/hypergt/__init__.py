@@ -4,11 +4,12 @@ Candidate infected sets are hyperedges with a probability mass function; one
 edge is realized and group tests narrow the posterior until it is identified.
 """
 
-from .adaptive import AdaptiveConfig, find_split_set, run_adaptive, run_base, run_regular, run_truncated
+from .adaptive import AdaptiveConfig, find_split_set, run_adaptive
 from .builders import ModelSpec, build_model
 from .errors import (
     DuplicateEdge,
     EmptySupport,
+    InvariantViolation,
     MismatchedConfig,
     ModelError,
     NegativeProbability,
@@ -26,20 +27,16 @@ from .model import (
     GroundTruth,
     Hypergraph,
     Posterior,
-    TestRecord,
     certain_edge,
     condition_on_test,
     edge_entropy,
-    edge_set,
     expected_infections,
     load_model,
-    node_marginal,
     node_marginals,
     noiseless_oracle,
     prior_posterior,
     sample_truth,
     save_model,
-    set_weight,
     validate_model,
 )
 from .noisy import (

@@ -14,6 +14,13 @@ informative test; this keeps every residual node above 1-2c at the group-test
 branch. The stage-2 test list is frozen at entry: every node that is uncertain
 at that moment is tested, even if an earlier outcome in the same sweep settles
 it.
+
+One loop, `_run`, drives the noiseless variants here and the noisy engine in
+`noisy`. What differs between them lives in an observer, which decides how
+often a test site is asked, how each answer updates the posterior and the
+transcript, when a run halts, and what the stage-2 sweep returns. `_Exact`
+asks each site once and conditions exactly; `noisy` supplies the repeated,
+Bayes-updating one.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotRegular, OracleInconsistent, ZeroSurvivorMass
+from .errors import InvariantViolation, NotRegular, OracleInconsistent, ZeroSurvivorMass
 from .model import (
     CERTAINTY_TOL,
     EdgeDistribution,
@@ -125,12 +132,10 @@ def find_split_set(post: Posterior, c: float) -> tuple[int, bool]:
     return mask_from_flags(s), found
 
 
-def _apply(post: Posterior, t_mask: int, outcome: bool) -> tuple[Posterior, float]:
-    """Condition and report the posterior mass the update removed."""
-    before = post.q
-    post = condition_on_test(post, t_mask, outcome)
-    removed = float(before[post.q == 0.0].sum())
-    return post, removed
+def _check(ok: bool, message: str) -> None:
+    """An invariant check that python -O keeps."""
+    if not ok:
+        raise InvariantViolation(message)
 
 
 def _uncertain_nodes(marg: np.ndarray, s: np.ndarray) -> list[int]:
@@ -144,139 +149,135 @@ def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
     return tr
 
 
-def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
-                 config: AdaptiveConfig | None = None,
-                 rng: np.random.Generator | None = None) -> Transcript:
-    """Run the configured variant against a noiseless oracle."""
-    config = config or AdaptiveConfig()
-    config.validate()
-    validate_model(graph, dist)
-    variant = config.variant
-    f2 = resolve_f2(config, graph, dist) if variant == "truncated" else 0
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+class _Exact:
+    """Noiseless observer: each test site is asked once and conditioned on
+    exactly; the stage-2 sweep ends on the certain edge."""
 
+    def __init__(self, oracle: TestOracle, post: Posterior):
+        self.oracle = oracle
+        self.post = post
+        self.tr = Transcript()
+        self.removed = 0.0
+
+    def ask(self, t_mask: int, stage: str) -> bool:
+        outcome = self.oracle(t_mask)
+        before = self.post.q
+        try:
+            self.post = condition_on_test(self.post, t_mask, outcome)
+        except ZeroSurvivorMass as exc:
+            raise OracleInconsistent(str(exc)) from exc
+        self.removed = float(before[self.post.q == 0.0].sum())
+        self.tr.add(t_mask, outcome, stage, mass_removed=self.removed)
+        return outcome
+
+    def informative(self, c: float) -> None:
+        _check(self.removed >= c - _TOL, f"informative test removed only {self.removed}")
+        self.tr.informative += 1
+
+    def finish(self, positives: list[int]) -> Transcript:
+        idx = certain_edge(self.post)
+        if idx is None:
+            raise OracleInconsistent("individual sweep left no certain edge")
+        return _finish(self.tr, self.post.graph, idx)
+
+
+def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
+         active: np.ndarray, rng: np.random.Generator | None = None) -> Transcript:
+    """The two-stage loop. `active` flags the nodes stage 1 scans first; it
+    only loses nodes whose marginal has reached zero, which stays zero. An
+    observer verdict of None means the observer halted the run."""
+    variant = config.variant
+    if variant == "truncated":
+        f2 = resolve_f2(config, graph, dist)
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
     member = graph.membership
     nonmember = 1.0 - member
     c = config.c
-    post = prior_posterior(graph, dist)
-    known_negative = np.zeros(graph.n, dtype=bool)
-    tr = Transcript()
-
-    def condition(t_mask: int, outcome: bool, stage: str) -> float:
-        nonlocal post
-        try:
-            post, removed = _apply(post, t_mask, outcome)
-        except ZeroSurvivorMass as exc:
-            raise OracleInconsistent(str(exc)) from exc
-        tr.add(t_mask, outcome, stage, mass_removed=removed)
-        known_negative[node_marginals(post) == 0.0] = True
-        return removed
+    tr = obs.tr
 
     while True:
-        idx = certain_edge(post)
+        idx = certain_edge(obs.post)
         if idx is not None:
             return _finish(tr, graph, idx)
 
-        active = ~known_negative
-        s, found, in_s = _split_scan(post.q, member, nonmember, active, c)
+        q = obs.post.q
+        s, found, in_s = _split_scan(q, member, nonmember, active, c)
         t_mask = mask_from_flags(active & ~s)
-
         if found:
-            outcome = oracle(t_mask)
-            removed = condition(t_mask, outcome, SPLIT)
-            tr.informative += 1
-            assert removed >= c - _TOL, f"window test removed only {removed}"
-            continue
-
-        # No informative split exists: the residual S holds almost all the
-        # mass and each of its nodes is almost surely infected.
-        w_s = float((post.q * in_s).sum())
-        assert w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c"
-        marg = node_marginals(post)
-        assert bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c"
-
-        if t_mask:
-            outcome = oracle(t_mask)
-            removed = condition(t_mask, outcome, RESIDUAL)
-            if outcome:
-                tr.informative += 1
-                assert removed >= c - _TOL, f"positive residual removed only {removed}"
-                continue
-        # An empty complement is resolved as negative at zero test cost.
-
-        mu2 = expected_infections(post)
-        if tr.mu_stage2 is None:
-            tr.mu_stage2 = mu2
-
-        if variant == "truncated":
-            pending = _uncertain_nodes(node_marginals(post), s)
+            verdict = obs.ask(t_mask, SPLIT)
+        else:
+            # No informative split exists: the residual S holds almost all
+            # the mass and each of its nodes is almost surely infected.
+            w_s = float((q * in_s).sum())
+            _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
+            marg = node_marginals(obs.post)
+            _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
+            # An empty complement is resolved as negative at zero test cost.
+            verdict = obs.ask(t_mask, RESIDUAL) if t_mask else False
+        if verdict is None:
+            return tr
+        if found or verdict:
+            obs.informative(c)
+        else:
+            if tr.mu_stage2 is None:
+                tr.mu_stage2 = expected_infections(obs.post)
+            if variant != "truncated":
+                return _stage2(graph, obs, s, variant == "regular")
+            pending = _uncertain_nodes(node_marginals(obs.post), s)
             if pending:
                 v = int(rng.choice(pending))
-                outcome = oracle(1 << v)
-                condition(1 << v, outcome, INDIVIDUAL)
-                if outcome:
+                if obs.ask(1 << v, INDIVIDUAL):
                     tr.pn += 1
                 if tr.pn >= f2:
-                    marg = node_marginals(post)
+                    marg = node_marginals(obs.post)
                     tr.result_nodes = tuple(
                         int(u) for u in np.flatnonzero(marg >= 1.0 - CERTAINTY_TOL)
                     )
-                    tr.result_edge = certain_edge(post)
+                    tr.result_edge = certain_edge(obs.post)
                     return tr
-            continue
-
-        if variant == "regular":
-            surviving = [i for i in range(len(graph)) if post.q[i] > 0.0]
-            sizes = {int(graph.edge_sizes[i]) for i in surviving}
-            if len(sizes) > 1:
-                raise NotRegular(f"surviving edge sizes {sorted(sizes)} at stage-2 entry")
-            if len(surviving) < int(s.sum()):
-                s_mask = mask_from_flags(s)
-                for e in surviving:
-                    if post.q[e] <= 0.0:
-                        continue
-                    t2 = s_mask & ~graph.edge_masks[e]
-                    if t2 == 0:
-                        return _finish(tr, graph, e)  # S equals e, nothing left to ask
-                    outcome = oracle(t2)
-                    condition(t2, outcome, COMPLEMENT)
-                    if not outcome:
-                        return _finish(tr, graph, e)
-                raise OracleInconsistent("every edge complement tested positive")
-            # Dense case: fall through to individual testing.
-
-        # Test every node that is uncertain right now, in index order,
-        # conditioning after each; outcomes later in the sweep do not shrink
-        # the list.
-        for v in _uncertain_nodes(node_marginals(post), s):
-            outcome = oracle(1 << v)
-            condition(1 << v, outcome, INDIVIDUAL)
-        idx = certain_edge(post)
-        if idx is None:
-            raise OracleInconsistent("individual sweep left no certain edge")
-        return _finish(tr, graph, idx)
+        active &= node_marginals(obs.post) > 0.0
 
 
-def run_base(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
-             config: AdaptiveConfig | None = None) -> Transcript:
+def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
+    """Stage 2 of the base and regular variants, from residual set s."""
+    if regular:
+        surviving = [i for i in range(len(graph)) if obs.post.q[i] > 0.0]
+        sizes = {int(graph.edge_sizes[i]) for i in surviving}
+        if len(sizes) > 1:
+            raise NotRegular(f"surviving edge sizes {sorted(sizes)} at stage-2 entry")
+        if len(surviving) < int(s.sum()):
+            s_mask = mask_from_flags(s)
+            for e in surviving:
+                if obs.post.q[e] <= 0.0:
+                    continue
+                t2 = s_mask & ~graph.edge_masks[e]
+                # When S equals e there is nothing left to ask.
+                if t2 == 0 or not obs.ask(t2, COMPLEMENT):
+                    return _finish(obs.tr, graph, e)
+            raise OracleInconsistent("every edge complement tested positive")
+        # Dense case: fall through to individual testing.
+
+    # Test every node that is uncertain right now, in index order, updating
+    # after each; outcomes later in the sweep do not shrink the list.
+    marg = node_marginals(obs.post)
+    positives = [int(v) for v in np.flatnonzero(marg >= 1.0 - CERTAINTY_TOL)]
+    for v in _uncertain_nodes(marg, s):
+        verdict = obs.ask(1 << v, INDIVIDUAL)
+        if verdict is None:
+            return obs.tr
+        if verdict:
+            positives.append(v)
+    return obs.finish(sorted(positives))
+
+
+def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
+                 config: AdaptiveConfig | None = None,
+                 rng: np.random.Generator | None = None) -> Transcript:
+    """Run the configured variant against a noiseless oracle. Stage 1 first
+    scans all n nodes, those of zero prior mass included."""
     config = config or AdaptiveConfig()
-    if config.variant != "base":
-        raise ValueError("run_base requires variant='base'")
-    return run_adaptive(graph, dist, oracle, config)
-
-
-def run_truncated(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
-                  config: AdaptiveConfig,
-                  rng: np.random.Generator | None = None) -> Transcript:
-    if config.variant != "truncated":
-        raise ValueError("run_truncated requires variant='truncated'")
-    return run_adaptive(graph, dist, oracle, config, rng=rng)
-
-
-def run_regular(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
-                config: AdaptiveConfig | None = None) -> Transcript:
-    config = config or AdaptiveConfig(variant="regular")
-    if config.variant != "regular":
-        raise ValueError("run_regular requires variant='regular'")
-    return run_adaptive(graph, dist, oracle, config)
+    config.validate()
+    validate_model(graph, dist)
+    obs = _Exact(oracle, prior_posterior(graph, dist))
+    return _run(graph, dist, config, obs, np.ones(graph.n, dtype=bool), rng)

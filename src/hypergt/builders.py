@@ -343,9 +343,6 @@ def sample_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float,
 # ---------------------------------------------------------------------------
 # Dispatch
 
-_CLOSED_FORM = {"independent", "community"}
-_GENERATIVE = {"edge_faulty", "sbim"}
-
 
 def build_model(spec: ModelSpec) -> tuple[Hypergraph, EdgeDistribution]:
     """Build any family from its spec record."""
@@ -365,24 +362,3 @@ def build_model(spec: ModelSpec) -> tuple[Hypergraph, EdgeDistribution]:
         "edge_faulty": build_edge_faulty,
     }[spec.family]
     return builder(**params)
-
-
-def build_closed_form(spec: ModelSpec) -> tuple[Hypergraph, EdgeDistribution]:
-    spec.validate()
-    if spec.family not in _CLOSED_FORM:
-        raise ModelError(f"{spec.family!r} is not a closed-form family")
-    return build_model(spec)
-
-
-def build_structured(spec: ModelSpec) -> tuple[Hypergraph, EdgeDistribution]:
-    spec.validate()
-    if spec.family in _CLOSED_FORM or spec.family in _GENERATIVE:
-        raise ModelError(f"{spec.family!r} is not a structured family")
-    return build_model(spec)
-
-
-def build_generative_exact(spec: ModelSpec) -> tuple[Hypergraph, EdgeDistribution]:
-    spec.validate()
-    if spec.family not in _GENERATIVE:
-        raise ModelError(f"{spec.family!r} is not a generative family")
-    return build_model(spec)

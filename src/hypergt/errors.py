@@ -41,6 +41,10 @@ class TooLarge(ValueError):
     """Instance exceeds the brute-force oracle's feasibility limits."""
 
 
+class InvariantViolation(RuntimeError):
+    """An invariant the adaptive analysis relies on failed mid-run."""
+
+
 class NotRegular(RuntimeError):
     """Surviving edges differ in size where the regular variant needs them equal."""
 

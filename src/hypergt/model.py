@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .sets import (
     bit_count,
     full_mask,
     intersects,
-    is_subset,
     mask_of,
     nodes_of,
     pack_words,
@@ -105,24 +104,12 @@ class EdgeDistribution:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
-class TestRecord:
-    """One group test: the queried node set and the observed outcome."""
-
-    query: int  # bitmask
-    outcome: bool
-
-    def query_nodes(self) -> tuple[int, ...]:
-        return nodes_of(self.query)
-
-
 @dataclass
 class Posterior:
     """Edge posterior after a transcript of tests; removed edges carry exact 0."""
 
     graph: Hypergraph
     q: np.ndarray
-    transcript: tuple[TestRecord, ...] = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
@@ -163,27 +150,7 @@ def validate_model(graph: Hypergraph, dist: EdgeDistribution) -> None:
 
 
 def prior_posterior(graph: Hypergraph, dist: EdgeDistribution) -> Posterior:
-    return Posterior(graph, dist.probs.astype(float).copy(), ())
-
-
-def edge_set(graph: Hypergraph, s: int | Iterable[int]) -> tuple[int, ...]:
-    """Indices of edges entirely contained in node set s (E(S))."""
-    s_mask = s if isinstance(s, int) else mask_of(s)
-    return tuple(i for i, m in enumerate(graph.edge_masks) if is_subset(m, s_mask))
-
-
-def set_weight(post: Posterior, s: int | Iterable[int]) -> float:
-    """Total posterior mass of edges contained in s (w(S))."""
-    s_mask = s if isinstance(s, int) else mask_of(s)
-    return float(
-        sum(post.q[i] for i, m in enumerate(post.graph.edge_masks) if is_subset(m, s_mask))
-    )
-
-
-def node_marginal(post: Posterior, v: int) -> float:
-    """Posterior probability that node v is infected (q_v)."""
-    bit = 1 << v
-    return float(sum(post.q[i] for i, m in enumerate(post.graph.edge_masks) if m & bit))
+    return Posterior(graph, dist.probs.astype(float).copy())
 
 
 def node_marginals(post: Posterior) -> np.ndarray:
@@ -209,7 +176,7 @@ def edge_outcomes(graph: Hypergraph, t_mask: int) -> np.ndarray:
 
 
 def reweight(post: Posterior, t_mask: int, outcome: bool, likelihood: np.ndarray) -> Posterior:
-    """Multiply q by per-edge likelihoods, renormalize, and extend the transcript.
+    """Multiply q by per-edge likelihoods and renormalize.
 
     Skips the division when nothing was removed so exact prior values are
     preserved on no-op updates.
@@ -222,8 +189,7 @@ def reweight(post: Posterior, t_mask: int, outcome: bool, likelihood: np.ndarray
         )
     if not np.array_equal(q, post.q):
         q = q / total
-    record = TestRecord(t_mask, bool(outcome))
-    return Posterior(post.graph, q, post.transcript + (record,))
+    return Posterior(post.graph, q)
 
 
 def condition_on_test(post: Posterior, t: int | Iterable[int], outcome: bool) -> Posterior:

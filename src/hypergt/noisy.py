@@ -2,12 +2,14 @@
 repetition-with-majority schedules, and the noisy adaptive / semi-non-adaptive
 engines.
 
-The posterior update is exact Bayes (prior times per-test likelihood,
-normalized), applied once per physical test, so no positively weighted edge
-ever reaches exact zero while the channel is noisy. Majority verdicts steer
-control flow only: the group test of the residual nodes and the stage-2
-individual tests are repeated and decided by majority, while weight-window
-tests run once.
+The noisy adaptive engine has no control loop of its own: it runs the base
+loop of `adaptive` with a repeated observer. The observer decides how often a
+test site is asked (weight-window tests once, the residual group test and the
+stage-2 individual tests per the schedule), applies one exact Bayes step
+(prior times per-test likelihood, normalized) per physical test, halts the
+run on the physical-test budget, and ends the stage-2 sweep on the majority
+positives. Majority verdicts steer control flow only; the posterior absorbs
+every physical outcome.
 """
 
 from __future__ import annotations
@@ -19,23 +21,20 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, _split_scan, _uncertain_nodes
+from .adaptive import AdaptiveConfig, _run as _adaptive_run
 from .model import (
-    CERTAINTY_TOL,
     EdgeDistribution,
     GroundTruth,
     Hypergraph,
     Posterior,
     certain_edge,
     edge_outcomes,
-    expected_infections,
     node_marginals,
     noiseless_oracle,
     prior_posterior,
     reweight,
     validate_model,
 )
-from .sets import mask_from_flags
 from .snagt import SnagtConfig, _run as _snagt_run
 from .transcript import INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
@@ -136,20 +135,64 @@ def admissible_threshold(delta: float) -> float:
     return 1.0 - ((1.0 - delta) ** (1.0 - delta)) * (delta ** delta)
 
 
+class _Repeated:
+    """Noisy observer: a test site is asked ell times for its stage (once for
+    a split, ell_group for the residual, ell_individual for a stage-2 node),
+    each physical test takes one exact Bayes step, and the majority decides.
+    The run halts once the physical-test budget is spent; the stage-2 sweep
+    ends on the majority positives."""
+
+    def __init__(self, oracle: TestOracle, post: Posterior, delta: float,
+                 ells: dict[str, int], cap: int):
+        self.oracle = oracle
+        self.post = post
+        self.tr = Transcript()
+        self.delta = delta
+        self.ells = ells
+        self.cap = cap
+        self.groups = 0
+
+    def ask(self, t_mask: int, stage: str) -> bool | None:
+        """Issue up to ell physical tests; None means the budget ran out."""
+        self.groups += 1
+        ell = self.ells[stage]
+        votes = 0
+        for _ in range(ell):
+            if self.tr.total >= self.cap:
+                self.tr.halted = True
+                return None
+            outcome = self.oracle(t_mask)
+            self.post = bayes_update_noisy(self.post, t_mask, outcome, self.delta)
+            self.tr.add(t_mask, outcome, stage, rep_group=self.groups)
+            votes += 1 if outcome else 0
+        return 2 * votes >= ell
+
+    def informative(self, c: float) -> None:
+        self.tr.informative += 1
+
+    def finish(self, positives: list[int]) -> Transcript:
+        self.tr.result_nodes = tuple(positives)
+        self.tr.result_edge = certain_edge(self.post)
+        return self.tr
+
+
 def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
                        config: AdaptiveConfig, channel: NoiseChannel,
                        schedule: RepetitionSchedule | None = None,
                        u: int | None = None,
                        max_physical_tests: int | None = None) -> Transcript:
-    """Adaptive control flow under symmetric noise.
+    """The base adaptive loop under symmetric noise.
 
     Weight-window tests run once; the residual group test and the stage-2
     individual tests are repeated per the schedule with majority verdicts.
-    The posterior absorbs every physical outcome through exact Bayes. The
-    physical-test budget defaults to n, the asymptotic analysis' cap; desk
-    runs usually need to raise it.
+    The posterior absorbs every physical outcome through exact Bayes. Stage 1
+    first scans the nodes of positive prior mass. The physical-test budget
+    defaults to n, the asymptotic analysis' cap; desk runs usually need to
+    raise it. Only the base variant runs under noise.
     """
     config.validate()
+    if config.variant != "base":
+        raise ValueError(f"noisy runs support only variant='base', got {config.variant!r}")
     validate_model(graph, dist)
     schedule = schedule or RepetitionSchedule()
     delta = channel.delta
@@ -162,71 +205,10 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     n = graph.n
     ell_group, ell_individual = schedule.resolve(n, u if u else n, delta)
     cap = n if max_physical_tests is None else max_physical_tests
-
-    member = graph.membership
-    nonmember = 1.0 - member
-    c = config.c
     post = prior_posterior(graph, dist)
-    tr = Transcript()
-    physical = 0
-    group_id = 0
-
-    def run_repeats(t_mask: int, ell: int, stage: str) -> bool | None:
-        """Issue up to ell physical tests; None means the budget ran out."""
-        nonlocal post, physical, group_id
-        group_id += 1
-        votes = 0
-        for _ in range(ell):
-            if physical >= cap:
-                tr.halted = True
-                return None
-            outcome = oracle(t_mask)
-            physical += 1
-            post = bayes_update_noisy(post, t_mask, outcome, delta)
-            tr.add(t_mask, outcome, stage, rep_group=group_id)
-            votes += 1 if outcome else 0
-        return 2 * votes >= ell
-
-    while True:
-        idx = certain_edge(post)
-        if idx is not None:
-            tr.result_edge = idx
-            tr.result_nodes = graph.edge_nodes(idx)
-            return tr
-
-        active = node_marginals(post) > 0.0  # noise never zeroes a marginal
-        s, found, _ = _split_scan(post.q, member, nonmember, active, c)
-        t_mask = mask_from_flags(active & ~s)
-
-        if found:
-            verdict = run_repeats(t_mask, 1, SPLIT)
-            if verdict is None:
-                return tr
-            tr.informative += 1
-            continue
-
-        if t_mask:
-            verdict = run_repeats(t_mask, ell_group, RESIDUAL)
-            if verdict is None:
-                return tr
-            if verdict:
-                tr.informative += 1
-                continue
-
-        if tr.mu_stage2 is None:
-            tr.mu_stage2 = expected_infections(post)
-
-        marg = node_marginals(post)
-        positives = set(int(v) for v in np.flatnonzero(marg >= 1.0 - CERTAINTY_TOL))
-        for v in _uncertain_nodes(marg, s):
-            verdict = run_repeats(1 << v, ell_individual, INDIVIDUAL)
-            if verdict is None:
-                return tr
-            if verdict:
-                positives.add(v)
-        tr.result_nodes = tuple(sorted(positives))
-        tr.result_edge = certain_edge(post)
-        return tr
+    obs = _Repeated(oracle, post, delta,
+                    {SPLIT: 1, RESIDUAL: ell_group, INDIVIDUAL: ell_individual}, cap)
+    return _adaptive_run(graph, dist, config, obs, node_marginals(post) > 0.0)
 
 
 def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,

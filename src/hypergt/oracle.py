@@ -14,13 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import TooLarge, ZeroSurvivorMass
-from .model import (
-    EdgeDistribution,
-    Hypergraph,
-    Posterior,
-    TestRecord,
-    validate_model,
-)
+from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
 from .sets import full_mask, iter_bits, nodes_of
 
 MAX_EDGES = 14
@@ -116,18 +110,13 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
 
 
 def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
-                     transcript: Iterable[TestRecord | tuple[int, bool]],
+                     transcript: Iterable[tuple[int, bool]],
                      delta: float = 0.0) -> Posterior:
-    """Posterior from the whole transcript in one pass: q ∝ p · Π likelihoods,
-    with likelihoods in {0,1} at delta=0 and {delta, 1-delta} otherwise."""
-    records = []
+    """Posterior from a whole transcript of (query mask, outcome) pairs in one
+    pass: q ∝ p · Π likelihoods, with likelihoods in {0,1} at delta=0 and
+    {delta, 1-delta} otherwise."""
     weights = dist.probs.astype(float).copy()
-    for item in transcript:
-        if isinstance(item, TestRecord):
-            t_mask, outcome = item.query, item.outcome
-        else:
-            t_mask, outcome = item
-        records.append(TestRecord(t_mask, bool(outcome)))
+    for t_mask, outcome in transcript:
         for i, m in enumerate(graph.edge_masks):
             match = bool(m & t_mask) == bool(outcome)
             if delta == 0.0:
@@ -137,7 +126,7 @@ def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
     total = weights.sum()
     if total <= 0.0:
         raise ZeroSurvivorMass("transcript inconsistent with every edge")
-    return Posterior(graph, weights / total, tuple(records))
+    return Posterior(graph, weights / total)
 
 
 def nonadaptive_min_error(n: int, budget: int) -> float:

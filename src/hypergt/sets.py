@@ -57,11 +57,6 @@ def bit_count(mask: int) -> int:
     return mask.bit_count()
 
 
-def is_subset(a: int, b: int) -> bool:
-    """True iff every bit of a is set in b."""
-    return a & ~b == 0
-
-
 def pack_words(masks: Sequence[int], n: int) -> np.ndarray:
     """(ceil(n/64), len(masks)) word store; bits at or beyond the last word are dropped."""
     words = np.empty(((n + WORD_BITS - 1) // WORD_BITS, len(masks)), dtype=WORD_DTYPE)

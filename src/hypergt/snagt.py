@@ -42,9 +42,6 @@ class SubgraphPartition:
 
     buckets: dict[int, list[int]]
 
-    def bucket_mass(self, dist: EdgeDistribution) -> dict[int, float]:
-        return {i: float(sum(dist.probs[e] for e in es)) for i, es in self.buckets.items()}
-
     def bucket_counts(self) -> dict[int, int]:
         return {i: len(es) for i, es in self.buckets.items()}
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
+from hypergt.sets import mask_of
 
 
 @pytest.fixture
@@ -29,3 +30,23 @@ def random_model(rng, max_n=6, max_edges=10):
     weights = rng.integers(1, 20, size=count).astype(float)
     dist = EdgeDistribution(weights / weights.sum())
     return Hypergraph(n, [int(m) for m in masks]), dist
+
+
+# Scalar reference implementations of E(S), w(S) and q_v: one edge at a time,
+# so the vectorised model code can be checked against them.
+
+def edge_set(graph, s):
+    """Indices of edges entirely contained in node set s (E(S))."""
+    s_mask = s if isinstance(s, int) else mask_of(s)
+    return tuple(i for i, m in enumerate(graph.edge_masks) if m & ~s_mask == 0)
+
+
+def set_weight(post, s):
+    """Total posterior mass of edges contained in s (w(S))."""
+    return float(sum(post.q[i] for i in edge_set(post.graph, s)))
+
+
+def node_marginal(post, v):
+    """Posterior probability that node v is infected (q_v)."""
+    bit = 1 << v
+    return float(sum(post.q[i] for i, m in enumerate(post.graph.edge_masks) if m & bit))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_for, random_model, truth_for
-from hypergt.adaptive import AdaptiveConfig, run_base, run_truncated
+from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import (
     ModelSpec,
     build_cosize,
@@ -61,17 +61,17 @@ def test_criterion_01_worked_example_expected_tests():
     t0 = time.time()
     graph, dist = fig1_model()
     cfg = AdaptiveConfig(c=0.1)
-    exact = sum(p * run_base(graph, dist, oracle_for(graph, i), cfg).total
+    exact = sum(p * run_adaptive(graph, dist, oracle_for(graph, i), cfg).total
                 for i, p in enumerate(dist.probs))
     correct = all(
-        run_base(graph, dist, oracle_for(graph, i), cfg).result_edge == i
+        run_adaptive(graph, dist, oracle_for(graph, i), cfg).result_edge == i
         for i in range(3)
     )
     rng = np.random.default_rng(101)
     tally = 0
     for _ in range(3000):
         truth = sample_truth(graph, dist, rng)
-        tally += run_base(graph, dist, noiseless_oracle(truth), cfg).total
+        tally += run_adaptive(graph, dist, noiseless_oracle(truth), cfg).total
     mc_mean = tally / 3000
     ok = exact == 1.5 and correct and abs(mc_mean - 1.5) <= 0.05
     report(1, ok, f"five-node example: exact E[tests]={exact}, MC mean={mc_mean:.4f}",
@@ -84,7 +84,7 @@ def test_criterion_02_cosize_linear_cost_and_entropy_gap():
     for n in (8, 16):
         g, d = build_cosize(n)
         for i in range(n):
-            tr = run_base(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2))
+            tr = run_adaptive(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2))
             ok &= tr.total == n and tr.result_edge == i
     g8, d8 = build_cosize(8)
     value, _ = optimal_expected_tests(g8, d8)
@@ -101,7 +101,7 @@ def test_criterion_03_single_window_family_d_plus_2():
     g, d = build_partial_regular(10, d_param)
     ok = True
     for i in range(d_param + 1):
-        tr = run_base(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2))
+        tr = run_adaptive(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2))
         ok &= tr.total == d_param + 2 and tr.result_edge == i
     report(3, ok, f"one-window family at d={d_param}: every target takes d+2 = {d_param + 2} tests",
            t0, budget=1.0)

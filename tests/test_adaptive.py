@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_for, random_model, truth_for
+import hypergt
 from hypergt.adaptive import (
     AdaptiveConfig,
     find_split_set,
     resolve_f2,
     run_adaptive,
-    run_base,
-    run_regular,
-    run_truncated,
 )
 from hypergt.builders import build_cosize, build_nested, build_partial_regular
 from hypergt.errors import NotRegular
@@ -28,10 +30,10 @@ from hypergt.oracle import direct_posterior
 from hypergt.sets import mask_of, nodes_of
 
 
-def enumerate_targets(graph, dist, config, runner=run_base, **kw):
+def enumerate_targets(graph, dist, config):
     """Run once per target; yields (target, prior mass, transcript)."""
     for i, p in enumerate(dist.probs):
-        yield i, p, runner(graph, dist, oracle_for(graph, i), config, **kw)
+        yield i, p, run_adaptive(graph, dist, oracle_for(graph, i), config)
 
 
 class TestConfig:
@@ -92,7 +94,7 @@ class TestRunBase:
 
     def test_fig1_walkthrough_order(self, fig1):
         graph, dist = fig1
-        tr = run_base(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.1))
+        tr = run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.1))
         assert [r.query for r in tr.records] == [(0,), (1,)]
         assert [r.outcome for r in tr.records] == [True, True]
 
@@ -123,7 +125,7 @@ class TestRunBase:
         rng = np.random.default_rng(seed)
         graph, dist = random_model(rng)
         target = int(rng.choice(len(dist.probs), p=dist.probs))
-        tr = run_base(graph, dist, oracle_for(graph, target), AdaptiveConfig(c=c))
+        tr = run_adaptive(graph, dist, oracle_for(graph, target), AdaptiveConfig(c=c))
         assert tr.returned_mask() == graph.edge_masks[target]
 
     @settings(max_examples=60, deadline=None)
@@ -137,7 +139,7 @@ class TestRunBase:
         rng = np.random.default_rng(seed)
         graph, dist = random_model(rng)
         target = int(rng.choice(len(dist.probs), p=dist.probs))
-        tr = run_base(graph, dist, oracle_for(graph, target), AdaptiveConfig(c=0.3))
+        tr = run_adaptive(graph, dist, oracle_for(graph, target), AdaptiveConfig(c=0.3))
         prefix = []
         stage2_marg = None
         member = graph.membership
@@ -166,7 +168,7 @@ class TestRunBase:
         l1, l2, mu2 = [], [], []
         for _ in range(400):
             target = int(rng.choice(len(d.probs), p=d.probs))
-            tr = run_base(g, d, oracle_for(g, target), AdaptiveConfig(c=c))
+            tr = run_adaptive(g, d, oracle_for(g, target), AdaptiveConfig(c=c))
             l1.append(tr.stage1)
             l2.append(tr.stage2)
             mu2.append(tr.mu_stage2 if tr.mu_stage2 is not None else 0.0)
@@ -188,9 +190,9 @@ class TestRunTruncated:
         graph, dist = fig1
         for seed in range(10):
             for i in range(3):
-                base = run_base(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.1))
+                base = run_adaptive(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.1))
                 cfg = AdaptiveConfig(c=0.1, variant="truncated", f2=3, seed=seed)
-                trunc = run_truncated(graph, dist, oracle_for(graph, i), cfg)
+                trunc = run_adaptive(graph, dist, oracle_for(graph, i), cfg)
                 assert trunc.returned_mask() == base.returned_mask()
 
     def test_controlled_failure_when_target_exceeds_cut(self):
@@ -200,7 +202,7 @@ class TestRunTruncated:
         saw_failure = False
         for seed in range(30):
             cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=2, seed=seed)
-            tr = run_truncated(g, d, oracle_for(g, 0), cfg)
+            tr = run_adaptive(g, d, oracle_for(g, 0), cfg)
             if tr.returned_mask() != g.edge_masks[0]:
                 saw_failure = True
                 assert tr.pn == 2
@@ -214,14 +216,14 @@ class TestRunTruncated:
             for seed in range(8):
                 for i in range(len(g)):
                     cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=f2, seed=seed)
-                    tr = run_truncated(g, d, oracle_for(g, i), cfg)
+                    tr = run_adaptive(g, d, oracle_for(g, i), cfg)
                     if tr.returned_mask() != g.edge_masks[i]:
                         assert int(g.edge_sizes[i]) > f2
 
     def test_pn_counts_stage2_positives(self):
         g, d = build_cosize(6)
         cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=3, seed=1)
-        tr = run_truncated(g, d, oracle_for(g, 0), cfg)
+        tr = run_adaptive(g, d, oracle_for(g, 0), cfg)
         positives = sum(1 for r in tr.records if r.stage == "individual" and r.outcome)
         assert tr.pn == min(positives, tr.pn) <= 3
 
@@ -239,7 +241,7 @@ class TestRunRegular:
     def test_complement_branch_runs_few_tests(self):
         g, d = sunflower_with_core()
         for i in range(5):
-            tr = run_regular(g, d, oracle_for(g, i), AdaptiveConfig(c=0.3, variant="regular"))
+            tr = run_adaptive(g, d, oracle_for(g, i), AdaptiveConfig(c=0.3, variant="regular"))
             assert tr.result_edge == i
             comp = [r for r in tr.records if r.stage == "complement"]
             assert 1 <= len(comp) <= 5
@@ -250,7 +252,7 @@ class TestRunRegular:
         d = EdgeDistribution([1 / 3, 1 / 3, 1 / 3])
         # c=0.45: no window, node 1 leaves at the high-weight step, the
         # residual test {1} is negative for target e2, leaving two survivors.
-        tr = run_regular(g, d, oracle_for(g, 1), AdaptiveConfig(c=0.45, variant="regular"))
+        tr = run_adaptive(g, d, oracle_for(g, 1), AdaptiveConfig(c=0.45, variant="regular"))
         assert tr.result_edge == 1
         comp = [r for r in tr.records if r.stage == "complement"]
         assert len(comp) == 1
@@ -259,8 +261,8 @@ class TestRunRegular:
     def test_dense_fallback_matches_base(self):
         g, d = build_partial_regular(10, 4)
         for i in range(5):
-            base = run_base(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2))
-            reg = run_regular(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2, variant="regular"))
+            base = run_adaptive(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2))
+            reg = run_adaptive(g, d, oracle_for(g, i), AdaptiveConfig(c=0.2, variant="regular"))
             assert [(r.query, r.outcome) for r in reg.records] == \
                    [(r.query, r.outcome) for r in base.records]
             assert reg.result_edge == base.result_edge
@@ -269,19 +271,10 @@ class TestRunRegular:
         g = Hypergraph(2, [[0, 1], [0]])
         d = EdgeDistribution([0.7, 0.3])
         with pytest.raises(NotRegular):
-            run_regular(g, d, oracle_for(g, 0), AdaptiveConfig(c=0.35, variant="regular"))
+            run_adaptive(g, d, oracle_for(g, 0), AdaptiveConfig(c=0.35, variant="regular"))
 
 
 class TestVariantGuards:
-    def test_runner_variant_must_match(self, fig1):
-        graph, dist = fig1
-        with pytest.raises(ValueError):
-            run_base(graph, dist, oracle_for(graph, 0), AdaptiveConfig(variant="regular"))
-        with pytest.raises(ValueError):
-            run_truncated(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.1))
-        with pytest.raises(ValueError):
-            run_regular(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.1))
-
     def test_lying_oracle_raises_oracle_inconsistent(self):
         from hypergt.errors import OracleInconsistent
 
@@ -289,13 +282,42 @@ class TestVariantGuards:
         # individual test of the co-size family
         g, d = build_cosize(6)
         with pytest.raises(OracleInconsistent):
-            run_base(g, d, lambda t: False, AdaptiveConfig(c=0.2))
+            run_adaptive(g, d, lambda t: False, AdaptiveConfig(c=0.2))
+
+
+# Stubs conditioning with a step that removes nothing, then runs fig1 at
+# c=0.1, whose first test is a weight-window split.
+NO_OP_CONDITIONING_PROBE = """
+import hypergt.adaptive as adaptive
+from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
+
+adaptive.condition_on_test = lambda post, t, outcome: post
+graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])
+dist = EdgeDistribution([0.3, 0.2, 0.5])
+truth = GroundTruth(0, graph.edge_masks[0], graph.n)
+try:
+    adaptive.run_adaptive(graph, dist, noiseless_oracle(truth), adaptive.AdaptiveConfig(c=0.1))
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+class TestInvariants:
+    def test_checked_under_python_O(self):
+        """A split that removes no mass is caught even when asserts are
+        stripped, instead of the loop asking the same split forever."""
+        src = str(Path(hypergt.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-O", "-c", NO_OP_CONDITIONING_PROBE],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip() == "InvariantViolation", done.stderr
 
 
 class TestTranscriptRecord:
     def test_json_shape_with_stage_tags(self, fig1):
         graph, dist = fig1
-        tr = run_base(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.1))
+        tr = run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.1))
         doc = tr.to_json()
         assert doc["result_edge"] == 0
         assert doc["result_nodes"] == [0, 1, 2]

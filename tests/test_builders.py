@@ -7,12 +7,10 @@ import pytest
 from hypergt.builders import (
     ModelSpec,
     build_big_graph,
-    build_closed_form,
     build_community,
     build_cosize,
     build_edge_faulty,
     build_entropy_gap,
-    build_generative_exact,
     build_independent,
     build_islands,
     build_model,
@@ -20,7 +18,6 @@ from hypergt.builders import (
     build_partial_regular,
     build_random_regular,
     build_sbim,
-    build_structured,
     sample_edge_faulty,
     sample_sbim,
 )
@@ -78,11 +75,6 @@ class TestClosedForm:
         # S = {node 0} hits family 0 once; family 1 stays clear
         want = q * p[0] * (1 - p[0]) * (1 - q + q * (1 - p[1]))
         assert masses[0b001] == pytest.approx(want, abs=1e-12)
-
-    def test_dispatcher_group(self):
-        build_closed_form(ModelSpec("independent", {"p": [0.5]}))
-        with pytest.raises(ModelError):
-            build_closed_form(ModelSpec("nested", {"n": 4}))
 
 
 class TestStructured:
@@ -150,12 +142,6 @@ class TestStructured:
         with pytest.raises(EmptySupport):
             build_random_regular(8, 3, r=1e-9, seed=0)
 
-    def test_dispatcher_group(self):
-        build_structured(ModelSpec("cosize", {"n": 4}))
-        with pytest.raises(ModelError):
-            build_structured(ModelSpec("sbim", {"m": 1, "k": 1, "seed_prob": 0.5,
-                                                "q1": 0.5, "q2": 0.0}))
-
 
 class TestGenerative:
     def test_edge_faulty_single_contact_edge(self):
@@ -184,7 +170,7 @@ class TestGenerative:
          lambda rng: sample_sbim(2, 2, 0.3, 0.5, 0.1, rng)),
     ])
     def test_monte_carlo_matches_enumeration(self, family, params, sampler):
-        graph, dist = build_generative_exact(ModelSpec(family, params))
+        graph, dist = build_model(ModelSpec(family, params))
         rng = np.random.default_rng(11)
         draws = 20_000
         counts = {}

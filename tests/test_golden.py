@@ -6,6 +6,9 @@ few seeded trials. The models cover one 64-bit word (n=12, n=64) and several
 words (n=70, n=130), so a change to how node sets are stored or intersected
 shows up here as a changed hash. A model's split constant c is chosen so that
 its adaptive runs reach stage 2; the truncated variant always runs at c=1/3.
+partial10 has five nodes in no edge: it is the one model on which the
+noiseless start rule (scan all n nodes) and the noisy one (scan the nodes of
+positive prior mass) issue different tests.
 """
 
 import hashlib
@@ -32,6 +35,7 @@ MODELS = {
     "cosize70": (ModelSpec("cosize", {"n": 70}), 1.0 / 3.0),
     "regular64": (ModelSpec("random_regular", {"n": 64, "d": 3, "count": 300, "seed": 1}), 0.45),
     "regular130": (ModelSpec("random_regular", {"n": 130, "d": 3, "count": 400, "seed": 2}), 0.45),
+    "partial10": (ModelSpec("partial_regular", {"n": 10, "d": 4}), 0.2),
 }
 SEEDS = (0, 1, 2)
 DELTA = 0.05
@@ -90,6 +94,11 @@ GOLDEN = {
     ("regular130", "snagt"): "0864092a627b51c2",
     ("regular130", "noisy_adaptive"): "d1041e1e4ac4d8a3",
     ("regular130", "noisy_snagt"): "754b173df2370344",
+    # Recorded on the separate noiseless and noisy loops that one loop replaced.
+    ("partial10", "base"): "9171fe311177b1f7",
+    ("partial10", "regular"): "9171fe311177b1f7",
+    ("partial10", "truncated"): "8e0d271e2f9e252e",
+    ("partial10", "noisy_adaptive"): "1afe79263a7bddd2",
 }
 
 

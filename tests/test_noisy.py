@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_for, random_model, truth_for
-from hypergt.adaptive import AdaptiveConfig, run_base
+from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_islands, build_random_regular
 from hypergt.model import (
     EdgeDistribution,
@@ -135,13 +135,23 @@ class TestNoisyAdaptive:
         graph, dist = fig1
         schedule = RepetitionSchedule(ell_group=1, ell_individual=1)
         for i in range(3):
-            base = run_base(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.1))
+            base = run_adaptive(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.1))
             noisy = run_noisy_adaptive(graph, dist, oracle_for(graph, i),
                                        AdaptiveConfig(c=0.1), NoiseChannel(0.0),
                                        schedule, max_physical_tests=1000)
             assert [(r.query, r.outcome) for r in noisy.records] == \
                    [(r.query, r.outcome) for r in base.records]
             assert noisy.returned_mask() == base.returned_mask()
+
+    @pytest.mark.parametrize("config", [
+        AdaptiveConfig(variant="regular"),
+        AdaptiveConfig(variant="truncated", f2=3),
+    ], ids=["regular", "truncated"])
+    def test_only_the_base_variant_runs_under_noise(self, fig1, config):
+        graph, dist = fig1
+        with pytest.raises(ValueError, match="variant"):
+            run_noisy_adaptive(graph, dist, oracle_for(graph, 0), config, NoiseChannel(0.1),
+                               max_physical_tests=100)
 
     def test_target_posterior_stays_positive(self):
         g, d = build_islands(4, 2, 0.5)

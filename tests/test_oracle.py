@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_for, random_model
-from hypergt.adaptive import AdaptiveConfig, run_base
+from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_cosize, build_nested
 from hypergt.errors import TooLarge, ZeroSurvivorMass
 from hypergt.model import EdgeDistribution, Hypergraph, edge_entropy, prior_posterior
@@ -64,7 +64,7 @@ class TestOptimalPolicy:
         graph, dist = random_model(rng, max_n=4, max_edges=6)
         value, _ = optimal_expected_tests(graph, dist)
         greedy = sum(
-            p * run_base(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.3)).total
+            p * run_adaptive(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.3)).total
             for i, p in enumerate(dist.probs)
         )
         assert value <= greedy + 1e-9

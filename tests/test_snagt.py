@@ -54,13 +54,6 @@ class TestDyadicPartition:
         counts = part.bucket_counts()
         assert sum(counts.values()) == 4
 
-    def test_bucket_mass(self):
-        d = EdgeDistribution([0.5, 0.25, 0.25])
-        part = partition_dyadic(d)
-        mass = part.bucket_mass(d)
-        assert mass[1] == pytest.approx(0.5)
-        assert mass[2] == pytest.approx(0.5)
-
 
 class TestRandomTestSet:
     def test_deterministic_under_seed(self):
