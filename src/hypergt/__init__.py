@@ -17,6 +17,7 @@ from .errors import (
     NotNormalized,
     NotRegular,
     OracleInconsistent,
+    SchemaError,
     SupportTooLarge,
     TooLarge,
     ZeroSurvivorMass,
@@ -50,15 +51,7 @@ from .noisy import (
     run_noisy_snagt,
 )
 from .oracle import direct_posterior, nonadaptive_min_error, optimal_expected_tests, simulate_policy
-from .snagt import (
-    CandidateTracker,
-    SnagtConfig,
-    SubgraphPartition,
-    partition_dyadic,
-    preprocess_truncate,
-    random_test_set,
-    run_snagt,
-)
+from .snagt import SnagtConfig, random_test_set, run_snagt
 from .transcript import Transcript
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,6 +23,7 @@ from .harness import (
     write_csv,
 )
 from .model import (
+    check_record,
     edge_entropy,
     expected_infections,
     load_model,
@@ -43,6 +44,7 @@ def cmd_build_model(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
             doc = json.load(fh)
+        check_record(doc, f"model spec {args.spec}", ("family",), ("family", "params"))
         spec = ModelSpec(doc["family"], doc.get("params", {}))
     else:
         spec = ModelSpec(args.family, json.loads(args.params))
@@ -65,6 +67,11 @@ def cmd_run(args) -> int:
     print(f"wrote {out}: {s.count} trials, mean tests {s.tests.mean:.4f} "
           f"(stderr {s.tests.stderr:.4f}), error rate {s.error_rate:.4f}, "
           f"halt rate {s.halt_rate:.4f}")
+    failed = [r.error for r in results if r.error is not None]
+    if failed:
+        print(f"{len(failed)} of {s.count} trials raised an error, first {failed[0]}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -33,6 +33,10 @@ class EmptySupport(ModelError):
     pass
 
 
+class SchemaError(ModelError):
+    """A model or config record lacks a key it needs, or has one it does not know."""
+
+
 class SupportTooLarge(ModelError):
     pass
 

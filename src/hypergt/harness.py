@@ -22,6 +22,7 @@ from .errors import MismatchedConfig
 from .model import (
     EdgeDistribution,
     Hypergraph,
+    check_record,
     edge_entropy,
     expected_infections,
     load_model,
@@ -34,7 +35,8 @@ from .oracle import optimal_expected_tests, simulate_policy
 from .snagt import SnagtConfig, run_snagt
 
 ALGORITHMS = ("base", "truncated", "regular", "snagt", "noisy_adaptive", "noisy_snagt", "oracle")
-CSV_COLUMNS = ("trial", "seed", "target", "tests", "stage1", "stage2", "informative", "correct", "halted")
+CSV_COLUMNS = ("trial", "seed", "target", "tests", "stage1", "stage2", "informative", "correct",
+               "halted", "error")
 
 
 @dataclass
@@ -70,10 +72,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        model = doc.get("model")
+        check_record(doc, "experiment config", ("model", "algorithm"),
+                     [f.name for f in dataclasses.fields(cls)])
+        model = doc["model"]
         if isinstance(model, dict):
-            doc["model"] = ModelSpec(model["family"], model.get("params", {}))
+            check_record(model, "model record", ("family",), ("family", "params"))
+            doc = {**doc, "model": ModelSpec(model["family"], model.get("params", {}))}
         return cls(**doc)
 
 
@@ -89,7 +93,7 @@ class TrialResult:
     correct: bool
     halted: bool
     mu_stage2: float | None = None  # in-memory only; not part of the CSV schema
-    error: str | None = None
+    error: str | None = None  # repr of the exception the trial raised; empty in the CSV if none
 
 
 def resolve_model(config: ExperimentConfig) -> tuple[Hypergraph, EdgeDistribution]:
@@ -175,7 +179,7 @@ def write_csv(results: Sequence[TrialResult], path: str) -> None:
         writer.writerow(CSV_COLUMNS)
         for r in results:
             writer.writerow([r.trial, r.seed, r.target, r.tests, r.stage1, r.stage2,
-                             r.informative, int(r.correct), int(r.halted)])
+                             r.informative, int(r.correct), int(r.halted), r.error or ""])
 
 
 def read_csv(path: str) -> list[TrialResult]:
@@ -186,7 +190,7 @@ def read_csv(path: str) -> list[TrialResult]:
                 trial=int(row["trial"]), seed=int(row["seed"]), target=int(row["target"]),
                 tests=int(row["tests"]), stage1=int(row["stage1"]), stage2=int(row["stage2"]),
                 informative=int(row["informative"]), correct=bool(int(row["correct"])),
-                halted=bool(int(row["halted"]))))
+                halted=bool(int(row["halted"])), error=row.get("error") or None))
     return out
 
 

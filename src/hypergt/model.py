@@ -22,6 +22,7 @@ from .errors import (
     NegativeProbability,
     NodeOutOfRange,
     NotNormalized,
+    SchemaError,
     ZeroSurvivorMass,
 )
 from .sets import (
@@ -175,21 +176,14 @@ def edge_outcomes(graph: Hypergraph, t_mask: int) -> np.ndarray:
     return intersects(graph.words, t_mask)
 
 
-def reweight(post: Posterior, t_mask: int, outcome: bool, likelihood: np.ndarray) -> Posterior:
-    """Multiply q by per-edge likelihoods and renormalize.
-
-    Skips the division when nothing was removed so exact prior values are
-    preserved on no-op updates.
-    """
-    q = post.q * likelihood
+def renormalized(post: Posterior, q: np.ndarray, t_mask: int, outcome: bool) -> Posterior:
+    """The posterior with post's edges reweighted to q, rescaled to total mass 1."""
     total = q.sum()
     if total <= 0.0:
         raise ZeroSurvivorMass(
             f"observation ({nodes_of(t_mask)}, {outcome}) is inconsistent with every surviving edge"
         )
-    if not np.array_equal(q, post.q):
-        q = q / total
-    return Posterior(post.graph, q)
+    return Posterior(post.graph, q / total)
 
 
 def condition_on_test(post: Posterior, t: int | Iterable[int], outcome: bool) -> Posterior:
@@ -197,8 +191,10 @@ def condition_on_test(post: Posterior, t: int | Iterable[int], outcome: bool) ->
     edges disjoint from t; survivors are rescaled to total mass 1."""
     t_mask = t if isinstance(t, int) else mask_of(t)
     hits = edge_outcomes(post.graph, t_mask)
-    keep = hits if outcome else ~hits
-    return reweight(post, t_mask, outcome, keep.astype(float))
+    q = post.q * (hits if outcome else ~hits)
+    if np.array_equal(q, post.q):  # no mass removed: keep exact prior values
+        return Posterior(post.graph, q)
+    return renormalized(post, q, t_mask, outcome)
 
 
 def certain_edge(post: Posterior) -> int | None:
@@ -237,9 +233,23 @@ def save_model(path: str, graph: Hypergraph, dist: EdgeDistribution) -> None:
         fh.write("\n")
 
 
+def check_record(doc, what: str, required: Sequence[str], allowed: Sequence[str]) -> None:
+    """Raise SchemaError unless doc is a JSON object that holds every required
+    key and no key outside allowed."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"{what} lacks key {key!r}")
+    for key in doc:
+        if key not in allowed:
+            raise SchemaError(f"{what} has unknown key {key!r}")
+
+
 def load_model(path: str) -> tuple[Hypergraph, EdgeDistribution]:
     with open(path) as fh:
         doc = json.load(fh)
+    check_record(doc, f"model file {path}", ("n", "edges", "probs"), ("n", "edges", "probs"))
     graph = Hypergraph(doc["n"], doc["edges"])
     dist = EdgeDistribution(doc["probs"])
     validate_model(graph, dist)

@@ -28,13 +28,15 @@ from .model import (
     Hypergraph,
     Posterior,
     certain_edge,
+    condition_on_test,
     edge_outcomes,
     node_marginals,
     noiseless_oracle,
     prior_posterior,
-    reweight,
+    renormalized,
     validate_model,
 )
+from .sets import mask_of
 from .snagt import SnagtConfig, _run as _snagt_run
 from .transcript import INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
@@ -92,16 +94,15 @@ def noisy_oracle(truth: GroundTruth, channel: NoiseChannel,
 
 def bayes_update_noisy(post: Posterior, t, observed: bool, delta: float) -> Posterior:
     """Exact Bayes step: q'(e) ∝ q(e) * (1-delta if e's noiseless outcome on T
-    matches the observation else delta)."""
+    matches the observation else delta). At delta = 0 this is noiseless
+    conditioning."""
     if not 0.0 <= delta < 0.5:
         raise ValueError(f"delta={delta} outside [0, 1/2)")
-    t_mask = t if isinstance(t, int) else sum(1 << v for v in t)
-    match = edge_outcomes(post.graph, t_mask) == bool(observed)
     if delta == 0.0:
-        likelihood = match.astype(float)
-    else:
-        likelihood = np.where(match, 1.0 - delta, delta)
-    return reweight(post, t_mask, observed, likelihood)
+        return condition_on_test(post, t, observed)
+    t_mask = t if isinstance(t, int) else mask_of(t)
+    match = edge_outcomes(post.graph, t_mask) == bool(observed)
+    return renormalized(post, post.q * np.where(match, 1.0 - delta, delta), t_mask, observed)
 
 
 def majority_test(oracle: TestOracle, t_mask: int, ell: int) -> bool:
@@ -219,8 +220,6 @@ def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracl
     drives elimination. Schedule and repetition counts depend only on
     (n, u, seed), so the design stays target-independent; the test cap scales
     by the repetition factor."""
-    config.validate()
-    validate_model(graph, dist)
     if ell is None:
         shrink = (1.0 - 2.0 * channel.delta) ** 2
         ell = max(1, math.ceil(alpha * math.log2(config.u * graph.n) / shrink))

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import TooLarge, ZeroSurvivorMass
 from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
-from .sets import full_mask, iter_bits, nodes_of
+from .sets import full_mask, iter_bits, mask_of, nodes_of
 
 MAX_EDGES = 14
 MAX_NODES = 12
@@ -159,8 +159,5 @@ def simulate_policy(policy: PolicyNode, oracle) -> tuple[int, int]:
     tests = 0
     while not node.is_leaf():
         tests += 1
-        m = 0
-        for v in node.test:
-            m |= 1 << v
-        node = node.on_positive if oracle(m) else node.on_negative
+        node = node.on_positive if oracle(mask_of(node.test)) else node.on_negative
     return tests, node.edge

@@ -17,13 +17,17 @@ RANDOM = "random"  # preplanned random test (semi-non-adaptive)
 
 @dataclass
 class TestEntry:
-    query: tuple[int, ...]
+    query_mask: int
     outcome: bool
     stage: str
     mass_removed: float | None = None
     rep_group: int | None = None
     sg_size: int | None = None
     sg_max_time: int | None = None
+
+    @property
+    def query(self) -> tuple[int, ...]:
+        return nodes_of(self.query_mask)
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -67,7 +71,7 @@ class Transcript:
         return mask_of(self.result_nodes)
 
     def add(self, query_mask: int, outcome: bool, stage: str, **extras: Any) -> TestEntry:
-        entry = TestEntry(nodes_of(query_mask), bool(outcome), stage, **extras)
+        entry = TestEntry(query_mask, bool(outcome), stage, **extras)
         self.records.append(entry)
         if stage in (INDIVIDUAL, COMPLEMENT):
             self.stage2 += 1

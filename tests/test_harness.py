@@ -6,7 +6,7 @@ import pytest
 
 from hypergt.builders import ModelSpec
 from hypergt.cli import main as cli_main
-from hypergt.errors import MismatchedConfig
+from hypergt.errors import MismatchedConfig, SchemaError
 from hypergt.harness import (
     ExperimentConfig,
     Moments,
@@ -92,6 +92,16 @@ class TestRunExperiment:
         again = ExperimentConfig.from_json(doc)
         assert again == cfg
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"model": "m.json", "algorithm": "base", "trails": 3}, "trails"),
+        ({"algorithm": "base"}, "model"),
+        ({"model": {"params": {"n": 4}}, "algorithm": "base"}, "family"),
+        ({"model": {"family": "nested", "param": {}}, "algorithm": "base"}, "param"),
+    ])
+    def test_config_json_names_the_bad_key(self, doc, key):
+        with pytest.raises(SchemaError, match=repr(key)):
+            ExperimentConfig.from_json(doc)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path, fig1_files):
@@ -111,7 +121,19 @@ class TestCsv:
         path = tmp_path / "r.csv"
         write_csv(run_experiment(cfg), str(path))
         header = path.read_text().splitlines()[0]
-        assert header == "trial,seed,target,tests,stage1,stage2,informative,correct,halted"
+        assert header == "trial,seed,target,tests,stage1,stage2,informative,correct,halted,error"
+
+    def test_errors_round_trip(self, tmp_path):
+        cfg = ExperimentConfig(model=ModelSpec("cosize", {"n": 8}), algorithm="snagt",
+                               trials=2, seed=0, u=2)
+        res = run_experiment(cfg)
+        path = tmp_path / "r.csv"
+        write_csv(res, str(path))
+        assert [r.error for r in read_csv(str(path))] == [r.error for r in res]
+        assert all("EmptySupport" in r.error for r in res)
+        ok = run_experiment(fig1_config(trials=1))
+        write_csv(ok, str(path))
+        assert read_csv(str(path))[0].error is None
 
 
 class TestSummarize:
@@ -246,3 +268,20 @@ class TestCli:
                          "--out", str(out_path)]) == 0
         dump = json.loads(out_path.read_text())
         assert abs(sum(dump["q"]) - 1.0) < 1e-9
+
+    def test_build_model_spec_needs_a_family(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"params": {"n": 4}}))
+        with pytest.raises(SchemaError, match="'family'"):
+            cli_main(["build-model", "--spec", str(spec_path), "--out", str(tmp_path / "m.json")])
+
+    def test_run_fails_when_a_trial_errors(self, tmp_path, capsys):
+        # Every edge of cosize(8) has size 7 > u, so each trial raises EmptySupport.
+        config_path = tmp_path / "cfg.json"
+        csv_path = tmp_path / "out.csv"
+        config_path.write_text(json.dumps({
+            "model": {"family": "cosize", "params": {"n": 8}}, "algorithm": "snagt",
+            "trials": 3, "u": 2}))
+        assert cli_main(["run", "--config", str(config_path), "--out", str(csv_path)]) == 1
+        assert "3 of 3 trials raised an error" in capsys.readouterr().err
+        assert all("EmptySupport" in r.error for r in read_csv(str(csv_path)))

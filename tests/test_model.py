@@ -12,6 +12,7 @@ from hypergt.errors import (
     NegativeProbability,
     NodeOutOfRange,
     NotNormalized,
+    SchemaError,
     ZeroSurvivorMass,
 )
 from hypergt.model import (
@@ -270,4 +271,15 @@ class TestModelFile:
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "edges": [[0], [1]], "probs": [0.9, 0.9]}')
         with pytest.raises(NotNormalized):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"n": 3, "probs": [1.0]}', "'edges'"),
+        ('{"edges": [[0]], "probs": [1.0]}', "'n'"),
+        ('[3, [[0]], [1.0]]', "JSON object"),
+    ])
+    def test_load_names_the_missing_key(self, tmp_path, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=key):
             load_model(str(path))

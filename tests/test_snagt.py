@@ -8,35 +8,7 @@ from hypergt.builders import build_nested, build_random_regular
 from hypergt.errors import EmptySupport
 from hypergt.model import EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
 from hypergt.sets import bit_count, mask_of
-from hypergt.snagt import (
-    CandidateTracker,
-    SnagtConfig,
-    dyadic_bucket,
-    partition_dyadic,
-    preprocess_truncate,
-    random_test_set,
-    run_snagt,
-)
-
-
-class TestPreprocess:
-    def test_nested_truncation(self):
-        g, d = build_nested(8)
-        g2, d2, kept = preprocess_truncate(g, d, 3)
-        assert kept == [0, 1]
-        assert np.allclose(d2.probs, [0.5, 0.5])
-        assert g2.n == 8  # nodes stay
-
-    def test_identity_when_u_exceeds_sizes(self):
-        g, d = build_nested(4)
-        g2, d2, kept = preprocess_truncate(g, d, 5)
-        assert kept == [0, 1, 2, 3]
-        assert np.array_equal(d2.probs, d.probs)
-
-    def test_empty_support(self):
-        g = Hypergraph(3, [[0, 1, 2]])
-        with pytest.raises(EmptySupport):
-            preprocess_truncate(g, EdgeDistribution([1.0]), 3)
+from hypergt.snagt import SnagtConfig, dyadic_bucket, random_test_set, run_snagt
 
 
 class TestDyadicPartition:
@@ -45,14 +17,6 @@ class TestDyadicPartition:
     ])
     def test_bucket_assignment(self, p, bucket):
         assert dyadic_bucket(p) == bucket
-
-    def test_every_positive_edge_in_one_bucket(self):
-        d = EdgeDistribution([0.5, 0.25, 0.125, 0.125, 0.0])
-        part = partition_dyadic(d)
-        placed = sorted(e for edges in part.buckets.values() for e in edges)
-        assert placed == [0, 1, 2, 3]  # zero-mass edge 4 is never the target
-        counts = part.bucket_counts()
-        assert sum(counts.values()) == 4
 
 
 class TestRandomTestSet:
@@ -151,6 +115,30 @@ class TestRunSnagt:
         assert all(r.sg_size is not None and r.sg_max_time is not None for r in tr.records)
         assert tr.records[-1].sg_max_time >= math.ceil(10 * 3 * math.log2(30)) - 1
 
+    def test_empty_support(self):
+        g = Hypergraph(3, [[0, 1, 2]])
+        with pytest.raises(EmptySupport):  # every edge is larger than u
+            run_snagt(g, EdgeDistribution([1.0]), oracle_for(g, 0), SnagtConfig(u=2, seed=0))
+        g = Hypergraph(4, [[0], [0, 1, 2]])
+        with pytest.raises(EmptySupport):  # the edges within u carry no mass
+            run_snagt(g, EdgeDistribution([0.0, 1.0]), oracle_for(g, 1),
+                      SnagtConfig(u=2, seed=0))
+
+    def test_truncation_keeps_size_u_edges(self):
+        g, d = build_nested(8)  # prefixes of sizes 1..8, each of mass 1/8
+        for seed in range(5):
+            tr = run_snagt(g, d, oracle_for(g, 1), SnagtConfig(u=2, stop_coeff=1.0, seed=seed))
+            assert not tr.halted and tr.result_edge == 1
+
+    def test_oversized_or_massless_target_is_never_returned(self):
+        g = Hypergraph(6, [[0], [1], [2, 3], [4], [5], [0, 1, 2, 3]])
+        d = EdgeDistribution([0.4, 0.3, 0.2, 0.0, 0.0, 0.1])
+        for target in (3, 4, 5):  # zero mass, zero mass, larger than u
+            for seed in range(10):
+                tr = run_snagt(g, d, oracle_for(g, target),
+                               SnagtConfig(u=2, stop_coeff=1.0, seed=seed))
+                assert tr.result_edge != target
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SnagtConfig(u=1).validate()
@@ -158,41 +146,87 @@ class TestRunSnagt:
             SnagtConfig(u=3, stop_coeff=0).validate()
 
 
-class TestCandidateTracker:
-    def test_candidacy_tracks_single_survivor_counts(self):
-        tracker = CandidateTracker.fresh([1, 2, 3])
-        tracker.refresh({1: 3, 2: 1, 3: 0})
-        assert tracker.sg == {2}
-        tracker.tick()
-        tracker.refresh({1: 1, 2: 1, 3: 0})
-        assert tracker.sg == {1, 2}
-        tracker.tick()
-        assert tracker.time == {1: 1, 2: 2, 3: 0}
+def replay_stopping_rule(graph, dist, config, tr):
+    """Recompute every record's candidate snapshot and the stopping point of
+    a noiseless run from its transcript alone.
 
-    def test_counter_law(self):
-        """time(G_j) equals the number of tests run while G_j was a candidate,
-        computed independently from the raw count history."""
-        rng = np.random.default_rng(0)
-        counts = {j: int(c) for j, c in enumerate(rng.integers(1, 5, size=6))}
-        tracker = CandidateTracker.fresh(counts)
-        tracker.refresh(counts)
-        expected = {j: 0 for j in counts}
-        for _ in range(40):
-            # a band is a candidate during this test iff it stood at exactly
-            # one survivor when the test was issued
-            for j, c in counts.items():
-                if c == 1:
-                    expected[j] += 1
-            tracker.tick()
-            j = int(rng.integers(6))
-            counts[j] = max(0, counts[j] - int(rng.integers(2)))
-            tracker.refresh(counts)
-        assert tracker.time == expected
+    A_j is the set of kept live edges consistent with the first j outcomes.
+    Before test k, band b is a candidate iff k >= 1 and b has one edge in
+    A_k, and its time is the number of j in 1..k-1 at which it had one edge
+    in A_j. The run stops before the first test at which some candidate's
+    time reaches the threshold.
+    """
+    n, u = graph.n, config.u
+    kept = [e for e, m in enumerate(graph.edge_masks) if bit_count(m) <= u]
+    mass = float(dist.probs[kept].sum())
+    tail = math.ceil(n * math.log2(n))
+    band = {e: min(dyadic_bucket(float(dist.probs[e] / mass)), tail)
+            for e in kept if dist.probs[e] > 0}
+    bands = set(band.values())
+    threshold = math.ceil(config.stop_coeff * u * math.log2(n))
 
-    def test_dead_band_is_never_ripe(self):
-        tracker = CandidateTracker.fresh([1])
-        tracker.refresh({1: 1})
-        for _ in range(5):
-            tracker.tick()
-        tracker.refresh({1: 0})
-        assert tracker.ripe(3) == []
+    def single(alive):
+        hits = [band[e] for e in alive]
+        return {b for b in bands if hits.count(b) == 1}
+
+    alive = set(band)
+    history = [single(alive)]  # history[j]: bands with one edge in A_j
+    for rec in tr.records:
+        q = mask_of(rec.query)
+        alive = {e for e in alive if bool(graph.edge_masks[e] & q) == rec.outcome}
+        history.append(single(alive))
+
+    def state(k):
+        candidates = history[k] if k >= 1 else set()
+        time = {b: sum(b in history[j] for j in range(1, k)) for b in bands}
+        return candidates, time
+
+    for k, rec in enumerate(tr.records):
+        candidates, time = state(k)
+        assert rec.sg_size == len(candidates)
+        assert rec.sg_max_time == max(time.values())
+        assert not any(time[b] >= threshold for b in candidates)
+    candidates, time = state(len(tr.records))
+    ripe = {b for b in candidates if time[b] >= threshold}
+    if tr.halted:
+        assert not ripe
+        assert tr.total == math.floor(config.cap_coeff * u * n + 1e-9)
+    else:
+        assert ripe
+        assert tr.result_edge in alive and band[tr.result_edge] in ripe
+    return history[0]
+
+
+def community12():
+    from hypergt.builders import ModelSpec, build_model
+
+    return build_model(ModelSpec("community", {"sizes": [3, 3, 3, 3], "q": 0.3, "p": [0.5] * 4}))
+
+
+def with_zero_mass():
+    return (Hypergraph(6, [[0], [1], [2, 3], [4], [5, 0], [1, 2]]),
+            EdgeDistribution([0.4, 0.3, 0.2, 0.0, 0.05, 0.05]))
+
+
+def tail_band_only():
+    # n = 4 merges bands past ceil(4 log2 4) = 8: 0.003 and 0.002 reach band
+    # 8 only through that clamp, 0.005 lies in band 8 itself.
+    return (Hypergraph(4, [[0], [1], [2], [3], [0, 1]]),
+            EdgeDistribution([0.5, 0.49, 0.003, 0.002, 0.005]))
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize("model,u", [(community12, 4), (with_zero_mass, 2),
+                                         (tail_band_only, 2)])
+    def test_replay_matches_transcript(self, model, u):
+        g, d = model()
+        returned = 0
+        for seed in range(3):
+            for target in np.flatnonzero(d.probs > 0)[:6].tolist():
+                cfg = SnagtConfig(u=u, stop_coeff=1.0, seed=seed)
+                tr = run_snagt(g, d, oracle_for(g, target), cfg)
+                singles = replay_stopping_rule(g, d, cfg, tr)
+                returned += not tr.halted
+        assert returned > 0
+        if model is community12:
+            assert singles  # a band holds a single edge from the start
