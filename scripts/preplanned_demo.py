@@ -36,7 +36,7 @@ def main() -> None:
 
     schedules = []
     for target in (0, args.edges // 2, args.edges - 1):
-        truth = GroundTruth(target, graph.edge_masks[target], graph.n)
+        truth = GroundTruth(target, graph.edge_masks[target])
         tr = run_snagt(graph, dist, noiseless_oracle(truth), SnagtConfig(u=args.u, seed=99))
         schedules.append([r.query for r in tr.records])
     k = min(len(s) for s in schedules)

@@ -36,7 +36,7 @@ print("node marginals:", np.round(node_marginals(step), 4))
 print("\nadaptive runs (c = 0.1), one per target:")
 expected = 0.0
 for i, p in enumerate(dist.probs):
-    truth = GroundTruth(i, graph.edge_masks[i], graph.n)
+    truth = GroundTruth(i, graph.edge_masks[i])
     tr = run_adaptive(graph, dist, noiseless_oracle(truth), AdaptiveConfig(c=0.1))
     seq = ", ".join(f"{r.query}{'+' if r.outcome else '-'}" for r in tr.records)
     print(f"  target {graph.edge_nodes(i)}: {tr.total} tests  [{seq}]")

@@ -11,9 +11,10 @@ surviving edges share one size (regular).
 Boundary convention: the stage-1 window is (c, 1-c], so a removal weight equal
 to c falls through toward the group test while one equal to 1-c still fires an
 informative test; this keeps every residual node above 1-2c at the group-test
-branch. The stage-2 test list is frozen at entry: every node that is uncertain
-at that moment is tested, even if an earlier outcome in the same sweep settles
-it.
+branch. A weight near either bound is compared on its exact sum, so a tie
+never depends on summation order. The stage-2 test list is frozen at entry:
+every node that is uncertain at that moment is tested, even if an earlier
+outcome in the same sweep settles it.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -94,8 +95,8 @@ def resolve_f2(config: AdaptiveConfig, graph: Hypergraph, dist: EdgeDistribution
     return max(1, math.ceil(mu / config.eps))
 
 
-def _split_scan(q: np.ndarray, member: np.ndarray, nonmember: np.ndarray,
-                active: np.ndarray, c: float) -> tuple[np.ndarray, bool, np.ndarray]:
+def _split_scan(q: np.ndarray, member: np.ndarray, active: np.ndarray,
+                c: float) -> tuple[np.ndarray, bool, np.ndarray]:
     """Greedy node removal over the active set.
 
     Returns (s, found, in_s): the residual node flags, whether s landed
@@ -104,17 +105,26 @@ def _split_scan(q: np.ndarray, member: np.ndarray, nonmember: np.ndarray,
     """
     s = active.copy()
     in_s = (member @ (1.0 - s)) == 0.0
+    hi = 1.0 - c
     while True:
-        # w(S \ v) summed directly over edges inside S avoiding v, so boundary
-        # equalities like w == c are decided on exact input values.
-        w_minus = nonmember.T @ (q * in_s)
-        window = s & (w_minus > c) & (w_minus <= 1.0 - c)
+        # w(S \ v) = w(S) minus the in-S mass through v. A node within _TOL of
+        # c or 1-c is decided exactly instead: fsum rounds once, so the sign of
+        # (sum of its in-S edges avoiding v) - bound is the exact comparison.
+        qs = q * in_s
+        w_minus = qs.sum() - member.T @ qs
+        above_c = w_minus > c
+        above_hi = w_minus > hi
+        for v in np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL)):
+            terms = qs[member[:, v] == 0.0].tolist()
+            above_c[v] = math.fsum(terms + [-c]) > 0.0
+            above_hi[v] = math.fsum(terms + [-hi]) > 0.0
+        window = s & above_c & ~above_hi
         if window.any():
             v = int(np.argmax(window))
             s[v] = False
             in_s &= member[:, v] == 0.0
             return s, True, in_s
-        high = s & (w_minus > 1.0 - c)
+        high = s & above_hi
         if high.any():
             v = int(np.argmax(high))
             s[v] = False
@@ -126,9 +136,8 @@ def _split_scan(q: np.ndarray, member: np.ndarray, nonmember: np.ndarray,
 def find_split_set(post: Posterior, c: float) -> tuple[int, bool]:
     """Stage-1 search from S = {v : q_v > 0}: returns (node mask, found);
     found means w(S) landed in the (c, 1-c] window."""
-    member = post.graph.membership
     active = node_marginals(post) > 0.0
-    s, found, _ = _split_scan(post.q, member, 1.0 - member, active, c)
+    s, found, _ = _split_scan(post.q, post.graph.membership, active, c)
     return mask_from_flags(s), found
 
 
@@ -192,7 +201,6 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         if rng is None:
             rng = np.random.default_rng(config.seed)
     member = graph.membership
-    nonmember = 1.0 - member
     c = config.c
     tr = obs.tr
 
@@ -202,7 +210,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
             return _finish(tr, graph, idx)
 
         q = obs.post.q
-        s, found, in_s = _split_scan(q, member, nonmember, active, c)
+        s, found, in_s = _split_scan(q, member, active, c)
         t_mask = mask_from_flags(active & ~s)
         if found:
             verdict = obs.ask(t_mask, SPLIT)

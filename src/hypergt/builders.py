@@ -4,8 +4,9 @@ Three flavors: closed-form products over node subsets (independent,
 community), explicit structured supports (chains, co-size families, island
 unions, dense two-scale graphs, random regular hypergraphs), and exact
 enumerations of generative processes (edge-faulty contact graphs, seeded
-block infection). All outputs are explicit edge lists that pass
-validate_model; subsets with zero probability are left out of the support.
+block infection). Each builder normalises its masses and hands them to the
+validating constructors; subsets with zero probability are left out of the
+support.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySupport, ModelError, SupportTooLarge
-from .model import EdgeDistribution, Hypergraph, validate_model
+from .model import EdgeDistribution, Hypergraph
 from .sets import iter_bits, mask_of
 
 DEFAULT_SUPPORT_CAP = 1 << 20
@@ -56,11 +57,8 @@ def _finish(n: int, masses: dict[int, float], cap: int) -> tuple[Hypergraph, Edg
         raise EmptySupport("no edge carries positive probability")
     if len(support) > cap:
         raise SupportTooLarge(f"{len(support)} edges exceed cap {cap}")
-    graph = Hypergraph(n, [m for m, _ in support])
-    dist = EdgeDistribution(np.array([p for _, p in support]))
-    dist.probs /= dist.probs.sum()
-    validate_model(graph, dist)
-    return graph, dist
+    probs = np.array([p for _, p in support])
+    return Hypergraph(n, [m for m, _ in support]), EdgeDistribution(probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import sys
 
 from .builders import ModelSpec, build_model
+from .errors import SchemaError
 from .harness import (
     ExperimentConfig,
     check_bounds,
@@ -33,6 +34,7 @@ from .model import (
 )
 from .oracle import direct_posterior, optimal_expected_tests
 from .sets import mask_of
+from .transcript import RECORD_KEYS
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -100,6 +102,10 @@ def cmd_posterior(args) -> int:
     graph, dist = load_model(args.model)
     with open(args.transcript) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, list):
+        raise SchemaError(f"transcript {args.transcript} must be a JSON list of test records")
+    for i, rec in enumerate(doc):
+        check_record(rec, f"transcript record {i}", ("query", "outcome"), RECORD_KEYS)
     transcript = [(mask_of(rec["query"]), bool(rec["outcome"])) for rec in doc]
     post = direct_posterior(graph, dist, transcript, delta=args.delta)
     dump = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import (
     ZeroSurvivorMass,
 )
 from .sets import (
-    bit_count,
     full_mask,
     intersects,
     mask_of,
@@ -43,21 +42,38 @@ CERTAINTY_TOL = 1e-9
 class Hypergraph:
     """n nodes plus an explicit list of candidate infected sets.
 
-    Edges are stored as integer bitmasks in input order; edge identity is the
-    index into that list. The empty edge (nobody infected) is a legal member.
+    Edges (node lists or bitmasks) are stored as bitmasks in input order;
+    edge identity is the index into that list. The empty edge (nobody
+    infected) is a legal member. The constructor rejects a non-integer n or
+    node (SchemaError), a node outside 0..n-1 (NodeOutOfRange) and a repeated
+    edge (DuplicateEdge), naming the first offending edge, and builds the
+    read-only packed words (see `sets`) and edge sizes.
     """
 
     def __init__(self, n: int, edges: Iterable[Iterable[int] | int]):
+        if not isinstance(n, (int, np.integer)):
+            raise SchemaError(f"node count {n!r} is not an integer")
         self.n = int(n)
         if self.n < 0:
             raise NodeOutOfRange(f"node count {self.n} is negative")
-        masks = []
-        for e in edges:
-            masks.append(e if isinstance(e, int) else mask_of(e))
-        self.edge_masks: tuple[int, ...] = tuple(masks)
-        self._words: np.ndarray | None = None
+        if not isinstance(edges, Iterable):
+            raise SchemaError(f"edges must be a list, not {type(edges).__name__}")
+        masks = tuple(_edge_mask(i, e) for i, e in enumerate(edges))
+        limit = full_mask(self.n)
+        if (masks and (min(masks) < 0 or max(masks) > limit)) or len(set(masks)) != len(masks):
+            seen = set()  # walk the edges only to name the first offender
+            for i, m in enumerate(masks):
+                if m & ~limit or m < 0:
+                    raise NodeOutOfRange(f"edge {i} uses a node index outside 0..{self.n - 1}")
+                if m in seen:
+                    raise DuplicateEdge(f"edge {i} duplicates an earlier edge")
+                seen.add(m)
+        self.edge_masks: tuple[int, ...] = masks
+        self.words = pack_words(masks, self.n)  # (ceil(n/64), |E|) uint64
+        self.edge_sizes = np.array([m.bit_count() for m in masks], dtype=np.int64)
+        self.words.flags.writeable = False
+        self.edge_sizes.flags.writeable = False
         self._membership: np.ndarray | None = None
-        self._sizes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.edge_masks)
@@ -66,24 +82,9 @@ class Hypergraph:
         return nodes_of(self.edge_masks[i])
 
     @property
-    def edge_sizes(self) -> np.ndarray:
-        if self._sizes is None:
-            self._sizes = np.array([bit_count(m) for m in self.edge_masks])
-        return self._sizes
-
-    @property
-    def words(self) -> np.ndarray:
-        """(ceil(n/64), |E|) uint64 store of the edges; see `sets`.
-
-        Built on first use, so out-of-range masks reach validate_model intact.
-        """
-        if self._words is None:
-            self._words = pack_words(self.edge_masks, self.n)
-        return self._words
-
-    @property
     def membership(self) -> np.ndarray:
-        """(|E|, n) float matrix, entry 1.0 iff node v belongs to edge e."""
+        """(|E|, n) float matrix, entry 1.0 iff node v belongs to edge e.
+        Built on first use: only the adaptive engine reads it."""
         if self._membership is None:
             self._membership = unpack_words(self.words, self.n)
         return self._membership
@@ -92,14 +93,44 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, |E|={len(self)})"
 
 
+def _edge_mask(i: int, e: Iterable[int] | int) -> int:
+    """Bitmask of edge i; a negative node index gives the out-of-range mask -1."""
+    try:
+        return e if isinstance(e, int) else mask_of(e)
+    except TypeError:
+        raise SchemaError(f"edge {i} is not a list of integer node indices: {e!r}") from None
+    except ValueError:  # a negative shift count: some node index is below 0
+        return -1
+
+
 @dataclass
 class EdgeDistribution:
-    """One probability per edge, aligned with Hypergraph.edges."""
+    """One probability per edge, aligned with Hypergraph.edge_masks.
+
+    `probs` is the distribution's own read-only float copy of the input. The
+    constructor rejects non-numeric masses (SchemaError), a negative one
+    (NegativeProbability) and a total that is not finite or not within
+    NORMALIZATION_TOL of 1 (NotNormalized).
+    """
 
     probs: np.ndarray
 
     def __init__(self, probs: Sequence[float] | np.ndarray):
-        self.probs = np.asarray(probs, dtype=float)
+        try:
+            raw = np.asarray(probs)
+        except ValueError:
+            raise SchemaError("edge probabilities must be a flat list of numbers") from None
+        if raw.ndim != 1 or raw.dtype.kind not in "fiu":
+            raise SchemaError("edge probabilities must be a flat list of numbers")
+        p = raw.astype(float)  # always a copy
+        if np.any(p < 0):
+            raise NegativeProbability("edge probabilities must be >= 0")
+        total = float(p.sum())
+        # NaN or +inf anywhere makes the sum non-finite; -inf was rejected above.
+        if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
+            raise NotNormalized(f"edge probabilities sum to {total!r}")
+        p.flags.writeable = False
+        self.probs = p
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -115,43 +146,21 @@ class Posterior:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The hidden sampled target edge and the induced node states."""
+    """The hidden sampled target edge."""
 
     target: int  # edge index
     mask: int  # that edge's node bitmask
-    n: int
-
-    @property
-    def states(self) -> tuple[bool, ...]:
-        return tuple(bool(self.mask >> v & 1) for v in range(self.n))
 
 
 def validate_model(graph: Hypergraph, dist: EdgeDistribution) -> None:
-    """Check both type invariant sets; raise a ModelError subclass otherwise."""
+    """Check that dist has one probability per edge of graph; each object
+    checked its own invariants when it was built."""
     if len(graph) != len(dist):
-        raise ModelError(
-            f"{len(dist)} probabilities for {len(graph)} edges"
-        )
-    masks = graph.edge_masks
-    limit = full_mask(graph.n)
-    if (masks and (min(masks) < 0 or max(masks) > limit)) or len(set(masks)) != len(masks):
-        seen = set()  # walk the edges only to name the first offender
-        for i, m in enumerate(masks):
-            if m & ~limit or m < 0:
-                raise NodeOutOfRange(f"edge {i} uses a node index outside 0..{graph.n - 1}")
-            if m in seen:
-                raise DuplicateEdge(f"edge {i} duplicates an earlier edge")
-            seen.add(m)
-    if np.any(dist.probs < 0):
-        raise NegativeProbability("edge probabilities must be >= 0")
-    total = float(dist.probs.sum())
-    # NaN or +inf anywhere makes the sum non-finite; -inf was rejected above.
-    if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(f"edge probabilities sum to {total!r}")
+        raise ModelError(f"{len(dist)} probabilities for {len(graph)} edges")
 
 
 def prior_posterior(graph: Hypergraph, dist: EdgeDistribution) -> Posterior:
-    return Posterior(graph, dist.probs.astype(float).copy())
+    return Posterior(graph, dist.probs.copy())
 
 
 def node_marginals(post: Posterior) -> np.ndarray:
@@ -206,7 +215,7 @@ def certain_edge(post: Posterior) -> int | None:
 def sample_truth(graph: Hypergraph, dist: EdgeDistribution, rng: np.random.Generator) -> GroundTruth:
     """Draw the target edge from the prior."""
     i = int(rng.choice(len(dist.probs), p=dist.probs / dist.probs.sum()))
-    return GroundTruth(i, graph.edge_masks[i], graph.n)
+    return GroundTruth(i, graph.edge_masks[i])
 
 
 def noiseless_oracle(truth: GroundTruth) -> Callable[[int], bool]:

@@ -59,12 +59,11 @@ class RepetitionSchedule:
     """How often to repeat the repeated test sites.
 
     Group tests of the residual nodes run ceil(alpha * log2(n) / (1-2d)^2)
-    times and stage-2 individual tests ceil(alpha * log2(g(n) * u) / (1-2d)^2)
+    times and stage-2 individual tests ceil(alpha * log2(u log2 n) / (1-2d)^2)
     times, never fewer than once. Explicit counts override the formulas.
     """
 
     alpha: float = 2.0
-    g: Callable[[float], float] = math.log2
     ell_group: int | None = None
     ell_individual: int | None = None
 
@@ -75,7 +74,7 @@ class RepetitionSchedule:
             group = math.ceil(self.alpha * math.log2(n) / shrink)
         individual = self.ell_individual
         if individual is None:
-            individual = math.ceil(self.alpha * math.log2(max(2.0, self.g(n) * u)) / shrink)
+            individual = math.ceil(self.alpha * math.log2(max(2.0, math.log2(n) * u)) / shrink)
         return max(1, group), max(1, individual)
 
 

@@ -115,7 +115,7 @@ def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
     """Posterior from a whole transcript of (query mask, outcome) pairs in one
     pass: q ∝ p · Π likelihoods, with likelihoods in {0,1} at delta=0 and
     {delta, 1-delta} otherwise."""
-    weights = dist.probs.astype(float).copy()
+    weights = dist.probs.copy()
     for t_mask, outcome in transcript:
         for i, m in enumerate(graph.edge_masks):
             match = bool(m & t_mask) == bool(outcome)

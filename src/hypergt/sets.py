@@ -11,6 +11,7 @@ query hit?
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ _U8 = np.dtype(np.uint8)
 def mask_of(nodes: Iterable[int]) -> int:
     m = 0
     for v in nodes:
-        m |= 1 << v
+        m |= 1 << operator.index(v)  # numpy ints become Python ints; floats raise TypeError
     return m
 
 
@@ -51,10 +52,6 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
 
 
 def pack_words(masks: Sequence[int], n: int) -> np.ndarray:

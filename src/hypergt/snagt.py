@@ -14,6 +14,7 @@ schedule is a pure function of (n, u, seed).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,12 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
 
     threshold = math.ceil(config.stop_coeff * u * math.log2(n))
     cap = math.floor(config.cap_coeff * u * n + 1e-9)
+    if threshold >= cap:
+        warnings.warn(
+            f"survival threshold {threshold} >= test cap {cap} for n={n}, u={u}: "
+            "this run halts without an answer; lower stop_coeff or raise cap_coeff",
+            stacklevel=3,
+        )
 
     schedule_rng = np.random.default_rng(config.seed)
     # The final uniform pick among ripe bands (one draw per run, even for a

@@ -14,6 +14,10 @@ INDIVIDUAL = "individual"  # stage-2 single-node test
 COMPLEMENT = "complement"  # regular-variant edge-complement test
 RANDOM = "random"  # preplanned random test (semi-non-adaptive)
 
+_OPTIONAL_KEYS = ("mass_removed", "rep_group", "sg_size", "sg_max_time")
+# Every key a record's JSON form can hold.
+RECORD_KEYS = ("query", "outcome", "stage") + _OPTIONAL_KEYS
+
 
 @dataclass
 class TestEntry:
@@ -35,7 +39,7 @@ class TestEntry:
             "outcome": bool(self.outcome),
             "stage": self.stage,
         }
-        for key in ("mass_removed", "rep_group", "sg_size", "sg_max_time"):
+        for key in _OPTIONAL_KEYS:
             val = getattr(self, key)
             if val is not None:
                 doc[key] = val

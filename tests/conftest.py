@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
-from hypergt.sets import mask_of
+from hypergt.sets import mask_of, nodes_of
 
 
 @pytest.fixture
@@ -15,7 +17,7 @@ def fig1():
 
 
 def truth_for(graph, index):
-    return GroundTruth(index, graph.edge_masks[index], graph.n)
+    return GroundTruth(index, graph.edge_masks[index])
 
 
 def oracle_for(graph, index):
@@ -50,3 +52,25 @@ def node_marginal(post, v):
     """Posterior probability that node v is infected (q_v)."""
     bit = 1 << v
     return float(sum(post.q[i] for i, m in enumerate(post.graph.edge_masks) if m & bit))
+
+
+def reference_split_scan(post, c):
+    """`find_split_set` in exact arithmetic: the same greedy removal from
+    S = {v : q_v > 0}, lowest index first, with every w(S minus v) summed as
+    Fractions of the float masses and compared with the float bounds c and
+    1 - c. Returns (node mask, found)."""
+    q = [Fraction(x) for x in post.q]
+    lo, hi = Fraction(c), Fraction(1.0 - c)
+    masks = post.graph.edge_masks
+    s = mask_of(v for v in range(post.graph.n) if node_marginal(post, v) > 0.0)
+    while True:
+        inside = [i for i, m in enumerate(masks) if m & ~s == 0]
+        w = {v: sum((q[i] for i in inside if not masks[i] >> v & 1), Fraction(0))
+             for v in nodes_of(s)}
+        window = [v for v in w if lo < w[v] <= hi]
+        if window:
+            return s & ~(1 << window[0]), True
+        high = [v for v in w if w[v] > hi]
+        if not high:
+            return s, False
+        s &= ~(1 << high[0])

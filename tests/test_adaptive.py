@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_for, random_model, truth_for
+from conftest import oracle_for, random_model, reference_split_scan, truth_for
 import hypergt
 from hypergt.adaptive import (
     AdaptiveConfig,
@@ -81,6 +81,20 @@ class TestFindSplitSet:
         g, d = build_partial_regular(5, 4)
         s, found = find_split_set(prior_posterior(g, d), 0.2)
         assert not found
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_boundary_ties_match_exact_arithmetic(self, data):
+        # Mass 1/k on k of m edges, with c*k whole: many w(S minus v) then sit
+        # within an ulp of c or 1-c, where a rounded sum can take either side.
+        c, step = data.draw(st.sampled_from([(1.0 / 3.0, 3), (0.45, 20)]))
+        k = step * data.draw(st.integers(1, 12 if step == 3 else 2))
+        n = data.draw(st.integers(6, 8))
+        masks = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=k, max_size=k + 5,
+                                   unique=True))
+        probs = [1.0 / k] * k + [0.0] * (len(masks) - k)
+        post = prior_posterior(Hypergraph(n, masks), EdgeDistribution(probs))
+        assert find_split_set(post, c) == reference_split_scan(post, c)
 
 
 class TestRunBase:
@@ -294,7 +308,7 @@ from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_o
 adaptive.condition_on_test = lambda post, t, outcome: post
 graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])
 dist = EdgeDistribution([0.3, 0.2, 0.5])
-truth = GroundTruth(0, graph.edge_masks[0], graph.n)
+truth = GroundTruth(0, graph.edge_masks[0])
 try:
     adaptive.run_adaptive(graph, dist, noiseless_oracle(truth), adaptive.AdaptiveConfig(c=0.1))
 except Exception as exc:

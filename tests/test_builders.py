@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -21,9 +22,9 @@ from hypergt.builders import (
     sample_edge_faulty,
     sample_sbim,
 )
-from hypergt.errors import EmptySupport, ModelError, SupportTooLarge
+from hypergt.errors import EmptySupport, ModelError, NotNormalized, SupportTooLarge
 from hypergt.model import validate_model
-from hypergt.sets import bit_count, mask_of, nodes_of
+from hypergt.sets import mask_of, nodes_of
 
 ALL_SPECS = [
     ModelSpec("independent", {"p": [0.2, 0.5, 0.8]}),
@@ -81,7 +82,7 @@ class TestStructured:
     def test_cosize_matches_four_node_figure(self):
         g, d = build_cosize(4)
         assert len(g) == 4
-        assert all(bit_count(m) == 3 for m in g.edge_masks)
+        assert all(m.bit_count() == 3 for m in g.edge_masks)
         assert np.allclose(d.probs, 0.25)
 
     def test_nested_prefix_chain(self):
@@ -93,8 +94,8 @@ class TestStructured:
         g, d = build_big_graph(4)
         assert g.n == 16
         assert len(g) == 20
-        small = [i for i in range(20) if bit_count(g.edge_masks[i]) == 3]
-        large = [i for i in range(20) if bit_count(g.edge_masks[i]) == 12]
+        small = [i for i in range(20) if g.edge_masks[i].bit_count() == 3]
+        large = [i for i in range(20) if g.edge_masks[i].bit_count() == 12]
         assert len(small) == 16 and len(large) == 4
         assert d.probs[small].sum() == pytest.approx(0.5, abs=1e-12)
         assert d.probs[large].sum() == pytest.approx(0.5, abs=1e-12)
@@ -110,13 +111,13 @@ class TestStructured:
     def test_partial_regular_support(self):
         g, d = build_partial_regular(8, 3)
         assert len(g) == 4
-        assert all(bit_count(m) == 3 and m < 16 for m in g.edge_masks)
+        assert all(m.bit_count() == 3 and m < 16 for m in g.edge_masks)
         assert np.allclose(d.probs, 0.25)
 
     def test_entropy_gap_reaches_target_count(self):
         g, d = build_entropy_gap(9, 6, 3, seed=0)
         assert 6 <= len(g) <= 6 + 3
-        assert all(bit_count(m) == 3 for m in g.edge_masks)
+        assert all(m.bit_count() == 3 for m in g.edge_masks)
         assert np.allclose(d.probs, 1 / len(g))
 
     def test_random_regular_seeded_and_uniform(self):
@@ -128,7 +129,7 @@ class TestStructured:
     def test_random_regular_exact_count(self):
         g, d = build_random_regular(30, 3, count=30, seed=1)
         assert len(g) == 30
-        assert all(bit_count(m) == 3 for m in g.edge_masks)
+        assert all(m.bit_count() == 3 for m in g.edge_masks)
 
     def test_random_regular_expected_count(self):
         n, d, r = 10, 3, 0.08
@@ -199,3 +200,15 @@ class TestGuards:
     def test_random_regular_needs_one_mode(self):
         with pytest.raises(ModelError):
             build_random_regular(8, 3, r=0.5, count=3)
+
+    @pytest.mark.parametrize("spec,error,message", [
+        (ModelSpec("nested", {"n": 0}), EmptySupport, "no edge carries positive probability"),
+        (ModelSpec("independent", {"p": [0.5] * 21}), SupportTooLarge, "2^21 subsets exceed cap"),
+        # An infinite island probability leaves two infinite masses, which
+        # normalise to NaN: rejected by the distribution, as validate_model did.
+        (ModelSpec("islands", {"k": 2, "m": 1, "p": [math.inf, 0.5]}), NotNormalized,
+         "edge probabilities sum to nan"),
+    ])
+    def test_build_model_errors_are_unchanged(self, spec, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build_model(spec)

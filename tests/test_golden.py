@@ -89,7 +89,10 @@ GOLDEN = {
     ("regular64", "noisy_adaptive"): "4dd11e03c984d50d",
     ("regular64", "noisy_snagt"): "d0b6aeba27fc2fbb",
     ("regular130", "base"): "58b2c7ce2c0c94b9",
-    ("regular130", "truncated"): "7233eeebc0b86161",
+    # Re-recorded when boundary ties in the split scan became exact: seed 1's
+    # third test had w(S minus v) 2.6e-17 above 1-c, which a rounded sum put
+    # inside the window.
+    ("regular130", "truncated"): "8505443d5e139a8d",
     ("regular130", "regular"): "a139764944321e65",
     ("regular130", "snagt"): "0864092a627b51c2",
     ("regular130", "noisy_adaptive"): "d1041e1e4ac4d8a3",

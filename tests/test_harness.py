@@ -275,6 +275,18 @@ class TestCli:
         with pytest.raises(SchemaError, match="'family'"):
             cli_main(["build-model", "--spec", str(spec_path), "--out", str(tmp_path / "m.json")])
 
+    @pytest.mark.parametrize("doc,message", [
+        ([{"outcome": True}], "transcript record 0 lacks key 'query'"),
+        ([{"query": [0], "outcome": True}, {"query": [1]}], "record 1 lacks key 'outcome'"),
+        ([{"query": [0], "outcome": True, "votes": 3}], "unknown key 'votes'"),
+        ({"records": [{"query": [0], "outcome": True}]}, "JSON list"),
+    ], ids=["no-query", "no-outcome", "unknown-key", "not-a-list"])
+    def test_posterior_checks_transcript_records(self, tmp_path, fig1_files, doc, message):
+        transcript_path = tmp_path / "tr.json"
+        transcript_path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=message):
+            cli_main(["posterior", "--model", fig1_files, "--transcript", str(transcript_path)])
+
     def test_run_fails_when_a_trial_errors(self, tmp_path, capsys):
         # Every edge of cosize(8) has size 7 > u, so each trial raises EmptySupport.
         config_path = tmp_path / "cfg.json"

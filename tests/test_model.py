@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,13 +41,13 @@ class TestValidation:
             validate_model(g, EdgeDistribution([0.5, 0.5, 0.5]))
 
     def test_node_out_of_range(self):
-        g = Hypergraph(3, [[0], [3]])
         with pytest.raises(NodeOutOfRange):
+            g = Hypergraph(3, [[0], [3]])
             validate_model(g, EdgeDistribution([0.5, 0.5]))
 
     def test_duplicate_edge(self):
-        g = Hypergraph(3, [[0, 1], [1, 0]])
         with pytest.raises(DuplicateEdge):
+            g = Hypergraph(3, [[0, 1], [1, 0]])
             validate_model(g, EdgeDistribution([0.5, 0.5]))
 
     def test_negative_probability(self):
@@ -82,15 +83,36 @@ class TestValidation:
 
     def test_first_offender_is_named(self):
         # Edge 1 duplicates edge 0 before edge 2 leaves the node range.
-        g = Hypergraph(3, [[0], [0], [5]])
         with pytest.raises(DuplicateEdge, match="edge 1 "):
+            g = Hypergraph(3, [[0], [0], [5]])
             validate_model(g, EdgeDistribution([0.25, 0.25, 0.5]))
-        g = Hypergraph(3, [[0], [7], [0]])
         with pytest.raises(NodeOutOfRange, match="edge 1 "):
+            g = Hypergraph(3, [[0], [7], [0]])
             validate_model(g, EdgeDistribution([0.25, 0.25, 0.5]))
-        g = Hypergraph(3, [[0], -1])
         with pytest.raises(NodeOutOfRange, match="edge 1 "):
+            g = Hypergraph(3, [[0], -1])
             validate_model(g, EdgeDistribution([0.5, 0.5]))
+
+    def test_numpy_node_indices(self):
+        g = Hypergraph(70, [np.array([65]), [np.int64(3)]])
+        assert g.edge_masks == (1 << 65, 1 << 3)
+        assert all(type(m) is int for m in g.edge_masks)
+        with pytest.raises(NodeOutOfRange, match="edge 0 "):
+            Hypergraph(70, [[np.int64(-1)]])
+
+    def test_probs_are_read_only(self, fig1):
+        _, dist = fig1
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probs[0] = 0.9
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probs /= 2.0
+
+    def test_callers_array_stays_writable(self):
+        probs = np.array([0.25, 0.75])
+        dist = EdgeDistribution(probs)
+        probs[0] = 0.5
+        assert probs.flags.writeable
+        assert dist.probs.tolist() == [0.25, 0.75]
 
 
 class TestEdgeSet:
@@ -272,6 +294,36 @@ class TestModelFile:
         path.write_text('{"n": 2, "edges": [[0], [1]], "probs": [0.9, 0.9]}')
         with pytest.raises(NotNormalized):
             load_model(str(path))
+
+    @pytest.mark.parametrize("text,error,message", [
+        # Classes and messages callers already see for these faults.
+        ('{"n": 3, "edges": [[0], [3]], "probs": [0.5, 0.5]}', NodeOutOfRange,
+         "edge 1 uses a node index outside 0..2"),
+        ('{"n": 3, "edges": [[0, 1], [1, 0]], "probs": [0.5, 0.5]}', DuplicateEdge,
+         "edge 1 duplicates an earlier edge"),
+        ('{"n": 2, "edges": [[0], [1]], "probs": [1.5, -0.5]}', NegativeProbability,
+         "edge probabilities must be >= 0"),
+        ('{"n": 2, "edges": [[0], [1]], "probs": [0.5, 0.25]}', NotNormalized,
+         "edge probabilities sum to 0.75"),
+        ('{"n": 2, "edges": [[0], [1]], "probs": [1.0]}', ModelError,
+         "1 probabilities for 2 edges"),
+        # Malformed values: a ModelError subclass, not a bare ValueError,
+        # TypeError or a silent truncation.
+        ('{"n": 3, "edges": [[0], [-1]], "probs": [0.5, 0.5]}', NodeOutOfRange, "edge 1 "),
+        ('{"n": 3, "edges": [[0], [0.5]], "probs": [0.5, 0.5]}', SchemaError, "edge 1 "),
+        ('{"n": 3, "edges": [["a"]], "probs": [1.0]}', SchemaError, "edge 0 "),
+        ('{"n": 3, "edges": 5, "probs": [1.0]}', SchemaError, "edges must be a list"),
+        ('{"n": 3, "edges": [[0]], "probs": ["x"]}', SchemaError, "probabilities"),
+        ('{"n": 3.7, "edges": [[0]], "probs": [1.0]}', SchemaError, "node count 3.7"),
+    ], ids=["out-of-range", "duplicate", "negative-mass", "unnormalised", "count-mismatch",
+            "negative-node", "float-node", "string-node", "edges-not-a-list", "string-mass",
+            "float-n"])
+    def test_load_rejects_a_bad_value(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(error, match=re.escape(message)) as info:
+            load_model(str(path))
+        assert type(info.value) is error
 
     @pytest.mark.parametrize("text,key", [
         ('{"n": 3, "probs": [1.0]}', "'edges'"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import oracle_for, truth_for
 from hypergt.builders import build_nested, build_random_regular
 from hypergt.errors import EmptySupport
 from hypergt.model import EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
-from hypergt.sets import bit_count, mask_of
+from hypergt.sets import mask_of
 from hypergt.snagt import SnagtConfig, dyadic_bucket, random_test_set, run_snagt
 
 
@@ -40,7 +41,7 @@ class TestRandomTestSet:
     def test_mean_size_at_u_equals_n(self):
         n = 40
         rng = np.random.default_rng(1)
-        sizes = [bit_count(random_test_set(n, n, rng)) for _ in range(4000)]
+        sizes = [random_test_set(n, n, rng).bit_count() for _ in range(4000)]
         assert abs(np.mean(sizes) - 1.0) < 3 * np.std(sizes, ddof=1) / math.sqrt(len(sizes))
 
 
@@ -108,6 +109,16 @@ class TestRunSnagt:
         assert tr.total == 12  # floor(0.2 * 3 * 20)
         assert tr.result_edge is None
 
+    def test_warns_when_no_run_can_return(self):
+        g, d = three_regular(n=20, count=8, seed=5)
+        # threshold ceil(10 * 3 * log2 20) = 130 >= cap floor(2 * 3 * 20) = 120
+        with pytest.warns(UserWarning, match="threshold 130 >= test cap 120"):
+            tr = run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=3, seed=0))
+        assert tr.halted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # threshold 13 < cap 120: no warning
+            run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=3, stop_coeff=1.0, seed=0))
+
     def test_counter_snapshots_recorded(self):
         g, d = three_regular(n=30, count=12, seed=5)
         tr = run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=3, seed=0))
@@ -157,7 +168,7 @@ def replay_stopping_rule(graph, dist, config, tr):
     time reaches the threshold.
     """
     n, u = graph.n, config.u
-    kept = [e for e, m in enumerate(graph.edge_masks) if bit_count(m) <= u]
+    kept = [e for e, m in enumerate(graph.edge_masks) if m.bit_count() <= u]
     mass = float(dist.probs[kept].sum())
     tail = math.ceil(n * math.log2(n))
     band = {e: min(dyadic_bucket(float(dist.probs[e] / mass)), tail)
