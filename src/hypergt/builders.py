@@ -1,16 +1,20 @@
 """Constructors for every correlation model the engines are exercised on.
 
-Three flavors: closed-form products over node subsets (independent,
-community), explicit structured supports (chains, co-size families, island
-unions, dense two-scale graphs, random regular hypergraphs), and exact
-enumerations of generative processes (edge-faulty contact graphs, seeded
-block infection). Each builder normalises its masses and hands them to the
-validating constructors; subsets with zero probability are left out of the
-support.
+Three flavors: products of independent blocks (independent nodes,
+communities, perfectly correlated islands, and the components of each
+edge-faulty contact graph), explicit structured supports (chains, co-size
+families, dense two-scale graphs, entropy-gap and random regular
+hypergraphs), and the exact enumeration of seeded block infection. The
+product-form families share one enumerator, `_product`. Each builder
+normalises its masses and hands them to the validating constructors; subsets
+with zero probability are left out of the support, and a support of more
+than SUPPORT_CAP edges is refused. `BUILDERS` maps each family name to its
+builder, and a `ModelSpec` names a family and its parameters.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -19,24 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySupport, ModelError, SupportTooLarge
-from .model import EdgeDistribution, Hypergraph
+from .model import EdgeDistribution, Hypergraph, check_record
 from .sets import iter_bits, mask_of
 
-DEFAULT_SUPPORT_CAP = 1 << 20
-
-FAMILIES = (
-    "independent",
-    "islands",
-    "nested",
-    "cosize",
-    "partial_regular",
-    "big_graph",
-    "entropy_gap",
-    "random_regular",
-    "community",
-    "sbim",
-    "edge_faulty",
-)
+SUPPORT_CAP = 1 << 20
 
 
 @dataclass
@@ -46,42 +36,62 @@ class ModelSpec:
     family: str
     params: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_json(cls, doc, what: str) -> "ModelSpec":
+        """Parse and validate a {family, params} record; `what` names it in errors."""
+        check_record(doc, what, ("family",), ("family", "params"))
+        spec = cls(doc["family"], doc.get("params", {}))
+        spec.validate()
+        return spec
+
     def validate(self) -> None:
-        if self.family not in FAMILIES:
+        """Raise ModelError for an unknown family, and SchemaError unless params
+        is an object holding every required parameter of the family's builder
+        and no other key."""
+        if self.family not in BUILDERS:
             raise ModelError(f"unknown model family {self.family!r}")
+        args = inspect.signature(BUILDERS[self.family]).parameters.values()
+        check_record(self.params, f"{self.family} params",
+                     [a.name for a in args if a.default is inspect.Parameter.empty],
+                     [a.name for a in args])
 
 
-def _finish(n: int, masses: dict[int, float], cap: int) -> tuple[Hypergraph, EdgeDistribution]:
+def _product(blocks: Sequence[Sequence[tuple[int, float]]],
+             start: float = 1.0) -> list[tuple[int, float]]:
+    """Every way to pick one (node mask, probability) outcome from each
+    independent block, as (union of the masks, start times the probabilities
+    multiplied in block order). The first block varies fastest; this order
+    is the edge order of the model built from it."""
+    combos = [(0, start)]
+    for block in blocks:
+        combos = [(m | bm, w * bw) for bm, bw in block for m, w in combos]
+    return combos
+
+
+def _finish(n: int, masses: dict[int, float]) -> tuple[Hypergraph, EdgeDistribution]:
     support = [(m, p) for m, p in masses.items() if p > 0.0]
     if not support:
         raise EmptySupport("no edge carries positive probability")
-    if len(support) > cap:
-        raise SupportTooLarge(f"{len(support)} edges exceed cap {cap}")
+    if len(support) > SUPPORT_CAP:
+        raise SupportTooLarge(f"{len(support)} edges exceed cap {SUPPORT_CAP}")
     probs = np.array([p for _, p in support])
     return Hypergraph(n, [m for m, _ in support]), EdgeDistribution(probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------
-# Closed-form families
+# Products of independent blocks
 
 
-def build_independent(p: Sequence[float], cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_independent(p: Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
     """Each node infected independently with its own probability."""
     p = list(map(float, p))
     n = len(p)
-    if 2 ** n > cap:
-        raise SupportTooLarge(f"2^{n} subsets exceed cap {cap}")
-    masses: dict[int, float] = {}
-    for s in range(2 ** n):
-        prob = 1.0
-        for v in range(n):
-            prob *= p[v] if s >> v & 1 else 1.0 - p[v]
-        masses[s] = prob
-    return _finish(n, masses, cap)
+    if 2 ** n > SUPPORT_CAP:
+        raise SupportTooLarge(f"2^{n} subsets exceed cap {SUPPORT_CAP}")
+    return _finish(n, dict(_product([[(0, 1.0 - pv), (1 << v, pv)] for v, pv in enumerate(p)])))
 
 
-def build_community(sizes: Sequence[int], q: float, p: Sequence[float],
-                    cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
     """Families independently infected with probability q; a node of an
     infected family j is infected with probability p[j]."""
     sizes = list(map(int, sizes))
@@ -89,74 +99,57 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float],
     if len(p) != len(sizes):
         raise ModelError("need one infection probability per family")
     n = sum(sizes)
-    if 2 ** n > cap:
-        raise SupportTooLarge(f"2^{n} subsets exceed cap {cap}")
-    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    masses: dict[int, float] = {}
-    for s in range(2 ** n):
-        prob = 1.0
-        for j, size in enumerate(sizes):
-            members = (s >> int(starts[j])) & ((1 << size) - 1)
+    if 2 ** n > SUPPORT_CAP:
+        raise SupportTooLarge(f"2^{n} subsets exceed cap {SUPPORT_CAP}")
+    blocks, start = [], 0
+    for pj, size in zip(p, sizes):
+        block = [(0, 1.0 - q + q * (1.0 - pj) ** size)]
+        for members in range(1, 2 ** size):
             hit = members.bit_count()
-            if hit > 0:
-                prob *= q * (p[j] ** hit) * ((1.0 - p[j]) ** (size - hit))
-            else:
-                prob *= 1.0 - q + q * (1.0 - p[j]) ** size
-        masses[s] = prob
-    return _finish(n, masses, cap)
+            block.append((members << start, q * (pj ** hit) * ((1.0 - pj) ** (size - hit))))
+        blocks.append(block)
+        start += size
+    return _finish(n, dict(_product(blocks)))
+
+
+def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
+    """k islands of m nodes; all nodes of an island share one state, and
+    islands are independent with infection probabilities p."""
+    ps = [float(p)] * k if np.isscalar(p) else list(map(float, p))
+    if len(ps) != k:
+        raise ModelError("need one probability per island")
+    blocks = [[(0, 1.0 - pj), (mask_of(range(j * m, (j + 1) * m)), pj)] for j, pj in enumerate(ps)]
+    return _finish(k * m, dict(_product(blocks)))
 
 
 # ---------------------------------------------------------------------------
 # Structured supports
 
 
-def build_islands(k: int, m: int, p: float | Sequence[float],
-                  cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
-    """k islands of m nodes; all nodes of an island share one state, and
-    islands are independent with infection probabilities p."""
-    ps = [float(p)] * k if np.isscalar(p) else list(map(float, p))
-    if len(ps) != k:
-        raise ModelError("need one probability per island")
-    n = k * m
-    island_mask = [mask_of(range(j * m, (j + 1) * m)) for j in range(k)]
-    masses: dict[int, float] = {}
-    for s in range(2 ** k):
-        prob = 1.0
-        mask = 0
-        for j in range(k):
-            if s >> j & 1:
-                prob *= ps[j]
-                mask |= island_mask[j]
-            else:
-                prob *= 1.0 - ps[j]
-        masses[mask] = prob
-    return _finish(n, masses, cap)
-
-
-def build_nested(n: int, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_nested(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """Chain of prefixes {v1..vi}, each carrying mass 1/n."""
     masses = {mask_of(range(i + 1)): 1.0 / n for i in range(n)}
-    return _finish(n, masses, cap)
+    return _finish(n, masses)
 
 
-def build_cosize(n: int, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_cosize(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """All n edges of size n-1 (complement of each single node), uniform."""
     full = (1 << n) - 1
     masses = {full & ~(1 << v): 1.0 / n for v in range(n)}
-    return _finish(n, masses, cap)
+    return _finish(n, masses)
 
 
-def build_partial_regular(n: int, d: int, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_partial_regular(n: int, d: int) -> tuple[Hypergraph, EdgeDistribution]:
     """Uniform mass on the d+1 size-d subsets of one chosen (d+1)-node set;
     remaining nodes belong to no edge."""
     if n < d + 1:
         raise ModelError(f"need n >= d+1, got n={n}, d={d}")
     special = range(d + 1)
     masses = {mask_of(set(special) - {v}): 1.0 / (d + 1) for v in special}
-    return _finish(n, masses, cap)
+    return _finish(n, masses)
 
 
-def build_big_graph(n: int, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_big_graph(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """n communities of n nodes; half the mass on the n^2 small edges
     (community minus one node), half on the n large edges (everything except
     one community)."""
@@ -169,11 +162,10 @@ def build_big_graph(n: int, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph,
             small = comm & ~(1 << (j * n + kk))
             masses[small] = 0.5 / (n * n)
         masses[full & ~comm] = 0.5 / n
-    return _finish(total, masses, cap)
+    return _finish(total, masses)
 
 
-def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None,
-                      cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None) -> tuple[Hypergraph, EdgeDistribution]:
     """Grow a size-d edge family by repeatedly taking a random (d+1)-node set
     and adding all its size-d subsets, until at least m edges exist; uniform."""
     if n < d + 1:
@@ -191,12 +183,11 @@ def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None,
             continue
         edges.update(subsets)
     masses = {e: 1.0 / len(edges) for e in edges}
-    return _finish(n, masses, cap)
+    return _finish(n, masses)
 
 
 def build_random_regular(n: int, d: int, r: float | None = None, count: int | None = None,
-                         seed: int | None = None,
-                         cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+                         seed: int | None = None) -> tuple[Hypergraph, EdgeDistribution]:
     """Random d-regular hypergraph, uniform mass over sampled edges.
 
     Either each size-d subset enters independently with probability r, or
@@ -220,7 +211,7 @@ def build_random_regular(n: int, d: int, r: float | None = None, count: int | No
             chosen_set.add(mask_of(map(int, pick)))
         chosen = sorted(chosen_set)
     masses = {e: 1.0 / len(chosen) for e in chosen}
-    return _finish(n, masses, cap)
+    return _finish(n, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +239,8 @@ def _components(n: int, kept: Sequence[tuple[int, int]]) -> list[int]:
     return list(comps.values())
 
 
-def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float, p: float,
-                      cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float,
+                      p: float) -> tuple[Hypergraph, EdgeDistribution]:
     """Edge-faulty contact graph: each contact edge survives with probability
     r, then every resulting component is infected with probability p. The
     infected set is the union of infected components."""
@@ -260,18 +251,10 @@ def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float
     for kept_bits in range(2 ** len(contact_edges)):
         kept = [contact_edges[i] for i in range(len(contact_edges)) if kept_bits >> i & 1]
         w_graph = (r ** len(kept)) * ((1.0 - r) ** (len(contact_edges) - len(kept)))
-        comps = _components(n, kept)
-        for infected_bits in range(2 ** len(comps)):
-            mask = 0
-            w = w_graph
-            for i, comp in enumerate(comps):
-                if infected_bits >> i & 1:
-                    mask |= comp
-                    w *= p
-                else:
-                    w *= 1.0 - p
+        for mask, w in _product([[(0, 1.0 - p), (comp, p)] for comp in _components(n, kept)],
+                                w_graph):
             masses[mask] = masses.get(mask, 0.0) + w
-    return _finish(n, masses, cap)
+    return _finish(n, masses)
 
 
 def sample_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float, p: float,
@@ -285,8 +268,7 @@ def sample_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: floa
     return mask
 
 
-def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float,
-               cap: int = DEFAULT_SUPPORT_CAP) -> tuple[Hypergraph, EdgeDistribution]:
+def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[Hypergraph, EdgeDistribution]:
     """Seeded block infection: m communities of k nodes; each node seeds
     independently with probability seed_prob, then each seed infects every
     same-community node with probability q1 and every other node with q2.
@@ -317,7 +299,7 @@ def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float,
                 w *= ((1.0 - q1) ** same) * ((1.0 - q2) ** (len(seeds) - same))
             total += w
         masses[s] = total
-    return _finish(n, masses, cap)
+    return _finish(n, masses)
 
 
 def sample_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float,
@@ -341,22 +323,22 @@ def sample_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float,
 # ---------------------------------------------------------------------------
 # Dispatch
 
+BUILDERS = {
+    "independent": build_independent,
+    "islands": build_islands,
+    "nested": build_nested,
+    "cosize": build_cosize,
+    "partial_regular": build_partial_regular,
+    "big_graph": build_big_graph,
+    "entropy_gap": build_entropy_gap,
+    "random_regular": build_random_regular,
+    "community": build_community,
+    "sbim": build_sbim,
+    "edge_faulty": build_edge_faulty,
+}
+
 
 def build_model(spec: ModelSpec) -> tuple[Hypergraph, EdgeDistribution]:
     """Build any family from its spec record."""
     spec.validate()
-    params = dict(spec.params)
-    builder = {
-        "independent": build_independent,
-        "islands": build_islands,
-        "nested": build_nested,
-        "cosize": build_cosize,
-        "partial_regular": build_partial_regular,
-        "big_graph": build_big_graph,
-        "entropy_gap": build_entropy_gap,
-        "random_regular": build_random_regular,
-        "community": build_community,
-        "sbim": build_sbim,
-        "edge_faulty": build_edge_faulty,
-    }[spec.family]
-    return builder(**params)
+    return BUILDERS[spec.family](**spec.params)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .builders import ModelSpec, build_model
-from .errors import SchemaError
+from .errors import NodeOutOfRange, SchemaError
 from .harness import (
     ExperimentConfig,
     check_bounds,
@@ -46,8 +46,7 @@ def cmd_build_model(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
             doc = json.load(fh)
-        check_record(doc, f"model spec {args.spec}", ("family",), ("family", "params"))
-        spec = ModelSpec(doc["family"], doc.get("params", {}))
+        spec = ModelSpec.from_json(doc, f"model spec {args.spec}")
     else:
         spec = ModelSpec(args.family, json.loads(args.params))
     graph, dist = build_model(spec)
@@ -105,8 +104,16 @@ def cmd_posterior(args) -> int:
     if not isinstance(doc, list):
         raise SchemaError(f"transcript {args.transcript} must be a JSON list of test records")
     for i, rec in enumerate(doc):
-        check_record(rec, f"transcript record {i}", ("query", "outcome"), RECORD_KEYS)
-    transcript = [(mask_of(rec["query"]), bool(rec["outcome"])) for rec in doc]
+        what = f"transcript record {i}"
+        check_record(rec, what, ("query", "outcome"), RECORD_KEYS)
+        query, outcome = rec["query"], rec["outcome"]
+        if not (isinstance(query, list) and all(type(v) is int for v in query)
+                and isinstance(outcome, bool)):
+            raise SchemaError(f"{what} needs a list of integer nodes as query and true or "
+                              f"false as outcome, not {query!r} and {outcome!r}")
+        if not all(0 <= v < graph.n for v in query):
+            raise NodeOutOfRange(f"{what} queries a node outside 0..{graph.n - 1}")
+    transcript = [(mask_of(rec["query"]), rec["outcome"]) for rec in doc]
     post = direct_posterior(graph, dist, transcript, delta=args.delta)
     dump = {
         "q": [float(x) for x in post.q],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .adaptive import AdaptiveConfig, run_adaptive
 from .builders import ModelSpec, build_model
-from .errors import MismatchedConfig
+from .errors import MismatchedConfig, SchemaError
 from .model import (
     EdgeDistribution,
     Hypergraph,
@@ -65,19 +65,14 @@ class ExperimentConfig:
             raise ValueError(f"{self.algorithm} needs u")
 
     def to_json(self) -> dict:
-        doc = dataclasses.asdict(self)
-        if isinstance(self.model, ModelSpec):
-            doc["model"] = {"family": self.model.family, "params": self.model.params}
-        return doc
+        return dataclasses.asdict(self)  # a ModelSpec becomes its {family, params} record
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         check_record(doc, "experiment config", ("model", "algorithm"),
                      [f.name for f in dataclasses.fields(cls)])
-        model = doc["model"]
-        if isinstance(model, dict):
-            check_record(model, "model record", ("family",), ("family", "params"))
-            doc = {**doc, "model": ModelSpec(model["family"], model.get("params", {}))}
+        if isinstance(doc["model"], dict):
+            doc = {**doc, "model": ModelSpec.from_json(doc["model"], "model record")}
         return cls(**doc)
 
 
@@ -183,14 +178,25 @@ def write_csv(results: Sequence[TrialResult], path: str) -> None:
 
 
 def read_csv(path: str) -> list[TrialResult]:
+    """Read a results CSV. The error column may be absent; a missing integer
+    column, or a cell of one that is not an integer, raises SchemaError."""
+    numeric = CSV_COLUMNS[:-1]
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(TrialResult(
-                trial=int(row["trial"]), seed=int(row["seed"]), target=int(row["target"]),
-                tests=int(row["tests"]), stage1=int(row["stage1"]), stage2=int(row["stage2"]),
-                informative=int(row["informative"]), correct=bool(int(row["correct"])),
-                halted=bool(int(row["halted"])), error=row.get("error") or None))
+        reader = csv.DictReader(fh)
+        for key in numeric:
+            if key not in (reader.fieldnames or ()):
+                raise SchemaError(f"results CSV {path} lacks column {key!r}")
+        for i, row in enumerate(reader, 1):
+            cells = {}
+            for key in numeric:
+                try:
+                    cells[key] = int(row[key])
+                except (TypeError, ValueError):
+                    raise SchemaError(f"results CSV {path} row {i} column {key!r} holds "
+                                      f"{row[key]!r}, not an integer") from None
+            cells["correct"], cells["halted"] = bool(cells["correct"]), bool(cells["halted"])
+            out.append(TrialResult(**cells, error=row.get("error") or None))
     return out
 
 

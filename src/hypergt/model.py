@@ -103,7 +103,7 @@ def _edge_mask(i: int, e: Iterable[int] | int) -> int:
         return -1
 
 
-@dataclass
+@dataclass(eq=False)
 class EdgeDistribution:
     """One probability per edge, aligned with Hypergraph.edge_masks.
 
@@ -136,7 +136,7 @@ class EdgeDistribution:
         return len(self.probs)
 
 
-@dataclass
+@dataclass(eq=False)
 class Posterior:
     """Edge posterior after a transcript of tests; removed edges carry exact 0."""
 

@@ -22,7 +22,7 @@ from hypergt.builders import (
     sample_edge_faulty,
     sample_sbim,
 )
-from hypergt.errors import EmptySupport, ModelError, NotNormalized, SupportTooLarge
+from hypergt.errors import EmptySupport, ModelError, NotNormalized, SchemaError, SupportTooLarge
 from hypergt.model import validate_model
 from hypergt.sets import mask_of, nodes_of
 
@@ -200,6 +200,15 @@ class TestGuards:
     def test_random_regular_needs_one_mode(self):
         with pytest.raises(ModelError):
             build_random_regular(8, 3, r=0.5, count=3)
+
+    @pytest.mark.parametrize("params,message", [
+        ({"n": 5, "bogus": 1}, "nested params has unknown key 'bogus'"),
+        ({}, "nested params lacks key 'n'"),
+        ([5], "nested params must be a JSON object"),
+    ], ids=["unknown-key", "missing-key", "not-an-object"])
+    def test_spec_params_match_the_builder(self, params, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            build_model(ModelSpec("nested", params))
 
     @pytest.mark.parametrize("spec,error,message", [
         (ModelSpec("nested", {"n": 0}), EmptySupport, "no edge carries positive probability"),

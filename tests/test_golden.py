@@ -9,6 +9,10 @@ its adaptive runs reach stage 2; the truncated variant always runs at c=1/3.
 partial10 has five nodes in no edge: it is the one model on which the
 noiseless start rule (scan all n nodes) and the noisy one (scan the nodes of
 positive prior mass) issue different tests.
+
+Each model cell hashes one builder family's output: n, the edge masks in
+order and the bytes of the probabilities, so a builder that reorders its
+enumeration or its float products shows up here even where no engine runs.
 """
 
 import hashlib
@@ -18,7 +22,7 @@ import numpy as np
 import pytest
 
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
-from hypergt.builders import ModelSpec, build_model
+from hypergt.builders import BUILDERS, ModelSpec, build_model
 from hypergt.model import noiseless_oracle, sample_truth
 from hypergt.noisy import (
     NoiseChannel,
@@ -108,3 +112,51 @@ GOLDEN = {
 @pytest.mark.parametrize("model,engine", sorted(GOLDEN))
 def test_transcripts_unchanged(model, engine):
     assert cell_hash(model, engine) == GOLDEN[(model, engine)]
+
+
+# family: params, one model per builder family.
+MODEL_SPECS = {
+    "independent": {"p": [0.1, 0.25, 0.3, 0.55, 0.7, 0.9, 0.33, 0.61]},
+    "islands": {"k": 5, "m": 3, "p": [0.15, 0.4, 0.6, 0.35, 0.8]},
+    "nested": {"n": 9},
+    "cosize": {"n": 70},
+    "partial_regular": {"n": 10, "d": 4},
+    "big_graph": {"n": 4},
+    "entropy_gap": {"n": 12, "m": 20, "d": 3, "seed": 4},
+    "random_regular": {"n": 64, "d": 3, "count": 300, "seed": 1},
+    "community": {"sizes": [2, 3, 4, 3], "q": 0.35, "p": [0.3, 0.55, 0.7, 0.45]},
+    "sbim": {"m": 2, "k": 3, "seed_prob": 0.2, "q1": 0.6, "q2": 0.15},
+    "edge_faulty": {"n": 6, "contact_edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [1, 4]],
+                    "r": 0.35, "p": 0.3},
+}
+
+# Recorded on the per-family loops that the shared block enumerator replaced.
+MODEL_HASHES = {
+    "independent": "ef3cf86de035143e",
+    "islands": "b2e8a9a757e86d04",
+    "nested": "3a87e11de133f205",
+    "cosize": "cf46b566b75ffc10",
+    "partial_regular": "dc038e68bf45a57a",
+    "big_graph": "d67b084df263e391",
+    "entropy_gap": "a4ed851b5a84dc6c",
+    "random_regular": "fb405114b5cbf940",
+    "community": "82470416ce35c30d",
+    "sbim": "0f6c1ee0007b89bd",
+    "edge_faulty": "1a178b6377a5a141",
+}
+
+
+def model_hash(family):
+    graph, dist = build_model(ModelSpec(family, MODEL_SPECS[family]))
+    digest = hashlib.sha256(repr((graph.n, graph.edge_masks)).encode())
+    digest.update(dist.probs.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_every_family_has_a_model_cell():
+    assert set(MODEL_HASHES) == set(BUILDERS)
+
+
+@pytest.mark.parametrize("family", sorted(MODEL_HASHES))
+def test_models_unchanged(family):
+    assert model_hash(family) == MODEL_HASHES[family]

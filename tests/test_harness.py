@@ -6,7 +6,7 @@ import pytest
 
 from hypergt.builders import ModelSpec
 from hypergt.cli import main as cli_main
-from hypergt.errors import MismatchedConfig, SchemaError
+from hypergt.errors import MismatchedConfig, NodeOutOfRange, SchemaError
 from hypergt.harness import (
     ExperimentConfig,
     Moments,
@@ -20,6 +20,7 @@ from hypergt.harness import (
 )
 
 FIG1_SPEC = ModelSpec("fig1", {})
+CSV_HEADER = "trial,seed,target,tests,stage1,stage2,informative,correct,halted"
 
 
 def fig1_config(**kw):
@@ -134,6 +135,24 @@ class TestCsv:
         ok = run_experiment(fig1_config(trials=1))
         write_csv(ok, str(path))
         assert read_csv(str(path))[0].error is None
+
+    @pytest.mark.parametrize("text,message", [
+        ("trial,seed,target,stage1,stage2,informative,correct,halted\n0,1,2,2,1,2,1,0\n",
+         "lacks column 'tests'"),
+        (CSV_HEADER + "\n0,1,2,3,2,1,2,1,0\n1,1,2,x,2,1,2,1,0\n", "row 2 column 'tests'"),
+        (CSV_HEADER + "\n0,1,2,3,2,1\n", "row 1 column 'informative'"),
+    ], ids=["missing-column", "not-an-integer", "short-row"])
+    def test_read_names_the_bad_cell(self, tmp_path, text, message):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=message):
+            read_csv(str(path))
+
+    def test_error_column_is_optional(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(CSV_HEADER + "\n0,1,2,3,2,1,2,1,0\n")
+        [r] = read_csv(str(path))
+        assert (r.tests, r.correct, r.halted, r.error) == (3, True, False, None)
 
 
 class TestSummarize:
@@ -275,17 +294,26 @@ class TestCli:
         with pytest.raises(SchemaError, match="'family'"):
             cli_main(["build-model", "--spec", str(spec_path), "--out", str(tmp_path / "m.json")])
 
-    @pytest.mark.parametrize("doc,message", [
-        ([{"outcome": True}], "transcript record 0 lacks key 'query'"),
-        ([{"query": [0], "outcome": True}, {"query": [1]}], "record 1 lacks key 'outcome'"),
-        ([{"query": [0], "outcome": True, "votes": 3}], "unknown key 'votes'"),
-        ({"records": [{"query": [0], "outcome": True}]}, "JSON list"),
-    ], ids=["no-query", "no-outcome", "unknown-key", "not-a-list"])
-    def test_posterior_checks_transcript_records(self, tmp_path, fig1_files, doc, message):
+    @pytest.mark.parametrize("doc,error,message", [
+        ([{"outcome": True}], SchemaError, "transcript record 0 lacks key 'query'"),
+        ([{"query": [0], "outcome": True}, {"query": [1]}], SchemaError,
+         "record 1 lacks key 'outcome'"),
+        ([{"query": [0], "outcome": True, "votes": 3}], SchemaError, "unknown key 'votes'"),
+        ({"records": [{"query": [0], "outcome": True}]}, SchemaError, "JSON list"),
+        ([{"query": [0], "outcome": True}, {"query": [-1], "outcome": True}], NodeOutOfRange,
+         "transcript record 1 "),
+        ([{"query": "ab", "outcome": True}], SchemaError, "transcript record 0 "),
+        ([{"query": [1.5], "outcome": False}], SchemaError, "transcript record 0 "),
+        ([{"query": [9], "outcome": True}], NodeOutOfRange, "transcript record 0 "),
+        ([{"query": [0], "outcome": "no"}], SchemaError, "transcript record 0 "),
+    ], ids=["no-query", "no-outcome", "unknown-key", "not-a-list", "negative-node",
+            "string-query", "float-node", "node-out-of-range", "string-outcome"])
+    def test_posterior_checks_transcript_records(self, tmp_path, fig1_files, doc, error, message):
         transcript_path = tmp_path / "tr.json"
         transcript_path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(error, match=message) as info:
             cli_main(["posterior", "--model", fig1_files, "--transcript", str(transcript_path)])
+        assert type(info.value) is error
 
     def test_run_fails_when_a_trial_errors(self, tmp_path, capsys):
         # Every edge of cosize(8) has size 7 > u, so each trial raises EmptySupport.

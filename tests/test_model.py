@@ -107,6 +107,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="read-only"):
             dist.probs /= 2.0
 
+    def test_equality_is_a_bool(self, fig1):
+        graph, dist = fig1
+        assert isinstance(EdgeDistribution([0.5, 0.5]) == EdgeDistribution([0.5, 0.5]), bool)
+        assert isinstance(prior_posterior(graph, dist) == prior_posterior(graph, dist), bool)
+        assert dist == dist
+
     def test_callers_array_stays_writable(self):
         probs = np.array([0.25, 0.75])
         dist = EdgeDistribution(probs)

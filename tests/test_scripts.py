@@ -1,0 +1,26 @@
+"""The runnable scripts under scripts/ finish without error on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hypergt
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("args", [
+    ["worked_example.py"],
+    ["bound_sweep.py", "--trials", "20", "--cs", "0.3"],
+    ["preplanned_demo.py", "--trials", "5"],
+], ids=lambda args: args[0])
+def test_script_runs(args):
+    src = str(Path(hypergt.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, str(SCRIPTS / args[0]), *args[1:]],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
