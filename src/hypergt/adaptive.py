@@ -12,9 +12,11 @@ Boundary convention: the stage-1 window is (c, 1-c], so a removal weight equal
 to c falls through toward the group test while one equal to 1-c still fires an
 informative test; this keeps every residual node above 1-2c at the group-test
 branch. A weight near either bound is compared on its exact sum, so a tie
-never depends on summation order. The stage-2 test list is frozen at entry:
-every node that is uncertain at that moment is tested, even if an earlier
-outcome in the same sweep settles it.
+never depends on summation order. The scan starts from the active nodes,
+which hold every edge of positive mass, and keeps the in-S mass through each
+node, so a greedy removal subtracts only the edges it drops from E(S). The
+stage-2 test list is frozen at entry: every node that is uncertain at that
+moment is tested, even if an earlier outcome in the same sweep settles it.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -45,7 +47,7 @@ from .model import (
     prior_posterior,
     validate_model,
 )
-from .sets import mask_from_flags
+from .sets import intersects, mask_from_flags
 from .transcript import COMPLEMENT, INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
 TestOracle = Callable[[int], bool]
@@ -95,49 +97,53 @@ def resolve_f2(config: AdaptiveConfig, graph: Hypergraph, dist: EdgeDistribution
     return max(1, math.ceil(mu / config.eps))
 
 
-def _split_scan(q: np.ndarray, member: np.ndarray, active: np.ndarray,
-                c: float) -> tuple[np.ndarray, bool, np.ndarray]:
-    """Greedy node removal over the active set.
+def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.ndarray,
+                c: float) -> tuple[np.ndarray, bool, float]:
+    """Greedy node removal over the active set, lowest index first.
 
-    Returns (s, found, in_s): the residual node flags, whether s landed
-    strictly inside the (c, 1-c) weight window, and the surviving-edge flags
-    for E(S). Removal order is lowest index first.
+    `marg`, the node marginals of q, must be zero outside `active`: then E(S)
+    for S = active holds all the mass, and the in-S mass through each node, m,
+    starts at marg. Removing v subtracts only the in-S edges through v, so a
+    step costs O(n + |E|), and each dropped edge n once per scan.
+
+    Returns (s, found, w): the residual node flags, whether s landed strictly
+    inside the (c, 1-c) weight window, and the weight of s.
     """
     s = active.copy()
-    in_s = (member @ (1.0 - s)) == 0.0
+    m = marg.copy()
+    qs = q.copy()
     hi = 1.0 - c
     while True:
-        # w(S \ v) = w(S) minus the in-S mass through v. A node within _TOL of
-        # c or 1-c is decided exactly instead: fsum rounds once, so the sign of
-        # (sum of its in-S edges avoiding v) - bound is the exact comparison.
-        qs = q * in_s
-        w_minus = qs.sum() - member.T @ qs
+        # w(S \ v) = w(S) - m[v]. A node within _TOL of c or 1-c is decided
+        # exactly instead: fsum rounds once, so the sign of (sum of its in-S
+        # edges avoiding v) - bound is the exact comparison.
+        w_minus = qs.sum() - m
         above_c = w_minus > c
         above_hi = w_minus > hi
         for v in np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL)):
-            terms = qs[member[:, v] == 0.0].tolist()
+            terms = qs[~intersects(graph.words, 1 << int(v))].tolist()
             above_c[v] = math.fsum(terms + [-c]) > 0.0
             above_hi[v] = math.fsum(terms + [-hi]) > 0.0
         window = s & above_c & ~above_hi
         if window.any():
             v = int(np.argmax(window))
             s[v] = False
-            in_s &= member[:, v] == 0.0
-            return s, True, in_s
+            return s, True, float(w_minus[v])
         high = s & above_hi
-        if high.any():
-            v = int(np.argmax(high))
-            s[v] = False
-            in_s &= member[:, v] == 0.0
-            continue
-        return s, False, in_s
+        if not high.any():
+            return s, False, float(qs.sum())
+        v = int(np.argmax(high))
+        s[v] = False
+        es = np.flatnonzero(intersects(graph.words, 1 << v) & (qs != 0.0))
+        m -= graph.membership.take(es, axis=0).T @ qs.take(es)
+        qs[es] = 0.0
 
 
 def find_split_set(post: Posterior, c: float) -> tuple[int, bool]:
     """Stage-1 search from S = {v : q_v > 0}: returns (node mask, found);
     found means w(S) landed in the (c, 1-c] window."""
-    active = node_marginals(post) > 0.0
-    s, found, _ = _split_scan(post.q, post.graph.membership, active, c)
+    marg = node_marginals(post)
+    s, found, _ = _split_scan(post.q, marg, post.graph, marg > 0.0, c)
     return mask_from_flags(s), found
 
 
@@ -200,26 +206,24 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         f2 = resolve_f2(config, graph, dist)
         if rng is None:
             rng = np.random.default_rng(config.seed)
-    member = graph.membership
     c = config.c
     tr = obs.tr
+    marg = node_marginals(obs.post)
 
     while True:
         idx = certain_edge(obs.post)
         if idx is not None:
             return _finish(tr, graph, idx)
 
-        q = obs.post.q
-        s, found, in_s = _split_scan(q, member, active, c)
+        _check(not marg[~active].any(), "posterior mass outside the active set")
+        s, found, w_s = _split_scan(obs.post.q, marg, graph, active, c)
         t_mask = mask_from_flags(active & ~s)
         if found:
             verdict = obs.ask(t_mask, SPLIT)
         else:
             # No informative split exists: the residual S holds almost all
             # the mass and each of its nodes is almost surely infected.
-            w_s = float((q * in_s).sum())
             _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
-            marg = node_marginals(obs.post)
             _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
             # An empty complement is resolved as negative at zero test cost.
             verdict = obs.ask(t_mask, RESIDUAL) if t_mask else False
@@ -244,7 +248,8 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     )
                     tr.result_edge = certain_edge(obs.post)
                     return tr
-        active &= node_marginals(obs.post) > 0.0
+        marg = node_marginals(obs.post)
+        active &= marg > 0.0
 
 
 def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:

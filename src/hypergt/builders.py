@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
+import types
+import typing
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySupport, ModelError, SupportTooLarge
+from .errors import EmptySupport, ModelError, SchemaError, SupportTooLarge
 from .model import EdgeDistribution, Hypergraph, check_record
 from .sets import iter_bits, mask_of
 
@@ -46,14 +49,38 @@ class ModelSpec:
 
     def validate(self) -> None:
         """Raise ModelError for an unknown family, and SchemaError unless params
-        is an object holding every required parameter of the family's builder
-        and no other key."""
+        is an object holding every required parameter of the family's builder,
+        no other key, and values of the types the builder annotates."""
         if self.family not in BUILDERS:
             raise ModelError(f"unknown model family {self.family!r}")
-        args = inspect.signature(BUILDERS[self.family]).parameters.values()
+        builder = BUILDERS[self.family]
+        args = inspect.signature(builder).parameters
         check_record(self.params, f"{self.family} params",
-                     [a.name for a in args if a.default is inspect.Parameter.empty],
-                     [a.name for a in args])
+                     [k for k, a in args.items() if a.default is inspect.Parameter.empty],
+                     list(args))
+        hints = typing.get_type_hints(builder)
+        for key, value in self.params.items():
+            if key in hints and not _conforms(value, hints[key]):
+                raise SchemaError(f"{self.family} params: {key!r} must be "
+                                  f"{args[key].annotation}, not {value!r}")
+
+
+def _conforms(value, hint) -> bool:
+    """Whether value has the annotated type: int and float take numbers but not
+    booleans, and a sequence or a tuple takes a list, tuple or numpy array."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, a) for a in args)
+    if origin in (Sequence, tuple):
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            return False
+        if origin is tuple:
+            return len(value) == len(args) and all(map(_conforms, value, args))
+        return all(_conforms(x, args[0]) for x in value)
+    if hint is type(None):
+        return value is None
+    kind = numbers.Integral if hint is int else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _product(blocks: Sequence[Sequence[tuple[int, float]]],
@@ -118,6 +145,10 @@ def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergrap
     ps = [float(p)] * k if np.isscalar(p) else list(map(float, p))
     if len(ps) != k:
         raise ModelError("need one probability per island")
+    # Each island of 0 < p < 1 doubles the support: refuse before enumerating.
+    support = 2 ** sum(0.0 < pj < 1.0 for pj in ps) if m > 0 else 1
+    if support > SUPPORT_CAP:
+        raise SupportTooLarge(f"{support} edges exceed cap {SUPPORT_CAP}")
     blocks = [[(0, 1.0 - pj), (mask_of(range(j * m, (j + 1) * m)), pj)] for j, pj in enumerate(ps)]
     return _finish(k * m, dict(_product(blocks)))
 
@@ -251,8 +282,10 @@ def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float
     for kept_bits in range(2 ** len(contact_edges)):
         kept = [contact_edges[i] for i in range(len(contact_edges)) if kept_bits >> i & 1]
         w_graph = (r ** len(kept)) * ((1.0 - r) ** (len(contact_edges) - len(kept)))
-        for mask, w in _product([[(0, 1.0 - p), (comp, p)] for comp in _components(n, kept)],
-                                w_graph):
+        comps = _components(n, kept)
+        if 0.0 < p < 1.0 and w_graph > 0.0 and 2 ** len(comps) > SUPPORT_CAP:
+            raise SupportTooLarge(f"at least {2 ** len(comps)} edges exceed cap {SUPPORT_CAP}")
+        for mask, w in _product([[(0, 1.0 - p), (comp, p)] for comp in comps], w_graph):
             masses[mask] = masses.get(mask, 0.0) + w
     return _finish(n, masses)
 

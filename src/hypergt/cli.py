@@ -29,6 +29,7 @@ from .model import (
     expected_infections,
     load_model,
     node_marginals,
+    parse_json,
     prior_posterior,
     save_model,
 )
@@ -39,16 +40,16 @@ from .transcript import RECORD_KEYS
 
 def _load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
-        return ExperimentConfig.from_json(json.load(fh))
+        return ExperimentConfig.from_json(parse_json(fh.read(), f"config file {path}"))
 
 
 def cmd_build_model(args) -> int:
     if args.spec:
+        what = f"model spec {args.spec}"
         with open(args.spec) as fh:
-            doc = json.load(fh)
-        spec = ModelSpec.from_json(doc, f"model spec {args.spec}")
+            spec = ModelSpec.from_json(parse_json(fh.read(), what), what)
     else:
-        spec = ModelSpec(args.family, json.loads(args.params))
+        spec = ModelSpec(args.family, parse_json(args.params, "--params"))
     graph, dist = build_model(spec)
     save_model(args.out, graph, dist)
     print(f"wrote {args.out}: n={graph.n}, |E|={len(graph)}, "
@@ -100,7 +101,7 @@ def cmd_check(args) -> int:
 def cmd_posterior(args) -> int:
     graph, dist = load_model(args.model)
     with open(args.transcript) as fh:
-        doc = json.load(fh)
+        doc = parse_json(fh.read(), f"transcript {args.transcript}")
     if not isinstance(doc, list):
         raise SchemaError(f"transcript {args.transcript} must be a JSON list of test records")
     for i, rec in enumerate(doc):

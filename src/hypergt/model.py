@@ -255,10 +255,19 @@ def check_record(doc, what: str, required: Sequence[str], allowed: Sequence[str]
             raise SchemaError(f"{what} has unknown key {key!r}")
 
 
+def parse_json(text: str, what: str):
+    """json.loads that raises SchemaError naming `what` and where the text breaks."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from None
+
+
 def load_model(path: str) -> tuple[Hypergraph, EdgeDistribution]:
+    what = f"model file {path}"
     with open(path) as fh:
-        doc = json.load(fh)
-    check_record(doc, f"model file {path}", ("n", "edges", "probs"), ("n", "edges", "probs"))
+        doc = parse_json(fh.read(), what)
+    check_record(doc, what, ("n", "edges", "probs"), ("n", "edges", "probs"))
     graph = Hypergraph(doc["n"], doc["edges"])
     dist = EdgeDistribution(doc["probs"])
     validate_model(graph, dist)

@@ -22,10 +22,12 @@ from hypergt.errors import NotRegular
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
+    condition_on_test,
     edge_entropy,
     expected_infections,
     prior_posterior,
 )
+from hypergt.noisy import bayes_update_noisy
 from hypergt.oracle import direct_posterior
 from hypergt.sets import mask_of, nodes_of
 
@@ -94,6 +96,34 @@ class TestFindSplitSet:
                                    unique=True))
         probs = [1.0 / k] * k + [0.0] * (len(masks) - k)
         post = prior_posterior(Hypergraph(n, masks), EdgeDistribution(probs))
+        assert find_split_set(post, c) == reference_split_scan(post, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_loop_posteriors_match_exact_arithmetic(self, data):
+        # The loop scans conditioned posteriors: noiseless steps leave exact
+        # zeros and a shrinking active set, noisy steps leave no zeros. With
+        # n > 64 an edge's nodes span more than one packed word.
+        c = data.draw(st.sampled_from([1.0 / 3.0, 0.45, 0.2]))
+        n = data.draw(st.sampled_from([6, 8, 70, 130]))
+        node_set = st.lists(st.integers(0, n - 1), max_size=6).map(mask_of)
+        masks = data.draw(st.lists(node_set, min_size=3, max_size=14, unique=True))
+        k = len(masks)
+        if data.draw(st.booleans()):
+            weights = [1.0] * k
+        else:
+            weights = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        graph = Hypergraph(n, masks)
+        post = prior_posterior(graph, EdgeDistribution(np.array(weights) / sum(weights)))
+        target = masks[data.draw(st.integers(0, k - 1))]
+        delta = data.draw(st.sampled_from([0.0, 0.05, 0.2]))
+        for _ in range(data.draw(st.integers(1, 6))):
+            t = data.draw(node_set)
+            outcome = bool(t & target)
+            if delta:
+                post = bayes_update_noisy(post, t, data.draw(st.booleans()), delta)
+            else:
+                post = condition_on_test(post, t, outcome)
         assert find_split_set(post, c) == reference_split_scan(post, c)
 
 

@@ -1,11 +1,13 @@
 import math
 import re
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from hypergt.builders import (
+    SUPPORT_CAP,
     ModelSpec,
     build_big_graph,
     build_community,
@@ -209,6 +211,31 @@ class TestGuards:
     def test_spec_params_match_the_builder(self, params, message):
         with pytest.raises(SchemaError, match=re.escape(message)):
             build_model(ModelSpec("nested", params))
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("nested", {"n": "5"}, "nested params: 'n' must be int, not '5'"),
+        ("cosize", {"n": 2.5}, "cosize params: 'n' must be int, not 2.5"),
+        ("islands", {"k": 2, "m": 1, "p": "ab"},
+         "islands params: 'p' must be float | Sequence[float], not 'ab'"),
+        ("community", {"sizes": 3, "q": 0.3, "p": [0.5]},
+         "community params: 'sizes' must be Sequence[int], not 3"),
+    ], ids=["string-int", "float-int", "string-probability", "scalar-sizes"])
+    def test_spec_param_types_match_the_builder(self, family, params, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            build_model(ModelSpec(family, params))
+
+    def test_islands_refuse_a_large_support_before_enumerating(self):
+        t0 = time.perf_counter()
+        with pytest.raises(SupportTooLarge, match=re.escape(f"2097152 edges exceed cap {SUPPORT_CAP}")):
+            build_islands(21, 1, 0.5)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_edge_faulty_refuses_a_large_support_before_enumerating(self):
+        # No contact edges: 21 singleton components, so 2^21 infected sets.
+        t0 = time.perf_counter()
+        with pytest.raises(SupportTooLarge, match=re.escape("at least 2097152 edges exceed cap")):
+            build_edge_faulty(21, [], 0.5, 0.5)
+        assert time.perf_counter() - t0 < 0.5
 
     @pytest.mark.parametrize("spec,error,message", [
         (ModelSpec("nested", {"n": 0}), EmptySupport, "no edge carries positive probability"),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,23 @@ class TestCli:
         spec_path.write_text(json.dumps({"params": {"n": 4}}))
         with pytest.raises(SchemaError, match="'family'"):
             cli_main(["build-model", "--spec", str(spec_path), "--out", str(tmp_path / "m.json")])
+
+    @pytest.mark.parametrize("site", ["params", "spec", "config", "transcript"])
+    def test_malformed_json_names_its_source_and_position(self, tmp_path, fig1_files, site):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        out = str(tmp_path / "out")
+        argv, what = {
+            "params": (["build-model", "--family", "nested", "--params", "{n:4}", "--out", out],
+                       "--params"),
+            "spec": (["build-model", "--spec", str(bad), "--out", out], f"model spec {bad}"),
+            "config": (["run", "--config", str(bad)], f"config file {bad}"),
+            "transcript": (["posterior", "--model", fig1_files, "--transcript", str(bad)],
+                           f"transcript {bad}"),
+        }[site]
+        with pytest.raises(SchemaError, match=re.escape(f"{what} is not valid JSON")
+                           + ".*line 1 column 2"):
+            cli_main(argv)
 
     @pytest.mark.parametrize("doc,error,message", [
         ([{"outcome": True}], SchemaError, "transcript record 0 lacks key 'query'"),

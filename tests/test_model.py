@@ -341,3 +341,10 @@ class TestModelFile:
         path.write_text(text)
         with pytest.raises(SchemaError, match=key):
             load_model(str(path))
+
+    def test_load_names_the_file_and_position_of_malformed_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 3,\n "edges": [[0]\n')
+        with pytest.raises(SchemaError, match=re.escape(f"model file {path} is not valid JSON")
+                           + ".*line 3 column 1"):
+            load_model(str(path))
