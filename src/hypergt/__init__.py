@@ -17,6 +17,7 @@ from .errors import (
     NotNormalized,
     NotRegular,
     OracleInconsistent,
+    ProbabilityOutOfRange,
     SchemaError,
     SupportTooLarge,
     TooLarge,
@@ -42,11 +43,11 @@ from .model import (
 )
 from .noisy import (
     NoiseChannel,
-    RepetitionSchedule,
     bayes_update_noisy,
     majority_error_probability,
     majority_test,
     noisy_oracle,
+    repetitions,
     run_noisy_adaptive,
     run_noisy_snagt,
 )

@@ -64,14 +64,12 @@ class AdaptiveConfig:
     f2: positive-count cutoff for the truncated variant; when unset and eps is
         given, resolved as ceil(mu / eps).
     eps: tolerated error for the truncated variant's cutoff.
-    seed: RNG seed for the truncated variant's random node picks.
     """
 
     c: float = 1.0 / 3.0
     variant: str = "base"
     f2: int | None = None
     eps: float | None = None
-    seed: int | None = None
 
     def validate(self) -> None:
         if not 0.0 < self.c < 0.5:
@@ -205,7 +203,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     if variant == "truncated":
         f2 = resolve_f2(config, graph, dist)
         if rng is None:
-            rng = np.random.default_rng(config.seed)
+            rng = np.random.default_rng()
     c = config.c
     tr = obs.tr
     marg = node_marginals(obs.post)
@@ -288,7 +286,8 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
                  config: AdaptiveConfig | None = None,
                  rng: np.random.Generator | None = None) -> Transcript:
     """Run the configured variant against a noiseless oracle. Stage 1 first
-    scans all n nodes, those of zero prior mass included."""
+    scans all n nodes, those of zero prior mass included. rng draws the
+    truncated variant's random node picks; None means an unseeded one."""
     config = config or AdaptiveConfig()
     config.validate()
     validate_model(graph, dist)

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptySupport, ModelError, SchemaError, SupportTooLarge
+from .errors import EmptySupport, ModelError, ProbabilityOutOfRange, SchemaError, SupportTooLarge
 from .model import EdgeDistribution, Hypergraph, check_record
 from .sets import iter_bits, mask_of
 
@@ -67,7 +67,8 @@ class ModelSpec:
 
 def _conforms(value, hint) -> bool:
     """Whether value has the annotated type: int and float take numbers but not
-    booleans, and a sequence or a tuple takes a list, tuple or numpy array."""
+    booleans, a sequence or a tuple takes a list, tuple or numpy array, and any
+    other type its instances."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_conforms(value, a) for a in args)
@@ -77,10 +78,21 @@ def _conforms(value, hint) -> bool:
         if origin is tuple:
             return len(value) == len(args) and all(map(_conforms, value, args))
         return all(_conforms(x, args[0]) for x in value)
-    if hint is type(None):
-        return value is None
-    kind = numbers.Integral if hint is int else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool)
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _check_probabilities(**params) -> None:
+    """Raise ProbabilityOutOfRange naming the first parameter value (or list
+    item) outside [0, 1]; NaN and infinities are outside."""
+    for name, value in params.items():
+        items = [(name, value)] if np.isscalar(value) else [
+            (f"{name}[{i}]", x) for i, x in enumerate(value)]
+        for label, x in items:
+            if not 0.0 <= x <= 1.0:
+                raise ProbabilityOutOfRange(f"probability {label}={float(x)!r} outside [0, 1]")
 
 
 def _product(blocks: Sequence[Sequence[tuple[int, float]]],
@@ -112,6 +124,7 @@ def _finish(n: int, masses: dict[int, float]) -> tuple[Hypergraph, EdgeDistribut
 def build_independent(p: Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
     """Each node infected independently with its own probability."""
     p = list(map(float, p))
+    _check_probabilities(p=p)
     n = len(p)
     if 2 ** n > SUPPORT_CAP:
         raise SupportTooLarge(f"2^{n} subsets exceed cap {SUPPORT_CAP}")
@@ -123,6 +136,7 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple
     infected family j is infected with probability p[j]."""
     sizes = list(map(int, sizes))
     p = list(map(float, p))
+    _check_probabilities(q=q, p=p)
     if len(p) != len(sizes):
         raise ModelError("need one infection probability per family")
     n = sum(sizes)
@@ -142,6 +156,7 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple
 def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
     """k islands of m nodes; all nodes of an island share one state, and
     islands are independent with infection probabilities p."""
+    _check_probabilities(p=p)
     ps = [float(p)] * k if np.isscalar(p) else list(map(float, p))
     if len(ps) != k:
         raise ModelError("need one probability per island")
@@ -228,6 +243,7 @@ def build_random_regular(n: int, d: int, r: float | None = None, count: int | No
         raise ModelError("give exactly one of r, count")
     rng = np.random.default_rng(seed)
     if r is not None:
+        _check_probabilities(r=r)
         if math.comb(n, d) > (1 << 22):
             raise SupportTooLarge(f"C({n},{d}) subsets is too many to enumerate")
         chosen = [mask_of(c) for c in combinations(range(n), d) if rng.random() < r]
@@ -275,6 +291,7 @@ def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float
     """Edge-faulty contact graph: each contact edge survives with probability
     r, then every resulting component is infected with probability p. The
     infected set is the union of infected components."""
+    _check_probabilities(r=r, p=p)
     contact_edges = [tuple(e) for e in contact_edges]
     if len(contact_edges) > 20:
         raise SupportTooLarge("at most 20 contact edges are enumerable")
@@ -309,6 +326,7 @@ def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[
     D(S) sums, over seed sets T inside S, the probability that exactly the
     nodes of S \\ T catch an infection and nobody outside S does.
     """
+    _check_probabilities(seed_prob=seed_prob, q1=q1, q2=q2)
     n = m * k
     if n > 12:
         raise SupportTooLarge("sbim enumeration is limited to 12 nodes")

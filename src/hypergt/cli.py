@@ -3,7 +3,8 @@
 Subcommands: build-model (model spec -> model file), run (experiment config
 -> results CSV), oracle (model file -> optimal value and policy), check
 (config + CSV -> bound report), posterior (model + transcript -> posterior
-dump).
+dump). Exit codes: 0 success, 1 a run with failed trials or a failed bound
+check, 2 bad input (a ModelError, printed as one line on stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from .builders import ModelSpec, build_model
-from .errors import NodeOutOfRange, SchemaError
+from .errors import ModelError, NodeOutOfRange, SchemaError
 from .harness import (
     ExperimentConfig,
     check_bounds,
@@ -167,7 +168,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "build-model" and not args.spec and not args.family:
         parser.error("build-model needs --spec or --family")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ModelError as exc:
+        print(f"hypergt: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,11 +34,16 @@ class EmptySupport(ModelError):
 
 
 class SchemaError(ModelError):
-    """A model or config record lacks a key it needs, or has one it does not know."""
+    """A model or config record is malformed: a key is missing or unknown, a
+    value has the wrong type, or an experiment setting no engine accepts."""
 
 
 class SupportTooLarge(ModelError):
     pass
+
+
+class ProbabilityOutOfRange(ModelError):
+    """A builder's probability parameter lies outside [0, 1]."""
 
 
 class TooLarge(ValueError):

@@ -1,9 +1,9 @@
-"""Experiment runner and reporting: seeded Monte-Carlo trials, mergeable
-summaries, bound conformance checks, and CSV emission.
+"""Experiment runner and reporting: seeded Monte-Carlo trials, summaries,
+bound conformance checks, and CSV emission.
 
 Per-trial randomness comes from a counter-based split of the master seed, so
-results are reproducible and shard-order independent. Engine errors become
-per-trial failure records; a batch never aborts.
+results are reproducible and a trial's draws depend only on its index. Engine
+errors become per-trial failure records; a batch never aborts.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .adaptive import AdaptiveConfig, run_adaptive
-from .builders import ModelSpec, build_model
+from .builders import ModelSpec, _conforms, build_model
 from .errors import MismatchedConfig, SchemaError
 from .model import (
     EdgeDistribution,
@@ -30,7 +31,7 @@ from .model import (
     prior_posterior,
     sample_truth,
 )
-from .noisy import NoiseChannel, RepetitionSchedule, noisy_oracle, run_noisy_adaptive, run_noisy_snagt
+from .noisy import NoiseChannel, noisy_oracle, run_noisy_adaptive, run_noisy_snagt
 from .oracle import optimal_expected_tests, simulate_policy
 from .snagt import SnagtConfig, run_snagt
 
@@ -57,22 +58,39 @@ class ExperimentConfig:
     output: str | None = None
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.algorithm in ("snagt", "noisy_snagt") and self.u is None:
-            raise ValueError(f"{self.algorithm} needs u")
+        """Raise SchemaError for a config no trial can run with; the engine's
+        own settings are checked by the engine's validator."""
+        try:
+            if self.algorithm not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            if self.trials < 1:
+                raise ValueError("trials must be >= 1")
+            NoiseChannel(self.delta)
+            if self.algorithm in ("snagt", "noisy_snagt"):
+                if self.u is None:
+                    raise ValueError(f"{self.algorithm} needs u")
+                _snagt_config(self, None).validate()
+            elif self.algorithm != "oracle":
+                _adaptive_config(self).validate()
+        except ValueError as exc:
+            raise SchemaError(f"experiment config: {exc}") from None
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)  # a ModelSpec becomes its {family, params} record
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        check_record(doc, "experiment config", ("model", "algorithm"),
-                     [f.name for f in dataclasses.fields(cls)])
+        """Parse a config record; SchemaError for a missing or unknown key or
+        a value of the wrong type."""
+        fields = dataclasses.fields(cls)
+        check_record(doc, "experiment config", ("model", "algorithm"), [f.name for f in fields])
         if isinstance(doc["model"], dict):
             doc = {**doc, "model": ModelSpec.from_json(doc["model"], "model record")}
+        hints = typing.get_type_hints(cls)
+        for f in fields:
+            if f.name in doc and not _conforms(doc[f.name], hints[f.name]):
+                raise SchemaError(f"experiment config: {f.name!r} must be {f.type}, "
+                                  f"not {doc[f.name]!r}")
         return cls(**doc)
 
 
@@ -97,8 +115,13 @@ def resolve_model(config: ExperimentConfig) -> tuple[Hypergraph, EdgeDistributio
     return build_model(config.model)
 
 
-def _adaptive_config(config: ExperimentConfig, variant: str) -> AdaptiveConfig:
+def _adaptive_config(config: ExperimentConfig) -> AdaptiveConfig:
+    variant = "base" if config.algorithm == "noisy_adaptive" else config.algorithm
     return AdaptiveConfig(c=config.c, variant=variant, f2=config.f2, eps=config.eps)
+
+
+def _snagt_config(config: ExperimentConfig, seed: int | None) -> SnagtConfig:
+    return SnagtConfig(config.u, config.stop_coeff, config.cap_coeff, seed=seed)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -139,23 +162,19 @@ def _run_one(config, graph, dist, truth, trial, trial_seed, rng_engine, rng_nois
 
     if algorithm in ("base", "truncated", "regular"):
         oracle = noiseless_oracle(truth)
-        tr = run_adaptive(graph, dist, oracle, _adaptive_config(config, algorithm),
-                          rng=rng_engine)
+        tr = run_adaptive(graph, dist, oracle, _adaptive_config(config), rng=rng_engine)
     elif algorithm == "snagt":
         oracle = noiseless_oracle(truth)
-        tr = run_snagt(graph, dist, oracle,
-                       SnagtConfig(config.u, config.stop_coeff, config.cap_coeff, seed=trial_seed))
+        tr = run_snagt(graph, dist, oracle, _snagt_config(config, trial_seed))
     elif algorithm == "noisy_adaptive":
         oracle = noisy_oracle(truth, channel, rng_noise)
-        tr = run_noisy_adaptive(graph, dist, oracle, _adaptive_config(config, "base"),
-                                channel, RepetitionSchedule(alpha=config.alpha),
-                                u=config.u, max_physical_tests=config.max_tests)
+        tr = run_noisy_adaptive(graph, dist, oracle, _adaptive_config(config), channel,
+                                alpha=config.alpha, u=config.u,
+                                max_physical_tests=config.max_tests)
     elif algorithm == "noisy_snagt":
         oracle = noisy_oracle(truth, channel, rng_noise)
-        tr = run_noisy_snagt(graph, dist, oracle,
-                             SnagtConfig(config.u, config.stop_coeff, config.cap_coeff,
-                                         seed=trial_seed),
-                             channel, alpha=config.alpha)
+        tr = run_noisy_snagt(graph, dist, oracle, _snagt_config(config, trial_seed), channel,
+                             alpha=config.alpha)
     else:  # pragma: no cover
         raise ValueError(algorithm)
 
@@ -206,7 +225,7 @@ def read_csv(path: str) -> list[TrialResult]:
 
 @dataclass
 class Moments:
-    """Streaming first/second moments; merging shards is exact addition."""
+    """Streaming first and second moments."""
 
     count: int = 0
     total: float = 0.0
@@ -216,10 +235,6 @@ class Moments:
         self.count += 1
         self.total += x
         self.total_sq += x * x
-
-    def merge(self, other: "Moments") -> "Moments":
-        return Moments(self.count + other.count, self.total + other.total,
-                       self.total_sq + other.total_sq)
 
     @property
     def mean(self) -> float:
@@ -250,15 +265,6 @@ class Summary:
     @property
     def halt_rate(self) -> float:
         return self.halts / self.count if self.count else 0.0
-
-    def merge(self, other: "Summary") -> "Summary":
-        return Summary(self.count + other.count,
-                       self.tests.merge(other.tests),
-                       self.stage1.merge(other.stage1),
-                       self.stage2.merge(other.stage2),
-                       self.mu_stage2.merge(other.mu_stage2),
-                       self.wrong + other.wrong,
-                       self.halts + other.halts)
 
 
 def summarize(results: Sequence[TrialResult]) -> Summary:
@@ -316,6 +322,12 @@ class BoundReport:
         return "\n".join(lines)
 
 
+def _at_most(name: str, m: Moments, bound: float) -> BoundCheck:
+    """Passes when the mean is at most the bound plus three standard errors."""
+    slack = 3.0 * m.stderr
+    return BoundCheck(name, m.mean, bound, slack, m.mean <= bound + slack)
+
+
 def check_bounds(graph: Hypergraph, dist: EdgeDistribution,
                  results: Sequence[TrialResult], config: ExperimentConfig) -> BoundReport:
     """Compare observed test counts against the applicable expectation bound
@@ -342,31 +354,21 @@ def check_bounds(graph: Hypergraph, dist: EdgeDistribution,
             notes.append("stage-2 expected infections not recorded; using prior mu "
                          "(an upper bound on its mean)")
         stage2_bound = mu2 / (1.0 - 2.0 * c)
-        checks.append(BoundCheck("stage-1 tests", s.stage1.mean, stage1_bound,
-                                 3.0 * s.stage1.stderr,
-                                 s.stage1.mean <= stage1_bound + 3.0 * s.stage1.stderr))
-        checks.append(BoundCheck("stage-2 tests", s.stage2.mean, stage2_bound,
-                                 3.0 * s.stage2.stderr,
-                                 s.stage2.mean <= stage2_bound + 3.0 * s.stage2.stderr))
-        total_bound = stage1_bound + stage2_bound
-        checks.append(BoundCheck("total tests", s.tests.mean, total_bound,
-                                 3.0 * s.tests.stderr,
-                                 s.tests.mean <= total_bound + 3.0 * s.tests.stderr))
+        checks.append(_at_most("stage-1 tests", s.stage1, stage1_bound))
+        checks.append(_at_most("stage-2 tests", s.stage2, stage2_bound))
+        checks.append(_at_most("total tests", s.tests, stage1_bound + stage2_bound))
         sizes = [int(graph.edge_sizes[i]) for i in range(len(graph)) if dist.probs[i] > 0]
         f1, f2 = min(sizes), max(sizes)
         if f1 >= 1:
             size_bound = stage1_bound + f2 * mu / (f1 * (1.0 - 2.0 * c))
-            checks.append(BoundCheck("total tests (size-band form)", s.tests.mean,
-                                     size_bound, 3.0 * s.tests.stderr,
-                                     s.tests.mean <= size_bound + 3.0 * s.tests.stderr))
+            checks.append(_at_most("total tests (size-band form)", s.tests, size_bound))
         if s.tests.mean > entropy + 3.0 * s.tests.stderr:
             notes.append(f"entropy floor is loose here: mean tests {s.tests.mean:.3f} "
                          f"exceed H(X) = {entropy:.3f}")
     elif config.algorithm == "truncated":
         tail = 2.0 * (mu / config.eps if config.eps else float(config.f2))
         bound = 2.0 * entropy / math.log2(1.0 / (1.0 - c)) + tail
-        checks.append(BoundCheck("total tests", s.tests.mean, bound, 3.0 * s.tests.stderr,
-                                 s.tests.mean <= bound + 3.0 * s.tests.stderr))
+        checks.append(_at_most("total tests", s.tests, bound))
         if config.eps is not None:
             err_slack = 3.0 * math.sqrt(max(config.eps * (1 - config.eps), 1e-12) / s.count)
             checks.append(BoundCheck("error rate", s.error_rate, config.eps, err_slack,

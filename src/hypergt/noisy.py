@@ -1,11 +1,11 @@
-"""Symmetric-noise testing: the flip channel, exact Bayesian updates,
-repetition-with-majority schedules, and the noisy adaptive / semi-non-adaptive
+"""Symmetric-noise testing: the flip channel, exact Bayesian updates, one
+repetition-with-majority rule, and the noisy adaptive / semi-non-adaptive
 engines.
 
 The noisy adaptive engine has no control loop of its own: it runs the base
 loop of `adaptive` with a repeated observer. The observer decides how often a
 test site is asked (weight-window tests once, the residual group test and the
-stage-2 individual tests per the schedule), applies one exact Bayes step
+stage-2 individual tests per `repetitions`), applies one exact Bayes step
 (prior times per-test likelihood, normalized) per physical test, halts the
 run on the physical-test budget, and ends the stage-2 sweep on the majority
 positives. Majority verdicts steer control flow only; the posterior absorbs
@@ -54,28 +54,12 @@ class NoiseChannel:
             raise ValueError(f"delta={self.delta} outside [0, 1/2)")
 
 
-@dataclass
-class RepetitionSchedule:
-    """How often to repeat the repeated test sites.
-
-    Group tests of the residual nodes run ceil(alpha * log2(n) / (1-2d)^2)
-    times and stage-2 individual tests ceil(alpha * log2(u log2 n) / (1-2d)^2)
-    times, never fewer than once. Explicit counts override the formulas.
-    """
-
-    alpha: float = 2.0
-    ell_group: int | None = None
-    ell_individual: int | None = None
-
-    def resolve(self, n: int, u: int, delta: float) -> tuple[int, int]:
-        shrink = (1.0 - 2.0 * delta) ** 2
-        group = self.ell_group
-        if group is None:
-            group = math.ceil(self.alpha * math.log2(n) / shrink)
-        individual = self.ell_individual
-        if individual is None:
-            individual = math.ceil(self.alpha * math.log2(max(2.0, math.log2(n) * u)) / shrink)
-        return max(1, group), max(1, individual)
+def repetitions(alpha: float, x: float, delta: float) -> int:
+    """How often a noisy engine repeats a test: ceil(alpha * log2(x) / (1-2d)^2),
+    never fewer than once. x is n for the residual group test,
+    max(2, u log2 n) for a stage-2 individual test and u n for a preplanned
+    test."""
+    return max(1, math.ceil(alpha * math.log2(x) / (1.0 - 2.0 * delta) ** 2))
 
 
 def noisy_oracle(truth: GroundTruth, channel: NoiseChannel,
@@ -136,9 +120,8 @@ def admissible_threshold(delta: float) -> float:
 
 
 class _Repeated:
-    """Noisy observer: a test site is asked ell times for its stage (once for
-    a split, ell_group for the residual, ell_individual for a stage-2 node),
-    each physical test takes one exact Bayes step, and the majority decides.
+    """Noisy observer: a test site is asked ells[stage] times (once for a
+    split, `repetitions` times for the residual and for a stage-2 node), each physical test takes one exact Bayes step, and the majority decides.
     The run halts once the physical-test budget is spent; the stage-2 sweep
     ends on the majority positives."""
 
@@ -177,24 +160,22 @@ class _Repeated:
 
 
 def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
-                       config: AdaptiveConfig, channel: NoiseChannel,
-                       schedule: RepetitionSchedule | None = None,
+                       config: AdaptiveConfig, channel: NoiseChannel, alpha: float = 2.0,
                        u: int | None = None,
                        max_physical_tests: int | None = None) -> Transcript:
     """The base adaptive loop under symmetric noise.
 
     Weight-window tests run once; the residual group test and the stage-2
-    individual tests are repeated per the schedule with majority verdicts.
-    The posterior absorbs every physical outcome through exact Bayes. Stage 1
-    first scans the nodes of positive prior mass. The physical-test budget
-    defaults to n, the asymptotic analysis' cap; desk runs usually need to
-    raise it. Only the base variant runs under noise.
+    individual tests are repeated per `repetitions` with majority verdicts
+    (u defaults to n). The posterior absorbs every physical outcome through
+    exact Bayes. Stage 1 first scans the nodes of positive prior mass. The
+    physical-test budget defaults to n, the asymptotic analysis' cap; desk
+    runs usually need to raise it. Only the base variant runs under noise.
     """
     config.validate()
     if config.variant != "base":
         raise ValueError(f"noisy runs support only variant='base', got {config.variant!r}")
     validate_model(graph, dist)
-    schedule = schedule or RepetitionSchedule()
     delta = channel.delta
     if config.c <= admissible_threshold(delta):
         warnings.warn(
@@ -203,23 +184,21 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
             stacklevel=2,
         )
     n = graph.n
-    ell_group, ell_individual = schedule.resolve(n, u if u else n, delta)
+    ells = {SPLIT: 1, RESIDUAL: repetitions(alpha, n, delta),
+            INDIVIDUAL: repetitions(alpha, max(2.0, math.log2(n) * (u if u else n)), delta)}
     cap = n if max_physical_tests is None else max_physical_tests
     post = prior_posterior(graph, dist)
-    obs = _Repeated(oracle, post, delta,
-                    {SPLIT: 1, RESIDUAL: ell_group, INDIVIDUAL: ell_individual}, cap)
+    obs = _Repeated(oracle, post, delta, ells, cap)
     return _adaptive_run(graph, dist, config, obs, node_marginals(post) > 0.0)
 
 
 def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
                     config: SnagtConfig, channel: NoiseChannel,
-                    alpha: float = 2.0, ell: int | None = None) -> Transcript:
+                    alpha: float = 2.0) -> Transcript:
     """Semi-non-adaptive run under noise: every scheduled random test is
-    repeated ceil(alpha * log2(u*n) / (1-2d)^2) times and the majority verdict
-    drives elimination. Schedule and repetition counts depend only on
-    (n, u, seed), so the design stays target-independent; the test cap scales
-    by the repetition factor."""
-    if ell is None:
-        shrink = (1.0 - 2.0 * channel.delta) ** 2
-        ell = max(1, math.ceil(alpha * math.log2(config.u * graph.n) / shrink))
-    return _snagt_run(graph, dist, oracle, config, repetitions=ell)
+    repeated per `repetitions` with x = u n, and the majority verdict drives
+    elimination. Schedule and repetition counts depend only on (n, u, seed),
+    so the design stays target-independent; the test cap scales by the
+    repetition factor."""
+    return _snagt_run(graph, dist, oracle, config,
+                      repetitions(alpha, config.u * graph.n, channel.delta))

@@ -235,8 +235,9 @@ class TestRunTruncated:
         for seed in range(10):
             for i in range(3):
                 base = run_adaptive(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.1))
-                cfg = AdaptiveConfig(c=0.1, variant="truncated", f2=3, seed=seed)
-                trunc = run_adaptive(graph, dist, oracle_for(graph, i), cfg)
+                cfg = AdaptiveConfig(c=0.1, variant="truncated", f2=3)
+                trunc = run_adaptive(graph, dist, oracle_for(graph, i), cfg,
+                                     rng=np.random.default_rng(seed))
                 assert trunc.returned_mask() == base.returned_mask()
 
     def test_controlled_failure_when_target_exceeds_cut(self):
@@ -245,8 +246,8 @@ class TestRunTruncated:
         g, d = build_cosize(8)
         saw_failure = False
         for seed in range(30):
-            cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=2, seed=seed)
-            tr = run_adaptive(g, d, oracle_for(g, 0), cfg)
+            cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=2)
+            tr = run_adaptive(g, d, oracle_for(g, 0), cfg, rng=np.random.default_rng(seed))
             if tr.returned_mask() != g.edge_masks[0]:
                 saw_failure = True
                 assert tr.pn == 2
@@ -259,15 +260,15 @@ class TestRunTruncated:
             f2 = 2
             for seed in range(8):
                 for i in range(len(g)):
-                    cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=f2, seed=seed)
-                    tr = run_adaptive(g, d, oracle_for(g, i), cfg)
+                    cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=f2)
+                    tr = run_adaptive(g, d, oracle_for(g, i), cfg, rng=np.random.default_rng(seed))
                     if tr.returned_mask() != g.edge_masks[i]:
                         assert int(g.edge_sizes[i]) > f2
 
     def test_pn_counts_stage2_positives(self):
         g, d = build_cosize(6)
-        cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=3, seed=1)
-        tr = run_adaptive(g, d, oracle_for(g, 0), cfg)
+        cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=3)
+        tr = run_adaptive(g, d, oracle_for(g, 0), cfg, rng=np.random.default_rng(1))
         positives = sum(1 for r in tr.records if r.stage == "individual" and r.outcome)
         assert tr.pn == min(positives, tr.pn) <= 3
 

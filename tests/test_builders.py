@@ -24,7 +24,13 @@ from hypergt.builders import (
     sample_edge_faulty,
     sample_sbim,
 )
-from hypergt.errors import EmptySupport, ModelError, NotNormalized, SchemaError, SupportTooLarge
+from hypergt.errors import (
+    EmptySupport,
+    ModelError,
+    ProbabilityOutOfRange,
+    SchemaError,
+    SupportTooLarge,
+)
 from hypergt.model import validate_model
 from hypergt.sets import mask_of, nodes_of
 
@@ -240,11 +246,37 @@ class TestGuards:
     @pytest.mark.parametrize("spec,error,message", [
         (ModelSpec("nested", {"n": 0}), EmptySupport, "no edge carries positive probability"),
         (ModelSpec("independent", {"p": [0.5] * 21}), SupportTooLarge, "2^21 subsets exceed cap"),
-        # An infinite island probability leaves two infinite masses, which
-        # normalise to NaN: rejected by the distribution, as validate_model did.
-        (ModelSpec("islands", {"k": 2, "m": 1, "p": [math.inf, 0.5]}), NotNormalized,
-         "edge probabilities sum to nan"),
+        # An infinite island probability lies outside [0, 1].
+        (ModelSpec("islands", {"k": 2, "m": 1, "p": [math.inf, 0.5]}), ProbabilityOutOfRange,
+         "probability p[0]=inf outside [0, 1]"),
     ])
     def test_build_model_errors_are_unchanged(self, spec, error, message):
         with pytest.raises(error, match=re.escape(message)):
             build_model(spec)
+
+    # (family, valid params, probability parameter, its label in the error)
+    PROBABILITIES = [
+        ("independent", {"p": [0.5, 0.25]}, "p", "p[1]"),
+        ("islands", {"k": 2, "m": 1, "p": 0.5}, "p", "p"),
+        ("islands", {"k": 2, "m": 1, "p": [0.5, 0.25]}, "p", "p[1]"),
+        ("community", {"sizes": [1, 2], "q": 0.3, "p": [0.5, 0.25]}, "q", "q"),
+        ("community", {"sizes": [1, 2], "q": 0.3, "p": [0.5, 0.25]}, "p", "p[1]"),
+        ("random_regular", {"n": 6, "d": 2, "r": 0.5, "seed": 0}, "r", "r"),
+        ("sbim", {"m": 1, "k": 2, "seed_prob": 0.2, "q1": 0.5, "q2": 0.1}, "seed_prob", "seed_prob"),
+        ("sbim", {"m": 1, "k": 2, "seed_prob": 0.2, "q1": 0.5, "q2": 0.1}, "q1", "q1"),
+        ("sbim", {"m": 1, "k": 2, "seed_prob": 0.2, "q1": 0.5, "q2": 0.1}, "q2", "q2"),
+        ("edge_faulty", {"n": 3, "contact_edges": [[0, 1]], "r": 0.5, "p": 0.3}, "r", "r"),
+        ("edge_faulty", {"n": 3, "contact_edges": [[0, 1]], "r": 0.5, "p": 0.3}, "p", "p"),
+    ]
+
+    @pytest.mark.parametrize("value", [-0.2, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("family,params,key,label", PROBABILITIES,
+                             ids=[f"{f}-{label}" for f, _, _, label in PROBABILITIES])
+    def test_probabilities_outside_the_unit_interval_are_refused(self, family, params, key,
+                                                                 label, value):
+        build_model(ModelSpec(family, params))  # the unaltered params build
+        bad = dict(params)
+        bad[key] = [*params[key][:-1], value] if isinstance(params[key], list) else value
+        with pytest.raises(ProbabilityOutOfRange,
+                           match=re.escape(f"probability {label}={value!r} outside [0, 1]")):
+            build_model(ModelSpec(family, bad))

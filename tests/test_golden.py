@@ -15,6 +15,7 @@ order and the bytes of the probabilities, so a builder that reorders its
 enumeration or its float products shows up here even where no engine runs.
 """
 
+import contextlib
 import hashlib
 import json
 
@@ -26,7 +27,6 @@ from hypergt.builders import BUILDERS, ModelSpec, build_model
 from hypergt.model import noiseless_oracle, sample_truth
 from hypergt.noisy import (
     NoiseChannel,
-    RepetitionSchedule,
     noisy_oracle,
     run_noisy_adaptive,
     run_noisy_snagt,
@@ -60,7 +60,7 @@ def run_engine(engine, graph, dist, c, seed):
         return run_snagt(graph, dist, clean, SnagtConfig(u=4, seed=seed))
     if engine == "noisy_adaptive":
         return run_noisy_adaptive(graph, dist, noisy, AdaptiveConfig(c=c), NoiseChannel(DELTA),
-                                  RepetitionSchedule(), max_physical_tests=2000)
+                                  max_physical_tests=2000)
     if engine == "noisy_snagt":
         return run_noisy_snagt(graph, dist, noisy, SnagtConfig(u=4, seed=seed),
                                NoiseChannel(DELTA))
@@ -109,9 +109,16 @@ GOLDEN = {
 }
 
 
+# On community12 (n=12, u=4) the survival threshold 144 exceeds the test cap
+# 96, so the preplanned engines warn that no run can return.
+NEVER_RETURNS = {("community12", "snagt"), ("community12", "noisy_snagt")}
+
+
 @pytest.mark.parametrize("model,engine", sorted(GOLDEN))
 def test_transcripts_unchanged(model, engine):
-    assert cell_hash(model, engine) == GOLDEN[(model, engine)]
+    with (pytest.warns(UserWarning, match="threshold 144 >= test cap 96")
+          if (model, engine) in NEVER_RETURNS else contextlib.nullcontext()):
+        assert cell_hash(model, engine) == GOLDEN[(model, engine)]
 
 
 # family: params, one model per builder family.

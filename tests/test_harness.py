@@ -1,16 +1,22 @@
+import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypergt
+from hypergt import cli
 from hypergt.builders import ModelSpec
 from hypergt.cli import main as cli_main
 from hypergt.errors import MismatchedConfig, NodeOutOfRange, SchemaError
 from hypergt.harness import (
     ExperimentConfig,
-    Moments,
     TrialResult,
     check_bounds,
     read_csv,
@@ -104,6 +110,38 @@ class TestRunExperiment:
         with pytest.raises(SchemaError, match=repr(key)):
             ExperimentConfig.from_json(doc)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("trials", "5", "'trials' must be int, not '5'"),
+        ("c", "0.3", "'c' must be float, not '0.3'"),
+        ("seed", True, "'seed' must be int, not True"),
+        ("u", 2.5, "'u' must be int | None, not 2.5"),
+        ("algorithm", 3, "'algorithm' must be str, not 3"),
+        ("model", 5, "'model' must be ModelSpec | str, not 5"),
+        ("output", ["a.csv"], "'output' must be str | None, not ['a.csv']"),
+    ])
+    def test_config_json_checks_value_types(self, key, value, message):
+        doc = {"model": {"family": "nested", "params": {"n": 4}}, "algorithm": "base", key: value}
+        with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
+            ExperimentConfig.from_json(doc)
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"algorithm": "base", "c": 0.7}, "c=0.7 outside (0, 1/2)"),
+        ({"algorithm": "noisy_adaptive", "c": 0.0, "delta": 0.1}, "c=0.0 outside (0, 1/2)"),
+        ({"algorithm": "base", "delta": 0.5}, "delta=0.5 outside [0, 1/2)"),
+        ({"algorithm": "noisy_snagt", "u": 3, "delta": -0.1}, "delta=-0.1 outside [0, 1/2)"),
+        ({"algorithm": "snagt", "u": 1}, "u=1 must be >= 2"),
+        ({"algorithm": "noisy_snagt", "u": 3, "cap_coeff": 0.0},
+         "stop_coeff and cap_coeff must be positive"),
+        ({"algorithm": "truncated"}, "truncated variant needs f2 or eps"),
+        ({"algorithm": "truncated", "eps": 1.5}, "eps must lie in (0, 1)"),
+        ({"algorithm": "regular", "c": 0.5}, "c=0.5 outside (0, 1/2)"),
+    ], ids=["base-c", "noisy-c", "delta-half", "negative-delta", "snagt-u", "cap-coeff",
+            "truncated-no-cut", "truncated-eps", "regular-c"])
+    def test_bad_engine_settings_are_refused_before_the_first_trial(self, settings, message):
+        cfg = ExperimentConfig(model=ModelSpec("nested", {"n": 4}), trials=3, **settings)
+        with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
+            run_experiment(cfg)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path, fig1_files):
@@ -174,31 +212,6 @@ class TestSummarize:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_shard_merge_matches_monolithic(self, fig1_files):
-        cfg = ExperimentConfig(model=fig1_files, algorithm="base", trials=60, seed=8, c=0.1)
-        res = run_experiment(cfg)
-        whole = summarize(res)
-        merged = summarize(res[:17]).merge(summarize(res[17:41])).merge(summarize(res[41:]))
-        assert merged.count == whole.count
-        assert merged.tests.mean == pytest.approx(whole.tests.mean, abs=1e-12)
-        assert merged.tests.stderr == pytest.approx(whole.tests.stderr, abs=1e-12)
-        assert merged.error_rate == whole.error_rate
-
-    def test_moments_merge_is_associative(self):
-        xs = [1.0, 2.5, 3.5, 9.0, 4.25]
-        m_all = Moments()
-        for x in xs:
-            m_all.add(x)
-        left = Moments()
-        right = Moments()
-        for x in xs[:2]:
-            left.add(x)
-        for x in xs[2:]:
-            right.add(x)
-        merged = left.merge(right)
-        assert merged.mean == pytest.approx(m_all.mean, abs=1e-12)
-        assert merged.stderr == pytest.approx(m_all.stderr, abs=1e-12)
 
 
 class TestCheckBounds:
@@ -289,14 +302,16 @@ class TestCli:
         dump = json.loads(out_path.read_text())
         assert abs(sum(dump["q"]) - 1.0) < 1e-9
 
-    def test_build_model_spec_needs_a_family(self, tmp_path):
+    def test_build_model_spec_needs_a_family(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"params": {"n": 4}}))
-        with pytest.raises(SchemaError, match="'family'"):
-            cli_main(["build-model", "--spec", str(spec_path), "--out", str(tmp_path / "m.json")])
+        assert cli_main(["build-model", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "m.json")]) == 2
+        assert re.fullmatch("hypergt: .*'family'\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("site", ["params", "spec", "config", "transcript"])
-    def test_malformed_json_names_its_source_and_position(self, tmp_path, fig1_files, site):
+    def test_malformed_json_names_its_source_and_position(self, tmp_path, fig1_files, site,
+                                                          capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{bad")
         out = str(tmp_path / "out")
@@ -308,9 +323,9 @@ class TestCli:
             "transcript": (["posterior", "--model", fig1_files, "--transcript", str(bad)],
                            f"transcript {bad}"),
         }[site]
-        with pytest.raises(SchemaError, match=re.escape(f"{what} is not valid JSON")
-                           + ".*line 1 column 2"):
-            cli_main(argv)
+        assert cli_main(argv) == 2
+        assert re.fullmatch("hypergt: " + re.escape(f"{what} is not valid JSON")
+                            + ".*line 1 column 2.*\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("doc,error,message", [
         ([{"outcome": True}], SchemaError, "transcript record 0 lacks key 'query'"),
@@ -326,12 +341,37 @@ class TestCli:
         ([{"query": [0], "outcome": "no"}], SchemaError, "transcript record 0 "),
     ], ids=["no-query", "no-outcome", "unknown-key", "not-a-list", "negative-node",
             "string-query", "float-node", "node-out-of-range", "string-outcome"])
-    def test_posterior_checks_transcript_records(self, tmp_path, fig1_files, doc, error, message):
+    def test_posterior_checks_transcript_records(self, tmp_path, fig1_files, doc, error, message,
+                                                 capsys):
         transcript_path = tmp_path / "tr.json"
         transcript_path.write_text(json.dumps(doc))
         with pytest.raises(error, match=message) as info:
-            cli_main(["posterior", "--model", fig1_files, "--transcript", str(transcript_path)])
+            cli.cmd_posterior(argparse.Namespace(model=fig1_files, transcript=str(transcript_path),
+                                                 delta=0.0, out=None))
         assert type(info.value) is error
+        assert cli_main(["posterior", "--model", fig1_files,
+                         "--transcript", str(transcript_path)]) == 2
+        assert capsys.readouterr().err == f"hypergt: {info.value}\n"
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["build-model", "--family", "nested", "--params", "{n:4}", "--out", "m.json"], None,
+         "--params is not valid JSON"),
+        (["run", "--config", "cfg.json", "--out", "out.csv"],
+         {"model": {"family": "nested", "params": {"n": 4}}, "algorithm": "base", "c": 0.7},
+         "experiment config: c=0.7 outside (0, 1/2)"),
+    ], ids=["malformed-params", "config-c-out-of-range"])
+    def test_bad_input_exits_2_without_a_traceback(self, tmp_path, argv, config, message):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        src = str(Path(hypergt.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "hypergt.cli", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"hypergt: {message}")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out.csv").exists()
 
     def test_run_fails_when_a_trial_errors(self, tmp_path, capsys):
         # Every edge of cosize(8) has size 7 > u, so each trial raises EmptySupport.

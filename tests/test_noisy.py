@@ -18,12 +18,12 @@ from hypergt.model import (
 )
 from hypergt.noisy import (
     NoiseChannel,
-    RepetitionSchedule,
     admissible_threshold,
     bayes_update_noisy,
     majority_error_probability,
     majority_test,
     noisy_oracle,
+    repetitions,
     run_noisy_adaptive,
     run_noisy_snagt,
 )
@@ -133,12 +133,11 @@ class TestMajority:
 class TestNoisyAdaptive:
     def test_zero_delta_unit_schedule_collapses_to_base(self, fig1):
         graph, dist = fig1
-        schedule = RepetitionSchedule(ell_group=1, ell_individual=1)
         for i in range(3):
             base = run_adaptive(graph, dist, oracle_for(graph, i), AdaptiveConfig(c=0.1))
             noisy = run_noisy_adaptive(graph, dist, oracle_for(graph, i),
                                        AdaptiveConfig(c=0.1), NoiseChannel(0.0),
-                                       schedule, max_physical_tests=1000)
+                                       alpha=0.0, max_physical_tests=1000)
             assert [(r.query, r.outcome) for r in noisy.records] == \
                    [(r.query, r.outcome) for r in base.records]
             assert noisy.returned_mask() == base.returned_mask()
@@ -224,7 +223,7 @@ class TestNoisySnagt:
         g, d = build_random_regular(30, 3, count=12, seed=2)
         clean = run_snagt(g, d, oracle_for(g, 3), SnagtConfig(u=3, seed=4))
         noisy = run_noisy_snagt(g, d, oracle_for(g, 3), SnagtConfig(u=3, seed=4),
-                                NoiseChannel(0.0), ell=1)
+                                NoiseChannel(0.0), alpha=0.0)
         assert [(r.query, r.outcome) for r in noisy.records] == \
                [(r.query, r.outcome) for r in clean.records]
         assert noisy.result_edge == clean.result_edge
@@ -262,11 +261,52 @@ class TestNoisySnagt:
 
 class TestSchedule:
     def test_formulas(self):
-        sched = RepetitionSchedule(alpha=2.0)
-        group, individual = sched.resolve(n=12, u=12, delta=0.1)
-        assert group == math.ceil(2 * math.log2(12) / 0.64)
-        assert individual == math.ceil(2 * math.log2(math.log2(12) * 12) / 0.64)
+        assert repetitions(2.0, 12, 0.1) == math.ceil(2 * math.log2(12) / 0.64) == 12
+        assert repetitions(2.0, math.log2(12) * 12, 0.1) == \
+            math.ceil(2 * math.log2(math.log2(12) * 12) / 0.64) == 17
+        assert repetitions(1.5, 4 * 500, 0.05) == math.ceil(1.5 * math.log2(2000) / 0.81) == 21
 
     def test_minimum_one(self):
-        sched = RepetitionSchedule(alpha=1e-9)
-        assert sched.resolve(4, 2, 0.0) == (1, 1)
+        assert repetitions(1e-9, 4, 0.0) == 1
+        assert repetitions(0.0, 1000, 0.3) == 1
+        assert repetitions(2.0, 1, 0.2) == 1  # log2(1) = 0
+
+    @pytest.mark.parametrize("delta", [0.05, 0.2])
+    def test_every_repetition_group_holds_the_rule(self, delta):
+        """Every repeated site of both noisy engines issues exactly
+        repetitions(...) physical tests, unless the cap cuts its group short."""
+        channel = NoiseChannel(delta)
+        g, d = build_islands(4, 2, 0.5)
+        u = 8
+        want = {"residual": repetitions(2.0, g.n, delta),
+                "individual": repetitions(2.0, max(2.0, math.log2(g.n) * u), delta),
+                "split": 1}
+        seen = set()
+        for seed, cap in [(s, 2000) for s in range(6)] + [(0, 40), (1, 25)]:
+            r_t, r_n = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+            truth = sample_truth(g, d, r_t)
+            tr = run_noisy_adaptive(g, d, noisy_oracle(truth, channel, r_n),
+                                    AdaptiveConfig(c=0.45), channel, u=u,
+                                    max_physical_tests=cap)
+            groups = {}
+            for r in tr.records:
+                groups.setdefault(r.rep_group, []).append(r.stage)
+            last = max(groups)
+            for group, stages in groups.items():
+                assert len(set(stages)) == 1
+                seen.add(stages[0])
+                if tr.halted and group == last:
+                    assert len(stages) <= want[stages[0]]
+                else:
+                    assert len(stages) == want[stages[0]]
+        assert seen == {"split", "residual", "individual"}
+
+        g, d = build_random_regular(40, 3, count=20, seed=3)
+        config = SnagtConfig(u=3, seed=1)
+        tr = run_noisy_snagt(g, d, noisy_oracle(truth_for(g, 4), channel, np.random.default_rng(2)),
+                             config, channel)
+        groups = {}
+        for r in tr.records:
+            groups.setdefault(r.rep_group, []).append(r.query)
+        assert len(groups) > 1
+        assert all(len(qs) == repetitions(2.0, config.u * g.n, delta) for qs in groups.values())

@@ -104,7 +104,8 @@ class TestRunSnagt:
     def test_halts_at_the_cap(self):
         g, d = three_regular(n=20, count=8, seed=5)
         cfg = SnagtConfig(u=3, stop_coeff=10.0, cap_coeff=0.2, seed=0)
-        tr = run_snagt(g, d, oracle_for(g, 0), cfg)
+        with pytest.warns(UserWarning, match="threshold 130 >= test cap 12"):
+            tr = run_snagt(g, d, oracle_for(g, 0), cfg)
         assert tr.halted
         assert tr.total == 12  # floor(0.2 * 3 * 20)
         assert tr.result_edge is None
