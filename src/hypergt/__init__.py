@@ -44,14 +44,12 @@ from .model import (
 from .noisy import (
     NoiseChannel,
     bayes_update_noisy,
-    majority_error_probability,
-    majority_test,
     noisy_oracle,
     repetitions,
     run_noisy_adaptive,
     run_noisy_snagt,
 )
-from .oracle import direct_posterior, nonadaptive_min_error, optimal_expected_tests, simulate_policy
+from .oracle import direct_posterior, optimal_expected_tests, simulate_policy
 from .snagt import SnagtConfig, random_test_set, run_snagt
 from .transcript import Transcript
 

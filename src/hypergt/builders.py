@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmptySupport, ModelError, ProbabilityOutOfRange, SchemaError, SupportTooLarge
 from .model import EdgeDistribution, Hypergraph, check_record
-from .sets import iter_bits, mask_of
+from .sets import mask_of, nodes_of
 
 SUPPORT_CAP = 1 << 20
 
@@ -51,7 +51,7 @@ class ModelSpec:
         """Raise ModelError for an unknown family, and SchemaError unless params
         is an object holding every required parameter of the family's builder,
         no other key, and values of the types the builder annotates."""
-        if self.family not in BUILDERS:
+        if not isinstance(self.family, str) or self.family not in BUILDERS:
             raise ModelError(f"unknown model family {self.family!r}")
         builder = BUILDERS[self.family]
         args = inspect.signature(builder).parameters
@@ -307,17 +307,6 @@ def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float
     return _finish(n, masses)
 
 
-def sample_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float, p: float,
-                       rng: np.random.Generator) -> int:
-    """One draw of the edge-faulty generative process (infected set mask)."""
-    kept = [e for e in contact_edges if rng.random() < r]
-    mask = 0
-    for comp in _components(n, kept):
-        if rng.random() < p:
-            mask |= comp
-    return mask
-
-
 def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[Hypergraph, EdgeDistribution]:
     """Seeded block infection: m communities of k nodes; each node seeds
     independently with probability seed_prob, then each seed infects every
@@ -334,7 +323,7 @@ def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[
     masses: dict[int, float] = {}
     for s in range(2 ** n):
         total = 0.0
-        s_nodes = list(iter_bits(s))
+        s_nodes = nodes_of(s)
         others = [v for v in range(n) if not s >> v & 1]
         for t_bits in range(2 ** len(s_nodes)):
             seeds = [s_nodes[i] for i in range(len(s_nodes)) if t_bits >> i & 1]
@@ -351,24 +340,6 @@ def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[
             total += w
         masses[s] = total
     return _finish(n, masses)
-
-
-def sample_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float,
-                rng: np.random.Generator) -> int:
-    """One draw of the seeded block infection process (infected set mask)."""
-    n = m * k
-    community = [v // k for v in range(n)]
-    seeds = [v for v in range(n) if rng.random() < seed_prob]
-    mask = mask_of(seeds)
-    for v in range(n):
-        if mask >> v & 1:
-            continue
-        for u in seeds:
-            q = q1 if community[u] == community[v] else q2
-            if rng.random() < q:
-                mask |= 1 << v
-                break
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Subcommands: build-model (model spec -> model file), run (experiment config
 -> results CSV), oracle (model file -> optimal value and policy), check
 (config + CSV -> bound report), posterior (model + transcript -> posterior
 dump). Exit codes: 0 success, 1 a run with failed trials or a failed bound
-check, 2 bad input (a ModelError, printed as one line on stderr).
+check, 2 bad input (a ModelError or a file that cannot be read or written,
+printed as one line on stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 
 from .builders import ModelSpec, build_model
-from .errors import ModelError, NodeOutOfRange, SchemaError
+from .errors import ModelError
 from .harness import (
     ExperimentConfig,
     check_bounds,
@@ -25,7 +26,6 @@ from .harness import (
     write_csv,
 )
 from .model import (
-    check_record,
     edge_entropy,
     expected_infections,
     load_model,
@@ -35,8 +35,7 @@ from .model import (
     save_model,
 )
 from .oracle import direct_posterior, optimal_expected_tests
-from .sets import mask_of
-from .transcript import RECORD_KEYS
+from .transcript import read_records
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -101,21 +100,9 @@ def cmd_check(args) -> int:
 
 def cmd_posterior(args) -> int:
     graph, dist = load_model(args.model)
+    what = f"transcript {args.transcript}"
     with open(args.transcript) as fh:
-        doc = parse_json(fh.read(), f"transcript {args.transcript}")
-    if not isinstance(doc, list):
-        raise SchemaError(f"transcript {args.transcript} must be a JSON list of test records")
-    for i, rec in enumerate(doc):
-        what = f"transcript record {i}"
-        check_record(rec, what, ("query", "outcome"), RECORD_KEYS)
-        query, outcome = rec["query"], rec["outcome"]
-        if not (isinstance(query, list) and all(type(v) is int for v in query)
-                and isinstance(outcome, bool)):
-            raise SchemaError(f"{what} needs a list of integer nodes as query and true or "
-                              f"false as outcome, not {query!r} and {outcome!r}")
-        if not all(0 <= v < graph.n for v in query):
-            raise NodeOutOfRange(f"{what} queries a node outside 0..{graph.n - 1}")
-    transcript = [(mask_of(rec["query"]), rec["outcome"]) for rec in doc]
+        transcript = read_records(parse_json(fh.read(), what), graph.n, what)
     post = direct_posterior(graph, dist, transcript, delta=args.delta)
     dump = {
         "q": [float(x) for x in post.q],
@@ -170,7 +157,7 @@ def main(argv=None) -> int:
         parser.error("build-model needs --spec or --family")
     try:
         return args.func(args)
-    except ModelError as exc:
+    except (ModelError, OSError) as exc:
         print(f"hypergt: {exc}", file=sys.stderr)
         return 2
 

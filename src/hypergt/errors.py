@@ -46,7 +46,7 @@ class ProbabilityOutOfRange(ModelError):
     """A builder's probability parameter lies outside [0, 1]."""
 
 
-class TooLarge(ValueError):
+class TooLarge(ModelError):
     """Instance exceeds the brute-force oracle's feasibility limits."""
 
 
@@ -58,5 +58,5 @@ class NotRegular(RuntimeError):
     """Surviving edges differ in size where the regular variant needs them equal."""
 
 
-class MismatchedConfig(ValueError):
+class MismatchedConfig(ModelError):
     """Results do not correspond to the supplied experiment config."""

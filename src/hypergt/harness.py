@@ -31,7 +31,14 @@ from .model import (
     prior_posterior,
     sample_truth,
 )
-from .noisy import NoiseChannel, noisy_oracle, run_noisy_adaptive, run_noisy_snagt
+from .noisy import (
+    NoiseChannel,
+    _check_budget,
+    noisy_oracle,
+    repetitions,
+    run_noisy_adaptive,
+    run_noisy_snagt,
+)
 from .oracle import optimal_expected_tests, simulate_policy
 from .snagt import SnagtConfig, run_snagt
 
@@ -65,7 +72,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {self.algorithm!r}")
             if self.trials < 1:
                 raise ValueError("trials must be >= 1")
+            if self.seed < 0:
+                raise ValueError(f"seed={self.seed} must be >= 0")
             NoiseChannel(self.delta)
+            if self.algorithm in ("noisy_adaptive", "noisy_snagt"):
+                repetitions(self.alpha, 2.0, self.delta)
+            if self.algorithm == "noisy_adaptive":
+                _check_budget(self.u, self.max_tests)
             if self.algorithm in ("snagt", "noisy_snagt"):
                 if self.u is None:
                     raise ValueError(f"{self.algorithm} needs u")

@@ -256,10 +256,12 @@ def check_record(doc, what: str, required: Sequence[str], allowed: Sequence[str]
 
 
 def parse_json(text: str, what: str):
-    """json.loads that raises SchemaError naming `what` and where the text breaks."""
+    """json.loads that raises SchemaError naming `what` and where the text
+    breaks, or why it cannot be decoded (an integer of more digits than Python
+    converts, nesting deeper than the recursion limit)."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from None
 
 

@@ -58,8 +58,22 @@ def repetitions(alpha: float, x: float, delta: float) -> int:
     """How often a noisy engine repeats a test: ceil(alpha * log2(x) / (1-2d)^2),
     never fewer than once. x is n for the residual group test,
     max(2, u log2 n) for a stage-2 individual test and u n for a preplanned
-    test."""
-    return max(1, math.ceil(alpha * math.log2(x) / (1.0 - 2.0 * delta) ** 2))
+    test. alpha must be finite and >= 0; 0 asks every test once."""
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha={alpha} must be finite and >= 0")
+    try:
+        return max(1, math.ceil(alpha * math.log2(x) / (1.0 - 2.0 * delta) ** 2))
+    except OverflowError:
+        raise ValueError(f"alpha={alpha} repeats a test without end") from None
+
+
+def _check_budget(u: int | None, max_physical_tests: int | None) -> None:
+    """Refuse a stage-2 size bound or a physical-test budget below 1; None
+    means n for either."""
+    if u is not None and u < 1:
+        raise ValueError(f"u={u} must be >= 1")
+    if max_physical_tests is not None and max_physical_tests < 1:
+        raise ValueError(f"physical-test budget {max_physical_tests} must be >= 1")
 
 
 def noisy_oracle(truth: GroundTruth, channel: NoiseChannel,
@@ -86,29 +100,6 @@ def bayes_update_noisy(post: Posterior, t, observed: bool, delta: float) -> Post
     t_mask = t if isinstance(t, int) else mask_of(t)
     match = edge_outcomes(post.graph, t_mask) == bool(observed)
     return renormalized(post, post.q * np.where(match, 1.0 - delta, delta), t_mask, observed)
-
-
-def majority_test(oracle: TestOracle, t_mask: int, ell: int) -> bool:
-    """Query t exactly ell times and take the majority; even-split ties
-    resolve positive."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    votes = sum(1 for _ in range(ell) if oracle(t_mask))
-    return 2 * votes >= ell
-
-
-def majority_error_probability(ell: int, delta: float) -> float:
-    """Exact probability that the ell-repetition majority verdict is wrong.
-
-    With ties resolving positive, a truly negative query errs when at least
-    ceil(ell/2) flips occur, a truly positive one when more than ell/2 do;
-    this returns the larger (the negative-side tail).
-    """
-    kmin = math.ceil(ell / 2)
-    return sum(
-        math.comb(ell, k) * delta ** k * (1.0 - delta) ** (ell - k)
-        for k in range(kmin, ell + 1)
-    )
 
 
 def admissible_threshold(delta: float) -> float:
@@ -167,12 +158,13 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
 
     Weight-window tests run once; the residual group test and the stage-2
     individual tests are repeated per `repetitions` with majority verdicts
-    (u defaults to n). The posterior absorbs every physical outcome through
+    (u >= 1, default n). The posterior absorbs every physical outcome through
     exact Bayes. Stage 1 first scans the nodes of positive prior mass. The
-    physical-test budget defaults to n, the asymptotic analysis' cap; desk
-    runs usually need to raise it. Only the base variant runs under noise.
+    physical-test budget (>= 1) defaults to n, the asymptotic analysis' cap;
+    desk runs usually need to raise it. Only the base variant runs under noise.
     """
     config.validate()
+    _check_budget(u, max_physical_tests)
     if config.variant != "base":
         raise ValueError(f"noisy runs support only variant='base', got {config.variant!r}")
     validate_model(graph, dist)
@@ -184,8 +176,9 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
             stacklevel=2,
         )
     n = graph.n
+    u = n if u is None else u
     ells = {SPLIT: 1, RESIDUAL: repetitions(alpha, n, delta),
-            INDIVIDUAL: repetitions(alpha, max(2.0, math.log2(n) * (u if u else n)), delta)}
+            INDIVIDUAL: repetitions(alpha, max(2.0, math.log2(n) * u), delta)}
     cap = n if max_physical_tests is None else max_physical_tests
     post = prior_posterior(graph, dist)
     obs = _Repeated(oracle, post, delta, ells, cap)

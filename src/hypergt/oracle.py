@@ -1,21 +1,19 @@
 """Independent brute-force references.
 
-Three ground truths live here: the exact optimal zero-error adaptive policy
-(exhaustive memoized search over information states), the one-pass direct
-posterior (noiseless removal or likelihood-weighted Bayes), and an exhaustive
-error checker for single-node non-adaptive plans on the chain model.
+Two ground truths live here: the exact optimal zero-error adaptive policy
+(exhaustive memoized search over information states) and the one-pass direct
+posterior (noiseless removal or likelihood-weighted Bayes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .errors import TooLarge, ZeroSurvivorMass
 from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
-from .sets import full_mask, iter_bits, mask_of, nodes_of
+from .sets import full_mask, mask_of, nodes_of
 
 MAX_EDGES = 14
 MAX_NODES = 12
@@ -71,17 +69,17 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
         """Returns (value, chosen negative-side subset; -1 at leaves)."""
         if state & (state - 1) == 0:
             return 0.0, -1
-        mass = sum(eprob[k] for k in iter_bits(state))
+        mass = sum(eprob[k] for k in nodes_of(state))
         best_val, best_neg = None, -1
         neg = (state - 1) & state
         while neg:  # nonempty proper subsets of the state as the negative side
             pos = state & ~neg
             union_neg = 0
-            for k in iter_bits(neg):
+            for k in nodes_of(neg):
                 union_neg |= emask[k]
             t = universe & ~union_neg
-            if all(emask[k] & t for k in iter_bits(pos)):
-                p_pos = sum(eprob[k] for k in iter_bits(pos)) / mass
+            if all(emask[k] & t for k in nodes_of(pos)):
+                p_pos = sum(eprob[k] for k in nodes_of(pos)) / mass
                 val = 1.0 + p_pos * solve(pos)[0] + (1.0 - p_pos) * solve(neg)[0]
                 if best_val is None or val < best_val - 1e-15:
                     best_val, best_neg = val, neg
@@ -92,12 +90,12 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
     def build(state: int) -> PolicyNode:
         val, neg = solve(state)
         if neg == -1:
-            return PolicyNode(0.0, edge=alive[next(iter_bits(state))])
+            return PolicyNode(0.0, edge=alive[nodes_of(state)[0]])
         pos = state & ~neg
         union_neg, union_pos = 0, 0
-        for k in iter_bits(neg):
+        for k in nodes_of(neg):
             union_neg |= emask[k]
-        for k in iter_bits(pos):
+        for k in nodes_of(pos):
             union_pos |= emask[k]
         t = (universe & ~union_neg) & union_pos
         return PolicyNode(val, test=nodes_of(t), on_positive=build(pos), on_negative=build(neg))
@@ -127,30 +125,6 @@ def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
     if total <= 0.0:
         raise ZeroSurvivorMass("transcript inconsistent with every edge")
     return Posterior(graph, weights / total)
-
-
-def nonadaptive_min_error(n: int, budget: int) -> float:
-    """Exhaustive minimum error of single-node non-adaptive plans on the chain
-    model (edges {v1..vi}, uniform 1/n mass).
-
-    Plans draw `budget` distinct probe nodes from {2..n}; node 1 is in every
-    edge, so probing it is never useful. Decoding is maximum-a-posteriori; a
-    target that stays ambiguous within its outcome class counts as a half
-    error, the pairwise-confusion convention of the matching lower bound.
-    """
-    if n > MAX_NODES:
-        raise TooLarge(f"n={n} > {MAX_NODES}")
-    if not 0 <= budget <= n - 1:
-        raise ValueError(f"budget {budget} outside 0..{n - 1}")
-    best = None
-    for plan in combinations(range(2, n + 1), budget):
-        probes = sorted(plan)
-        # Targets e_k and e_k' share an outcome signature iff no probe lies in
-        # (k, k']; classes are the intervals the probes cut {1..n} into.
-        bounds = [1] + probes + [n + 1]
-        err = sum(bounds[i + 1] - bounds[i] - 1 for i in range(len(bounds) - 1)) / (2.0 * n)
-        best = err if best is None else min(best, err)
-    return float(best)
 
 
 def simulate_policy(policy: PolicyNode, oracle) -> tuple[int, int]:

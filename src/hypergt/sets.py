@@ -12,7 +12,7 @@ query hit?
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,15 +39,6 @@ def nodes_of(mask: int) -> tuple[int, ...]:
     raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     bits = np.unpackbits(np.frombuffer(raw, _U8), bitorder="little")
     return tuple(bits.nonzero()[0].tolist())
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
 
 
 def full_mask(n: int) -> int:

@@ -35,8 +35,8 @@ class SnagtConfig:
     def validate(self) -> None:
         if self.u < 2:
             raise ValueError(f"u={self.u} must be >= 2")
-        if self.stop_coeff <= 0 or self.cap_coeff <= 0:
-            raise ValueError("stop_coeff and cap_coeff must be positive")
+        if not (0.0 < self.stop_coeff < math.inf and 0.0 < self.cap_coeff < math.inf):
+            raise ValueError("stop_coeff and cap_coeff must be positive and finite")
 
 
 def dyadic_bucket(p: float) -> int:

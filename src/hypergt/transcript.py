@@ -1,10 +1,13 @@
-"""Engine run records: ordered tests with stage tags plus outcome counters."""
+"""Engine run records: ordered tests with stage tags plus outcome counters,
+and the reader of their JSON form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import NodeOutOfRange, SchemaError
+from .model import check_record
 from .sets import mask_of, nodes_of
 
 # Stage tags.
@@ -95,3 +98,25 @@ class Transcript:
             "halted": self.halted,
             "mu_stage2": self.mu_stage2,
         }
+
+
+def read_records(doc, n: int, what: str) -> list[tuple[int, bool]]:
+    """(query mask, outcome) pairs from a JSON list of test records in the
+    `TestEntry.to_json` form, for a model on n nodes. SchemaError for a
+    malformed list or record, NodeOutOfRange for a node outside 0..n-1; `what`
+    names the list in errors."""
+    if not isinstance(doc, list):
+        raise SchemaError(f"{what} must be a JSON list of test records")
+    pairs = []
+    for i, rec in enumerate(doc):
+        where = f"transcript record {i}"
+        check_record(rec, where, ("query", "outcome"), RECORD_KEYS)
+        query, outcome = rec["query"], rec["outcome"]
+        if not (isinstance(query, list) and all(type(v) is int for v in query)
+                and isinstance(outcome, bool)):
+            raise SchemaError(f"{where} needs a list of integer nodes as query and true or "
+                              f"false as outcome, not {query!r} and {outcome!r}")
+        if not all(0 <= v < n for v in query):
+            raise NodeOutOfRange(f"{where} queries a node outside 0..{n - 1}")
+        pairs.append((mask_of(query), outcome))
+    return pairs

@@ -1,9 +1,14 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from hypergt.builders import _components
+from hypergt.errors import TooLarge
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
+from hypergt.oracle import MAX_NODES
 from hypergt.sets import mask_of, nodes_of
 
 
@@ -74,3 +79,72 @@ def reference_split_scan(post, c):
         if not high:
             return s, False
         s &= ~(1 << high[0])
+
+
+# References that only tests use: the exact majority tail, the single-probe
+# preplanned error floor on the chain model, and the two generative processes
+# whose enumerations the builders compute.
+
+def majority_error_probability(ell, delta):
+    """Exact probability that the ell-repetition majority verdict is wrong.
+
+    With ties resolving positive, a truly negative query errs when at least
+    ceil(ell/2) flips occur, a truly positive one when more than ell/2 do;
+    this returns the larger (the negative-side tail).
+    """
+    kmin = math.ceil(ell / 2)
+    return sum(
+        math.comb(ell, k) * delta ** k * (1.0 - delta) ** (ell - k)
+        for k in range(kmin, ell + 1)
+    )
+
+
+def nonadaptive_min_error(n, budget):
+    """Exhaustive minimum error of single-node non-adaptive plans on the chain
+    model (edges {v1..vi}, uniform 1/n mass).
+
+    Plans draw `budget` distinct probe nodes from {2..n}; node 1 is in every
+    edge, so probing it is never useful. Decoding is maximum-a-posteriori; a
+    target that stays ambiguous within its outcome class counts as a half
+    error, the pairwise-confusion convention of the matching lower bound.
+    """
+    if n > MAX_NODES:
+        raise TooLarge(f"n={n} > {MAX_NODES}")
+    if not 0 <= budget <= n - 1:
+        raise ValueError(f"budget {budget} outside 0..{n - 1}")
+    best = None
+    for plan in combinations(range(2, n + 1), budget):
+        probes = sorted(plan)
+        # Targets e_k and e_k' share an outcome signature iff no probe lies in
+        # (k, k']; classes are the intervals the probes cut {1..n} into.
+        bounds = [1] + probes + [n + 1]
+        err = sum(bounds[i + 1] - bounds[i] - 1 for i in range(len(bounds) - 1)) / (2.0 * n)
+        best = err if best is None else min(best, err)
+    return float(best)
+
+
+def sample_edge_faulty(n, contact_edges, r, p, rng):
+    """One draw of the edge-faulty generative process (infected set mask)."""
+    kept = [e for e in contact_edges if rng.random() < r]
+    mask = 0
+    for comp in _components(n, kept):
+        if rng.random() < p:
+            mask |= comp
+    return mask
+
+
+def sample_sbim(m, k, seed_prob, q1, q2, rng):
+    """One draw of the seeded block infection process (infected set mask)."""
+    n = m * k
+    community = [v // k for v in range(n)]
+    seeds = [v for v in range(n) if rng.random() < seed_prob]
+    mask = mask_of(seeds)
+    for v in range(n):
+        if mask >> v & 1:
+            continue
+        for u in seeds:
+            q = q1 if community[u] == community[v] else q2
+            if rng.random() < q:
+                mask |= 1 << v
+                break
+    return mask

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import sample_edge_faulty, sample_sbim
 from hypergt.builders import (
     SUPPORT_CAP,
     ModelSpec,
@@ -21,8 +22,6 @@ from hypergt.builders import (
     build_partial_regular,
     build_random_regular,
     build_sbim,
-    sample_edge_faulty,
-    sample_sbim,
 )
 from hypergt.errors import (
     EmptySupport,

@@ -1,0 +1,126 @@
+"""Arbitrary JSON in place of a transcript record, a query, an outcome, an
+experiment config or any one of its fields: every input either parses or is
+refused with a ModelError subclass, never with a KeyError, TypeError,
+IndexError or bare ValueError."""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypergt.errors import ModelError, SchemaError
+from hypergt.harness import ALGORITHMS, ExperimentConfig
+from hypergt.model import parse_json
+from hypergt.transcript import read_records
+
+N = 5
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(ALGORITHMS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+def parse_or_refuse(parse, *args):
+    """The parsed value, or None when parse raised a ModelError."""
+    try:
+        return parse(*args)
+    except ModelError:
+        return None
+
+
+def read(doc):
+    pairs = parse_or_refuse(read_records, doc, N, "transcript")
+    if pairs is not None:
+        assert all(0 <= m < 2 ** N and type(o) is bool for m, o in pairs)
+    return pairs
+
+
+class TestTranscriptRecords:
+    @FUZZ
+    @given(json_values)
+    def test_any_document(self, doc):
+        read(doc)
+
+    @FUZZ
+    @given(json_values)
+    def test_any_record(self, rec):
+        read([{"query": [0], "outcome": True}, rec])
+
+    @FUZZ
+    @given(json_values, st.booleans())
+    def test_any_query(self, query, outcome):
+        read([{"query": query, "outcome": outcome}])
+
+    @FUZZ
+    @given(json_values)
+    def test_any_outcome(self, outcome):
+        read([{"query": [1, 2], "outcome": outcome}])
+
+    @FUZZ
+    @given(st.sampled_from(["mass_removed", "rep_group", "sg_size", "sg_max_time", "stage"]),
+           json_values)
+    def test_any_optional_value(self, key, value):
+        assert read([{"query": [], "outcome": False, key: value}]) == [(0, False)]
+
+    def test_a_well_formed_list_parses(self):
+        assert read([{"query": [0, 4], "outcome": True, "stage": "split"},
+                     {"query": [], "outcome": False}]) == [(0b10001, True), (0, False)]
+
+
+def valid_config(algorithm):
+    return {"model": {"family": "nested", "params": {"n": 4}}, "algorithm": algorithm,
+            "trials": 2, "u": 3, "eps": 0.1}
+
+
+def load_config(doc):
+    def parse(doc):
+        cfg = ExperimentConfig.from_json(doc)
+        cfg.validate()
+        return cfg
+
+    return parse_or_refuse(parse, doc)
+
+
+class TestExperimentConfigs:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_the_base_configs_parse(self, algorithm):
+        assert load_config(valid_config(algorithm)) is not None
+
+    @FUZZ
+    @given(json_values)
+    def test_any_document(self, doc):
+        load_config(doc)
+
+    @FUZZ
+    @given(st.sampled_from(ALGORITHMS),
+           st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+           json_values)
+    def test_any_field(self, algorithm, key, value):
+        load_config({**valid_config(algorithm), key: value})
+
+    @FUZZ
+    @given(st.sampled_from(ALGORITHMS), st.sampled_from(["family", "params"]), json_values)
+    def test_any_model_record_value(self, algorithm, key, value):
+        doc = valid_config(algorithm)
+        doc["model"] = {**doc["model"], key: value}
+        load_config(doc)
+
+    @FUZZ
+    @given(st.sampled_from(["noisy_adaptive", "noisy_snagt"]),
+           st.floats(allow_nan=True) | st.integers(), st.floats(0.0, 0.49))
+    def test_any_alpha_at_any_delta(self, algorithm, alpha, delta):
+        cfg = load_config({**valid_config(algorithm), "alpha": alpha, "delta": delta})
+        if not 0.0 <= alpha < math.inf:
+            assert cfg is None
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000],
+                         ids=["integer-over-4300-digits", "nesting-past-the-recursion-limit"])
+def test_undecodable_json_is_a_schema_error(text):
+    with pytest.raises(SchemaError, match="^config is not valid JSON: "):
+        parse_json(text, "config")

@@ -12,7 +12,7 @@ import pytest
 
 import hypergt
 from hypergt import cli
-from hypergt.builders import ModelSpec
+from hypergt.builders import ModelSpec, build_model
 from hypergt.cli import main as cli_main
 from hypergt.errors import MismatchedConfig, NodeOutOfRange, SchemaError
 from hypergt.harness import (
@@ -25,8 +25,10 @@ from hypergt.harness import (
     summarize,
     write_csv,
 )
+from hypergt.model import parse_json, save_model
 
 FIG1_SPEC = ModelSpec("fig1", {})
+NESTED4 = {"family": "nested", "params": {"n": 4}}
 CSV_HEADER = "trial,seed,target,tests,stage1,stage2,informative,correct,halted"
 
 
@@ -39,8 +41,6 @@ def fig1_config(**kw):
 
 @pytest.fixture
 def fig1_files(tmp_path, fig1):
-    from hypergt.model import save_model
-
     graph, dist = fig1
     model_path = tmp_path / "fig1.json"
     save_model(str(model_path), graph, dist)
@@ -135,12 +135,34 @@ class TestRunExperiment:
         ({"algorithm": "truncated"}, "truncated variant needs f2 or eps"),
         ({"algorithm": "truncated", "eps": 1.5}, "eps must lie in (0, 1)"),
         ({"algorithm": "regular", "c": 0.5}, "c=0.5 outside (0, 1/2)"),
+        ({"algorithm": "base", "seed": -1}, "seed=-1 must be >= 0"),
+        ({"algorithm": "noisy_adaptive", "u": -3}, "u=-3 must be >= 1"),
+        ({"algorithm": "noisy_adaptive", "u": 0}, "u=0 must be >= 1"),
+        ({"algorithm": "noisy_adaptive", "max_tests": -1},
+         "physical-test budget -1 must be >= 1"),
+        ({"algorithm": "noisy_adaptive", "alpha": -1.0}, "alpha=-1.0 must be finite and >= 0"),
+        ({"algorithm": "noisy_adaptive", "alpha": math.nan}, "alpha=nan must be finite"),
+        ({"algorithm": "noisy_snagt", "u": 3, "alpha": math.inf}, "alpha=inf must be finite"),
+        ({"algorithm": "snagt", "u": 3, "stop_coeff": math.nan},
+         "stop_coeff and cap_coeff must be positive and finite"),
+        ({"algorithm": "noisy_snagt", "u": 3, "cap_coeff": math.inf},
+         "stop_coeff and cap_coeff must be positive and finite"),
     ], ids=["base-c", "noisy-c", "delta-half", "negative-delta", "snagt-u", "cap-coeff",
-            "truncated-no-cut", "truncated-eps", "regular-c"])
+            "truncated-no-cut", "truncated-eps", "regular-c", "negative-seed", "negative-u",
+            "zero-u", "negative-max-tests", "negative-alpha", "nan-alpha", "infinite-alpha",
+            "nan-stop-coeff", "infinite-cap-coeff"])
     def test_bad_engine_settings_are_refused_before_the_first_trial(self, settings, message):
         cfg = ExperimentConfig(model=ModelSpec("nested", {"n": 4}), trials=3, **settings)
         with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("setting", ['"alpha": NaN', '"cap_coeff": Infinity'])
+    def test_json_nan_and_infinity_are_refused(self, setting):
+        text = ('{"model": {"family": "nested", "params": {"n": 4}}, '
+                f'"algorithm": "noisy_snagt", "u": 3, {setting}}}')
+        cfg = ExperimentConfig.from_json(parse_json(text, "config"))
+        with pytest.raises(SchemaError, match="must be"):
+            cfg.validate()
 
 
 class TestCsv:
@@ -353,16 +375,40 @@ class TestCli:
                          "--transcript", str(transcript_path)]) == 2
         assert capsys.readouterr().err == f"hypergt: {info.value}\n"
 
-    @pytest.mark.parametrize("argv,config,message", [
-        (["build-model", "--family", "nested", "--params", "{n:4}", "--out", "m.json"], None,
+    @pytest.mark.parametrize("argv,files,message", [
+        (["build-model", "--family", "nested", "--params", "{n:4}", "--out", "m.json"], {},
          "--params is not valid JSON"),
         (["run", "--config", "cfg.json", "--out", "out.csv"],
-         {"model": {"family": "nested", "params": {"n": 4}}, "algorithm": "base", "c": 0.7},
+         {"cfg.json": {"model": NESTED4, "algorithm": "base", "c": 0.7}},
          "experiment config: c=0.7 outside (0, 1/2)"),
-    ], ids=["malformed-params", "config-c-out-of-range"])
-    def test_bad_input_exits_2_without_a_traceback(self, tmp_path, argv, config, message):
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (["check", "--config", "cfg.json", "--csv", "res.csv"],
+         {"cfg.json": {"model": NESTED4, "algorithm": "base", "trials": 5},
+          "res.csv": CSV_HEADER + "\n" + "0,1,0,1,1,0,0,1,0\n" * 3},
+         "3 results for a config with trials=5"),
+        (["oracle", "--model", "missing.json"], {},
+         "[Errno 2] No such file or directory: 'missing.json'"),
+        (["oracle", "--model", "nested20.json"], {"nested20.json": ModelSpec("nested", {"n": 20})},
+         "20 supported edges > 14"),
+        (["run", "--config", "cfg.json", "--out", "out.csv"],
+         {"cfg.json": {"model": {"family": "nested", "params": {"n": 20}},
+                       "algorithm": "oracle"}},
+         "20 supported edges > 14"),
+        (["run", "--config", "cfg.json", "--out", "out.csv"],
+         {"cfg.json": {"model": NESTED4, "algorithm": "base", "seed": -1}},
+         "experiment config: seed=-1 must be >= 0"),
+        (["run", "--config", "cfg.json", "--out", "missing/out.csv"],
+         {"cfg.json": {"model": NESTED4, "algorithm": "base"}},
+         "[Errno 2] No such file or directory: 'missing/out.csv'"),
+    ], ids=["malformed-params", "config-c-out-of-range", "check-trial-count",
+            "oracle-missing-model", "oracle-too-large", "run-oracle-too-large",
+            "negative-seed", "out-in-missing-directory"])
+    def test_bad_input_exits_2_without_a_traceback(self, tmp_path, argv, files, message):
+        for name, content in files.items():
+            if isinstance(content, ModelSpec):
+                save_model(str(tmp_path / name), *build_model(content))
+            else:
+                text = content if isinstance(content, str) else json.dumps(content)
+                (tmp_path / name).write_text(text)
         src = str(Path(hypergt.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         done = subprocess.run([sys.executable, "-m", "hypergt.cli", *argv], cwd=tmp_path,
@@ -370,7 +416,7 @@ class TestCli:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert done.stderr.startswith(f"hypergt: {message}")
-        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "out.csv").exists()
 
     def test_run_fails_when_a_trial_errors(self, tmp_path, capsys):

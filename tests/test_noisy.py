@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_for, random_model, truth_for
+from conftest import majority_error_probability, oracle_for, random_model, truth_for
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
-from hypergt.builders import build_islands, build_random_regular
+from hypergt.builders import build_independent, build_islands, build_random_regular
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
@@ -20,8 +21,6 @@ from hypergt.noisy import (
     NoiseChannel,
     admissible_threshold,
     bayes_update_noisy,
-    majority_error_probability,
-    majority_test,
     noisy_oracle,
     repetitions,
     run_noisy_adaptive,
@@ -30,6 +29,7 @@ from hypergt.noisy import (
 from hypergt.oracle import direct_posterior
 from hypergt.sets import mask_of
 from hypergt.snagt import SnagtConfig, run_snagt
+from hypergt.transcript import INDIVIDUAL
 
 
 class TestChannelAndOracle:
@@ -95,22 +95,46 @@ class TestBayesUpdate:
 
 
 class TestMajority:
-    def test_no_noise_any_ell(self, fig1):
-        graph, _ = fig1
-        oracle = noiseless_oracle(truth_for(graph, 0))
-        for ell in (1, 2, 5):
-            assert majority_test(oracle, 0b00001, ell) is True
-            assert majority_test(oracle, 0b01000, ell) is False
+    """Both noisy engines take the majority of a repetition group, and an even
+    split counts as positive."""
 
-    def test_single_repeat_is_single_query(self):
+    @pytest.mark.parametrize("answers,positives", [
+        ([True, False, True, False], (0, 1)),
+        ([False, True, False, True], (0, 1)),
+        ([False, False, True, True], (1,)),
+    ], ids=["true-first", "false-first", "control"])
+    def test_even_split_counts_positive_in_noisy_adaptive(self, answers, positives):
+        # independent p = (0.9, 0.9): the residual is both nodes, so the empty
+        # complement costs nothing and stage 2 asks node 0, then node 1, twice
+        # each (ceil(1 * log2(2) / 0.8^2) = 2).
+        graph, dist = build_independent([0.9, 0.9])
+        script = iter(answers)
+        tr = run_noisy_adaptive(graph, dist, lambda t: next(script), AdaptiveConfig(),
+                                NoiseChannel(0.1), alpha=1.0, max_physical_tests=100)
+        assert [(r.query_mask, r.outcome, r.stage) for r in tr.records] == [
+            (1 << v, a, INDIVIDUAL) for v, a in zip((0, 0, 1, 1), answers)]
+        assert tr.result_nodes == positives
+
+    @pytest.mark.parametrize("ties,edge", [(True, 0), (False, 1)],
+                             ids=["split-groups", "control"])
+    def test_even_split_counts_positive_in_noisy_snagt(self, ties, edge):
+        # Edges {0, 1} and {} with equal mass; every test is asked twice
+        # (ceil(0.25 * log2(16) / 0.8^2) = 2). The oracle answers a test that
+        # meets {0, 1} with True then False (or False twice for the control),
+        # and every other test with False twice. Only if a split is positive
+        # does {} die and {0, 1} survive.
+        graph = Hypergraph(8, [[0, 1], []])
         calls = []
-        oracle = lambda t: calls.append(t) or True
-        assert majority_test(oracle, 7, 1) is True
-        assert calls == [7]
 
-    def test_even_ties_resolve_positive(self):
-        outcomes = iter([True, False])
-        assert majority_test(lambda t: next(outcomes), 1, 2) is True
+        def split(t_mask):
+            calls.append(t_mask)
+            return ties and bool(t_mask & 0b11) and len(calls) % 2 == 1
+
+        tr = run_noisy_snagt(graph, EdgeDistribution([0.5, 0.5]), split,
+                             SnagtConfig(u=2, stop_coeff=1.0, seed=0), NoiseChannel(0.1),
+                             alpha=0.25)
+        assert calls[0::2] == calls[1::2] and any(t & 0b11 for t in calls)
+        assert not tr.halted and tr.result_edge == edge
 
     def test_exact_tail_value(self):
         # 25 repetitions at 10% flip rate: error needs 13 or more flips
@@ -124,7 +148,10 @@ class TestMajority:
         truth = truth_for(graph, 0)
         delta, ell, sims = 0.3, 5, 20_000
         oracle = noisy_oracle(truth, NoiseChannel(delta), np.random.default_rng(3))
-        wrong = sum(majority_test(oracle, 0b01000, ell) for _ in range(sims))  # truly negative
+        wrong = 0
+        for _ in range(sims):
+            votes = sum(oracle(0b01000) for _ in range(ell))  # truly negative
+            wrong += 2 * votes >= ell
         expect = majority_error_probability(ell, delta)
         stderr = math.sqrt(expect * (1 - expect) / sims)
         assert abs(wrong / sims - expect) <= 3 * stderr
@@ -270,6 +297,28 @@ class TestSchedule:
         assert repetitions(1e-9, 4, 0.0) == 1
         assert repetitions(0.0, 1000, 0.3) == 1
         assert repetitions(2.0, 1, 0.2) == 1  # log2(1) = 0
+
+    @pytest.mark.parametrize("alpha,message", [
+        (-1.0, "alpha=-1.0 must be finite and >= 0"),
+        (math.nan, "alpha=nan must be finite and >= 0"),
+        (math.inf, "alpha=inf must be finite and >= 0"),
+        (1e308, "alpha=1e+308 repeats a test without end"),
+    ], ids=["negative", "nan", "infinite", "overflowing"])
+    def test_alpha_outside_its_range_is_refused(self, alpha, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            repetitions(alpha, 4, 0.4)
+
+    @pytest.mark.parametrize("u,cap,message", [
+        (-3, None, "u=-3 must be >= 1"),
+        (0, None, "u=0 must be >= 1"),
+        (None, 0, "physical-test budget 0 must be >= 1"),
+        (None, -1, "physical-test budget -1 must be >= 1"),
+    ], ids=["negative-u", "zero-u", "zero-budget", "negative-budget"])
+    def test_noisy_adaptive_refuses_a_bound_or_budget_below_one(self, fig1, u, cap, message):
+        graph, dist = fig1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_noisy_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(),
+                               NoiseChannel(0.1), u=u, max_physical_tests=cap)
 
     @pytest.mark.parametrize("delta", [0.05, 0.2])
     def test_every_repetition_group_holds_the_rule(self, delta):

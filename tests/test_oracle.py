@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_for, random_model
+from conftest import nonadaptive_min_error, oracle_for, random_model
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_cosize, build_nested
 from hypergt.errors import TooLarge, ZeroSurvivorMass
 from hypergt.model import EdgeDistribution, Hypergraph, edge_entropy, prior_posterior
-from hypergt.oracle import (
-    direct_posterior,
-    nonadaptive_min_error,
-    optimal_expected_tests,
-    simulate_policy,
-)
+from hypergt.oracle import direct_posterior, optimal_expected_tests, simulate_policy
 
 
 class TestOptimalPolicy:

@@ -157,6 +157,14 @@ class TestRunSnagt:
         with pytest.raises(ValueError):
             SnagtConfig(u=3, stop_coeff=0).validate()
 
+    @pytest.mark.parametrize("coeffs", [
+        {"stop_coeff": math.nan}, {"cap_coeff": math.nan},
+        {"stop_coeff": math.inf}, {"cap_coeff": math.inf},
+    ], ids=["nan-stop", "nan-cap", "infinite-stop", "infinite-cap"])
+    def test_coefficients_must_be_finite(self, coeffs):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            SnagtConfig(u=3, **coeffs).validate()
+
 
 def replay_stopping_rule(graph, dist, config, tr):
     """Recompute every record's candidate snapshot and the stopping point of
