@@ -33,6 +33,7 @@ from .model import (
 )
 from .noisy import (
     NoiseChannel,
+    _adaptive_repetitions,
     _check_budget,
     noisy_oracle,
     repetitions,
@@ -137,6 +138,18 @@ def _snagt_config(config: ExperimentConfig, seed: int | None) -> SnagtConfig:
     return SnagtConfig(config.u, config.stop_coeff, config.cap_coeff, seed=seed)
 
 
+def _check_repetitions(config: ExperimentConfig, n: int) -> None:
+    """Raise SchemaError if a noisy engine's repetition count overflows at the
+    model's n; validate() can only check alpha's range, not knowing n."""
+    try:
+        if config.algorithm == "noisy_adaptive":
+            _adaptive_repetitions(n, config.u, config.alpha, config.delta)
+        elif config.algorithm == "noisy_snagt":
+            repetitions(config.alpha, config.u * n, config.delta)
+    except ValueError as exc:
+        raise SchemaError(f"experiment config: {exc}") from None
+
+
 def run_experiment(config: ExperimentConfig,
                    graph: Hypergraph | None = None,
                    dist: EdgeDistribution | None = None) -> list[TrialResult]:
@@ -144,6 +157,7 @@ def run_experiment(config: ExperimentConfig,
     config.validate()
     if graph is None or dist is None:
         graph, dist = resolve_model(config)
+    _check_repetitions(config, graph.n)
 
     policy = None
     if config.algorithm == "oracle":

@@ -64,7 +64,15 @@ def repetitions(alpha: float, x: float, delta: float) -> int:
     try:
         return max(1, math.ceil(alpha * math.log2(x) / (1.0 - 2.0 * delta) ** 2))
     except OverflowError:
-        raise ValueError(f"alpha={alpha} repeats a test without end") from None
+        raise ValueError(f"alpha={alpha} overflows the repetition count") from None
+
+
+def _adaptive_repetitions(n: int, u: int | None, alpha: float, delta: float) -> dict[str, int]:
+    """How often the noisy adaptive engine asks a site in each stage; u=None
+    means n."""
+    u = n if u is None else u
+    return {SPLIT: 1, RESIDUAL: repetitions(alpha, n, delta),
+            INDIVIDUAL: repetitions(alpha, max(2.0, math.log2(n) * u), delta)}
 
 
 def _check_budget(u: int | None, max_physical_tests: int | None) -> None:
@@ -175,13 +183,9 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
             f"{admissible_threshold(delta):.4f} for delta={delta}; proceeding anyway",
             stacklevel=2,
         )
-    n = graph.n
-    u = n if u is None else u
-    ells = {SPLIT: 1, RESIDUAL: repetitions(alpha, n, delta),
-            INDIVIDUAL: repetitions(alpha, max(2.0, math.log2(n) * u), delta)}
-    cap = n if max_physical_tests is None else max_physical_tests
+    cap = graph.n if max_physical_tests is None else max_physical_tests
     post = prior_posterior(graph, dist)
-    obs = _Repeated(oracle, post, delta, ells, cap)
+    obs = _Repeated(oracle, post, delta, _adaptive_repetitions(graph.n, u, alpha, delta), cap)
     return _adaptive_run(graph, dist, config, obs, node_marginals(post) > 0.0)
 
 

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .errors import TooLarge, ZeroSurvivorMass
 from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
-from .sets import full_mask, mask_of, nodes_of
+from .sets import mask_of, nodes_of
 
 MAX_EDGES = 14
 MAX_NODES = 12
@@ -62,24 +62,29 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
 
     emask = [graph.edge_masks[i] for i in alive]
     eprob = [float(dist.probs[i]) for i in alive]
-    universe = full_mask(graph.n)
+    # Per edge subset s: the union of its node masks, its mass (summed in edge
+    # order) and the edges lying wholly inside that union. Each entry extends
+    # the one for s without its highest edge.
+    size = 1 << len(alive)
+    union, mass, covered = [0] * size, [0.0] * size, [0] * size
+    for s in range(1, size):
+        high = s.bit_length() - 1
+        rest = s ^ (1 << high)
+        union[s] = union[rest] | emask[high]
+        mass[s] = mass[rest] + eprob[high]
+        covered[s] = sum(1 << k for k, m in enumerate(emask) if not m & ~union[s])
 
     @lru_cache(maxsize=None)
     def solve(state: int) -> tuple[float, int]:
         """Returns (value, chosen negative-side subset; -1 at leaves)."""
         if state & (state - 1) == 0:
             return 0.0, -1
-        mass = sum(eprob[k] for k in nodes_of(state))
         best_val, best_neg = None, -1
         neg = (state - 1) & state
         while neg:  # nonempty proper subsets of the state as the negative side
             pos = state & ~neg
-            union_neg = 0
-            for k in nodes_of(neg):
-                union_neg |= emask[k]
-            t = universe & ~union_neg
-            if all(emask[k] & t for k in nodes_of(pos)):
-                p_pos = sum(eprob[k] for k in nodes_of(pos)) / mass
+            if not covered[neg] & pos:
+                p_pos = mass[pos] / mass[state]
                 val = 1.0 + p_pos * solve(pos)[0] + (1.0 - p_pos) * solve(neg)[0]
                 if best_val is None or val < best_val - 1e-15:
                     best_val, best_neg = val, neg
@@ -92,12 +97,7 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
         if neg == -1:
             return PolicyNode(0.0, edge=alive[nodes_of(state)[0]])
         pos = state & ~neg
-        union_neg, union_pos = 0, 0
-        for k in nodes_of(neg):
-            union_neg |= emask[k]
-        for k in nodes_of(pos):
-            union_pos |= emask[k]
-        t = (universe & ~union_neg) & union_pos
+        t = union[pos] & ~union[neg]
         return PolicyNode(val, test=nodes_of(t), on_positive=build(pos), on_negative=build(neg))
 
     root_state = (1 << len(alive)) - 1

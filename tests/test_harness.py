@@ -143,6 +143,10 @@ class TestRunExperiment:
         ({"algorithm": "noisy_adaptive", "alpha": -1.0}, "alpha=-1.0 must be finite and >= 0"),
         ({"algorithm": "noisy_adaptive", "alpha": math.nan}, "alpha=nan must be finite"),
         ({"algorithm": "noisy_snagt", "u": 3, "alpha": math.inf}, "alpha=inf must be finite"),
+        ({"algorithm": "noisy_adaptive", "alpha": 1e306, "delta": 0.45},
+         "alpha=1e+306 overflows the repetition count"),
+        ({"algorithm": "noisy_snagt", "u": 3, "alpha": 1e306, "delta": 0.45},
+         "alpha=1e+306 overflows the repetition count"),
         ({"algorithm": "snagt", "u": 3, "stop_coeff": math.nan},
          "stop_coeff and cap_coeff must be positive and finite"),
         ({"algorithm": "noisy_snagt", "u": 3, "cap_coeff": math.inf},
@@ -150,6 +154,7 @@ class TestRunExperiment:
     ], ids=["base-c", "noisy-c", "delta-half", "negative-delta", "snagt-u", "cap-coeff",
             "truncated-no-cut", "truncated-eps", "regular-c", "negative-seed", "negative-u",
             "zero-u", "negative-max-tests", "negative-alpha", "nan-alpha", "infinite-alpha",
+            "alpha-overflowing-at-n-adaptive", "alpha-overflowing-at-n-snagt",
             "nan-stop-coeff", "infinite-cap-coeff"])
     def test_bad_engine_settings_are_refused_before_the_first_trial(self, settings, message):
         cfg = ExperimentConfig(model=ModelSpec("nested", {"n": 4}), trials=3, **settings)

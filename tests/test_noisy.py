@@ -302,7 +302,7 @@ class TestSchedule:
         (-1.0, "alpha=-1.0 must be finite and >= 0"),
         (math.nan, "alpha=nan must be finite and >= 0"),
         (math.inf, "alpha=inf must be finite and >= 0"),
-        (1e308, "alpha=1e+308 repeats a test without end"),
+        (1e308, "alpha=1e+308 overflows the repetition count"),
     ], ids=["negative", "nan", "infinite", "overflowing"])
     def test_alpha_outside_its_range_is_refused(self, alpha, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -31,8 +31,6 @@ def _docstrings(tree):
 
 
 def _words(node):
-    if isinstance(node, ast.Name):
-        return {node.id}
     if isinstance(node, ast.Attribute):
         return {node.attr}
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -40,20 +38,46 @@ def _words(node):
     return set()
 
 
-def referenced_names():
-    """Names used anywhere in the caller files, less each top-level
-    function's uses of its own name."""
+def _module_bindings(tree):
+    """Names a file binds at module level, each mapped to the name it refers
+    to: its imports (`from m import f as g` binds g to f) and its top-level
+    defs and classes."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name: alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).split(".")[0]: alias.name for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.name
+    return bound
+
+
+def names_in(source):
+    """Names one file refers to: a bare name only when it is bound at module
+    level (a parameter or local of the same name is not a reference), any
+    attribute, and words in non-docstring strings; each top-level function's
+    uses of its own name are left out."""
+    tree = ast.parse(source)
+    bound = _module_bindings(tree)
+    skip = {id(d) for d in _docstrings(tree)}
     names = set()
-    for path in (p for d in CALLERS for p in sorted(d.rglob("*.py"))):
-        tree = ast.parse(path.read_text())
-        skip = {id(d) for d in _docstrings(tree)}
-        for top in tree.body:
-            own = getattr(top, "name", None) if isinstance(
-                top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            for node in ast.walk(top):
-                if id(node) not in skip:
-                    names |= _words(node) - {own}
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name):
+                words = {bound[node.id]} if node.id in bound else set()
+            else:
+                words = _words(node)
+            names |= words - {own}
     return names
+
+
+def referenced_names():
+    """Names used anywhere in the caller files."""
+    return set().union(*(names_in(p.read_text()) for d in CALLERS for p in sorted(d.rglob("*.py"))))
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
@@ -66,3 +90,12 @@ def test_every_public_function_has_a_caller_outside_the_tests():
 def test_the_scan_sees_functions_and_words_in_strings():
     assert {"run_adaptive", "repetitions", "build_model"} <= public_functions().keys()
     assert _words(ast.Constant("Transcript.add")) == {"Transcript", "add"}
+
+
+def test_a_parameter_or_local_of_the_same_name_is_not_a_reference():
+    shadowed = "def run(repetitions):\n    count = repetitions\n    return count\n"
+    assert "repetitions" not in names_in(shadowed)
+    imported = "from .noisy import repetitions\n\n\ndef run():\n    return repetitions(2.0, 4, 0.1)\n"
+    assert "repetitions" in names_in(imported)
+    renamed = "from .noisy import repetitions as reps\n\n\ndef run():\n    return reps(2.0, 4, 0.1)\n"
+    assert "repetitions" in names_in(renamed)
