@@ -49,7 +49,7 @@ from .noisy import (
     run_noisy_adaptive,
     run_noisy_snagt,
 )
-from .oracle import direct_posterior, optimal_expected_tests, simulate_policy
+from .oracle import direct_posterior, optimal_expected_tests, run_policy
 from .snagt import SnagtConfig, random_test_set, run_snagt
 from .transcript import Transcript
 

@@ -61,9 +61,9 @@ class AdaptiveConfig:
 
     c: split constant in (0, 1/2); default 1/3 (the error-tolerant optimum).
     variant: "base" | "truncated" | "regular".
-    f2: positive-count cutoff for the truncated variant; when unset and eps is
-        given, resolved as ceil(mu / eps).
-    eps: tolerated error for the truncated variant's cutoff.
+    f2: positive-count cutoff for the truncated variant.
+    eps: tolerated error for the truncated variant, whose cutoff is then
+        ceil(mu / eps); it takes f2 or eps, not both.
     """
 
     c: float = 1.0 / 3.0
@@ -79,8 +79,8 @@ class AdaptiveConfig:
         if self.variant == "truncated":
             if self.c > 1.0 / 3.0 + 1e-12:
                 raise ValueError(f"truncated variant needs c <= 1/3, got {self.c}")
-            if self.f2 is None and self.eps is None:
-                raise ValueError("truncated variant needs f2 or eps")
+            if (self.f2 is None) == (self.eps is None):
+                raise ValueError("truncated variant needs f2 or eps, not both")
             if self.f2 is not None and self.f2 < 1:
                 raise ValueError("f2 must be >= 1")
             if self.eps is not None and not 0.0 < self.eps < 1.0:

@@ -11,7 +11,9 @@ printed as one line on stderr).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .builders import ModelSpec, build_model
@@ -63,6 +65,9 @@ def cmd_run(args) -> int:
     if not out:
         print("no output path: give --out or set output in the config", file=sys.stderr)
         return 2
+    # A mistyped directory fails here, not after every trial has run.
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     results = run_experiment(config)
     write_csv(results, out)
     s = summarize(results)

@@ -40,7 +40,7 @@ from .noisy import (
     run_noisy_adaptive,
     run_noisy_snagt,
 )
-from .oracle import optimal_expected_tests, simulate_policy
+from .oracle import optimal_expected_tests, run_policy
 from .snagt import SnagtConfig, run_snagt
 
 ALGORITHMS = ("base", "truncated", "regular", "snagt", "noisy_adaptive", "noisy_snagt", "oracle")
@@ -66,28 +66,12 @@ class ExperimentConfig:
     output: str | None = None
 
     def validate(self) -> None:
-        """Raise SchemaError for a config no trial can run with; the engine's
-        own settings are checked by the engine's validator."""
-        try:
-            if self.algorithm not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {self.algorithm!r}")
-            if self.trials < 1:
-                raise ValueError("trials must be >= 1")
-            if self.seed < 0:
-                raise ValueError(f"seed={self.seed} must be >= 0")
-            NoiseChannel(self.delta)
-            if self.algorithm in ("noisy_adaptive", "noisy_snagt"):
-                repetitions(self.alpha, 2.0, self.delta)
-            if self.algorithm == "noisy_adaptive":
-                _check_budget(self.u, self.max_tests)
-            if self.algorithm in ("snagt", "noisy_snagt"):
-                if self.u is None:
-                    raise ValueError(f"{self.algorithm} needs u")
-                _snagt_config(self, None).validate()
-            elif self.algorithm != "oracle":
-                _adaptive_config(self).validate()
-        except ValueError as exc:
-            raise SchemaError(f"experiment config: {exc}") from None
+        """Raise SchemaError for a config no trial can run with."""
+        if self.trials < 1:
+            raise SchemaError("experiment config: trials must be >= 1")
+        if self.seed < 0:
+            raise SchemaError(f"experiment config: seed={self.seed} must be >= 0")
+        _engine(self)
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)  # a ModelSpec becomes its {family, params} record
@@ -129,25 +113,61 @@ def resolve_model(config: ExperimentConfig) -> tuple[Hypergraph, EdgeDistributio
     return build_model(config.model)
 
 
-def _adaptive_config(config: ExperimentConfig) -> AdaptiveConfig:
-    variant = "base" if config.algorithm == "noisy_adaptive" else config.algorithm
-    return AdaptiveConfig(c=config.c, variant=variant, f2=config.f2, eps=config.eps)
-
-
-def _snagt_config(config: ExperimentConfig, seed: int | None) -> SnagtConfig:
-    return SnagtConfig(config.u, config.stop_coeff, config.cap_coeff, seed=seed)
-
-
-def _check_repetitions(config: ExperimentConfig, n: int) -> None:
-    """Raise SchemaError if a noisy engine's repetition count overflows at the
-    model's n; validate() can only check alpha's range, not knowing n."""
+def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
+            dist: EdgeDistribution | None = None):
+    """Check the engine settings of config, at the model's n once graph is
+    given, and raise SchemaError for any no trial can run with. With a model,
+    return the runner of one trial, run(truth, seed, rng_engine, rng_noise)
+    -> Transcript; the oracle's policy is searched here, once per model."""
+    algorithm, u = config.algorithm, config.u
+    noisy = algorithm in ("noisy_adaptive", "noisy_snagt")
+    preplanned = algorithm in ("snagt", "noisy_snagt")
     try:
-        if config.algorithm == "noisy_adaptive":
-            _adaptive_repetitions(n, config.u, config.alpha, config.delta)
-        elif config.algorithm == "noisy_snagt":
-            repetitions(config.alpha, config.u * n, config.delta)
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        channel = NoiseChannel(config.delta)
+        if config.delta and not noisy:
+            raise ValueError(f"delta={config.delta} applies only to noisy_adaptive and "
+                             "noisy_snagt")
+        if noisy:
+            repetitions(config.alpha, 2.0, config.delta)
+        if preplanned:
+            if u is None:
+                raise ValueError(f"{algorithm} needs u")
+            SnagtConfig(u, config.stop_coeff, config.cap_coeff).validate()
+            if noisy and graph is not None:
+                repetitions(config.alpha, u * graph.n, config.delta)
+        elif algorithm != "oracle":
+            if noisy:
+                _check_budget(u, config.max_tests)
+            adaptive = AdaptiveConfig(config.c, "base" if noisy else algorithm,
+                                      config.f2, config.eps)
+            adaptive.validate()
+            if noisy and graph is not None:
+                _adaptive_repetitions(graph.n, u, config.alpha, config.delta)
     except ValueError as exc:
         raise SchemaError(f"experiment config: {exc}") from None
+    if graph is None:
+        return None
+    policy = optimal_expected_tests(graph, dist)[1] if algorithm == "oracle" else None
+
+    # The engines are looked up by their module names on every call, so a
+    # rebinding of those names (as tracing does) takes effect.
+    def run(truth, seed, rng_engine, rng_noise):
+        oracle = noisy_oracle(truth, channel, rng_noise) if noisy else noiseless_oracle(truth)
+        if algorithm == "oracle":
+            return run_policy(graph, policy, oracle)
+        if algorithm == "noisy_adaptive":
+            return run_noisy_adaptive(graph, dist, oracle, adaptive, channel, alpha=config.alpha,
+                                      u=u, max_physical_tests=config.max_tests)
+        if not preplanned:
+            return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine)
+        snagt = SnagtConfig(u, config.stop_coeff, config.cap_coeff, seed=seed)
+        if noisy:
+            return run_noisy_snagt(graph, dist, oracle, snagt, channel, alpha=config.alpha)
+        return run_snagt(graph, dist, oracle, snagt)
+
+    return run
 
 
 def run_experiment(config: ExperimentConfig,
@@ -157,11 +177,7 @@ def run_experiment(config: ExperimentConfig,
     config.validate()
     if graph is None or dist is None:
         graph, dist = resolve_model(config)
-    _check_repetitions(config, graph.n)
-
-    policy = None
-    if config.algorithm == "oracle":
-        _, policy = optimal_expected_tests(graph, dist)
+    run = _engine(config, graph, dist)
 
     results: list[TrialResult] = []
     for trial in range(config.trials):
@@ -170,48 +186,19 @@ def run_experiment(config: ExperimentConfig,
         rng_target, rng_engine, rng_noise = (np.random.default_rng(s) for s in ss.spawn(3))
         truth = sample_truth(graph, dist, rng_target)
         try:
-            results.append(_run_one(config, graph, dist, truth, trial, trial_seed,
-                                    rng_engine, rng_noise, policy))
+            tr = run(truth, trial_seed, rng_engine, rng_noise)
         except Exception as exc:  # noqa: BLE001 - failures become records
             results.append(TrialResult(trial, trial_seed, truth.target, 0, 0, 0, 0,
                                        correct=False, halted=True, error=repr(exc)))
+            continue
+        # Trials that never enter stage 2 contribute 0 to the stage-2 budget on
+        # both sides of the bound.
+        mu_stage2 = tr.mu_stage2 if tr.mu_stage2 is not None else 0.0
+        results.append(TrialResult(trial, trial_seed, truth.target, tr.total, tr.stage1,
+                                   tr.stage2, tr.informative,
+                                   correct=not tr.halted and tr.returned_mask() == truth.mask,
+                                   halted=tr.halted, mu_stage2=mu_stage2))
     return results
-
-
-def _run_one(config, graph, dist, truth, trial, trial_seed, rng_engine, rng_noise, policy):
-    algorithm = config.algorithm
-    channel = NoiseChannel(config.delta)
-
-    if algorithm == "oracle":
-        tests, edge = simulate_policy(policy, noiseless_oracle(truth))
-        return TrialResult(trial, trial_seed, truth.target, tests, tests, 0, 0,
-                           correct=edge == truth.target, halted=False)
-
-    if algorithm in ("base", "truncated", "regular"):
-        oracle = noiseless_oracle(truth)
-        tr = run_adaptive(graph, dist, oracle, _adaptive_config(config), rng=rng_engine)
-    elif algorithm == "snagt":
-        oracle = noiseless_oracle(truth)
-        tr = run_snagt(graph, dist, oracle, _snagt_config(config, trial_seed))
-    elif algorithm == "noisy_adaptive":
-        oracle = noisy_oracle(truth, channel, rng_noise)
-        tr = run_noisy_adaptive(graph, dist, oracle, _adaptive_config(config), channel,
-                                alpha=config.alpha, u=config.u,
-                                max_physical_tests=config.max_tests)
-    elif algorithm == "noisy_snagt":
-        oracle = noisy_oracle(truth, channel, rng_noise)
-        tr = run_noisy_snagt(graph, dist, oracle, _snagt_config(config, trial_seed), channel,
-                             alpha=config.alpha)
-    else:  # pragma: no cover
-        raise ValueError(algorithm)
-
-    correct = (not tr.halted) and tr.returned_mask() == truth.mask
-    # Trials that never enter stage 2 contribute 0 to the stage-2 budget on
-    # both sides of the bound.
-    mu_stage2 = tr.mu_stage2 if tr.mu_stage2 is not None else 0.0
-    return TrialResult(trial, trial_seed, truth.target, tr.total, tr.stage1, tr.stage2,
-                       tr.informative, correct=correct, halted=tr.halted,
-                       mu_stage2=mu_stage2)
 
 
 def write_csv(results: Sequence[TrialResult], path: str) -> None:
@@ -370,9 +357,7 @@ def check_bounds(graph: Hypergraph, dist: EdgeDistribution,
     notes: list[str] = []
 
     if config.algorithm in ("base", "regular"):
-        if config.delta == 0.0:
-            checks.append(BoundCheck("exact recovery", s.error_rate, 0.0,
-                                     passed=s.wrong == 0))
+        checks.append(BoundCheck("exact recovery", s.error_rate, 0.0, passed=s.wrong == 0))
         stage1_bound = entropy / math.log2(1.0 / (1.0 - c)) + 1.0
         if s.mu_stage2.count == s.count:
             mu2 = s.mu_stage2.mean

@@ -37,6 +37,8 @@ from .sets import (
 NORMALIZATION_TOL = 1e-9
 # q is treated as certain once it reaches 1 - CERTAINTY_TOL.
 CERTAINTY_TOL = 1e-9
+# Most nodes a model may have; the word store holds n/64 words per edge.
+NODE_CAP = 2 ** 16
 
 
 class Hypergraph:
@@ -45,17 +47,18 @@ class Hypergraph:
     Edges (node lists or bitmasks) are stored as bitmasks in input order;
     edge identity is the index into that list. The empty edge (nobody
     infected) is a legal member. The constructor rejects a non-integer n or
-    node (SchemaError), a node outside 0..n-1 (NodeOutOfRange) and a repeated
-    edge (DuplicateEdge), naming the first offending edge, and builds the
-    read-only packed words (see `sets`) and edge sizes.
+    node (SchemaError), an n outside 0..NODE_CAP or a node outside 0..n-1
+    (NodeOutOfRange) and a repeated edge (DuplicateEdge), naming the first
+    offending edge, and builds the read-only packed words (see `sets`) and
+    edge sizes.
     """
 
     def __init__(self, n: int, edges: Iterable[Iterable[int] | int]):
         if not isinstance(n, (int, np.integer)):
             raise SchemaError(f"node count {n!r} is not an integer")
         self.n = int(n)
-        if self.n < 0:
-            raise NodeOutOfRange(f"node count {self.n} is negative")
+        if not 0 <= self.n <= NODE_CAP:
+            raise NodeOutOfRange(f"node count {self.n} outside 0..{NODE_CAP}")
         if not isinstance(edges, Iterable):
             raise SchemaError(f"edges must be a list, not {type(edges).__name__}")
         masks = tuple(_edge_mask(i, e) for i, e in enumerate(edges))

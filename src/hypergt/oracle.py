@@ -14,6 +14,7 @@ from typing import Iterable
 from .errors import TooLarge, ZeroSurvivorMass
 from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
 from .sets import mask_of, nodes_of
+from .transcript import SPLIT, Transcript
 
 MAX_EDGES = 14
 MAX_NODES = 12
@@ -127,11 +128,14 @@ def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
     return Posterior(graph, weights / total)
 
 
-def simulate_policy(policy: PolicyNode, oracle) -> tuple[int, int]:
-    """Walk a policy tree against a test oracle: (tests used, returned edge)."""
+def run_policy(graph: Hypergraph, policy: PolicyNode, oracle) -> Transcript:
+    """Walk a policy tree against a test oracle, recording each test as SPLIT."""
+    tr = Transcript()
     node = policy
-    tests = 0
     while not node.is_leaf():
-        tests += 1
-        node = node.on_positive if oracle(mask_of(node.test)) else node.on_negative
-    return tests, node.edge
+        t_mask = mask_of(node.test)
+        outcome = oracle(t_mask)
+        tr.add(t_mask, outcome, SPLIT)
+        node = node.on_positive if outcome else node.on_negative
+    tr.result_edge, tr.result_nodes = node.edge, graph.edge_nodes(node.edge)
+    return tr

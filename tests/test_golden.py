@@ -24,6 +24,7 @@ import pytest
 
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import BUILDERS, ModelSpec, build_model
+from hypergt.harness import ExperimentConfig, check_bounds, run_experiment, write_csv
 from hypergt.model import noiseless_oracle, sample_truth
 from hypergt.noisy import (
     NoiseChannel,
@@ -167,3 +168,94 @@ def test_every_family_has_a_model_cell():
 @pytest.mark.parametrize("family", sorted(MODEL_HASHES))
 def test_models_unchanged(family):
     assert model_hash(family) == MODEL_HASHES[family]
+
+
+# Harness cells: each algorithm through `run_experiment` on models small
+# enough for the oracle, at one trial and at 37. A cell hashes the results CSV
+# and the bound report, so it pins how a config picks and sets up its engine
+# and the report's text, which the transcript cells above do not reach.
+# name: (spec, u for the engines that take one)
+HARNESS_MODELS = {
+    "islands6": (ModelSpec("islands", {"k": 3, "m": 2, "p": [0.3, 0.5, 0.7]}), 4),
+    "nested6": (ModelSpec("nested", {"n": 6}), 6),
+    "cosize8": (ModelSpec("cosize", {"n": 8}), 7),
+}
+HARNESS_SETTINGS = {
+    "base": {"c": 0.45},
+    "truncated": {"eps": 0.2},
+    "regular": {"c": 0.45},
+    "snagt": {"stop_coeff": 1.0},
+    "noisy_adaptive": {"delta": DELTA, "max_tests": 200},
+    "noisy_snagt": {"delta": DELTA, "stop_coeff": 1.0},
+    "oracle": {},
+}
+TAKES_U = ("snagt", "noisy_snagt", "noisy_adaptive")
+
+
+def harness_hash(model, algorithm, trials, tmp_path):
+    spec, u = HARNESS_MODELS[model]
+    config = ExperimentConfig(model=spec, algorithm=algorithm, trials=trials, seed=5,
+                              u=u if algorithm in TAKES_U else None,
+                              **HARNESS_SETTINGS[algorithm])
+    graph, dist = build_model(spec)
+    results = run_experiment(config, graph, dist)
+    path = tmp_path / "results.csv"
+    write_csv(results, str(path))
+    digest = hashlib.sha256(path.read_bytes())
+    digest.update(check_bounds(graph, dist, results, config).to_text().encode())
+    return digest.hexdigest()[:16]
+
+
+# Recorded on the per-algorithm branches that `_engine` replaced.
+HARNESS_HASHES = {
+    ("cosize8", "base", 1): "0286bddccf51cc22",
+    ("cosize8", "base", 37): "f7b5c6866e70c6e4",
+    ("cosize8", "noisy_adaptive", 1): "560a67d74e8d9ba6",
+    ("cosize8", "noisy_adaptive", 37): "ca74536bf2ed94c9",
+    ("cosize8", "noisy_snagt", 1): "3b400b32eb1df6c1",
+    ("cosize8", "noisy_snagt", 37): "4079f3689cb36183",
+    ("cosize8", "oracle", 1): "ff915f3f171ad0c6",
+    ("cosize8", "oracle", 37): "a2bd3bede12d7dbb",
+    ("cosize8", "regular", 1): "0286bddccf51cc22",
+    ("cosize8", "regular", 37): "f7b5c6866e70c6e4",
+    ("cosize8", "snagt", 1): "0883d0fb95722a86",
+    ("cosize8", "snagt", 37): "bc3ee7b70ea3a7cc",
+    ("cosize8", "truncated", 1): "74ec0c8fa1dda8c5",
+    ("cosize8", "truncated", 37): "e5e6f1e83f32c52a",
+    ("islands6", "base", 1): "bc75188549744591",
+    ("islands6", "base", 37): "937ec9e6c6e28809",
+    ("islands6", "noisy_adaptive", 1): "438d77eb023080e2",
+    ("islands6", "noisy_adaptive", 37): "d6f87320c14d9d71",
+    ("islands6", "noisy_snagt", 1): "1efa4d0d8ab095bb",
+    ("islands6", "noisy_snagt", 37): "3c18a010693bf97c",
+    ("islands6", "oracle", 1): "52277cc1afb8a2c3",
+    ("islands6", "oracle", 37): "db77ff9b973da717",
+    ("islands6", "regular", 1): "530bd3030a145d30",
+    ("islands6", "regular", 37): "31373b63305ef265",
+    ("islands6", "snagt", 1): "acfd006205df565c",
+    ("islands6", "snagt", 37): "5fd0083da8c3b126",
+    ("islands6", "truncated", 1): "b02b9f654b384f7d",
+    ("islands6", "truncated", 37): "fefb44dced9d6545",
+    ("nested6", "base", 1): "72633ea63469a010",
+    ("nested6", "base", 37): "04bd43b4441f7e4a",
+    ("nested6", "noisy_adaptive", 1): "dc7bf5cf43831531",
+    ("nested6", "noisy_adaptive", 37): "c6351072e07a475a",
+    ("nested6", "noisy_snagt", 1): "ed7e18dc4e054c30",
+    ("nested6", "noisy_snagt", 37): "7f5cfc56e402713d",
+    ("nested6", "oracle", 1): "cc3e78c64ecefd9a",
+    ("nested6", "oracle", 37): "084c9c01276bb185",
+    ("nested6", "regular", 1): "9651923cebeca1bf",
+    ("nested6", "regular", 37): "3b0fdc628dd8fc57",
+    ("nested6", "snagt", 1): "b8cb33d5cd7388ba",
+    ("nested6", "snagt", 37): "e7570d439305c858",
+    ("nested6", "truncated", 1): "c2402b954d90571c",
+    ("nested6", "truncated", 37): "c0e5240faa0ef7d9",
+}
+
+
+@pytest.mark.parametrize("model", sorted(HARNESS_MODELS))
+@pytest.mark.parametrize("algorithm", sorted(HARNESS_SETTINGS))
+@pytest.mark.parametrize("trials", (1, 37))
+def test_harness_output_unchanged(model, algorithm, trials, tmp_path):
+    expected = HARNESS_HASHES[(model, algorithm, trials)]
+    assert harness_hash(model, algorithm, trials, tmp_path) == expected

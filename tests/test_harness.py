@@ -134,6 +134,8 @@ class TestRunExperiment:
          "stop_coeff and cap_coeff must be positive"),
         ({"algorithm": "truncated"}, "truncated variant needs f2 or eps"),
         ({"algorithm": "truncated", "eps": 1.5}, "eps must lie in (0, 1)"),
+        ({"algorithm": "truncated", "f2": 1, "eps": 0.1},
+         "truncated variant needs f2 or eps, not both"),
         ({"algorithm": "regular", "c": 0.5}, "c=0.5 outside (0, 1/2)"),
         ({"algorithm": "base", "seed": -1}, "seed=-1 must be >= 0"),
         ({"algorithm": "noisy_adaptive", "u": -3}, "u=-3 must be >= 1"),
@@ -151,11 +153,16 @@ class TestRunExperiment:
          "stop_coeff and cap_coeff must be positive and finite"),
         ({"algorithm": "noisy_snagt", "u": 3, "cap_coeff": math.inf},
          "stop_coeff and cap_coeff must be positive and finite"),
+        ({"algorithm": "base", "delta": 0.3},
+         "delta=0.3 applies only to noisy_adaptive and noisy_snagt"),
+        ({"algorithm": "oracle", "delta": 0.1},
+         "delta=0.1 applies only to noisy_adaptive and noisy_snagt"),
     ], ids=["base-c", "noisy-c", "delta-half", "negative-delta", "snagt-u", "cap-coeff",
-            "truncated-no-cut", "truncated-eps", "regular-c", "negative-seed", "negative-u",
-            "zero-u", "negative-max-tests", "negative-alpha", "nan-alpha", "infinite-alpha",
-            "alpha-overflowing-at-n-adaptive", "alpha-overflowing-at-n-snagt",
-            "nan-stop-coeff", "infinite-cap-coeff"])
+            "truncated-no-cut", "truncated-eps", "truncated-f2-and-eps", "regular-c",
+            "negative-seed", "negative-u", "zero-u", "negative-max-tests", "negative-alpha",
+            "nan-alpha", "infinite-alpha", "alpha-overflowing-at-n-adaptive",
+            "alpha-overflowing-at-n-snagt", "nan-stop-coeff", "infinite-cap-coeff",
+            "noiseless-delta", "oracle-delta"])
     def test_bad_engine_settings_are_refused_before_the_first_trial(self, settings, message):
         cfg = ExperimentConfig(model=ModelSpec("nested", {"n": 4}), trials=3, **settings)
         with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
@@ -423,6 +430,18 @@ class TestCli:
         assert done.stderr.startswith(f"hypergt: {message}")
         assert done.stderr.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "out.csv").exists()
+
+    def test_run_checks_its_output_directory_before_the_first_trial(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def no_trials(config):
+            raise AssertionError("run_experiment was reached")
+
+        monkeypatch.setattr(cli, "run_experiment", no_trials)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"model": NESTED4, "algorithm": "base"}))
+        out = str(tmp_path / "missing" / "out.csv")
+        assert cli_main(["run", "--config", str(config_path), "--out", out]) == 2
+        assert capsys.readouterr().err == f"hypergt: [Errno 2] No such file or directory: {out!r}\n"
 
     def test_run_fails_when_a_trial_errors(self, tmp_path, capsys):
         # Every edge of cosize(8) has size 7 > u, so each trial raises EmptySupport.

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypergt.errors import (
     ZeroSurvivorMass,
 )
 from hypergt.model import (
+    NODE_CAP,
     EdgeDistribution,
     Hypergraph,
     condition_on_test,
@@ -330,6 +332,16 @@ class TestModelFile:
         with pytest.raises(error, match=re.escape(message)) as info:
             load_model(str(path))
         assert type(info.value) is error
+
+    def test_load_refuses_a_node_count_above_the_cap_before_packing(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 100000000, "edges": [[0]], "probs": [1.0]}')
+        start = time.perf_counter()
+        message = f"node count 100000000 outside 0..{NODE_CAP}"
+        with pytest.raises(NodeOutOfRange, match=re.escape(message)):
+            load_model(str(path))
+        assert time.perf_counter() - start < 0.5
+        assert Hypergraph(NODE_CAP, [[NODE_CAP - 1]]).words.shape == (NODE_CAP // 64, 1)
 
     @pytest.mark.parametrize("text,key", [
         ('{"n": 3, "probs": [1.0]}', "'edges'"),

@@ -10,7 +10,7 @@ from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_cosize, build_nested
 from hypergt.errors import TooLarge, ZeroSurvivorMass
 from hypergt.model import EdgeDistribution, Hypergraph, edge_entropy, prior_posterior
-from hypergt.oracle import direct_posterior, optimal_expected_tests, simulate_policy
+from hypergt.oracle import direct_posterior, optimal_expected_tests, run_policy
 
 
 class TestOptimalPolicy:
@@ -37,7 +37,8 @@ class TestOptimalPolicy:
         value, policy = optimal_expected_tests(graph, dist)
         acc = 0.0
         for i, p in enumerate(dist.probs):
-            tests, edge = simulate_policy(policy, oracle_for(graph, i))
+            tr = run_policy(graph, policy, oracle_for(graph, i))
+            tests, edge = tr.total, tr.result_edge
             assert edge == i
             acc += p * tests
         assert acc == pytest.approx(value, abs=1e-12)
