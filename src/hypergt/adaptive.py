@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvariantViolation, NotRegular, OracleInconsistent, ZeroSurvivorMass
+from .errors import InvariantViolation, NotRegular, OracleInconsistent, SchemaError, ZeroSurvivorMass
 from .model import (
     CERTAINTY_TOL,
     EdgeDistribution,
@@ -55,9 +55,9 @@ TestOracle = Callable[[int], bool]
 _TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs for the adaptive engine.
+    """Knobs for the adaptive engine; SchemaError when built with bad ones.
 
     c: split constant in (0, 1/2); default 1/3 (the error-tolerant optimum).
     variant: "base" | "truncated" | "regular".
@@ -71,20 +71,20 @@ class AdaptiveConfig:
     f2: int | None = None
     eps: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.c < 0.5:
-            raise ValueError(f"c={self.c} outside (0, 1/2)")
+            raise SchemaError(f"c={self.c} outside (0, 1/2)")
         if self.variant not in ("base", "truncated", "regular"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise SchemaError(f"unknown variant {self.variant!r}")
         if self.variant == "truncated":
             if self.c > 1.0 / 3.0 + 1e-12:
-                raise ValueError(f"truncated variant needs c <= 1/3, got {self.c}")
+                raise SchemaError(f"truncated variant needs c <= 1/3, got {self.c}")
             if (self.f2 is None) == (self.eps is None):
-                raise ValueError("truncated variant needs f2 or eps, not both")
+                raise SchemaError("truncated variant needs f2 or eps, not both")
             if self.f2 is not None and self.f2 < 1:
-                raise ValueError("f2 must be >= 1")
+                raise SchemaError("f2 must be >= 1")
             if self.eps is not None and not 0.0 < self.eps < 1.0:
-                raise ValueError("eps must lie in (0, 1)")
+                raise SchemaError("eps must lie in (0, 1)")
 
 
 def resolve_f2(config: AdaptiveConfig, graph: Hypergraph, dist: EdgeDistribution) -> int:
@@ -289,7 +289,6 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
     scans all n nodes, those of zero prior mass included. rng draws the
     truncated variant's random node picks; None means an unseeded one."""
     config = config or AdaptiveConfig()
-    config.validate()
     validate_model(graph, dist)
     obs = _Exact(oracle, prior_posterior(graph, dist))
     return _run(graph, dist, config, obs, np.ones(graph.n, dtype=bool), rng)

@@ -14,6 +14,7 @@ builder, and a `ModelSpec` names a family and its parameters.
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
 import numbers
@@ -32,27 +33,25 @@ from .sets import mask_of, nodes_of
 SUPPORT_CAP = 1 << 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """A named family plus its parameter record; JSON-friendly."""
+    """A named family plus its own copy of its parameter record; JSON-friendly.
+    SchemaError for an unknown family, or unless params is an object holding
+    every required parameter of the family's builder, no other key, and
+    values of the types the builder annotates."""
 
     family: str
     params: dict = field(default_factory=dict)
 
     @classmethod
     def from_json(cls, doc, what: str) -> "ModelSpec":
-        """Parse and validate a {family, params} record; `what` names it in errors."""
+        """Parse a {family, params} record; `what` names it in errors."""
         check_record(doc, what, ("family",), ("family", "params"))
-        spec = cls(doc["family"], doc.get("params", {}))
-        spec.validate()
-        return spec
+        return cls(doc["family"], doc.get("params", {}))
 
-    def validate(self) -> None:
-        """Raise ModelError for an unknown family, and SchemaError unless params
-        is an object holding every required parameter of the family's builder,
-        no other key, and values of the types the builder annotates."""
+    def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in BUILDERS:
-            raise ModelError(f"unknown model family {self.family!r}")
+            raise SchemaError(f"unknown model family {self.family!r}")
         builder = BUILDERS[self.family]
         args = inspect.signature(builder).parameters
         check_record(self.params, f"{self.family} params",
@@ -63,6 +62,7 @@ class ModelSpec:
             if key in hints and not _conforms(value, hints[key]):
                 raise SchemaError(f"{self.family} params: {key!r} must be "
                                   f"{args[key].annotation}, not {value!r}")
+        object.__setattr__(self, "params", copy.deepcopy(self.params))
 
 
 def _conforms(value, hint) -> bool:
@@ -362,5 +362,4 @@ BUILDERS = {
 
 def build_model(spec: ModelSpec) -> tuple[Hypergraph, EdgeDistribution]:
     """Build any family from its spec record."""
-    spec.validate()
     return BUILDERS[spec.family](**spec.params)

@@ -48,7 +48,7 @@ CSV_COLUMNS = ("trial", "seed", "target", "tests", "stage1", "stage2", "informat
                "halted", "error")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec | str
     algorithm: str
@@ -65,8 +65,7 @@ class ExperimentConfig:
     max_tests: int | None = None
     output: str | None = None
 
-    def validate(self) -> None:
-        """Raise SchemaError for a config no trial can run with."""
+    def __post_init__(self) -> None:
         if self.trials < 1:
             raise SchemaError("experiment config: trials must be >= 1")
         if self.seed < 0:
@@ -134,7 +133,9 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
         if preplanned:
             if u is None:
                 raise ValueError(f"{algorithm} needs u")
-            SnagtConfig(u, config.stop_coeff, config.cap_coeff).validate()
+            snagt = SnagtConfig(u, config.stop_coeff, config.cap_coeff)
+            if graph is not None:
+                snagt._threshold_and_cap(graph.n)
             if noisy and graph is not None:
                 repetitions(config.alpha, u * graph.n, config.delta)
         elif algorithm != "oracle":
@@ -142,7 +143,6 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
                 _check_budget(u, config.max_tests)
             adaptive = AdaptiveConfig(config.c, "base" if noisy else algorithm,
                                       config.f2, config.eps)
-            adaptive.validate()
             if noisy and graph is not None:
                 _adaptive_repetitions(graph.n, u, config.alpha, config.delta)
     except ValueError as exc:
@@ -162,10 +162,10 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
                                       u=u, max_physical_tests=config.max_tests)
         if not preplanned:
             return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine)
-        snagt = SnagtConfig(u, config.stop_coeff, config.cap_coeff, seed=seed)
+        seeded = dataclasses.replace(snagt, seed=seed)
         if noisy:
-            return run_noisy_snagt(graph, dist, oracle, snagt, channel, alpha=config.alpha)
-        return run_snagt(graph, dist, oracle, snagt)
+            return run_noisy_snagt(graph, dist, oracle, seeded, channel, alpha=config.alpha)
+        return run_snagt(graph, dist, oracle, seeded)
 
     return run
 
@@ -174,7 +174,6 @@ def run_experiment(config: ExperimentConfig,
                    graph: Hypergraph | None = None,
                    dist: EdgeDistribution | None = None) -> list[TrialResult]:
     """Execute config.trials independent trials and collect their records."""
-    config.validate()
     if graph is None or dist is None:
         graph, dist = resolve_model(config)
     run = _engine(config, graph, dist)

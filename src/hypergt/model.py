@@ -54,14 +54,14 @@ class Hypergraph:
     """
 
     def __init__(self, n: int, edges: Iterable[Iterable[int] | int]):
-        if not isinstance(n, (int, np.integer)):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
             raise SchemaError(f"node count {n!r} is not an integer")
         self.n = int(n)
         if not 0 <= self.n <= NODE_CAP:
             raise NodeOutOfRange(f"node count {self.n} outside 0..{NODE_CAP}")
         if not isinstance(edges, Iterable):
             raise SchemaError(f"edges must be a list, not {type(edges).__name__}")
-        masks = tuple(_edge_mask(i, e) for i, e in enumerate(edges))
+        masks = tuple(_edge_mask(i, e, self.n) for i, e in enumerate(edges))
         limit = full_mask(self.n)
         if (masks and (min(masks) < 0 or max(masks) > limit)) or len(set(masks)) != len(masks):
             seen = set()  # walk the edges only to name the first offender
@@ -96,13 +96,13 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, |E|={len(self)})"
 
 
-def _edge_mask(i: int, e: Iterable[int] | int) -> int:
-    """Bitmask of edge i; a negative node index gives the out-of-range mask -1."""
+def _edge_mask(i: int, e: Iterable[int] | int, n: int) -> int:
+    """Bitmask of edge i; a node index outside 0..n-1 gives the out-of-range mask -1."""
     try:
-        return e if isinstance(e, int) else mask_of(e)
+        return e if isinstance(e, int) else mask_of(v if 0 <= v < n else -1 for v in e)
     except TypeError:
         raise SchemaError(f"edge {i} is not a list of integer node indices: {e!r}") from None
-    except ValueError:  # a negative shift count: some node index is below 0
+    except ValueError:  # a shift by -1: no node outside 0..n-1 is shifted, however large
         return -1
 
 
@@ -273,6 +273,9 @@ def load_model(path: str) -> tuple[Hypergraph, EdgeDistribution]:
     with open(path) as fh:
         doc = parse_json(fh.read(), what)
     check_record(doc, what, ("n", "edges", "probs"), ("n", "edges", "probs"))
+    for i, e in enumerate(doc["edges"] if isinstance(doc["edges"], list) else ()):
+        if not (isinstance(e, list) and all(type(v) is int for v in e)):  # no masks, no bools
+            raise SchemaError(f"edge {i} is not a list of integer node indices: {e!r}")
     graph = Hypergraph(doc["n"], doc["edges"])
     dist = EdgeDistribution(doc["probs"])
     validate_model(graph, dist)

@@ -22,7 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .adaptive import AdaptiveConfig, _run as _adaptive_run
+from .errors import SchemaError
 from .model import (
+    NODE_CAP,
     EdgeDistribution,
     GroundTruth,
     Hypergraph,
@@ -51,7 +53,7 @@ class NoiseChannel:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta < 0.5:
-            raise ValueError(f"delta={self.delta} outside [0, 1/2)")
+            raise SchemaError(f"delta={self.delta} outside [0, 1/2)")
 
 
 def repetitions(alpha: float, x: float, delta: float) -> int:
@@ -76,10 +78,10 @@ def _adaptive_repetitions(n: int, u: int | None, alpha: float, delta: float) -> 
 
 
 def _check_budget(u: int | None, max_physical_tests: int | None) -> None:
-    """Refuse a stage-2 size bound or a physical-test budget below 1; None
-    means n for either."""
-    if u is not None and u < 1:
-        raise ValueError(f"u={u} must be >= 1")
+    """Refuse a stage-2 size bound outside 1..NODE_CAP or a physical-test
+    budget below 1; None means n for either."""
+    if u is not None and not 1 <= u <= NODE_CAP:  # no edge has more than NODE_CAP nodes
+        raise ValueError(f"u={u} must be >= 1" if u < 1 else f"u exceeds NODE_CAP={NODE_CAP}")
     if max_physical_tests is not None and max_physical_tests < 1:
         raise ValueError(f"physical-test budget {max_physical_tests} must be >= 1")
 
@@ -171,7 +173,6 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     physical-test budget (>= 1) defaults to n, the asymptotic analysis' cap;
     desk runs usually need to raise it. Only the base variant runs under noise.
     """
-    config.validate()
     _check_budget(u, max_physical_tests)
     if config.variant != "base":
         raise ValueError(f"noisy runs support only variant='base', got {config.variant!r}")

@@ -19,24 +19,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupport
-from .model import EdgeDistribution, Hypergraph, validate_model
+from .errors import EmptySupport, SchemaError
+from .model import NODE_CAP, EdgeDistribution, Hypergraph, validate_model
 from .sets import intersects, mask_from_flags
 from .transcript import RANDOM, Transcript
 
 
-@dataclass
+@dataclass(frozen=True)
 class SnagtConfig:
     u: int
     stop_coeff: float = 10.0
     cap_coeff: float = 2.0
     seed: int | None = None
 
-    def validate(self) -> None:
-        if self.u < 2:
-            raise ValueError(f"u={self.u} must be >= 2")
+    def __post_init__(self) -> None:
+        if not 2 <= self.u <= NODE_CAP:  # no edge has more than NODE_CAP nodes
+            raise SchemaError(f"u={self.u} must be >= 2" if self.u < 2 else f"u exceeds NODE_CAP={NODE_CAP}")
         if not (0.0 < self.stop_coeff < math.inf and 0.0 < self.cap_coeff < math.inf):
-            raise ValueError("stop_coeff and cap_coeff must be positive and finite")
+            raise SchemaError("stop_coeff and cap_coeff must be positive and finite")
+
+    def _threshold_and_cap(self, n: int) -> tuple[int, int]:
+        """ceil(stop_coeff u log2 n) and floor(cap_coeff u n); SchemaError if not finite."""
+        threshold, cap = self.stop_coeff * self.u * math.log2(n), self.cap_coeff * self.u * n
+        if not math.isfinite(threshold + cap):
+            raise SchemaError(f"stop_coeff and cap_coeff overflow the test budget at n={n}")
+        return math.ceil(threshold), math.floor(cap + 1e-9)
 
 
 def dyadic_bucket(p: float) -> int:
@@ -61,7 +68,6 @@ def run_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle,
 
 def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
          repetitions: int) -> Transcript:
-    config.validate()
     validate_model(graph, dist)
     u = config.u
     n = graph.n
@@ -88,8 +94,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
     candidate = np.zeros(count.size, dtype=bool)
     live_words = graph.words[:, live]  # columns of the caller's cached store
 
-    threshold = math.ceil(config.stop_coeff * u * math.log2(n))
-    cap = math.floor(config.cap_coeff * u * n + 1e-9)
+    threshold, cap = config._threshold_and_cap(n)
     if threshold >= cap:
         warnings.warn(
             f"survival threshold {threshold} >= test cap {cap} for n={n}, u={u}: "

@@ -41,16 +41,16 @@ def enumerate_targets(graph, dist, config):
 class TestConfig:
     def test_c_domain(self):
         with pytest.raises(ValueError):
-            AdaptiveConfig(c=0.5).validate()
+            AdaptiveConfig(c=0.5)
         with pytest.raises(ValueError):
-            AdaptiveConfig(c=0.0).validate()
+            AdaptiveConfig(c=0.0)
 
     def test_truncated_needs_cut(self):
         with pytest.raises(ValueError):
-            AdaptiveConfig(variant="truncated", c=0.3).validate()
+            AdaptiveConfig(variant="truncated", c=0.3)
         with pytest.raises(ValueError):
-            AdaptiveConfig(variant="truncated", c=0.4, f2=3).validate()
-        AdaptiveConfig(variant="truncated", c=1 / 3, f2=3).validate()
+            AdaptiveConfig(variant="truncated", c=0.4, f2=3)
+        AdaptiveConfig(variant="truncated", c=1 / 3, f2=3)
 
     def test_f2_from_eps(self, fig1):
         cfg = AdaptiveConfig(variant="truncated", c=0.3, eps=0.1)

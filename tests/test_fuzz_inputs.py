@@ -1,9 +1,11 @@
 """Arbitrary JSON in place of a transcript record, a query, an outcome, an
-experiment config or any one of its fields: every input either parses or is
-refused with a ModelError subclass, never with a KeyError, TypeError,
-IndexError or bare ValueError."""
+experiment config or any one of its fields, or a model file or any one of its
+fields: every input either parses or is refused with a ModelError subclass,
+never with a KeyError, TypeError, IndexError, OverflowError, MemoryError or
+bare ValueError."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from hypergt.errors import ModelError, SchemaError
 from hypergt.harness import ALGORITHMS, ExperimentConfig
-from hypergt.model import parse_json
+from hypergt.model import load_model, parse_json, save_model
 from hypergt.transcript import read_records
 
 N = 5
@@ -78,12 +80,7 @@ def valid_config(algorithm):
 
 
 def load_config(doc):
-    def parse(doc):
-        cfg = ExperimentConfig.from_json(doc)
-        cfg.validate()
-        return cfg
-
-    return parse_or_refuse(parse, doc)
+    return parse_or_refuse(ExperimentConfig.from_json, doc)
 
 
 class TestExperimentConfigs:
@@ -117,6 +114,67 @@ class TestExperimentConfigs:
         cfg = load_config({**valid_config(algorithm), "alpha": alpha, "delta": delta})
         if not 0.0 <= alpha < math.inf:
             assert cfg is None
+
+
+VALID_MODEL = {"n": N, "edges": [[0], [1, 3], []], "probs": [0.5, 0.25, 0.25]}
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("models")
+
+
+def as_written(edge):
+    """How save_model writes a node list back: sorted, each node once."""
+    return sorted(set(edge)) if isinstance(edge, list) else edge
+
+
+def load(doc, directory):
+    """Load doc as a model file; a loaded model must write back the same n,
+    edge lists and masses (compared as JSON, so 1 and true differ)."""
+    path, out = directory / "model.json", directory / "saved.json"
+    path.write_text(json.dumps(doc))
+    model = parse_or_refuse(load_model, str(path))
+    if model is not None:
+        save_model(str(out), *model)
+        saved = json.loads(out.read_text())
+        assert json.dumps(saved["n"]) == json.dumps(doc["n"])
+        assert json.dumps(saved["edges"]) == json.dumps([as_written(e) for e in doc["edges"]])
+        assert saved["probs"] == [float(p) for p in doc["probs"]]
+    return model
+
+
+class TestModelFiles:
+    def test_the_base_model_loads(self, model_dir):
+        assert load(VALID_MODEL, model_dir) is not None
+
+    @FUZZ
+    @given(json_values)
+    def test_any_document(self, model_dir, doc):
+        load(doc, model_dir)
+
+    @FUZZ
+    @given(json_values)
+    def test_any_n(self, model_dir, n):
+        # Edges on node 0 only, so that any n >= 1 loads.
+        load({"n": n, "edges": [[0], []], "probs": [0.5, 0.5]}, model_dir)
+
+    @FUZZ
+    @given(st.sampled_from(["edges", "probs"]), json_values)
+    def test_any_edge_list_or_masses(self, model_dir, key, value):
+        load({**VALID_MODEL, key: value}, model_dir)
+
+    @FUZZ
+    @given(st.integers(0, 2), json_values)
+    def test_any_edge(self, model_dir, i, edge):
+        edges = list(VALID_MODEL["edges"])
+        edges[i] = edge
+        load({**VALID_MODEL, "edges": edges}, model_dir)
+
+    @FUZZ
+    @given(st.lists(st.integers() | st.booleans(), max_size=4))
+    def test_any_node_list(self, model_dir, edge):
+        load({**VALID_MODEL, "edges": [[0], edge, []]}, model_dir)
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000],

@@ -25,9 +25,8 @@ from hypergt.harness import (
     summarize,
     write_csv,
 )
-from hypergt.model import parse_json, save_model
+from hypergt.model import NODE_CAP, parse_json, save_model
 
-FIG1_SPEC = ModelSpec("fig1", {})
 NESTED4 = {"family": "nested", "params": {"n": 4}}
 CSV_HEADER = "trial,seed,target,tests,stage1,stage2,informative,correct,halted"
 
@@ -91,7 +90,7 @@ class TestRunExperiment:
 
     def test_snagt_requires_u(self, fig1_files):
         with pytest.raises(ValueError):
-            ExperimentConfig(model=fig1_files, algorithm="snagt", trials=1).validate()
+            ExperimentConfig(model=fig1_files, algorithm="snagt", trials=1)
 
     def test_config_json_round_trip(self):
         cfg = ExperimentConfig(model=ModelSpec("nested", {"n": 4}), algorithm="base",
@@ -157,24 +156,48 @@ class TestRunExperiment:
          "delta=0.3 applies only to noisy_adaptive and noisy_snagt"),
         ({"algorithm": "oracle", "delta": 0.1},
          "delta=0.1 applies only to noisy_adaptive and noisy_snagt"),
+        ({"algorithm": "snagt", "u": 3, "stop_coeff": 1e308},
+         "stop_coeff and cap_coeff overflow the test budget at n=4"),
+        ({"algorithm": "snagt", "u": 3, "cap_coeff": 1e308},
+         "stop_coeff and cap_coeff overflow the test budget at n=4"),
+        ({"algorithm": "noisy_snagt", "u": 3, "stop_coeff": 1e308},
+         "stop_coeff and cap_coeff overflow the test budget at n=4"),
+        ({"algorithm": "noisy_snagt", "u": 3, "cap_coeff": 1e308},
+         "stop_coeff and cap_coeff overflow the test budget at n=4"),
     ], ids=["base-c", "noisy-c", "delta-half", "negative-delta", "snagt-u", "cap-coeff",
             "truncated-no-cut", "truncated-eps", "truncated-f2-and-eps", "regular-c",
             "negative-seed", "negative-u", "zero-u", "negative-max-tests", "negative-alpha",
             "nan-alpha", "infinite-alpha", "alpha-overflowing-at-n-adaptive",
             "alpha-overflowing-at-n-snagt", "nan-stop-coeff", "infinite-cap-coeff",
-            "noiseless-delta", "oracle-delta"])
+            "noiseless-delta", "oracle-delta", "stop-coeff-overflowing-at-n-snagt",
+            "cap-coeff-overflowing-at-n-snagt", "stop-coeff-overflowing-at-n-noisy-snagt",
+            "cap-coeff-overflowing-at-n-noisy-snagt"])
     def test_bad_engine_settings_are_refused_before_the_first_trial(self, settings, message):
-        cfg = ExperimentConfig(model=ModelSpec("nested", {"n": 4}), trials=3, **settings)
         with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
-            run_experiment(cfg)
+            run_experiment(ExperimentConfig(model=ModelSpec("nested", {"n": 4}), trials=3,
+                                            **settings))
+
+    @pytest.mark.parametrize("settings", [
+        {"algorithm": "snagt", "u": 10 ** 400},
+        {"algorithm": "noisy_snagt", "u": 10 ** 400},
+        {"algorithm": "noisy_adaptive", "u": 10 ** 400},
+        {"algorithm": "snagt", "u": 2 ** 70},
+        {"algorithm": "noisy_adaptive", "u": NODE_CAP + 1},
+    ], ids=["snagt-huge-u", "noisy-snagt-huge-u", "noisy-adaptive-huge-u", "snagt-2-to-the-70",
+            "noisy-adaptive-cap-plus-one"])
+    def test_u_above_the_node_cap_is_refused_when_built(self, settings):
+        # Checked where the config is built: a run with such a u would overflow a float
+        # or, at 2^70, not finish.
+        message = f"experiment config: u exceeds NODE_CAP={NODE_CAP}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            ExperimentConfig(model=ModelSpec("nested", {"n": 4}), trials=3, **settings)
 
     @pytest.mark.parametrize("setting", ['"alpha": NaN', '"cap_coeff": Infinity'])
     def test_json_nan_and_infinity_are_refused(self, setting):
         text = ('{"model": {"family": "nested", "params": {"n": 4}}, '
                 f'"algorithm": "noisy_snagt", "u": 3, {setting}}}')
-        cfg = ExperimentConfig.from_json(parse_json(text, "config"))
         with pytest.raises(SchemaError, match="must be"):
-            cfg.validate()
+            ExperimentConfig.from_json(parse_json(text, "config"))
 
 
 class TestCsv:
@@ -430,6 +453,21 @@ class TestCli:
         assert done.stderr.startswith(f"hypergt: {message}")
         assert done.stderr.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"algorithm": "bogus"}, "unknown algorithm 'bogus'"),
+        ({"algorithm": "base", "c": 0.7}, "c=0.7 outside (0, 1/2)"),
+        ({"algorithm": "snagt"}, "snagt needs u"),
+    ], ids=["unknown-algorithm", "c-out-of-range", "snagt-without-u"])
+    def test_check_refuses_a_config_no_run_accepts(self, tmp_path, capsys, settings, message):
+        nested6 = {"family": "nested", "params": {"n": 6}}
+        base, bad, csv_path = tmp_path / "base.json", tmp_path / "bad.json", tmp_path / "base.csv"
+        base.write_text(json.dumps({"model": nested6, "algorithm": "base", "trials": 3}))
+        bad.write_text(json.dumps({"model": nested6, "trials": 3, **settings}))
+        assert cli_main(["run", "--config", str(base), "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["check", "--config", str(bad), "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr() == ("", f"hypergt: experiment config: {message}\n")
 
     def test_run_checks_its_output_directory_before_the_first_trial(self, tmp_path, capsys,
                                                                      monkeypatch):

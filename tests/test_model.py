@@ -102,6 +102,16 @@ class TestValidation:
         with pytest.raises(NodeOutOfRange, match="edge 0 "):
             Hypergraph(70, [[np.int64(-1)]])
 
+    @pytest.mark.parametrize("node", [2 ** 63, 10 ** 30], ids=["two-to-the-63", "ten-to-the-30"])
+    def test_a_huge_node_index_is_out_of_range_before_any_shift(self, node):
+        # 1 << node would raise MemoryError or OverflowError, or fill gigabytes.
+        with pytest.raises(NodeOutOfRange, match="edge 1 uses a node index outside 0..2"):
+            Hypergraph(3, [[0], [1, node]])
+
+    def test_a_boolean_node_count_is_refused(self):
+        with pytest.raises(SchemaError, match="node count True is not an integer"):
+            Hypergraph(True, [[0]])
+
     def test_probs_are_read_only(self, fig1):
         _, dist = fig1
         with pytest.raises(ValueError, match="read-only"):
@@ -332,6 +342,22 @@ class TestModelFile:
         with pytest.raises(error, match=re.escape(message)) as info:
             load_model(str(path))
         assert type(info.value) is error
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 3, "edges": [5], "probs": [1.0]}',
+         "edge 0 is not a list of integer node indices: 5"),
+        ('{"n": 3, "edges": [true, [1]], "probs": [0.5, 0.5]}',
+         "edge 0 is not a list of integer node indices: True"),
+        ('{"n": 3, "edges": [[0], [true]], "probs": [0.5, 0.5]}',
+         "edge 1 is not a list of integer node indices: [True]"),
+        ('{"n": true, "edges": [[0]], "probs": [1.0]}', "node count True is not an integer"),
+    ], ids=["bitmask-edge", "boolean-edge", "boolean-node", "boolean-n"])
+    def test_load_takes_only_lists_of_integer_nodes_and_an_integer_n(self, tmp_path, text,
+                                                                      message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_model(str(path))
 
     def test_load_refuses_a_node_count_above_the_cap_before_packing(self, tmp_path):
         path = tmp_path / "big.json"

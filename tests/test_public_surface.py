@@ -2,8 +2,9 @@
 the tests: the engines and the rest of `src/hypergt/`, `scripts/` or
 `benchmark/`. A reference is a name, an attribute or a word inside a string
 (`benchmark/spans.py` names its targets in strings); docstrings, the
-function's own body and the re-exports of `__init__.py` do not count. Files
-are parsed, never imported."""
+function's own body and the re-exports of `__init__.py` do not count. No
+class of the package has a `validate` method: settings check themselves when
+built, never when used. Files are parsed, never imported."""
 
 import ast
 import re
@@ -99,3 +100,26 @@ def test_a_parameter_or_local_of_the_same_name_is_not_a_reference():
     assert "repetitions" in names_in(imported)
     renamed = "from .noisy import repetitions as reps\n\n\ndef run():\n    return reps(2.0, 4, 0.1)\n"
     assert "repetitions" in names_in(renamed)
+
+
+def classes_defining(source, method):
+    """Names of the classes in source, nested ones included, that define method."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and f.name == method for f in node.body))
+
+
+def test_no_class_checks_its_settings_when_used():
+    offenders = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+                 for name in classes_defining(path.read_text(), "validate")]
+    assert not offenders, "classes with a validate method (check in __post_init__): " + \
+        ", ".join(offenders)
+
+
+def test_the_scan_sees_validate_methods_only():
+    source = ("class Config:\n    def validate(self):\n        pass\n\n\n"
+              "class Outer:\n    class Inner:\n        async def validate(self):\n            pass\n\n\n"
+              "class Spec:\n    def __post_init__(self):\n        validate(self)\n\n\n"
+              "def validate(config):\n    pass\n")
+    assert classes_defining(source, "validate") == ["Config", "Inner"]

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import oracle_for, truth_for
 from hypergt.builders import build_nested, build_random_regular
-from hypergt.errors import EmptySupport
-from hypergt.model import EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
+from hypergt.errors import EmptySupport, SchemaError
+from hypergt.model import NODE_CAP, EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
 from hypergt.sets import mask_of
 from hypergt.snagt import SnagtConfig, dyadic_bucket, random_test_set, run_snagt
 
@@ -153,9 +153,9 @@ class TestRunSnagt:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SnagtConfig(u=1).validate()
+            SnagtConfig(u=1)
         with pytest.raises(ValueError):
-            SnagtConfig(u=3, stop_coeff=0).validate()
+            SnagtConfig(u=3, stop_coeff=0)
 
     @pytest.mark.parametrize("coeffs", [
         {"stop_coeff": math.nan}, {"cap_coeff": math.nan},
@@ -163,7 +163,22 @@ class TestRunSnagt:
     ], ids=["nan-stop", "nan-cap", "infinite-stop", "infinite-cap"])
     def test_coefficients_must_be_finite(self, coeffs):
         with pytest.raises(ValueError, match="must be positive and finite"):
-            SnagtConfig(u=3, **coeffs).validate()
+            SnagtConfig(u=3, **coeffs)
+
+    @pytest.mark.parametrize("u", [NODE_CAP + 1, 2 ** 70, 10 ** 400],
+                             ids=["cap-plus-one", "two-to-the-70", "ten-to-the-400"])
+    def test_u_above_the_node_cap_is_refused_when_built(self, u):
+        # No edge has more than NODE_CAP nodes; at 2^70 the test cap would be ~9e21 tests.
+        with pytest.raises(SchemaError, match=f"u exceeds NODE_CAP={NODE_CAP}"):
+            SnagtConfig(u=u)
+        assert SnagtConfig(u=NODE_CAP).u == NODE_CAP
+
+    @pytest.mark.parametrize("coeffs", [{"stop_coeff": 1e308}, {"cap_coeff": 1e308}],
+                             ids=["stop", "cap"])
+    def test_a_test_budget_that_overflows_at_n_is_refused(self, coeffs):
+        g, d = build_nested(4)
+        with pytest.raises(SchemaError, match="overflow the test budget at n=4"):
+            run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=3, **coeffs))
 
 
 def replay_stopping_rule(graph, dist, config, tr):
