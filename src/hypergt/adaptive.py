@@ -119,7 +119,7 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
         above_c = w_minus > c
         above_hi = w_minus > hi
         for v in np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL)):
-            terms = qs[~intersects(graph.words, 1 << int(v))].tolist()
+            terms = qs[(qs != 0.0) & ~intersects(graph.words, 1 << int(v))].tolist()
             above_c[v] = math.fsum(terms + [-c]) > 0.0
             above_hi[v] = math.fsum(terms + [-hi]) > 0.0
         window = s & above_c & ~above_hi
@@ -133,7 +133,7 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
         v = int(np.argmax(high))
         s[v] = False
         es = np.flatnonzero(intersects(graph.words, 1 << v) & (qs != 0.0))
-        m -= graph.membership.take(es, axis=0).T @ qs.take(es)
+        m -= graph.node_mass(qs, es)
         qs[es] = 0.0
 
 
@@ -241,9 +241,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     tr.pn += 1
                 if tr.pn >= f2:
                     marg = node_marginals(obs.post)
-                    tr.result_nodes = tuple(
-                        int(u) for u in np.flatnonzero(marg >= 1.0 - CERTAINTY_TOL)
-                    )
+                    tr.result_nodes = tuple(np.flatnonzero(marg >= 1.0 - CERTAINTY_TOL).tolist())
                     tr.result_edge = certain_edge(obs.post)
                     return tr
         marg = node_marginals(obs.post)

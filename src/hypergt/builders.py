@@ -15,6 +15,7 @@ builder, and a `ModelSpec` names a family and its parameters.
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 import math
 import numbers
@@ -52,17 +53,21 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in BUILDERS:
             raise SchemaError(f"unknown model family {self.family!r}")
-        builder = BUILDERS[self.family]
-        args = inspect.signature(builder).parameters
+        args, hints = _signature(self.family)
         check_record(self.params, f"{self.family} params",
                      [k for k, a in args.items() if a.default is inspect.Parameter.empty],
                      list(args))
-        hints = typing.get_type_hints(builder)
         for key, value in self.params.items():
             if key in hints and not _conforms(value, hints[key]):
                 raise SchemaError(f"{self.family} params: {key!r} must be "
                                   f"{args[key].annotation}, not {value!r}")
         object.__setattr__(self, "params", copy.deepcopy(self.params))
+
+
+@functools.cache
+def _signature(family: str) -> tuple:
+    """The parameters and type hints of a family's builder, read once."""
+    return inspect.signature(BUILDERS[family]).parameters, typing.get_type_hints(BUILDERS[family])
 
 
 def _conforms(value, hint) -> bool:

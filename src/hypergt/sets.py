@@ -77,16 +77,14 @@ def intersects(words: np.ndarray, t_mask: int) -> np.ndarray:
 
 
 def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """(columns, n) float matrix, entry 1.0 iff node v is in column e.
+    """(columns, n) float matrix, entry 1.0 iff node v is in column e."""
+    column_bytes = words.T.copy().view(_U8)  # little-endian words, so bit v is node v
+    return np.unpackbits(column_bytes, axis=1, count=n, bitorder="little").astype(float)
 
-    Unpacks one 64-node block at a time, so no (columns, n) byte matrix is
-    ever held beside the result.
-    """
-    cols = words.shape[1]
-    out = np.empty((cols, n))
-    for j in range(words.shape[0]):
-        lo = j * WORD_BITS
-        hi = min(n, lo + WORD_BITS)
-        block = np.unpackbits(words[j].view(_U8).reshape(cols, 8), axis=1, bitorder="little")
-        out[:, lo:hi] = block[:, :hi - lo]
-    return out
+
+def column_nodes(words: np.ndarray) -> np.ndarray:
+    """Node indices of every set bit, column after column, ascending in each."""
+    cols, rows = np.nonzero(words.T)
+    bits = np.unpackbits(words[rows, cols].view(_U8).reshape(-1, 8), axis=1, bitorder="little")
+    word, bit = np.divmod(np.flatnonzero(bits.view(bool)), WORD_BITS)
+    return rows[word] * WORD_BITS + bit

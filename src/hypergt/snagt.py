@@ -40,6 +40,8 @@ class SnagtConfig:
 
     def _threshold_and_cap(self, n: int) -> tuple[int, int]:
         """ceil(stop_coeff u log2 n) and floor(cap_coeff u n); SchemaError if not finite."""
+        if n == 0:
+            raise SchemaError("the survival threshold ceil(stop_coeff u log2 n) is undefined at n=0")
         threshold, cap = self.stop_coeff * self.u * math.log2(n), self.cap_coeff * self.u * n
         if not math.isfinite(threshold + cap):
             raise SchemaError(f"stop_coeff and cap_coeff overflow the test budget at n={n}")

@@ -53,6 +53,15 @@ def set_weight(post, s):
     return float(sum(post.q[i] for i in edge_set(post.graph, s)))
 
 
+def reference_membership(graph):
+    """(|E|, n) float matrix, entry 1.0 iff node v is in edge e; one bit at a time."""
+    mat = np.zeros((len(graph), graph.n))
+    for i, m in enumerate(graph.edge_masks):
+        for v in range(graph.n):
+            mat[i, v] = float(m >> v & 1)
+    return mat
+
+
 def node_marginal(post, v):
     """Posterior probability that node v is infected (q_v)."""
     bit = 1 << v

@@ -227,7 +227,6 @@ def test_criterion_09_noisy_adaptive():
     ok_runs = 0
     positivity = True
     trials = 500
-    member = g.membership
     for trial in range(trials):
         ss = np.random.SeedSequence(entropy=909, spawn_key=(trial,))
         r_target, r_noise = (np.random.default_rng(s) for s in ss.spawn(2))

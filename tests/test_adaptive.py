@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_for, random_model, reference_split_scan, truth_for
+from conftest import oracle_for, random_model, reference_membership, reference_split_scan, truth_for
 import hypergt
 from hypergt.adaptive import (
     AdaptiveConfig,
@@ -17,7 +18,7 @@ from hypergt.adaptive import (
     resolve_f2,
     run_adaptive,
 )
-from hypergt.builders import build_cosize, build_nested, build_partial_regular
+from hypergt.builders import build_cosize, build_nested, build_partial_regular, build_random_regular
 from hypergt.errors import NotRegular
 from hypergt.model import (
     EdgeDistribution,
@@ -163,6 +164,21 @@ class TestRunBase:
             assert tr.stage1 + tr.stage2 == tr.total == len(tr.records)
             assert tr.informative <= tr.stage1
 
+    def test_sparse_model_never_builds_the_dense_matrix(self):
+        """On regular130 (3 of 130 nodes per edge) the node marginals come
+        from the CSR incidence: no allocation during a run is as large as
+        the (|E|, n) float matrix."""
+        g, d = build_random_regular(130, 3, count=400, seed=2)
+        tracemalloc.start()
+        try:
+            for i in range(0, len(g), 40):
+                assert run_adaptive(g, d, oracle_for(g, i)).result_edge == i
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(g) * g.n * 8
+        assert isinstance(g._kernel, tuple)
+
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.05, 0.45))
     def test_noiseless_exactness_on_random_models(self, seed, c):
@@ -186,7 +202,7 @@ class TestRunBase:
         tr = run_adaptive(graph, dist, oracle_for(graph, target), AdaptiveConfig(c=0.3))
         prefix = []
         stage2_marg = None
-        member = graph.membership
+        member = reference_membership(graph)
         prior_marg = member.T @ dist.probs
         for k, rec in enumerate(tr.records):
             post = direct_posterior(graph, dist, prefix)

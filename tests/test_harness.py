@@ -434,9 +434,13 @@ class TestCli:
         (["run", "--config", "cfg.json", "--out", "missing/out.csv"],
          {"cfg.json": {"model": NESTED4, "algorithm": "base"}},
          "[Errno 2] No such file or directory: 'missing/out.csv'"),
+        (["run", "--config", "cfg.json", "--out", "out.csv"],
+         {"cfg.json": {"model": "empty.json", "algorithm": "snagt", "u": 2},
+          "empty.json": {"n": 0, "edges": [[]], "probs": [1.0]}},
+         "experiment config: the survival threshold ceil(stop_coeff u log2 n) is undefined at n=0"),
     ], ids=["malformed-params", "config-c-out-of-range", "check-trial-count",
             "oracle-missing-model", "oracle-too-large", "run-oracle-too-large",
-            "negative-seed", "out-in-missing-directory"])
+            "negative-seed", "out-in-missing-directory", "snagt-on-zero-nodes"])
     def test_bad_input_exits_2_without_a_traceback(self, tmp_path, argv, files, message):
         for name, content in files.items():
             if isinstance(content, ModelSpec):

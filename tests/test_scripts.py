@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ["worked_example.py"],
     ["bound_sweep.py", "--trials", "20", "--cs", "0.3"],
     ["preplanned_demo.py", "--trials", "5"],
+    ["scale_probe.py", "--n", "60", "--trials", "3"],
 ], ids=lambda args: args[0])
 def test_script_runs(args):
     src = str(Path(hypergt.__file__).resolve().parents[1])

@@ -1,13 +1,16 @@
 """The packed edge store and the vectorised set operations, checked against
 the per-edge and bit-by-bit loops they replaced."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_membership
 from hypergt.model import Hypergraph, edge_outcomes
-from hypergt.sets import mask_from_flags, mask_of, nodes_of
+from hypergt.sets import column_nodes, mask_from_flags, mask_of, nodes_of, unpack_words
 
 NODE_COUNTS = (1, 63, 64, 65, 130)
 
@@ -25,14 +28,6 @@ def reference_nodes_of(mask):
         mask >>= 1
         v += 1
     return tuple(nodes)
-
-
-def reference_membership(graph):
-    mat = np.zeros((len(graph.edge_masks), graph.n))
-    for i, m in enumerate(graph.edge_masks):
-        for v in reference_nodes_of(m):
-            mat[i, v] = 1.0
-    return mat
 
 
 def reference_mask_from_flags(flags):
@@ -95,9 +90,62 @@ class TestMembership:
     @given(graph_and_query())
     def test_matches_bit_by_bit_build(self, case):
         graph, _ = case
-        got = graph.membership
-        assert got.shape == (len(graph), graph.n)
-        assert np.array_equal(got, reference_membership(graph))
+        member = reference_membership(graph)
+        got = unpack_words(graph.words, graph.n)
+        assert got.shape == member.shape and got.dtype == member.dtype
+        assert np.array_equal(got, member)
+        # column_nodes lists each edge's nodes in order, edge after edge.
+        assert column_nodes(graph.words).tolist() == [
+            v for row in member for v in np.flatnonzero(row).tolist()]
+
+
+@st.composite
+def graph_and_masses(draw):
+    """A graph, non-negative edge masses with some exact zeros, and a subset
+    of edge indices in any order."""
+    graph, _ = draw(graph_and_query())
+    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.integers(1, 9).map(float))
+    q = np.array(draw(st.lists(mass, min_size=len(graph), max_size=len(graph))))
+    edges = np.array(draw(st.permutations(range(len(graph))))[:draw(st.integers(0, len(graph)))],
+                     dtype=np.intp)
+    return graph, q, edges
+
+
+class TestNodeMass:
+    """Both kernels of Hypergraph.node_mass against the bit-by-bit membership
+    matrix; SPARSE_DENSITY is patched to force each form."""
+
+    @staticmethod
+    def mass(graph, q, edges, density):
+        with mock.patch("hypergt.model.SPARSE_DENSITY", density):
+            fresh = Hypergraph(graph.n, graph.edge_masks)
+            got = fresh.node_mass(q), fresh.node_mass(q, edges)
+        assert isinstance(fresh._kernel, np.ndarray) == (density == 0.0)
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_and_masses())
+    def test_sparse_and_dense_forms_agree(self, case):
+        graph, q, edges = case
+        member = reference_membership(graph)
+        picked = np.zeros(len(graph))
+        picked[edges] = q[edges]
+        dense = self.mass(graph, q, edges, 0.0)
+        sparse = self.mass(graph, q, edges, 2.0)
+        for d, s, want in zip(dense, sparse, (member.T @ q, member.T @ picked)):
+            assert d.shape == s.shape == (graph.n,)
+            np.testing.assert_allclose(s, d, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(d, want, rtol=1e-12, atol=0.0)
+            assert np.array_equal(d == 0.0, s == 0.0)
+            assert np.array_equal(d == 0.0, want == 0.0)
+
+    def test_dense_form_is_the_membership_mat_vec(self):
+        """The dense form keeps the mat-vec, so its sums are those of
+        membership.T @ q to the bit."""
+        graph = Hypergraph(4, [[0, 1], [1, 2, 3], [0, 3], []])
+        q = np.array([0.1, 0.2, 0.3, 0.4])
+        assert graph.node_mass(q).tolist() == (reference_membership(graph).T @ q).tolist()
+        assert isinstance(graph._kernel, np.ndarray)
 
 
 class TestMaskConversions:

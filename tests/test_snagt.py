@@ -180,6 +180,12 @@ class TestRunSnagt:
         with pytest.raises(SchemaError, match="overflow the test budget at n=4"):
             run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=3, **coeffs))
 
+    def test_a_model_of_zero_nodes_is_refused(self):
+        """log2 n has no value at n = 0, so neither has the survival threshold."""
+        g, d = Hypergraph(0, [[]]), EdgeDistribution([1.0])
+        with pytest.raises(SchemaError, match=r"survival threshold .* is undefined at n=0"):
+            run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=2))
+
 
 def replay_stopping_rule(graph, dist, config, tr):
     """Recompute every record's candidate snapshot and the stopping point of
