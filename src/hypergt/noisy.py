@@ -60,9 +60,11 @@ def repetitions(alpha: float, x: float, delta: float) -> int:
     """How often a noisy engine repeats a test: ceil(alpha * log2(x) / (1-2d)^2),
     never fewer than once. x is n for the residual group test,
     max(2, u log2 n) for a stage-2 individual test and u n for a preplanned
-    test. alpha must be finite and >= 0; 0 asks every test once."""
+    test, and must be >= 1. alpha must be finite and >= 0; 0 asks once."""
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha={alpha} must be finite and >= 0")
+    if not x >= 1:
+        raise ValueError(f"the repetition count needs x >= 1 (x is n, u log2 n or u n), got x={x}")
     try:
         return max(1, math.ceil(alpha * math.log2(x) / (1.0 - 2.0 * delta) ** 2))
     except OverflowError:
@@ -198,5 +200,6 @@ def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracl
     elimination. Schedule and repetition counts depend only on (n, u, seed),
     so the design stays target-independent; the test cap scales by the
     repetition factor."""
+    config._threshold_and_cap(graph.n)  # refuses n = 0 before log2(u n) can
     return _snagt_run(graph, dist, oracle, config,
                       repetitions(alpha, config.u * graph.n, channel.delta))

@@ -6,7 +6,7 @@ a hypergraph are also kept as a packed store of little-endian uint64 words of
 shape (ceil(n/64), |E|): row j holds nodes 64j..64j+63 of every edge, so one
 row is contiguous and one vector op answers a question about all edges at
 once. `intersects` is that question for a group test: which edges does the
-query hit?
+query hit? `meets` asks it for a block of queries packed by `pack_rows`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 WORD_BITS = 64
 WORD_DTYPE = np.dtype("<u8")
-_WORD_MASK = (1 << WORD_BITS) - 1
 _U8 = np.dtype(np.uint8)
+_PACK_CHUNK = 1024  # masks converted per join in pack_words
 
 
 def mask_of(nodes: Iterable[int]) -> int:
@@ -47,12 +47,34 @@ def full_mask(n: int) -> int:
 
 def pack_words(masks: Sequence[int], n: int) -> np.ndarray:
     """(ceil(n/64), len(masks)) word store; bits at or beyond the last word are dropped."""
-    words = np.empty(((n + WORD_BITS - 1) // WORD_BITS, len(masks)), dtype=WORD_DTYPE)
-    for j in range(words.shape[0]):
-        shift = j * WORD_BITS
-        words[j] = np.fromiter(((m >> shift) & _WORD_MASK for m in masks),
-                               dtype=WORD_DTYPE, count=len(masks))
+    rows = (n + WORD_BITS - 1) // WORD_BITS
+    keep = full_mask(rows * WORD_BITS)
+    words = np.empty((rows, len(masks)), dtype=WORD_DTYPE)
+    for lo in range(0, len(masks), _PACK_CHUNK):  # chunks bound the bytes held beside the store
+        chunk = masks[lo:lo + _PACK_CHUNK]
+        try:
+            raw = b"".join([m.to_bytes(rows * 8, "little") for m in chunk])
+        except OverflowError:  # a negative mask, or bits at or beyond the last word
+            raw = b"".join([(m & keep).to_bytes(rows * 8, "little") for m in chunk])
+        words[:, lo:lo + len(chunk)] = np.frombuffer(raw, WORD_DTYPE).reshape(len(chunk), rows).T
     return words
+
+
+def pack_rows(flags: np.ndarray) -> np.ndarray:
+    """(k, ceil(n/64)) words of a (k, n) bool array: row i is the set of flags[i]."""
+    k, n = flags.shape
+    rows = np.zeros((k, (n + WORD_BITS - 1) // WORD_BITS * 8), dtype=_U8)
+    rows[:, :(n + 7) // 8] = np.packbits(flags, axis=1, bitorder="little")
+    return rows.view(WORD_DTYPE)
+
+
+def meets(words: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(k, columns) bool: whether query i, a row of `pack_rows`, shares a node
+    with each column of a word store of as many rows."""
+    hits = np.zeros((queries.shape[0], words.shape[1]), dtype=WORD_DTYPE)
+    for j in range(words.shape[0]):
+        hits |= queries[:, j, None] & words[j]
+    return hits != 0
 
 
 def intersects(words: np.ndarray, t_mask: int) -> np.ndarray:

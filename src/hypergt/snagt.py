@@ -9,6 +9,14 @@ keeps these rules as flat arrays: a band id per live edge, and a count,
 candidate flag and time per band. Every queried set is drawn before any
 outcome is seen (each node independently with probability 1/u), so the
 schedule is a pure function of (n, u, seed).
+
+As no test waits for an outcome, `_run` works in exact blocks: no band can
+ripen within threshold - max(time) tests, so the stopping rule is checked
+between blocks only. Sub-chunks of 8, 16, 32, ... tests are drawn and packed
+at once, asked in order, and scored by one word kernel that finds each live
+edge's first contradicted test; per-band cumulative deaths give each record
+the snapshot a test-at-a-time loop would, so schedule, oracle calls and
+transcripts are that loop's, and memory stays at one sub-chunk.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from .errors import EmptySupport, SchemaError
 from .model import NODE_CAP, EdgeDistribution, Hypergraph, validate_model
-from .sets import intersects, mask_from_flags
+from .sets import meets, pack_rows
 from .transcript import RANDOM, Transcript
 
 
@@ -56,9 +64,12 @@ def dyadic_bucket(p: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / p)))
 
 
-def random_test_set(n: int, u: int, rng: np.random.Generator) -> int:
-    """Each node enters the test independently with probability 1/u."""
-    return mask_from_flags(rng.random(n) < 1.0 / u)
+def random_test_set(n: int, u: int, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k tests as a (k, ceil(n/64)) word block, row i the query of test i:
+    each node enters each test independently with probability 1/u. The draw
+    rng.random((k, n)) yields the doubles of k successive rng.random(n), so
+    the schedule does not depend on how it is cut into blocks."""
+    return pack_rows(rng.random((k, n)) < 1.0 / u)
 
 
 def run_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle,
@@ -124,26 +135,32 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
             tr.halted = True
             return tr
 
-        t_mask = random_test_set(n, u, schedule_rng)
-        sg_size = int(candidate.sum())
-        sg_max_time = int(time.max())
-        votes = 0
-        for _ in range(repetitions):
-            outcome = oracle(t_mask)
-            votes += 1 if outcome else 0
-            tr.add(t_mask, outcome, RANDOM,
-                   rep_group=tests if repetitions > 1 else None,
-                   sg_size=sg_size, sg_max_time=sg_max_time)
-        verdict = 2 * votes >= repetitions
-        tests += 1
+        # A band's time grows by at most one a test, so none can ripen within
+        # the block and the stop rule is checked only at block ends.
+        end = tests + min(cap - tests, max(1, threshold - int(time.max())))
+        chunk = 8  # growing sub-chunks bound the draws and the kernel by chunk x (n + |live|)
+        while tests < end:
+            k = min(chunk, end - tests)
+            chunk *= 2
+            block = random_test_set(n, u, schedule_rng, k)
+            masks = [int.from_bytes(row.tobytes(), "little") for row in block]
+            outcomes = [[bool(oracle(m)) for _ in range(repetitions)] for m in masks]
+            verdict = np.array([2 * sum(votes) >= repetitions for votes in outcomes])
 
-        # Eliminate edges inconsistent with the verdict.
-        dead = intersects(live_words, t_mask) != verdict
-        if dead.any():
-            count -= np.bincount(band[dead], minlength=count.size)
-            live = live[~dead]
-            band = band[~dead]
-            live_words = live_words[:, ~dead]
-
-        time[candidate] += 1
-        candidate = count == 1
+            # An edge dies at its first test whose verdict it contradicts.
+            wrong = meets(live_words, block) != verdict[:, None]
+            dead = wrong.any(axis=0)
+            deaths = np.bincount(wrong.argmax(axis=0)[dead] * count.size + band[dead],
+                                 minlength=k * count.size).reshape(k, count.size)
+            after = count - np.cumsum(deaths, axis=0)  # band counts after each test
+            before = np.vstack([candidate, after[:-1] == 1])  # candidacy before each test
+            times = time + np.cumsum(before, axis=0) - before  # band times before each test
+            for i, (mask, votes, sg_size, sg_max_time) in enumerate(zip(
+                    masks, outcomes, before.sum(axis=1).tolist(), times.max(axis=1).tolist())):
+                for outcome in votes:
+                    tr.add(mask, outcome, RANDOM,
+                           rep_group=tests + i if repetitions > 1 else None,
+                           sg_size=sg_size, sg_max_time=sg_max_time)
+            tests += k
+            count, candidate, time = after[-1], after[-1] == 1, times[-1] + before[-1]
+            live, band, live_words = live[~dead], band[~dead], live_words[:, ~dead]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from hypergt.builders import _components
-from hypergt.errors import TooLarge
-from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
+from hypergt.errors import EmptySupport, TooLarge
+from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle, validate_model
 from hypergt.oracle import MAX_NODES
-from hypergt.sets import mask_of, nodes_of
+from hypergt.sets import intersects, mask_from_flags, mask_of, nodes_of
+from hypergt.snagt import dyadic_bucket
+from hypergt.transcript import RANDOM, Transcript
 
 
 @pytest.fixture
@@ -88,6 +91,95 @@ def reference_split_scan(post, c):
         if not high:
             return s, False
         s &= ~(1 << high[0])
+
+
+def reference_snagt(graph, dist, oracle, config, repetitions):
+    """The preplanned engine one test at a time: the loop `snagt._run` ran
+    before it eliminated in blocks, kept so the block engine can be compared
+    with it record for record."""
+    validate_model(graph, dist)
+    u = config.u
+    n = graph.n
+    # u bounds the target size as Pr(|e*| > u) -> 0, so size-u edges stay; a
+    # regular support run with u equal to the common edge size keeps its mass.
+    kept = np.flatnonzero(graph.edge_sizes <= u)
+    probs = dist.probs[kept]
+    mass = float(probs.sum())
+    if mass <= 0.0:
+        raise EmptySupport(f"the edges of size <= u={u} carry no probability")
+    probs = probs / mass
+    # Zero-mass edges are never the target. The scalar band rule runs once per
+    # distinct probability: a vectorised log2 can land an ulp off near powers
+    # of two and move an edge to the next band.
+    live = kept[probs > 0.0]
+    tail = math.ceil(n * math.log2(n)) if n >= 2 else math.inf  # later bands merge
+    values, inverse = np.unique(probs[probs > 0.0], return_inverse=True)
+    ids = np.array([min(dyadic_bucket(float(p)), tail) for p in values])
+    _, band = np.unique(ids[inverse], return_inverse=True)  # ascending band ids
+    count = np.bincount(band)
+    # A band's time counts the tests it survived as a candidate; candidacy is
+    # count == 1, taken after each test, so no band starts as one.
+    time = np.zeros(count.size, dtype=np.int64)
+    candidate = np.zeros(count.size, dtype=bool)
+    live_words = graph.words[:, live]  # columns of the caller's cached store
+
+    threshold, cap = config._threshold_and_cap(n)
+    if threshold >= cap:
+        warnings.warn(
+            f"survival threshold {threshold} >= test cap {cap} for n={n}, u={u}: "
+            "this run halts without an answer; lower stop_coeff or raise cap_coeff",
+            stacklevel=3,
+        )
+
+    schedule_rng = np.random.default_rng(config.seed)
+    # The final uniform pick among ripe bands (one draw per run, even for a
+    # lone band) has its own stream so the schedule depends on (n, u, seed) only.
+    pick_rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=0 if config.seed is None else config.seed, spawn_key=(1,)))
+
+    tr = Transcript()
+    tests = 0
+
+    while True:
+        ready = np.flatnonzero(candidate & (time >= threshold))
+        if ready.size:
+            e = int(live[band == ready[int(pick_rng.integers(ready.size))]][0])
+            tr.result_edge, tr.result_nodes = e, graph.edge_nodes(e)
+            return tr
+
+        if tests >= cap:
+            tr.halted = True
+            return tr
+
+        t_mask = random_test_set(n, u, schedule_rng)
+        sg_size = int(candidate.sum())
+        sg_max_time = int(time.max())
+        votes = 0
+        for _ in range(repetitions):
+            outcome = oracle(t_mask)
+            votes += 1 if outcome else 0
+            tr.add(t_mask, outcome, RANDOM,
+                   rep_group=tests if repetitions > 1 else None,
+                   sg_size=sg_size, sg_max_time=sg_max_time)
+        verdict = 2 * votes >= repetitions
+        tests += 1
+
+        # Eliminate edges inconsistent with the verdict.
+        dead = intersects(live_words, t_mask) != verdict
+        if dead.any():
+            count -= np.bincount(band[dead], minlength=count.size)
+            live = live[~dead]
+            band = band[~dead]
+            live_words = live_words[:, ~dead]
+
+        time[candidate] += 1
+        candidate = count == 1
+
+
+def random_test_set(n, u, rng):
+    """One scheduled test of `reference_snagt`: each node independently with
+    probability 1/u."""
+    return mask_from_flags(rng.random(n) < 1.0 / u)
 
 
 # References that only tests use: the exact majority tail, the single-probe

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import majority_error_probability, oracle_for, random_model, truth_for
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_independent, build_islands, build_random_regular
+from hypergt.errors import SchemaError
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
@@ -286,6 +287,21 @@ class TestNoisySnagt:
         assert ok / trials >= 0.9
 
 
+class TestZeroNodes:
+    """log2 n has no value at n = 0: each noisy engine refuses such a model
+    with a message naming the quantity it cannot compute."""
+
+    def test_noisy_snagt_refuses_it_as_snagt_does(self):
+        g, d = Hypergraph(0, [[]]), EdgeDistribution([1.0])
+        with pytest.raises(SchemaError, match=r"survival threshold .* is undefined at n=0"):
+            run_noisy_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=2), NoiseChannel(0.1))
+
+    def test_noisy_adaptive_refuses_it(self):
+        g, d = Hypergraph(0, [[]]), EdgeDistribution([1.0])
+        with pytest.raises(ValueError, match=re.escape("needs x >= 1 (x is n, u log2 n or u n), got x=0")):
+            run_noisy_adaptive(g, d, oracle_for(g, 0), AdaptiveConfig(), NoiseChannel(0.1))
+
+
 class TestSchedule:
     def test_formulas(self):
         assert repetitions(2.0, 12, 0.1) == math.ceil(2 * math.log2(12) / 0.64) == 12
@@ -307,6 +323,11 @@ class TestSchedule:
     def test_alpha_outside_its_range_is_refused(self, alpha, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             repetitions(alpha, 4, 0.4)
+
+    @pytest.mark.parametrize("x", [0, 0.5, -4, math.nan])
+    def test_x_below_one_is_refused(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"got x={x}")):
+            repetitions(2.0, x, 0.1)
 
     @pytest.mark.parametrize("u,cap,message", [
         (-3, None, "u=-3 must be >= 1"),

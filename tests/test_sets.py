@@ -10,13 +10,31 @@ from hypothesis import strategies as st
 
 from conftest import reference_membership
 from hypergt.model import Hypergraph, edge_outcomes
-from hypergt.sets import column_nodes, mask_from_flags, mask_of, nodes_of, unpack_words
+from hypergt.sets import (
+    column_nodes,
+    mask_from_flags,
+    mask_of,
+    meets,
+    nodes_of,
+    pack_rows,
+    pack_words,
+    unpack_words,
+)
 
 NODE_COUNTS = (1, 63, 64, 65, 130)
 
 
 def reference_edge_outcomes(graph, t_mask):
     return np.array([bool(m & t_mask) for m in graph.edge_masks], dtype=bool)
+
+
+def reference_pack_words(masks, n):
+    """The word store built one 64-bit word of one mask at a time."""
+    words = np.zeros(((n + 63) // 64, len(masks)), dtype="<u8")
+    for j in range(words.shape[0]):
+        for e, m in enumerate(masks):
+            words[j, e] = (m >> (64 * j)) & ((1 << 64) - 1)
+    return words
 
 
 def reference_nodes_of(mask):
@@ -83,6 +101,44 @@ class TestEdgeOutcomes:
         graph = Hypergraph(n, [0, 1 << (n - 1)])
         assert graph.words.shape == ((n + 63) // 64, 2)
         assert graph.words[:, 1].any() and not graph.words[:, 0].any()
+
+
+class TestQueryBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_and_query(), st.lists(st.integers(0, 2 ** 32 - 1), max_size=6))
+    def test_rows_are_masks_and_meets_is_the_per_edge_loop(self, case, seeds):
+        """Each row of pack_rows is the mask of its flags, and meets answers
+        every row as the per-edge loop answers that mask."""
+        graph, query = case
+        n = graph.n
+        flags = np.array([[query >> v & 1 for v in range(n)]] + [
+            np.random.default_rng(seed).random(n) < 0.3 for seed in seeds], dtype=bool)
+        masks = [reference_mask_from_flags(row) for row in flags]
+        block = pack_rows(flags)
+        assert block.shape == (len(masks), (n + 63) // 64)
+        assert np.array_equal(block, pack_words(masks, n).T)
+        hit = meets(graph.words, block)
+        assert hit.shape == (len(masks), len(graph))
+        assert np.array_equal(hit, [reference_edge_outcomes(graph, m) for m in masks])
+
+
+class TestPackWords:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((0, 1, 64, 65, 130)).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.one_of(node_set(0, n + 70), st.integers(0, (1 << (n + 70)) - 1),
+                                       st.integers(-(1 << (n + 70)), -1)), max_size=12))))
+    def test_matches_the_per_word_build(self, case):
+        """Bits at or beyond the last word are dropped, as documented, and a
+        negative mask packs as its two's complement; a small chunk size makes
+        the masks span several chunks."""
+        n, masks = case
+        want = reference_pack_words(masks, n)
+        with mock.patch("hypergt.sets._PACK_CHUNK", 5):
+            chunked = pack_words(masks, n)
+        for got in (pack_words(masks, n), chunked):
+            assert got.shape == want.shape == ((n + 63) // 64, len(masks))
+            assert got.dtype == want.dtype and got.flags.c_contiguous and got.flags.writeable
+            assert np.array_equal(got, want)
 
 
 class TestMembership:

@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import oracle_for, truth_for
+from conftest import oracle_for, random_test_set as reference_test_set, reference_snagt, truth_for
 from hypergt.builders import build_nested, build_random_regular
 from hypergt.errors import EmptySupport, SchemaError
 from hypergt.model import NODE_CAP, EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
+from hypergt.noisy import NoiseChannel, noisy_oracle, repetitions, run_noisy_snagt
 from hypergt.sets import mask_of
 from hypergt.snagt import SnagtConfig, dyadic_bucket, random_test_set, run_snagt
 
@@ -20,20 +21,36 @@ class TestDyadicPartition:
         assert dyadic_bucket(p) == bucket
 
 
+def row_flags(block, n):
+    """(k, n) bool view of a (k, words) query block."""
+    return np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
 class TestRandomTestSet:
     def test_deterministic_under_seed(self):
-        a = random_test_set(50, 4, np.random.default_rng(3))
-        b = random_test_set(50, 4, np.random.default_rng(3))
-        assert a == b
+        a = random_test_set(50, 4, np.random.default_rng(3), 1)
+        b = random_test_set(50, 4, np.random.default_rng(3), 1)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 500])
+    def test_a_block_is_its_rows_drawn_one_at_a_time(self, n):
+        """k rows of one draw are the k single-row draws of the same seed, and
+        each row holds the mask the one-test draw gives."""
+        k, u = 37, 3
+        block = random_test_set(n, u, np.random.default_rng(n), k)
+        assert block.shape == (k, (n + 63) // 64) and block.dtype == np.dtype("<u8")
+        one_at_a_time = np.random.default_rng(n)
+        rows = np.vstack([random_test_set(n, u, one_at_a_time, 1) for _ in range(k)])
+        assert np.array_equal(block, rows)
+        one_test = np.random.default_rng(n)
+        assert [int.from_bytes(row.tobytes(), "little") for row in block] == \
+               [reference_test_set(n, u, one_test) for _ in range(k)]
 
     def test_inclusion_frequency(self):
         n, u, draws = 100, 5, 20_000
         rng = np.random.default_rng(0)
-        hits = np.zeros(n)
-        for _ in range(draws):
-            m = random_test_set(n, u, rng)
-            for v in range(n):
-                hits[v] += m >> v & 1
+        hits = sum(row_flags(random_test_set(n, u, rng, 1000), n).sum(axis=0)
+                   for _ in range(draws // 1000))
         freq = hits / draws
         assert abs(freq.mean() - 0.2) < 0.01
         assert np.all(np.abs(freq - 0.2) < 0.02)
@@ -41,7 +58,7 @@ class TestRandomTestSet:
     def test_mean_size_at_u_equals_n(self):
         n = 40
         rng = np.random.default_rng(1)
-        sizes = [random_test_set(n, n, rng).bit_count() for _ in range(4000)]
+        sizes = row_flags(random_test_set(n, n, rng, 4000), n).sum(axis=1)
         assert abs(np.mean(sizes) - 1.0) < 3 * np.std(sizes, ddof=1) / math.sqrt(len(sizes))
 
 
@@ -271,3 +288,81 @@ class TestStoppingRule:
         assert returned > 0
         if model is community12:
             assert singles  # a band holds a single edge from the start
+
+
+class Counted:
+    """An oracle that logs every query it answers."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.queries = []
+
+    def __call__(self, t_mask):
+        self.queries.append(t_mask)
+        return self.oracle(t_mask)
+
+
+def nested16():
+    return build_nested(16)
+
+
+class TestBlockEngine:
+    """The block engine against `reference_snagt`, the per-test loop it
+    replaced: equal transcripts record for record, and the same oracle calls
+    in the same order."""
+
+    @staticmethod
+    def same_run(graph, dist, make_oracle, config, channel=None):
+        block, single = Counted(make_oracle()), Counted(make_oracle())
+        if channel is None:
+            got = run_snagt(graph, dist, block, config)
+            reps = 1
+        else:
+            got = run_noisy_snagt(graph, dist, block, config, channel)
+            reps = repetitions(2.0, config.u * graph.n, channel.delta)
+        want = reference_snagt(graph, dist, single, config, reps)
+        assert got.to_json() == want.to_json()
+        assert len(block.queries) == len(single.queries) == got.total
+        assert block.queries == single.queries
+        return got
+
+    @pytest.mark.parametrize("model,u,coeffs", [
+        (three_regular, 3, {}),
+        (community12, 4, {"stop_coeff": 1.0}),  # many bands of unequal mass
+        (community12, 2, {"stop_coeff": 1.0}),  # u drops the edges of 3 or more nodes
+        (nested16, 3, {"stop_coeff": 1.0, "cap_coeff": 0.5}),  # drops edges; the cap ends runs
+        (community12, 4, {"stop_coeff": 1.0, "cap_coeff": 0.5}),  # the cap, 24, cuts the second block
+        (with_zero_mass, 2, {"stop_coeff": 1.0}),
+        (tail_band_only, 2, {"stop_coeff": 1.0}),
+    ], ids=["regular60", "community12", "community12-u2", "nested16-capped",
+            "community12-capped", "zero-mass", "tail-band"])
+    def test_noiseless_runs_match_the_per_test_loop(self, model, u, coeffs):
+        g, d = model()
+        outcomes = set()
+        for seed in range(4):
+            for target in np.flatnonzero(d.probs > 0)[:6].tolist():
+                tr = self.same_run(g, d, lambda: oracle_for(g, target),
+                                   SnagtConfig(u=u, seed=seed, **coeffs))
+                outcomes.add(tr.halted)
+        assert outcomes == ({False, True} if "cap_coeff" in coeffs else {False})
+
+    def test_runs_that_cannot_return_match(self):
+        g, d = three_regular(n=20, count=8, seed=5)
+        for seed in range(3):
+            with pytest.warns(UserWarning, match="threshold 130 >= test cap 12"):
+                tr = self.same_run(g, d, lambda: oracle_for(g, 0),
+                                   SnagtConfig(u=3, cap_coeff=0.2, seed=seed))
+            assert tr.halted and tr.total == 12
+
+    @pytest.mark.parametrize("model,u", [(three_regular, 3), (community12, 4)],
+                             ids=["regular60", "community12"])
+    def test_noisy_runs_match_the_per_test_loop(self, model, u):
+        g, d = model()
+        channel = NoiseChannel(0.1)
+        assert repetitions(2.0, u * g.n, channel.delta) > 1
+        for seed in range(3):
+            truth = truth_for(g, 2 * seed + 1)
+            tr = self.same_run(g, d,
+                               lambda: noisy_oracle(truth, channel, np.random.default_rng(seed)),
+                               SnagtConfig(u=u, stop_coeff=1.0, seed=seed), channel)
+            assert all(r.rep_group is not None for r in tr.records)
