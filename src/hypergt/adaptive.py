@@ -14,9 +14,11 @@ informative test; this keeps every residual node above 1-2c at the group-test
 branch. A weight near either bound is compared on its exact sum, so a tie
 never depends on summation order. The scan starts from the active nodes,
 which hold every edge of positive mass, and keeps the in-S mass through each
-node, so a greedy removal subtracts only the edges it drops from E(S). The
-stage-2 test list is frozen at entry: every node that is uncertain at that
-moment is tested, even if an earlier outcome in the same sweep settles it.
+node, so a greedy removal subtracts only the edges it drops from E(S). One
+greedy step drops together the nodes that one-at-a-time removal would drop in
+turn, as long as each provably stays above 1-c until its turn. The stage-2
+test list is frozen at entry: every node that is uncertain at that moment is
+tested, even if an earlier outcome in the same sweep settles it.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -47,7 +49,7 @@ from .model import (
     prior_posterior,
     validate_model,
 )
-from .sets import intersects, mask_from_flags
+from .sets import intersects, mask_from_flags, mask_of
 from .transcript import COMPLEMENT, INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
 TestOracle = Callable[[int], bool]
@@ -101,8 +103,15 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
 
     `marg`, the node marginals of q, must be zero outside `active`: then E(S)
     for S = active holds all the mass, and the in-S mass through each node, m,
-    starts at marg. Removing v subtracts only the in-S edges through v, so a
-    step costs O(n + |E|), and each dropped edge n once per scan.
+    starts at marg. Removing nodes subtracts only the in-S edges through them.
+
+    After a step that finds no window, each node v of S is high, with
+    w(S minus v) > 1-c, or at most c, where it stays as S shrinks. Dropping
+    nodes lowers each w(S minus u) by at most the sum of their m, so one step
+    drops the lowest high nodes while the m dropped before each stays below
+    `room`, the least margin of a high node above 1-c + 2 _TOL: the nodes that
+    one-at-a-time removal would drop in turn. A step costs O(n + |E|), and
+    each dropped edge n once per scan.
 
     Returns (s, found, w): the residual node flags, whether s landed strictly
     inside the (c, 1-c) weight window, and the weight of s.
@@ -115,7 +124,8 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
         # w(S \ v) = w(S) - m[v]. A node within _TOL of c or 1-c is decided
         # exactly instead: fsum rounds once, so the sign of (sum of its in-S
         # edges avoiding v) - bound is the exact comparison.
-        w_minus = qs.sum() - m
+        w = qs.sum()
+        w_minus = w - m
         above_c = w_minus > c
         above_hi = w_minus > hi
         for v in np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL)):
@@ -127,12 +137,18 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
             v = int(np.argmax(window))
             s[v] = False
             return s, True, float(w_minus[v])
-        high = s & above_hi
-        if not high.any():
-            return s, False, float(qs.sum())
-        v = int(np.argmax(high))
-        s[v] = False
-        es = np.flatnonzero(intersects(graph.words, 1 << v) & (qs != 0.0))
+        high = np.flatnonzero(s & above_hi)
+        if not high.size:
+            return s, False, float(w)
+        room = w_minus[high].min() - hi - 2.0 * _TOL
+        if high.size > 1 and m[high[0]] < room:
+            drop = high[:1 + int(np.searchsorted(np.cumsum(m[high]), room))]
+            t_mask = mask_of(drop.tolist())
+        else:
+            drop = high[:1]
+            t_mask = 1 << int(drop[0])
+        s[drop] = False
+        es = np.flatnonzero(intersects(graph.words, t_mask) & (qs != 0.0))
         m -= graph.node_mass(qs, es)
         qs[es] = 0.0
 
@@ -251,8 +267,8 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
 def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
     """Stage 2 of the base and regular variants, from residual set s."""
     if regular:
-        surviving = [i for i in range(len(graph)) if obs.post.q[i] > 0.0]
-        sizes = {int(graph.edge_sizes[i]) for i in surviving}
+        surviving = np.flatnonzero(obs.post.q > 0.0).tolist()
+        sizes = set(graph.edge_sizes[surviving].tolist())
         if len(sizes) > 1:
             raise NotRegular(f"surviving edge sizes {sorted(sizes)} at stage-2 entry")
         if len(surviving) < int(s.sum()):

@@ -76,7 +76,8 @@ def cmd_run(args) -> int:
           f"halt rate {s.halt_rate:.4f}")
     failed = [r.error for r in results if r.error is not None]
     if failed:
-        print(f"{len(failed)} of {s.count} trials raised an error, first {failed[0]}",
+        kinds = ", ".join(f"{kind}: {count}" for kind, count in sorted(s.errors.items()))
+        print(f"{len(failed)} of {s.count} trials raised an error ({kinds}), first {failed[0]}",
               file=sys.stderr)
         return 1
     return 0

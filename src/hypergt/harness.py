@@ -270,6 +270,7 @@ class Summary:
     mu_stage2: Moments = field(default_factory=Moments)
     wrong: int = 0
     halts: int = 0
+    errors: dict[str, int] = field(default_factory=dict)  # trials that raised, by exception type
 
     @property
     def error_rate(self) -> float:
@@ -293,6 +294,9 @@ def summarize(results: Sequence[TrialResult]) -> Summary:
             s.mu_stage2.add(r.mu_stage2)
         s.wrong += 0 if r.correct else 1
         s.halts += 1 if r.halted else 0
+        if r.error is not None:
+            kind = r.error.split("(", 1)[0]  # the class name of the exception's repr
+            s.errors[kind] = s.errors.get(kind, 0) + 1
     return s
 
 
@@ -368,8 +372,8 @@ def check_bounds(graph: Hypergraph, dist: EdgeDistribution,
         checks.append(_at_most("stage-1 tests", s.stage1, stage1_bound))
         checks.append(_at_most("stage-2 tests", s.stage2, stage2_bound))
         checks.append(_at_most("total tests", s.tests, stage1_bound + stage2_bound))
-        sizes = [int(graph.edge_sizes[i]) for i in range(len(graph)) if dist.probs[i] > 0]
-        f1, f2 = min(sizes), max(sizes)
+        sizes = graph.edge_sizes[dist.probs > 0]
+        f1, f2 = int(sizes.min()), int(sizes.max())
         if f1 >= 1:
             size_bound = stage1_bound + f2 * mu / (f1 * (1.0 - 2.0 * c))
             checks.append(_at_most("total tests (size-band form)", s.tests, size_bound))

@@ -127,7 +127,8 @@ def _edge_mask(i: int, e: Iterable[int] | int, n: int) -> int:
 class EdgeDistribution:
     """One probability per edge, aligned with Hypergraph.edge_masks.
 
-    `probs` is the distribution's own read-only float copy of the input. The
+    `probs` is the distribution's own read-only float copy of the input, and
+    `cdf` its read-only cumulative sum, which `sample_truth` searches. The
     constructor rejects non-numeric masses (SchemaError), a negative one
     (NegativeProbability) and a total that is not finite or not within
     NORMALIZATION_TOL of 1 (NotNormalized).
@@ -151,6 +152,12 @@ class EdgeDistribution:
             raise NotNormalized(f"edge probabilities sum to {total!r}")
         p.flags.writeable = False
         self.probs = p
+        # Built as Generator.choice builds it from p / p.sum(), so a draw
+        # matches rng.choice(len(p), p=p / p.sum()) on the same stream.
+        cdf = np.cumsum(p / p.sum())
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        self.cdf = cdf
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -234,7 +241,7 @@ def certain_edge(post: Posterior) -> int | None:
 
 def sample_truth(graph: Hypergraph, dist: EdgeDistribution, rng: np.random.Generator) -> GroundTruth:
     """Draw the target edge from the prior."""
-    i = int(rng.choice(len(dist.probs), p=dist.probs / dist.probs.sum()))
+    i = int(dist.cdf.searchsorted(rng.random(), side="right"))
     return GroundTruth(i, graph.edge_masks[i])
 
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hypergt.adaptive import _TOL
 from hypergt.builders import _components
 from hypergt.errors import EmptySupport, TooLarge
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle, validate_model
@@ -91,6 +92,40 @@ def reference_split_scan(post, c):
         if not high:
             return s, False
         s &= ~(1 << high[0])
+
+
+def reference_step_scan(q, marg, graph, active, c):
+    """`adaptive._split_scan` one node per step: the loop it ran before it
+    dropped provably-high nodes in batches, kept so the batched scan can be
+    compared with it. Returns (s, found, w)."""
+    s = active.copy()
+    m = marg.copy()
+    qs = q.copy()
+    hi = 1.0 - c
+    while True:
+        # w(S \ v) = w(S) - m[v]. A node within _TOL of c or 1-c is decided
+        # exactly instead: fsum rounds once, so the sign of (sum of its in-S
+        # edges avoiding v) - bound is the exact comparison.
+        w_minus = qs.sum() - m
+        above_c = w_minus > c
+        above_hi = w_minus > hi
+        for v in np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL)):
+            terms = qs[(qs != 0.0) & ~intersects(graph.words, 1 << int(v))].tolist()
+            above_c[v] = math.fsum(terms + [-c]) > 0.0
+            above_hi[v] = math.fsum(terms + [-hi]) > 0.0
+        window = s & above_c & ~above_hi
+        if window.any():
+            v = int(np.argmax(window))
+            s[v] = False
+            return s, True, float(w_minus[v])
+        high = s & above_hi
+        if not high.any():
+            return s, False, float(qs.sum())
+        v = int(np.argmax(high))
+        s[v] = False
+        es = np.flatnonzero(intersects(graph.words, 1 << v) & (qs != 0.0))
+        m -= graph.node_mass(qs, es)
+        qs[es] = 0.0
 
 
 def reference_snagt(graph, dist, oracle, config, repetitions):

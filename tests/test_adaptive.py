@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_for, random_model, reference_membership, reference_split_scan, truth_for
+from conftest import (
+    oracle_for,
+    random_model,
+    reference_membership,
+    reference_split_scan,
+    reference_step_scan,
+    truth_for,
+)
 import hypergt
 from hypergt.adaptive import (
     AdaptiveConfig,
+    _split_scan,
     find_split_set,
     resolve_f2,
     run_adaptive,
@@ -26,11 +34,12 @@ from hypergt.model import (
     condition_on_test,
     edge_entropy,
     expected_infections,
+    node_marginals,
     prior_posterior,
 )
 from hypergt.noisy import bayes_update_noisy
 from hypergt.oracle import direct_posterior
-from hypergt.sets import mask_of, nodes_of
+from hypergt.sets import mask_from_flags, mask_of, nodes_of
 
 
 def enumerate_targets(graph, dist, config):
@@ -126,6 +135,58 @@ class TestFindSplitSet:
             else:
                 post = condition_on_test(post, t, outcome)
         assert find_split_set(post, c) == reference_split_scan(post, c)
+
+
+def _regular_model(n, skewed):
+    graph, dist = build_random_regular(n, 3, count=10 * n, seed=n)
+    if not skewed:
+        return graph, dist
+    weights = np.random.default_rng(n).pareto(1.0, len(graph)) + 1e-3
+    return graph, EdgeDistribution(weights / weights.sum())
+
+
+class TestBatchedScan:
+    """The scan drops provably-high nodes in batches; the one-node-per-step
+    loop it replaced, `reference_step_scan`, must give the same set."""
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("n", [64, 200, 500])
+    def test_matches_one_node_per_step(self, n, skewed):
+        graph, dist = _regular_model(n, skewed)
+        rng = np.random.default_rng(1000 * n + skewed)
+        calls = []
+
+        def counted(q, edges=None):
+            calls.append(edges)
+            return Hypergraph.node_mass(graph, q, edges)
+
+        removed = steps = 0
+        for case in range(12):
+            post = prior_posterior(graph, dist)
+            target = graph.edge_masks[int(rng.choice(len(graph), p=dist.probs))]
+            delta = (0.0, 0.05)[case % 2]
+            for _ in range(int(rng.integers(1, 9)) if case else 0):
+                t = mask_from_flags(rng.random(n) < rng.choice([0.01, 0.05, 0.2]))
+                if delta:
+                    post = bayes_update_noisy(post, t, bool(rng.random() < 0.5), delta)
+                else:
+                    post = condition_on_test(post, t, bool(t & target))
+            marg = node_marginals(post)
+            active = marg > 0.0 if case % 3 else np.ones(n, dtype=bool)
+            for c in (0.2, 1.0 / 3.0, 0.45):
+                s_ref, found_ref, w_ref = reference_step_scan(post.q, marg, graph, active, c)
+                calls.clear()
+                graph.node_mass = counted
+                try:
+                    s, found, w = _split_scan(post.q, marg, graph, active, c)
+                finally:
+                    del graph.node_mass
+                assert np.array_equal(s, s_ref) and found == found_ref
+                assert abs(w - w_ref) <= 1e-12
+                # A found window drops one more node, outside any step.
+                removed += int(active.sum() - s.sum()) - found
+                steps += len(calls)
+        assert steps < removed  # some step dropped two or more nodes
 
 
 class TestRunBase:

@@ -270,6 +270,19 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_errors_are_counted_by_type(self, tmp_path):
+        errors = [None, "OracleInconsistent('no edge')", "ValueError('math domain error')",
+                  "OracleInconsistent('every edge complement tested positive')", None]
+        rows = [TrialResult(i, 0, 0, tests=0, stage1=0, stage2=0, informative=0,
+                            correct=e is None, halted=e is not None, error=e)
+                for i, e in enumerate(errors)]
+        expected = {"OracleInconsistent": 2, "ValueError": 1}
+        assert summarize(rows).errors == expected
+        path = str(tmp_path / "out.csv")
+        write_csv(rows, path)
+        assert summarize(read_csv(path)).errors == expected
+        assert summarize(rows[:1]).errors == {}
+
 
 class TestCheckBounds:
     def test_fig1_base_passes(self, fig1, fig1_files):
@@ -498,5 +511,6 @@ class TestCli:
             "model": {"family": "cosize", "params": {"n": 8}}, "algorithm": "snagt",
             "trials": 3, "u": 2}))
         assert cli_main(["run", "--config", str(config_path), "--out", str(csv_path)]) == 1
-        assert "3 of 3 trials raised an error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("3 of 3 trials raised an error (EmptySupport: 3), first EmptySupport(")
         assert all("EmptySupport" in r.error for r in read_csv(str(csv_path)))

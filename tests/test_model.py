@@ -27,6 +27,7 @@ from hypergt.model import (
     load_model,
     node_marginals,
     prior_posterior,
+    sample_truth,
     save_model,
     validate_model,
 )
@@ -194,6 +195,36 @@ class TestExpectedInfections:
 
         g, d = build_nested(4)
         assert expected_infections(prior_posterior(g, d)) == pytest.approx(2.5, abs=1e-12)
+
+
+def _skewed_with_zeros(k, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.pareto(1.0, k) * (rng.random(k) < 0.6)
+    weights[0] = 0.0
+    return weights / weights.sum()
+
+
+class TestSampleTruth:
+    @pytest.mark.parametrize("probs", [
+        [0.3, 0.2, 0.5],
+        [1.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 0.25, 0.0, 0.75, 0.0],
+        [1.0 / 7.0] * 7,
+        _skewed_with_zeros(300, 1),
+        _skewed_with_zeros(5000, 2),
+    ], ids=["fig1", "one", "last-only", "zeros-between", "sevenths", "skewed300", "skewed5000"])
+    def test_draws_match_generator_choice(self, probs):
+        dist = EdgeDistribution(probs)
+        graph = Hypergraph(max(1, (len(probs) - 1).bit_length()), range(len(probs)))
+        assert not dist.cdf.flags.writeable
+        for seed in range(1500):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            truth = sample_truth(graph, dist, rng)
+            assert truth.target == int(ref.choice(len(probs), p=dist.probs / dist.probs.sum()))
+            assert truth.mask == graph.edge_masks[truth.target]
+            assert dist.probs[truth.target] > 0.0
+            assert rng.random() == ref.random()  # the draw consumed the same stream
 
 
 class TestEntropy:
