@@ -108,10 +108,11 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
     After a step that finds no window, each node v of S is high, with
     w(S minus v) > 1-c, or at most c, where it stays as S shrinks. Dropping
     nodes lowers each w(S minus u) by at most the sum of their m, so one step
-    drops the lowest high nodes while the m dropped before each stays below
-    `room`, the least margin of a high node above 1-c + 2 _TOL: the nodes that
-    one-at-a-time removal would drop in turn. A step costs O(n + |E|), and
-    each dropped edge n once per scan.
+    drops the lowest high node, and each next one while the m dropped before
+    it stays below `room`, the least margin of a high node above 1-c + 2 _TOL:
+    the nodes that one-at-a-time removal would drop in turn. A step costs
+    O(n + |E|), plus O(|E|) per node within _TOL of a bound, and each dropped
+    edge n once per scan.
 
     Returns (s, found, w): the residual node flags, whether s landed strictly
     inside the (c, 1-c) weight window, and the weight of s.
@@ -122,14 +123,16 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
     hi = 1.0 - c
     while True:
         # w(S \ v) = w(S) - m[v]. A node within _TOL of c or 1-c is decided
-        # exactly instead: fsum rounds once, so the sign of (sum of its in-S
-        # edges avoiding v) - bound is the exact comparison.
+        # exactly instead: fsum rounds once, so the sign of (in-S masses, listed
+        # once a step, minus those through v) - bound is the exact comparison.
         w = qs.sum()
         w_minus = w - m
         above_c = w_minus > c
         above_hi = w_minus > hi
-        for v in np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL)):
-            terms = qs[(qs != 0.0) & ~intersects(graph.words, 1 << int(v))].tolist()
+        ties = np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL))
+        in_s = qs[qs != 0.0].tolist() if ties.size else []
+        for v in ties:
+            terms = in_s + (-qs[(qs != 0.0) & intersects(graph.words, 1 << int(v))]).tolist()
             above_c[v] = math.fsum(terms + [-c]) > 0.0
             above_hi[v] = math.fsum(terms + [-hi]) > 0.0
         window = s & above_c & ~above_hi
@@ -141,14 +144,9 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
         if not high.size:
             return s, False, float(w)
         room = w_minus[high].min() - hi - 2.0 * _TOL
-        if high.size > 1 and m[high[0]] < room:
-            drop = high[:1 + int(np.searchsorted(np.cumsum(m[high]), room))]
-            t_mask = mask_of(drop.tolist())
-        else:
-            drop = high[:1]
-            t_mask = 1 << int(drop[0])
+        drop = high[:1 + int(np.searchsorted(np.cumsum(m[high]), room))]
         s[drop] = False
-        es = np.flatnonzero(intersects(graph.words, t_mask) & (qs != 0.0))
+        es = np.flatnonzero(intersects(graph.words, mask_of(drop.tolist())) & (qs != 0.0))
         m -= graph.node_mass(qs, es)
         qs[es] = 0.0
 

@@ -13,21 +13,21 @@ from typing import Iterable
 
 from .errors import TooLarge, ZeroSurvivorMass
 from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
-from .sets import mask_of, nodes_of
+from .noisy import NoiseChannel
+from .sets import nodes_of
 from .transcript import SPLIT, Transcript
 
 MAX_EDGES = 14
-MAX_NODES = 12
 
 
 @dataclass
 class PolicyNode:
     """Decision-tree node: a leaf names the identified edge, an inner node
-    names the queried node set and both continuations."""
+    names the queried node mask and both continuations."""
 
     value: float
     edge: int | None = None
-    test: tuple[int, ...] | None = None
+    test: int | None = None
     on_positive: "PolicyNode | None" = None
     on_negative: "PolicyNode | None" = None
 
@@ -38,7 +38,7 @@ class PolicyNode:
         pad = "  " * indent
         if self.is_leaf():
             return f"{pad}return edge {self.edge}\n"
-        out = f"{pad}test {set(self.test)}  (expected tests from here: {self.value:.6g})\n"
+        out = f"{pad}test {set(nodes_of(self.test))}  (expected tests from here: {self.value:.6g})\n"
         out += f"{pad}+ positive:\n" + self.on_positive.to_text(indent + 1)
         out += f"{pad}- negative:\n" + self.on_negative.to_text(indent + 1)
         return out
@@ -52,14 +52,13 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
     enumerated over edge subsets and kept when some node set realizes them.
     A split with negative side B is realizable exactly when every positive-side
     edge keeps a node outside the union of B. Zero-mass edges are never the
-    target and are dropped up front.
+    target and are dropped up front. Nodes enter only as bits of int masks,
+    so any n is searched; more than MAX_EDGES supported edges is TooLarge.
     """
     validate_model(graph, dist)
     alive = [i for i in range(len(graph)) if dist.probs[i] > 0.0]
     if len(alive) > MAX_EDGES:
         raise TooLarge(f"{len(alive)} supported edges > {MAX_EDGES}")
-    if graph.n > MAX_NODES:
-        raise TooLarge(f"{graph.n} nodes > {MAX_NODES}")
 
     emask = [graph.edge_masks[i] for i in alive]
     eprob = [float(dist.probs[i]) for i in alive]
@@ -98,8 +97,8 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
         if neg == -1:
             return PolicyNode(0.0, edge=alive[nodes_of(state)[0]])
         pos = state & ~neg
-        t = union[pos] & ~union[neg]
-        return PolicyNode(val, test=nodes_of(t), on_positive=build(pos), on_negative=build(neg))
+        return PolicyNode(val, test=union[pos] & ~union[neg], on_positive=build(pos),
+                          on_negative=build(neg))
 
     root_state = (1 << len(alive)) - 1
     if root_state == 0:
@@ -113,7 +112,8 @@ def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
                      delta: float = 0.0) -> Posterior:
     """Posterior from a whole transcript of (query mask, outcome) pairs in one
     pass: q ∝ p · Π likelihoods, with likelihoods in {0,1} at delta=0 and
-    {delta, 1-delta} otherwise."""
+    {delta, 1-delta} otherwise. SchemaError for a delta outside [0, 1/2)."""
+    NoiseChannel(delta)
     weights = dist.probs.copy()
     for t_mask, outcome in transcript:
         for i, m in enumerate(graph.edge_masks):
@@ -133,9 +133,8 @@ def run_policy(graph: Hypergraph, policy: PolicyNode, oracle) -> Transcript:
     tr = Transcript()
     node = policy
     while not node.is_leaf():
-        t_mask = mask_of(node.test)
-        outcome = oracle(t_mask)
-        tr.add(t_mask, outcome, SPLIT)
+        outcome = oracle(node.test)
+        tr.add(node.test, outcome, SPLIT)
         node = node.on_positive if outcome else node.on_negative
     tr.result_edge, tr.result_nodes = node.edge, graph.edge_nodes(node.edge)
     return tr

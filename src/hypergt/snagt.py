@@ -10,13 +10,14 @@ candidate flag and time per band. Every queried set is drawn before any
 outcome is seen (each node independently with probability 1/u), so the
 schedule is a pure function of (n, u, seed).
 
-As no test waits for an outcome, `_run` works in exact blocks: no band can
-ripen within threshold - max(time) tests, so the stopping rule is checked
-between blocks only. Sub-chunks of 8, 16, 32, ... tests are drawn and packed
-at once, asked in order, and scored by one word kernel that finds each live
-edge's first contradicted test; per-band cumulative deaths give each record
-the snapshot a test-at-a-time loop would, so schedule, oracle calls and
-transcripts are that loop's, and memory stays at one sub-chunk.
+As no test waits for an outcome, `_run` draws many tests at once: no band
+can ripen within threshold - max(time) tests, so each pass of its one loop
+checks the stopping rule and the cap, then draws at most that many tests, and
+at most 8, 16, 32, ... in successive passes. A draw is packed at once, asked
+in order, and scored by one word kernel that finds each live edge's first
+contradicted test; per-band cumulative deaths give each record the snapshot a
+test-at-a-time loop would. The draws are cut from one stream, so schedule,
+oracle calls and transcripts are that loop's.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
 
     tr = Transcript()
     tests = 0
+    chunk = 8  # growing draws bound the draw and the kernel by chunk x (n + |live|)
 
     while True:
         ready = np.flatnonzero(candidate & (time >= threshold))
@@ -136,31 +138,29 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
             return tr
 
         # A band's time grows by at most one a test, so none can ripen within
-        # the block and the stop rule is checked only at block ends.
-        end = tests + min(cap - tests, max(1, threshold - int(time.max())))
-        chunk = 8  # growing sub-chunks bound the draws and the kernel by chunk x (n + |live|)
-        while tests < end:
-            k = min(chunk, end - tests)
-            chunk *= 2
-            block = random_test_set(n, u, schedule_rng, k)
-            masks = [int.from_bytes(row.tobytes(), "little") for row in block]
-            outcomes = [[bool(oracle(m)) for _ in range(repetitions)] for m in masks]
-            verdict = np.array([2 * sum(votes) >= repetitions for votes in outcomes])
+        # threshold - max(time) tests, and the stop rule need not be checked
+        # inside a draw of at most that many.
+        k = min(chunk, cap - tests, max(1, threshold - int(time.max())))
+        chunk *= 2
+        block = random_test_set(n, u, schedule_rng, k)
+        masks = [int.from_bytes(row.tobytes(), "little") for row in block]
+        outcomes = [[bool(oracle(m)) for _ in range(repetitions)] for m in masks]
+        verdict = np.array([2 * sum(votes) >= repetitions for votes in outcomes])
 
-            # An edge dies at its first test whose verdict it contradicts.
-            wrong = meets(live_words, block) != verdict[:, None]
-            dead = wrong.any(axis=0)
-            deaths = np.bincount(wrong.argmax(axis=0)[dead] * count.size + band[dead],
-                                 minlength=k * count.size).reshape(k, count.size)
-            after = count - np.cumsum(deaths, axis=0)  # band counts after each test
-            before = np.vstack([candidate, after[:-1] == 1])  # candidacy before each test
-            times = time + np.cumsum(before, axis=0) - before  # band times before each test
-            for i, (mask, votes, sg_size, sg_max_time) in enumerate(zip(
-                    masks, outcomes, before.sum(axis=1).tolist(), times.max(axis=1).tolist())):
-                for outcome in votes:
-                    tr.add(mask, outcome, RANDOM,
-                           rep_group=tests + i if repetitions > 1 else None,
-                           sg_size=sg_size, sg_max_time=sg_max_time)
-            tests += k
-            count, candidate, time = after[-1], after[-1] == 1, times[-1] + before[-1]
-            live, band, live_words = live[~dead], band[~dead], live_words[:, ~dead]
+        # An edge dies at its first test whose verdict it contradicts.
+        wrong = meets(live_words, block) != verdict[:, None]
+        dead = wrong.any(axis=0)
+        deaths = np.bincount(wrong.argmax(axis=0)[dead] * count.size + band[dead],
+                             minlength=k * count.size).reshape(k, count.size)
+        after = count - np.cumsum(deaths, axis=0)  # band counts after each test
+        before = np.vstack([candidate, after[:-1] == 1])  # candidacy before each test
+        times = time + np.cumsum(before, axis=0) - before  # band times before each test
+        for i, (mask, votes, sg_size, sg_max_time) in enumerate(zip(
+                masks, outcomes, before.sum(axis=1).tolist(), times.max(axis=1).tolist())):
+            for outcome in votes:
+                tr.add(mask, outcome, RANDOM,
+                       rep_group=tests + i if repetitions > 1 else None,
+                       sg_size=sg_size, sg_max_time=sg_max_time)
+        tests += k
+        count, candidate, time = after[-1], after[-1] == 1, times[-1] + before[-1]
+        live, band, live_words = live[~dead], band[~dead], live_words[:, ~dead]

@@ -10,7 +10,6 @@ from hypergt.adaptive import _TOL
 from hypergt.builders import _components
 from hypergt.errors import EmptySupport, TooLarge
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle, validate_model
-from hypergt.oracle import MAX_NODES
 from hypergt.sets import intersects, mask_from_flags, mask_of, nodes_of
 from hypergt.snagt import dyadic_bucket
 from hypergt.transcript import RANDOM, Transcript
@@ -235,6 +234,9 @@ def majority_error_probability(ell, delta):
     )
 
 
+NONADAPTIVE_MAX_NODES = 12  # the plan enumeration is exponential in n
+
+
 def nonadaptive_min_error(n, budget):
     """Exhaustive minimum error of single-node non-adaptive plans on the chain
     model (edges {v1..vi}, uniform 1/n mass).
@@ -244,8 +246,8 @@ def nonadaptive_min_error(n, budget):
     target that stays ambiguous within its outcome class counts as a half
     error, the pairwise-confusion convention of the matching lower bound.
     """
-    if n > MAX_NODES:
-        raise TooLarge(f"n={n} > {MAX_NODES}")
+    if n > NONADAPTIVE_MAX_NODES:
+        raise TooLarge(f"n={n} > {NONADAPTIVE_MAX_NODES}")
     if not 0 <= budget <= n - 1:
         raise ValueError(f"budget {budget} outside 0..{n - 1}")
     best = None

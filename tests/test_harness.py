@@ -455,10 +455,13 @@ class TestCli:
          {"cfg.json": {"model": "empty.json", "algorithm": "noisy_adaptive", "delta": 0.1},
           "empty.json": {"n": 0, "edges": [[]], "probs": [1.0]}},
          "experiment config: the repetition count needs x >= 1 (x is n, u log2 n or u n), got x=0"),
+        (["posterior", "--model", "m.json", "--transcript", "tr.json", "--delta", "-0.5"],
+         {"m.json": ModelSpec("nested", {"n": 4}), "tr.json": [{"query": [0], "outcome": True}]},
+         "delta=-0.5 outside [0, 1/2)"),
     ], ids=["malformed-params", "config-c-out-of-range", "check-trial-count",
             "oracle-missing-model", "oracle-too-large", "run-oracle-too-large",
             "negative-seed", "out-in-missing-directory", "snagt-on-zero-nodes",
-            "noisy-adaptive-on-zero-nodes"])
+            "noisy-adaptive-on-zero-nodes", "posterior-negative-delta"])
     def test_bad_input_exits_2_without_a_traceback(self, tmp_path, argv, files, message):
         for name, content in files.items():
             if isinstance(content, ModelSpec):

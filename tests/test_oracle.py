@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import nonadaptive_min_error, oracle_for, random_model
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_cosize, build_nested
-from hypergt.errors import TooLarge, ZeroSurvivorMass
+from hypergt.errors import SchemaError, TooLarge, ZeroSurvivorMass
 from hypergt.model import EdgeDistribution, Hypergraph, edge_entropy, prior_posterior
 from hypergt.oracle import direct_posterior, optimal_expected_tests, run_policy
 
@@ -66,13 +66,22 @@ class TestOptimalPolicy:
         assert value <= greedy + 1e-9
 
     def test_too_large_guards(self):
-        g = Hypergraph(13, [[v] for v in range(13)])
-        d = EdgeDistribution(np.full(13, 1 / 13))
-        with pytest.raises(TooLarge):
-            optimal_expected_tests(g, d)
-        g2 = Hypergraph(15, [[0], [1]])
-        with pytest.raises(TooLarge):
-            optimal_expected_tests(g2, EdgeDistribution([0.5, 0.5]))
+        g = Hypergraph(15, [[v] for v in range(15)])
+        with pytest.raises(TooLarge, match="15 supported edges > 14"):
+            optimal_expected_tests(g, EdgeDistribution(np.full(15, 1 / 15)))
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_cosize_past_twelve_nodes_matches_closed_form(self, n):
+        """Only singleton tests inform on cosize(n); probing them in turn
+        costs (n-1)(n+2)/(2n) tests in expectation."""
+        value, _ = optimal_expected_tests(*build_cosize(n))
+        assert value == pytest.approx((n - 1) * (n + 2) / (2 * n), abs=1e-12)
+
+    def test_nodes_outside_every_edge_leave_the_value_unchanged(self):
+        g, d = build_cosize(12)
+        value, _ = optimal_expected_tests(g, d)
+        wider, _ = optimal_expected_tests(Hypergraph(13, g.edge_masks), d)
+        assert wider == pytest.approx(value, abs=1e-12)
 
     def test_policy_text_render(self, fig1):
         _, policy = optimal_expected_tests(*fig1)
@@ -95,6 +104,11 @@ class TestDirectPosterior:
         graph, dist = fig1
         post = direct_posterior(graph, dist, [(0b01010, True)], delta=0.1)
         assert np.allclose(post.q, [27 / 74, 2 / 74, 45 / 74], atol=1e-12)
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.5, 0.7, math.nan])
+    def test_delta_outside_the_channel_range_raises(self, fig1, delta):
+        with pytest.raises(SchemaError, match=r"outside \[0, 1/2\)"):
+            direct_posterior(*fig1, [(0b01010, True)], delta=delta)
 
     def test_inconsistent_raises(self, fig1):
         graph, dist = fig1
