@@ -5,11 +5,12 @@ communities, perfectly correlated islands, and the components of each
 edge-faulty contact graph), explicit structured supports (chains, co-size
 families, dense two-scale graphs, entropy-gap and random regular
 hypergraphs), and the exact enumeration of seeded block infection. The
-product-form families share one enumerator, `_product`. Each builder
-normalises its masses and hands them to the validating constructors; subsets
-with zero probability are left out of the support, and a support of more
-than SUPPORT_CAP edges is refused. `BUILDERS` maps each family name to its
-builder, and a `ModelSpec` names a family and its parameters.
+product-form families share one enumerator, `_product`, which refuses more
+than SUPPORT_CAP ways before it lists any. Each builder normalises its masses
+and hands them to the validating constructors; subsets with zero probability
+are left out of the support, and a support of more than SUPPORT_CAP edges is
+refused. `BUILDERS` maps each family name to its builder, and a `ModelSpec`
+names a family and its parameters.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import math
 import numbers
 import types
 import typing
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import lshift
 
 import numpy as np
 
@@ -100,15 +102,23 @@ def _check_probabilities(**params) -> None:
                 raise ProbabilityOutOfRange(f"probability {label}={float(x)!r} outside [0, 1]")
 
 
-def _product(blocks: Sequence[Sequence[tuple[int, float]]],
-             start: float = 1.0) -> list[tuple[int, float]]:
-    """Every way to pick one (node mask, probability) outcome from each
-    independent block, as (union of the masks, start times the probabilities
-    multiplied in block order). The first block varies fastest; this order
-    is the edge order of the model built from it."""
-    combos = [(0, start)]
-    for block in blocks:
-        combos = [(m | bm, w * bw) for bm, bw in block for m, w in combos]
+def _product(blocks: Iterable[tuple[Iterable[int], list[float]]]) -> list[tuple[int, float]]:
+    """Every way to pick one outcome of positive probability from each block,
+    as (union of the node masks, product of the probabilities in block
+    order). A block is (its outcomes' node masks, the list of their
+    probabilities), disjoint from the other blocks' masks; the first block
+    varies fastest, giving the model's edge order. Blocks are only counted
+    as they are read, and past SUPPORT_CAP ways the model is refused before
+    any outcome is listed."""
+    kept, ways = [], 1
+    for masks, probs in blocks:
+        ways *= len(probs) - probs.count(0.0)
+        if ways > SUPPORT_CAP:
+            raise SupportTooLarge(f"at least {ways} edges exceed cap {SUPPORT_CAP}")
+        kept.append((masks, probs))
+    combos = [(0, 1.0)]
+    for masks, probs in kept:
+        combos = [(m | bm, w * bw) for bm, bw in zip(masks, probs) if bw > 0.0 for m, w in combos]
     return combos
 
 
@@ -127,13 +137,9 @@ def _finish(n: int, masses: dict[int, float]) -> tuple[Hypergraph, EdgeDistribut
 
 
 def build_independent(p: Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
-    """Each node infected independently with its own probability."""
-    p = list(map(float, p))
-    _check_probabilities(p=p)
-    n = len(p)
-    if 2 ** n > SUPPORT_CAP:
-        raise SupportTooLarge(f"2^{n} subsets exceed cap {SUPPORT_CAP}")
-    return _finish(n, dict(_product([[(0, 1.0 - pv), (1 << v, pv)] for v, pv in enumerate(p)])))
+    """Each node infected independently with its own probability: islands of
+    one node each."""
+    return build_islands(len(p), 1, p)
 
 
 def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
@@ -144,18 +150,20 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple
     _check_probabilities(q=q, p=p)
     if len(p) != len(sizes):
         raise ModelError("need one infection probability per family")
-    n = sum(sizes)
-    if 2 ** n > SUPPORT_CAP:
-        raise SupportTooLarge(f"2^{n} subsets exceed cap {SUPPORT_CAP}")
-    blocks, start = [], 0
-    for pj, size in zip(p, sizes):
-        block = [(0, 1.0 - q + q * (1.0 - pj) ** size)]
-        for members in range(1, 2 ** size):
-            hit = members.bit_count()
-            block.append((members << start, q * (pj ** hit) * ((1.0 - pj) ** (size - hit))))
-        blocks.append(block)
-        start += size
-    return _finish(n, dict(_product(blocks)))
+    n, largest = sum(sizes), max(sizes, default=0)
+    if 2 ** largest > SUPPORT_CAP:
+        raise SupportTooLarge(f"2^{largest} subsets of one family exceed cap {SUPPORT_CAP}")
+
+    def block(start: int, size: int, pj: float) -> tuple[Iterable[int], list[float]]:
+        # A subset's mass depends only on its size. With no interior size of
+        # positive mass, only the empty and the full subset are listed.
+        w = [1.0 - q + q * (1.0 - pj) ** size] + [
+            q * (pj ** hit) * ((1.0 - pj) ** (size - hit)) for hit in range(1, size + 1)]
+        members = range(2 ** size) if any(w[1:size]) else sorted({0, 2 ** size - 1})
+        return map(lshift, members, repeat(start)), [w[m.bit_count()] for m in members]
+
+    # map is lazy: each family's block is made only when _product reads it.
+    return _finish(n, dict(_product(map(block, accumulate(sizes, initial=0), sizes, p))))
 
 
 def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
@@ -165,12 +173,9 @@ def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergrap
     ps = [float(p)] * k if np.isscalar(p) else list(map(float, p))
     if len(ps) != k:
         raise ModelError("need one probability per island")
-    # Each island of 0 < p < 1 doubles the support: refuse before enumerating.
-    support = 2 ** sum(0.0 < pj < 1.0 for pj in ps) if m > 0 else 1
-    if support > SUPPORT_CAP:
-        raise SupportTooLarge(f"{support} edges exceed cap {SUPPORT_CAP}")
-    blocks = [[(0, 1.0 - pj), (mask_of(range(j * m, (j + 1) * m)), pj)] for j, pj in enumerate(ps)]
-    return _finish(k * m, dict(_product(blocks)))
+    blocks = (([0, mask_of(range(j * m, (j + 1) * m))], [1.0 - pj, pj]) for j, pj in enumerate(ps))
+    # With m = 0 every island is empty: no blocks, so the one empty edge.
+    return _finish(k * m, dict(_product(blocks if m > 0 else [])))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +262,8 @@ def build_random_regular(n: int, d: int, r: float | None = None, count: int | No
     else:
         if count > math.comb(n, d):
             raise ModelError("count exceeds the number of size-d subsets")
+        if count > SUPPORT_CAP:
+            raise SupportTooLarge(f"{count} edges exceed cap {SUPPORT_CAP}")
         chosen_set: set[int] = set()
         while len(chosen_set) < count:
             pick = rng.choice(n, size=d, replace=False)
@@ -304,10 +311,8 @@ def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float
     for kept_bits in range(2 ** len(contact_edges)):
         kept = [contact_edges[i] for i in range(len(contact_edges)) if kept_bits >> i & 1]
         w_graph = (r ** len(kept)) * ((1.0 - r) ** (len(contact_edges) - len(kept)))
-        comps = _components(n, kept)
-        if 0.0 < p < 1.0 and w_graph > 0.0 and 2 ** len(comps) > SUPPORT_CAP:
-            raise SupportTooLarge(f"at least {2 ** len(comps)} edges exceed cap {SUPPORT_CAP}")
-        for mask, w in _product([[(0, 1.0 - p), (comp, p)] for comp in comps], w_graph):
+        blocks = [([0], [w_graph])] + [([0, comp], [1.0 - p, p]) for comp in _components(n, kept)]
+        for mask, w in _product(blocks):
             masses[mask] = masses.get(mask, 0.0) + w
     return _finish(n, masses)
 

@@ -100,10 +100,7 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
         return PolicyNode(val, test=union[pos] & ~union[neg], on_positive=build(pos),
                           on_negative=build(neg))
 
-    root_state = (1 << len(alive)) - 1
-    if root_state == 0:
-        raise TooLarge("distribution has empty support")
-    root = build(root_state)
+    root = build((1 << len(alive)) - 1)
     return root.value, root
 
 

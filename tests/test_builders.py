@@ -85,6 +85,101 @@ class TestClosedForm:
         assert masses[0b001] == pytest.approx(want, abs=1e-12)
 
 
+def masses_of(graph, dist):
+    return {graph.edge_masks[i]: float(dist.probs[i]) for i in range(len(graph))}
+
+
+def assert_support_is(graph, dist, want):
+    """The model's edges are exactly the sets of positive closed-form mass,
+    each with that mass."""
+    want = {s: w for s, w in want.items() if w > 0.0}
+    got = masses_of(graph, dist)
+    assert set(got) == set(want)
+    for s, w in want.items():
+        assert got[s] == pytest.approx(w, rel=1e-12, abs=1e-15)
+
+
+def contact_components(n, kept):
+    """Node masks of the connected components of the graph ({0..n-1}, kept)."""
+    comps = [1 << v for v in range(n)]
+    for a, b in kept:
+        ca = next(c for c in comps if c >> a & 1)
+        cb = next(c for c in comps if c >> b & 1)
+        if ca != cb:
+            comps = [c for c in comps if c not in (ca, cb)] + [ca | cb]
+    return comps
+
+
+class TestBoundaryProbabilities:
+    """Models mixing probabilities 0 and 1 with interior ones, against the
+    closed form of every subset's mass."""
+
+    @pytest.mark.parametrize("p", [
+        [0.0, 0.3, 1.0, 0.5],
+        [1.0, 1.0, 0.2, 0.0, 0.0, 0.7, 1.0, 0.4, 0.0, 0.9],
+        [0.0, 0.0, 0.0],
+        [1.0, 1.0],
+    ])
+    def test_independent(self, p):
+        g, d = build_independent(p)
+        want = {s: math.prod(pv if s >> v & 1 else 1.0 - pv for v, pv in enumerate(p))
+                for s in range(2 ** len(p))}
+        assert_support_is(g, d, want)
+
+    @pytest.mark.parametrize("k,m,p", [
+        (4, 2, [0.0, 0.6, 1.0, 0.25]),
+        (3, 3, [1.0, 0.5, 0.0]),
+        (5, 2, 1.0),
+        (3, 0, [0.5, 1.0, 0.3]),
+    ])
+    def test_islands(self, k, m, p):
+        g, d = build_islands(k, m, p)
+        ps = [p] * k if np.isscalar(p) else p
+        want: dict[int, float] = {}
+        for hit in range(2 ** k):
+            s = mask_of(v for j in range(k) if hit >> j & 1 for v in range(j * m, (j + 1) * m))
+            w = math.prod(pj if hit >> j & 1 else 1.0 - pj for j, pj in enumerate(ps))
+            want[s] = want.get(s, 0.0) + w
+        assert_support_is(g, d, want)
+
+    @pytest.mark.parametrize("sizes,q,p", [
+        ([2, 3, 1], 0.4, [0.0, 0.5, 1.0]),
+        ([3, 2], 1.0, [0.3, 1.0]),
+        ([2, 2, 2], 0.0, [0.5, 0.5, 0.5]),
+        ([4, 3, 3], 0.7, [1.0, 0.0, 0.6]),
+    ])
+    def test_community(self, sizes, q, p):
+        g, d = build_community(sizes, q=q, p=p)
+        n = sum(sizes)
+        starts = [sum(sizes[:j]) for j in range(len(sizes))]
+
+        def family_mass(j, hit):
+            if hit == 0:
+                return 1.0 - q + q * (1.0 - p[j]) ** sizes[j]
+            return q * p[j] ** hit * (1.0 - p[j]) ** (sizes[j] - hit)
+
+        want = {s: math.prod(family_mass(j, (s >> starts[j] & (1 << sizes[j]) - 1).bit_count())
+                             for j in range(len(sizes)))
+                for s in range(2 ** n)}
+        assert_support_is(g, d, want)
+
+    @pytest.mark.parametrize("r", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_edge_faulty(self, r, p):
+        n, contact = 5, [(0, 1), (1, 2), (3, 4)]
+        g, d = build_edge_faulty(n, contact, r, p)
+        want: dict[int, float] = {}
+        for kept_bits in range(2 ** len(contact)):
+            kept = [e for i, e in enumerate(contact) if kept_bits >> i & 1]
+            w_graph = r ** len(kept) * (1.0 - r) ** (len(contact) - len(kept))
+            comps = contact_components(n, kept)
+            for hit in range(2 ** len(comps)):
+                s = mask_of(v for j, c in enumerate(comps) if hit >> j & 1 for v in nodes_of(c))
+                w = math.prod(p if hit >> j & 1 else 1.0 - p for j in range(len(comps)))
+                want[s] = want.get(s, 0.0) + w_graph * w
+        assert_support_is(g, d, want)
+
+
 class TestStructured:
     def test_cosize_matches_four_node_figure(self):
         g, d = build_cosize(4)
@@ -242,9 +337,51 @@ class TestGuards:
             build_edge_faulty(21, [], 0.5, 0.5)
         assert time.perf_counter() - t0 < 0.5
 
+    def test_edge_faulty_skips_zero_weight_contact_graphs(self):
+        # r = 1: only the graph keeping (0, 1) has weight, with 21 components.
+        # The zero-weight graph without it has 22, and is never enumerated.
+        t0 = time.perf_counter()
+        with pytest.raises(SupportTooLarge, match=re.escape("at least 2097152 edges exceed cap")):
+            build_edge_faulty(22, [(0, 1)], r=1, p=0.5)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_certain_nodes_do_not_count_against_the_cap(self):
+        g, d = build_independent([0.0] * 21 + [0.5])
+        assert masses_of(g, d) == {0: 0.5, 1 << 21: 0.5}
+
+    def test_an_uninfected_community_does_not_count_against_the_cap(self):
+        g, d = build_community([3] * 9, q=0.0, p=[0.5] * 9)
+        assert masses_of(g, d) == {0: 1.0}
+
+    @pytest.mark.parametrize("families", [3, 30])
+    def test_community_refuses_a_large_support_before_listing_it(self, families):
+        # Each family alone fits the cap; the second one already breaks it,
+        # and the families after it are never made.
+        t0 = time.perf_counter()
+        with pytest.raises(SupportTooLarge, match=re.escape(f"edges exceed cap {SUPPORT_CAP}")):
+            build_community([20] * families, q=0.5, p=[0.5] * families)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_certain_families_are_not_scanned(self):
+        # Only each family's full subset has mass: one edge on 2000 nodes.
+        t0 = time.perf_counter()
+        g, d = build_community([20] * 100, q=1.0, p=[1.0] * 100)
+        assert masses_of(g, d) == {(1 << 2000) - 1: 1.0}
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_empty_islands_give_the_empty_edge_whatever_p(self):
+        g, d = build_islands(2, 0, [0.5, 0.0])
+        assert g.n == 0 and masses_of(g, d) == {0: 1.0}
+
+    def test_random_regular_refuses_a_large_count_before_sampling(self):
+        t0 = time.perf_counter()
+        with pytest.raises(SupportTooLarge, match=re.escape(f"1048577 edges exceed cap {SUPPORT_CAP}")):
+            build_random_regular(100, 4, count=2 ** 20 + 1, seed=0)
+        assert time.perf_counter() - t0 < 0.5
+
     @pytest.mark.parametrize("spec,error,message", [
         (ModelSpec("nested", {"n": 0}), EmptySupport, "no edge carries positive probability"),
-        (ModelSpec("independent", {"p": [0.5] * 21}), SupportTooLarge, "2^21 subsets exceed cap"),
+        (ModelSpec("independent", {"p": [0.5] * 21}), SupportTooLarge, "at least 2097152 edges exceed cap"),
         # An infinite island probability lies outside [0, 1].
         (ModelSpec("islands", {"k": 2, "m": 1, "p": [math.inf, 0.5]}), ProbabilityOutOfRange,
          "probability p[0]=inf outside [0, 1]"),
