@@ -210,9 +210,10 @@ class _Exact:
 
 def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
          active: np.ndarray, rng: np.random.Generator | None = None) -> Transcript:
-    """The two-stage loop. `active` flags the nodes stage 1 scans first; it
-    only loses nodes whose marginal has reached zero, which stays zero. An
-    observer verdict of None means the observer halted the run."""
+    """The two-stage loop. `active` flags the nodes stage 1 scans first;
+    after each test it is the nodes of positive marginal, which a noisy
+    posterior can give back to a node it had underflowed. An observer verdict
+    of None means the observer halted the run."""
     variant = config.variant
     if variant == "truncated":
         f2 = resolve_f2(config, graph, dist)
@@ -259,7 +260,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     tr.result_edge = certain_edge(obs.post)
                     return tr
         marg = node_marginals(obs.post)
-        active &= marg > 0.0
+        active = marg > 0.0
 
 
 def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:

@@ -9,8 +9,10 @@ product-form families share one enumerator, `_product`, which refuses more
 than SUPPORT_CAP ways before it lists any. Each builder normalises its masses
 and hands them to the validating constructors; subsets with zero probability
 are left out of the support, and a support of more than SUPPORT_CAP edges is
-refused. `BUILDERS` maps each family name to its builder, and a `ModelSpec`
-names a family and its parameters.
+refused. The islands and the chain, co-size and two-scale families refuse
+more than NODE_CAP nodes before they build any mask. `BUILDERS` maps each
+family name to its builder, and a `ModelSpec` names a family and its
+parameters.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import lshift
 import numpy as np
 
 from .errors import EmptySupport, ModelError, ProbabilityOutOfRange, SchemaError, SupportTooLarge
-from .model import EdgeDistribution, Hypergraph, check_record
+from .model import EdgeDistribution, Hypergraph, check_node_count, check_record
 from .sets import mask_of, nodes_of
 
 SUPPORT_CAP = 1 << 20
@@ -173,6 +175,7 @@ def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergrap
     ps = [float(p)] * k if np.isscalar(p) else list(map(float, p))
     if len(ps) != k:
         raise ModelError("need one probability per island")
+    check_node_count(k * m)
     blocks = (([0, mask_of(range(j * m, (j + 1) * m))], [1.0 - pj, pj]) for j, pj in enumerate(ps))
     # With m = 0 every island is empty: no blocks, so the one empty edge.
     return _finish(k * m, dict(_product(blocks if m > 0 else [])))
@@ -184,12 +187,14 @@ def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergrap
 
 def build_nested(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """Chain of prefixes {v1..vi}, each carrying mass 1/n."""
+    check_node_count(n)
     masses = {mask_of(range(i + 1)): 1.0 / n for i in range(n)}
     return _finish(n, masses)
 
 
 def build_cosize(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """All n edges of size n-1 (complement of each single node), uniform."""
+    check_node_count(n)
     full = (1 << n) - 1
     masses = {full & ~(1 << v): 1.0 / n for v in range(n)}
     return _finish(n, masses)
@@ -210,6 +215,7 @@ def build_big_graph(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     (community minus one node), half on the n large edges (everything except
     one community)."""
     total = n * n
+    check_node_count(total)
     full = (1 << total) - 1
     masses: dict[int, float] = {}
     for j in range(n):

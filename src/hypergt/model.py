@@ -46,6 +46,13 @@ NODE_CAP = 2 ** 16
 SPARSE_DENSITY = 1 / 16
 
 
+def check_node_count(n: int) -> None:
+    """NodeOutOfRange for a node count outside 0..NODE_CAP. Builders call it
+    before they make any n-bit mask, as the Hypergraph constructor does."""
+    if not 0 <= n <= NODE_CAP:
+        raise NodeOutOfRange(f"node count {n} outside 0..{NODE_CAP}")
+
+
 class Hypergraph:
     """n nodes plus an explicit list of candidate infected sets.
 
@@ -62,8 +69,7 @@ class Hypergraph:
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
             raise SchemaError(f"node count {n!r} is not an integer")
         self.n = int(n)
-        if not 0 <= self.n <= NODE_CAP:
-            raise NodeOutOfRange(f"node count {self.n} outside 0..{NODE_CAP}")
+        check_node_count(self.n)
         if not isinstance(edges, Iterable):
             raise SchemaError(f"edges must be a list, not {type(edges).__name__}")
         masks = tuple(_edge_mask(i, e, self.n) for i, e in enumerate(edges))
@@ -212,16 +218,6 @@ def edge_outcomes(graph: Hypergraph, t_mask: int) -> np.ndarray:
     return intersects(graph.words, t_mask)
 
 
-def renormalized(post: Posterior, q: np.ndarray, t_mask: int, outcome: bool) -> Posterior:
-    """The posterior with post's edges reweighted to q, rescaled to total mass 1."""
-    total = q.sum()
-    if total <= 0.0:
-        raise ZeroSurvivorMass(
-            f"observation ({nodes_of(t_mask)}, {outcome}) is inconsistent with every surviving edge"
-        )
-    return Posterior(post.graph, q / total)
-
-
 def condition_on_test(post: Posterior, t: int | Iterable[int], outcome: bool) -> Posterior:
     """Noiseless conditioning: positive keeps edges hitting t, negative keeps
     edges disjoint from t; survivors are rescaled to total mass 1."""
@@ -230,7 +226,11 @@ def condition_on_test(post: Posterior, t: int | Iterable[int], outcome: bool) ->
     q = post.q * (hits if outcome else ~hits)
     if np.array_equal(q, post.q):  # no mass removed: keep exact prior values
         return Posterior(post.graph, q)
-    return renormalized(post, q, t_mask, outcome)
+    total = q.sum()
+    if total <= 0.0:
+        raise ZeroSurvivorMass(
+            f"observation ({nodes_of(t_mask)}, {outcome}) is inconsistent with every surviving edge")
+    return Posterior(post.graph, q / total)
 
 
 def certain_edge(post: Posterior) -> int | None:

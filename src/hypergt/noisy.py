@@ -5,11 +5,16 @@ engines.
 The noisy adaptive engine has no control loop of its own: it runs the base
 loop of `adaptive` with a repeated observer. The observer decides how often a
 test site is asked (weight-window tests once, the residual group test and the
-stage-2 individual tests per `repetitions`), applies one exact Bayes step
-(prior times per-test likelihood, normalized) per physical test, halts the
-run on the physical-test budget, and ends the stage-2 sweep on the majority
-positives. Majority verdicts steer control flow only; the posterior absorbs
-every physical outcome.
+stage-2 individual tests per `repetitions`), halts the run on the
+physical-test budget, and ends the stage-2 sweep on the majority positives.
+Under symmetric noise the exact posterior after any transcript is
+q_e ∝ p_e · r^(D_e), with r = delta/(1-delta) and D_e the number of observed
+outcomes that contradict edge e's noiseless outcome. The observer keeps the
+prior and the integer counts D, so no edge of positive prior is ever lost to
+underflow, and folds each repetition group into D with one kernel. Majority
+verdicts steer control flow only; the posterior absorbs every physical
+outcome. `bayes_update_noisy` is the same posterior taken one physical test
+at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .adaptive import AdaptiveConfig, _run as _adaptive_run
-from .errors import SchemaError
+from .errors import SchemaError, ZeroSurvivorMass
 from .model import (
     NODE_CAP,
     EdgeDistribution,
@@ -35,10 +40,9 @@ from .model import (
     node_marginals,
     noiseless_oracle,
     prior_posterior,
-    renormalized,
     validate_model,
 )
-from .sets import mask_of
+from .sets import mask_of, nodes_of
 from .snagt import SnagtConfig, _run as _snagt_run
 from .transcript import INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
@@ -111,7 +115,8 @@ def bayes_update_noisy(post: Posterior, t, observed: bool, delta: float) -> Post
         return condition_on_test(post, t, observed)
     t_mask = t if isinstance(t, int) else mask_of(t)
     match = edge_outcomes(post.graph, t_mask) == bool(observed)
-    return renormalized(post, post.q * np.where(match, 1.0 - delta, delta), t_mask, observed)
+    q = post.q * np.where(match, 1.0 - delta, delta)  # keeps at least delta of the mass
+    return Posterior(post.graph, q / q.sum())
 
 
 def admissible_threshold(delta: float) -> float:
@@ -124,34 +129,65 @@ def admissible_threshold(delta: float) -> float:
 
 class _Repeated:
     """Noisy observer: a test site is asked ells[stage] times (once for a
-    split, `repetitions` times for the residual and for a stage-2 node), each physical test takes one exact Bayes step, and the majority decides.
-    The run halts once the physical-test budget is spent; the stage-2 sweep
-    ends on the majority positives."""
+    split, `repetitions` times for the residual and for a stage-2 node), and
+    the majority decides. The posterior is the prior times r^(D - min D),
+    with D each edge's count of outcomes that contradict it; one
+    `edge_outcomes` call folds a whole group into D. The run halts once the
+    physical-test budget is spent; the stage-2 sweep ends on the majority
+    positives."""
 
     def __init__(self, oracle: TestOracle, post: Posterior, delta: float,
                  ells: dict[str, int], cap: int):
         self.oracle = oracle
         self.post = post
+        self.prior = post.q
+        # An edge of zero prior starts its count past any that a run reaches,
+        # so the least count is always that of an edge of positive prior.
+        self.mismatches = np.where(post.q > 0.0, 0, 1 << 62)
+        self.r = delta / (1.0 - delta)
         self.tr = Transcript()
-        self.delta = delta
         self.ells = ells
         self.cap = cap
         self.groups = 0
 
     def ask(self, t_mask: int, stage: str) -> bool | None:
-        """Issue up to ell physical tests; None means the budget ran out."""
+        """Issue up to ell physical tests, then fold their outcomes into the
+        posterior; None means the budget ran out within the group."""
         self.groups += 1
         ell = self.ells[stage]
+        asked = min(ell, self.cap - self.tr.total)
         votes = 0
-        for _ in range(ell):
-            if self.tr.total >= self.cap:
-                self.tr.halted = True
-                return None
+        for _ in range(asked):
             outcome = self.oracle(t_mask)
-            self.post = bayes_update_noisy(self.post, t_mask, outcome, self.delta)
             self.tr.add(t_mask, outcome, stage, rep_group=self.groups)
             votes += 1 if outcome else 0
+        if asked:
+            hits = edge_outcomes(self.post.graph, t_mask)
+            self.mismatches += np.where(hits, asked - votes, votes)
+            self.post = self._posterior(t_mask, votes, asked)
+        if asked < ell:
+            self.tr.halted = True
+            return None
         return 2 * votes >= ell
+
+    def _posterior(self, t_mask: int, votes: int, asked: int) -> Posterior:
+        """q ∝ prior · r^(D - min D): the shift keeps the least contradicted
+        edges at their prior scale, so the weights never all underflow. At
+        delta = 0 (r = 0) a least count above 0 means the observation
+        contradicts every edge of positive prior."""
+        d = self.mismatches
+        low = int(d.min())
+        if low and not self.r:
+            raise ZeroSurvivorMass(f"observation ({nodes_of(t_mask)}, {votes} of {asked} positive) "
+                                   "is inconsistent with every surviving edge")
+        # powers[k] = r^(k - low) for k >= low, by repeated multiplication,
+        # which rounds alike on every CPU. No count of an edge of positive
+        # prior exceeds the tests asked.
+        powers = np.full(self.tr.total + 1, self.r)
+        powers[:low + 1] = 1.0
+        np.multiply.accumulate(powers, out=powers)
+        w = self.prior * powers.take(d, mode="clip")  # clips only the zero-prior edges
+        return Posterior(self.post.graph, w / w.sum())
 
     def informative(self, c: float) -> None:
         self.tr.informative += 1

@@ -2,7 +2,8 @@
 
 Two ground truths live here: the exact optimal zero-error adaptive policy
 (exhaustive memoized search over information states) and the one-pass direct
-posterior (noiseless removal or likelihood-weighted Bayes).
+posterior (noiseless removal, or Bayes under symmetric noise, from
+per-edge mismatch counts).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 from .errors import TooLarge, ZeroSurvivorMass
 from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
@@ -108,21 +111,23 @@ def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
                      transcript: Iterable[tuple[int, bool]],
                      delta: float = 0.0) -> Posterior:
     """Posterior from a whole transcript of (query mask, outcome) pairs in one
-    pass: q ∝ p · Π likelihoods, with likelihoods in {0,1} at delta=0 and
-    {delta, 1-delta} otherwise. SchemaError for a delta outside [0, 1/2)."""
+    pass. Edge by edge it counts D, the outcomes that contradict the edge's
+    noiseless outcome; then q ∝ p · r^(D - min D), r = delta/(1-delta), with
+    the minimum over the edges of positive prior, so no such edge underflows
+    to zero. At delta = 0 only the edges with D = 0 survive, and a transcript
+    that contradicts every edge of positive prior raises ZeroSurvivorMass.
+    SchemaError for a delta outside [0, 1/2)."""
     NoiseChannel(delta)
-    weights = dist.probs.copy()
+    counts = [0] * len(graph)
     for t_mask, outcome in transcript:
         for i, m in enumerate(graph.edge_masks):
-            match = bool(m & t_mask) == bool(outcome)
-            if delta == 0.0:
-                weights[i] *= 1.0 if match else 0.0
-            else:
-                weights[i] *= (1.0 - delta) if match else delta
-    total = weights.sum()
-    if total <= 0.0:
+            counts[i] += bool(m & t_mask) != bool(outcome)
+    low = min(d for d, p in zip(counts, dist.probs) if p > 0.0)
+    if delta == 0.0 and low > 0:
         raise ZeroSurvivorMass("transcript inconsistent with every edge")
-    return Posterior(graph, weights / total)
+    r = delta / (1.0 - delta)
+    weights = np.array([p * r ** (d - low) if p > 0.0 else 0.0 for d, p in zip(counts, dist.probs)])
+    return Posterior(graph, weights / weights.sum())
 
 
 def run_policy(graph: Hypergraph, policy: PolicyNode, oracle) -> Transcript:

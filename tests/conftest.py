@@ -6,10 +6,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hypergt.adaptive import _TOL
+from hypergt.adaptive import _TOL, _run as _adaptive_run
 from hypergt.builders import _components
 from hypergt.errors import EmptySupport, TooLarge
-from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle, validate_model
+from hypergt.model import (
+    EdgeDistribution,
+    GroundTruth,
+    Hypergraph,
+    node_marginals,
+    noiseless_oracle,
+    prior_posterior,
+    validate_model,
+)
+from hypergt.noisy import _adaptive_repetitions, _Repeated, bayes_update_noisy
 from hypergt.sets import intersects, mask_from_flags, mask_of, nodes_of
 from hypergt.snagt import dyadic_bucket
 from hypergt.transcript import RANDOM, Transcript
@@ -208,6 +217,40 @@ def reference_snagt(graph, dist, oracle, config, repetitions):
 
         time[candidate] += 1
         candidate = count == 1
+
+
+class ReferenceRepeated(_Repeated):
+    """`noisy._Repeated` one physical test at a time: the observer the noisy
+    adaptive engine ran before it kept mismatch counts, one
+    `bayes_update_noisy` step per test, kept so the count form can be
+    compared with it verdict for verdict and record for record."""
+
+    def __init__(self, oracle, post, delta, ells, cap):
+        super().__init__(oracle, post, delta, ells, cap)
+        self.delta = delta
+
+    def ask(self, t_mask, stage):
+        self.groups += 1
+        ell = self.ells[stage]
+        votes = 0
+        for _ in range(ell):
+            if self.tr.total >= self.cap:
+                self.tr.halted = True
+                return None
+            outcome = self.oracle(t_mask)
+            self.post = bayes_update_noisy(self.post, t_mask, outcome, self.delta)
+            self.tr.add(t_mask, outcome, stage, rep_group=self.groups)
+            votes += 1 if outcome else 0
+        return 2 * votes >= ell
+
+
+def reference_noisy_adaptive(graph, dist, oracle, config, delta, alpha=2.0, u=None,
+                             max_physical_tests=None):
+    """`run_noisy_adaptive` driven by `ReferenceRepeated`."""
+    post = prior_posterior(graph, dist)
+    cap = graph.n if max_physical_tests is None else max_physical_tests
+    obs = ReferenceRepeated(oracle, post, delta, _adaptive_repetitions(graph.n, u, alpha, delta), cap)
+    return _adaptive_run(graph, dist, config, obs, node_marginals(post) > 0.0)
 
 
 def random_test_set(n, u, rng):

@@ -26,11 +26,12 @@ from hypergt.builders import (
 from hypergt.errors import (
     EmptySupport,
     ModelError,
+    NodeOutOfRange,
     ProbabilityOutOfRange,
     SchemaError,
     SupportTooLarge,
 )
-from hypergt.model import validate_model
+from hypergt.model import NODE_CAP, validate_model
 from hypergt.sets import mask_of, nodes_of
 
 ALL_SPECS = [
@@ -377,6 +378,21 @@ class TestGuards:
         t0 = time.perf_counter()
         with pytest.raises(SupportTooLarge, match=re.escape(f"1048577 edges exceed cap {SUPPORT_CAP}")):
             build_random_regular(100, 4, count=2 ** 20 + 1, seed=0)
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("build,args,nodes", [
+        (build_cosize, (NODE_CAP + 1,), NODE_CAP + 1),
+        (build_nested, (NODE_CAP + 1,), NODE_CAP + 1),
+        (build_big_graph, (257,), 257 * 257),
+        (build_islands, (1, 10 ** 6, 0.5), 10 ** 6),
+        (build_cosize, (-1,), -1),
+    ], ids=["cosize", "nested", "big_graph", "islands", "negative"])
+    def test_a_node_count_past_the_cap_is_refused_before_any_mask(self, build, args, nodes):
+        # Each would build masks of more than NODE_CAP bits first: cosize at
+        # n = 16000 took 2.5 s, and islands(1, 10^6) 6 s.
+        t0 = time.perf_counter()
+        with pytest.raises(NodeOutOfRange, match=re.escape(f"node count {nodes} outside 0..{NODE_CAP}")):
+            build(*args)
         assert time.perf_counter() - t0 < 0.5
 
     @pytest.mark.parametrize("spec,error,message", [

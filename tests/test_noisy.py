@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import majority_error_probability, oracle_for, random_model, truth_for
+from conftest import (
+    ReferenceRepeated,
+    majority_error_probability,
+    oracle_for,
+    random_model,
+    reference_noisy_adaptive,
+    truth_for,
+)
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_independent, build_islands, build_random_regular
-from hypergt.errors import SchemaError
+from hypergt.errors import SchemaError, ZeroSurvivorMass
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
@@ -20,6 +27,7 @@ from hypergt.model import (
 )
 from hypergt.noisy import (
     NoiseChannel,
+    _Repeated,
     admissible_threshold,
     bayes_update_noisy,
     noisy_oracle,
@@ -30,7 +38,7 @@ from hypergt.noisy import (
 from hypergt.oracle import direct_posterior
 from hypergt.sets import mask_of
 from hypergt.snagt import SnagtConfig, run_snagt
-from hypergt.transcript import INDIVIDUAL
+from hypergt.transcript import INDIVIDUAL, RESIDUAL, SPLIT
 
 
 class TestChannelAndOracle:
@@ -244,6 +252,106 @@ class TestNoisyAdaptive:
         for r in tr.records:
             groups.setdefault(r.rep_group, set()).add(r.query)
         assert all(len(qs) == 1 for qs in groups.values())  # one set per group
+
+
+class TestMismatchCounts:
+    """The noisy adaptive observer keeps the prior and each edge's count of
+    contradicting outcomes; its posterior is the prior times r^count."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_an_edge_lost_to_underflow_comes_back(self, seed):
+        # 400 noisy random queries on islands(4, 2, 0.5) leave one edge so
+        # far behind that its q underflows to 0; 400 queries answered as that
+        # edge would answer bring it back, in the engine's observer and in
+        # the one-pass reference alike.
+        g, d = build_islands(4, 2, 0.5)
+        channel = NoiseChannel(0.05)
+        r_t, r_n, r_q = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+        truth = sample_truth(g, d, r_t)
+        obs = _Repeated(noisy_oracle(truth, channel, r_n), prior_posterior(g, d), channel.delta,
+                        {SPLIT: 1}, cap=10_000)
+        for t in r_q.integers(1, 2 ** g.n, size=400).tolist():
+            obs.ask(t, SPLIT)
+        lost = np.flatnonzero(obs.post.q == 0.0)
+        assert lost.size
+        edge = int(lost[0])
+        obs.oracle = oracle_for(g, edge)
+        for t in r_q.integers(1, 2 ** g.n, size=400).tolist():
+            obs.ask(t, SPLIT)
+        assert obs.post.q[edge] > 0.0
+        transcript = [(r.query_mask, r.outcome) for r in obs.tr.records]
+        direct = direct_posterior(g, d, transcript, delta=channel.delta)
+        assert direct.q[edge] > 0.0
+        assert np.allclose(direct.q, obs.post.q, rtol=1e-12, atol=0.0)
+        assert obs.mismatches.max() <= obs.tr.total  # a count, never a lost edge
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_matches_the_per_test_reference(self, seed):
+        # Random groups on a random model, some of whose edges have zero
+        # prior, against one `bayes_update_noisy` step per physical test.
+        rng = np.random.default_rng(seed)
+        graph, dist = random_model(rng, max_n=7, max_edges=16)
+        probs = dist.probs * (rng.random(len(dist)) < 0.8)
+        probs[int(rng.integers(len(dist)))] = 1.0
+        dist = EdgeDistribution(probs / probs.sum())
+        delta = float(rng.choice([0.0, 0.01, 0.05, 0.2, 0.45]))
+        if delta == 0.0:  # noiseless: the outcomes of one edge of positive prior
+            target = int(rng.choice(np.flatnonzero(dist.probs)))
+            answer = oracle_for(graph, target)
+        else:
+            answers = iter((rng.random(10_000) < rng.random()).tolist())
+            answer = lambda t: next(answers)
+        calls = []
+
+        def scripted(t_mask):
+            calls.append(answer(t_mask))
+            return calls[-1]
+
+        ells = {SPLIT: 1, RESIDUAL: int(rng.integers(1, 8)), INDIVIDUAL: int(rng.integers(1, 8))}
+        cap = int(rng.integers(1, 80))
+        obs = _Repeated(scripted, prior_posterior(graph, dist), delta, ells, cap)
+        replay = iter(calls)
+        ref = ReferenceRepeated(lambda t: next(replay), prior_posterior(graph, dist), delta, ells, cap)
+        for _ in range(40):
+            t = int(rng.integers(0, 2 ** graph.n))
+            stage = str(rng.choice([SPLIT, RESIDUAL, INDIVIDUAL]))
+            verdict = obs.ask(t, stage)
+            assert ref.ask(t, stage) == verdict
+            if np.all(ref.post.q[dist.probs > 0.0] > 0.0):
+                assert np.max(np.abs(obs.post.q - ref.post.q)) <= 1e-12
+            if verdict is None:
+                break
+        assert obs.tr.to_json() == ref.tr.to_json()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("cap", [5, 13, 25, 33])
+    def test_a_budget_cut_group_keeps_the_reference_transcript(self, seed, cap):
+        g, d = build_islands(4, 2, 0.5)
+        channel = NoiseChannel(0.05)
+        docs = []
+        for run, noise in ((run_noisy_adaptive, channel), (reference_noisy_adaptive, channel.delta)):
+            r_t, r_n = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+            truth = sample_truth(g, d, r_t)
+            tr = run(g, d, noisy_oracle(truth, channel, r_n), AdaptiveConfig(c=0.45), noise, u=8,
+                     max_physical_tests=cap)
+            docs.append(tr.to_json())
+        records = docs[0]["records"]
+        last = [r for r in records if r["rep_group"] == records[-1]["rep_group"]]
+        ell = {RESIDUAL: repetitions(2.0, g.n, channel.delta),
+               INDIVIDUAL: repetitions(2.0, max(2.0, math.log2(g.n) * 8), channel.delta)}
+        assert docs[0]["halted"] and len(last) < ell[last[-1]["stage"]]
+        assert docs[0] == docs[1]
+
+    def test_zero_delta_contradiction_still_raises(self):
+        # At delta = 0 node 0 is asked twice (ceil(2 log2 2) = 2); True then
+        # False contradicts every edge.
+        graph, dist = build_independent([0.9, 0.9])
+        answers = iter([True, False])
+        with pytest.raises(ZeroSurvivorMass, match="inconsistent with every surviving edge"):
+            run_noisy_adaptive(graph, dist, lambda t: next(answers), AdaptiveConfig(),
+                               NoiseChannel(0.0), max_physical_tests=100)
+        with pytest.raises(ZeroSurvivorMass):
+            direct_posterior(graph, dist, [(0b01, True), (0b01, False)])
 
 
 class TestNoisySnagt:
