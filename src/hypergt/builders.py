@@ -1,18 +1,18 @@
 """Constructors for every correlation model the engines are exercised on.
 
-Three flavors: products of independent blocks (independent nodes,
-communities, perfectly correlated islands, and the components of each
-edge-faulty contact graph), explicit structured supports (chains, co-size
-families, dense two-scale graphs, entropy-gap and random regular
-hypergraphs), and the exact enumeration of seeded block infection. The
+Two flavors: products of independent blocks (independent nodes,
+communities, perfectly correlated islands, and sums of such products: one
+per edge-faulty contact graph, or one per seed set of seeded block
+infection), and explicit structured supports (chains, co-size families,
+dense two-scale graphs, entropy-gap and random regular hypergraphs). The
 product-form families share one enumerator, `_product`, which refuses more
 than SUPPORT_CAP ways before it lists any. Each builder normalises its masses
 and hands them to the validating constructors; subsets with zero probability
 are left out of the support, and a support of more than SUPPORT_CAP edges is
-refused. The islands and the chain, co-size and two-scale families refuse
-more than NODE_CAP nodes before they build any mask. `BUILDERS` maps each
-family name to its builder, and a `ModelSpec` names a family and its
-parameters.
+refused. The islands, community, edge-faulty, chain, co-size and two-scale
+families refuse more than NODE_CAP nodes before they build any mask.
+`BUILDERS` maps each family name to its builder, and a `ModelSpec` names a
+family and its parameters.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from operator import lshift
 
 import numpy as np
 
-from .errors import EmptySupport, ModelError, ProbabilityOutOfRange, SchemaError, SupportTooLarge
+from .errors import (EmptySupport, ModelError, NodeOutOfRange, ProbabilityOutOfRange, SchemaError,
+                     SupportTooLarge)
 from .model import EdgeDistribution, Hypergraph, check_node_count, check_record
-from .sets import mask_of, nodes_of
+from .sets import mask_of
 
 SUPPORT_CAP = 1 << 20
 
@@ -43,7 +44,8 @@ class ModelSpec:
     """A named family plus its own copy of its parameter record; JSON-friendly.
     SchemaError for an unknown family, or unless params is an object holding
     every required parameter of the family's builder, no other key, and
-    values of the types the builder annotates."""
+    values of the types the builder annotates, with no negative integer
+    where it annotates int (inside lists and pairs too)."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -62,9 +64,12 @@ class ModelSpec:
                      [k for k, a in args.items() if a.default is inspect.Parameter.empty],
                      list(args))
         for key, value in self.params.items():
-            if key in hints and not _conforms(value, hints[key]):
+            if not _conforms(value, hints[key]):
                 raise SchemaError(f"{self.family} params: {key!r} must be "
                                   f"{args[key].annotation}, not {value!r}")
+            if not _conforms(value, hints[key], natural=True):
+                raise SchemaError(f"{self.family} params: {key!r} must hold no negative "
+                                  f"integer, not {value!r}")
         object.__setattr__(self, "params", copy.deepcopy(self.params))
 
 
@@ -74,22 +79,23 @@ def _signature(family: str) -> tuple:
     return inspect.signature(BUILDERS[family]).parameters, typing.get_type_hints(BUILDERS[family])
 
 
-def _conforms(value, hint) -> bool:
+def _conforms(value, hint, natural: bool = False) -> bool:
     """Whether value has the annotated type: int and float take numbers but not
-    booleans, a sequence or a tuple takes a list, tuple or numpy array, and any
-    other type its instances."""
+    booleans, and with `natural` int takes none below 0; a sequence or a tuple
+    takes a list, tuple or numpy array, and any other type its instances."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return any(_conforms(value, a) for a in args)
+        return any(_conforms(value, a, natural) for a in args)
     if origin in (Sequence, tuple):
         if not isinstance(value, (list, tuple, np.ndarray)):
             return False
         if origin is tuple:
-            return len(value) == len(args) and all(map(_conforms, value, args))
-        return all(_conforms(x, args[0]) for x in value)
+            return len(value) == len(args) and all(_conforms(x, a, natural) for x, a in zip(value, args))
+        return all(_conforms(x, args[0], natural) for x in value)
     if hint in (int, float):
         kind = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool)
+        return isinstance(value, kind) and not isinstance(value, bool) and (
+            not natural or hint is float or value >= 0)
     return isinstance(value, hint)
 
 
@@ -148,11 +154,12 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple
     """Families independently infected with probability q; a node of an
     infected family j is infected with probability p[j]."""
     sizes = list(map(int, sizes))
+    n, largest = sum(sizes), max(sizes, default=0)
+    check_node_count(n)
     p = list(map(float, p))
     _check_probabilities(q=q, p=p)
     if len(p) != len(sizes):
         raise ModelError("need one infection probability per family")
-    n, largest = sum(sizes), max(sizes, default=0)
     if 2 ** largest > SUPPORT_CAP:
         raise SupportTooLarge(f"2^{largest} subsets of one family exceed cap {SUPPORT_CAP}")
 
@@ -232,6 +239,8 @@ def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None) -> tuple[
     and adding all its size-d subsets, until at least m edges exist; uniform."""
     if n < d + 1:
         raise ModelError(f"need n >= d+1, got n={n}, d={d}")
+    if m > math.comb(n, d):
+        raise ModelError(f"m={m} exceeds the {math.comb(n, d)} size-d subsets of {n} nodes")
     rng = np.random.default_rng(seed)
     edges: set[int] = set()
     attempts = 0
@@ -280,7 +289,7 @@ def build_random_regular(n: int, d: int, r: float | None = None, count: int | No
 
 
 # ---------------------------------------------------------------------------
-# Generative families, enumerated exactly
+# Generative families: sums of block products
 
 
 def _components(n: int, kept: Sequence[tuple[int, int]]) -> list[int]:
@@ -310,7 +319,11 @@ def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float
     r, then every resulting component is infected with probability p. The
     infected set is the union of infected components."""
     _check_probabilities(r=r, p=p)
+    check_node_count(n)
     contact_edges = [tuple(e) for e in contact_edges]
+    for e in contact_edges:
+        if not all(0 <= v < n for v in e):
+            raise NodeOutOfRange(f"contact edge {list(e)} has a node outside 0..{n - 1}")
     if len(contact_edges) > 20:
         raise SupportTooLarge("at most 20 contact edges are enumerable")
     masses: dict[int, float] = {}
@@ -328,34 +341,28 @@ def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[
     independently with probability seed_prob, then each seed infects every
     same-community node with probability q1 and every other node with q2.
 
-    D(S) sums, over seed sets T inside S, the probability that exactly the
-    nodes of S \\ T catch an infection and nobody outside S does.
+    Given the seed set T, every other node escapes each seed independently:
+    D sums one block product per seed set, in ascending mask order.
     """
     _check_probabilities(seed_prob=seed_prob, q1=q1, q2=q2)
+    if m < 0 or k < 0:
+        raise ModelError(f"need m, k >= 0, got m={m}, k={k}")
     n = m * k
     if n > 12:
         raise SupportTooLarge("sbim enumeration is limited to 12 nodes")
-    community = [v // k for v in range(n)]
+    community = [((1 << k) - 1) << (v - v % k) for v in range(n)]  # node v's community
     masses: dict[int, float] = {}
-    for s in range(2 ** n):
-        total = 0.0
-        s_nodes = nodes_of(s)
-        others = [v for v in range(n) if not s >> v & 1]
-        for t_bits in range(2 ** len(s_nodes)):
-            seeds = [s_nodes[i] for i in range(len(s_nodes)) if t_bits >> i & 1]
-            w = (seed_prob ** len(seeds)) * ((1.0 - seed_prob) ** (n - len(seeds)))
-            for v in s_nodes:
-                if v in seeds:
-                    continue
-                same = sum(1 for u in seeds if community[u] == community[v])
-                miss = ((1.0 - q1) ** same) * ((1.0 - q2) ** (len(seeds) - same))
-                w *= 1.0 - miss
-            for v in others:
-                same = sum(1 for u in seeds if community[u] == community[v])
-                w *= ((1.0 - q1) ** same) * ((1.0 - q2) ** (len(seeds) - same))
-            total += w
-        masses[s] = total
-    return _finish(n, masses)
+    for seeds in range(2 ** n):
+        t = seeds.bit_count()
+        blocks = [([seeds], [(seed_prob ** t) * ((1.0 - seed_prob) ** (n - t))])]
+        for v in range(n):
+            if not seeds >> v & 1:
+                same = (seeds & community[v]).bit_count()
+                miss = ((1.0 - q1) ** same) * ((1.0 - q2) ** (t - same))
+                blocks.append(([0, 1 << v], [miss, 1.0 - miss]))
+        for mask, w in _product(blocks):
+            masses[mask] = masses.get(mask, 0.0) + w
+    return _finish(n, dict(sorted(masses.items())))
 
 
 # ---------------------------------------------------------------------------

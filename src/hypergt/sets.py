@@ -46,16 +46,12 @@ def full_mask(n: int) -> int:
 
 
 def pack_words(masks: Sequence[int], n: int) -> np.ndarray:
-    """(ceil(n/64), len(masks)) word store; bits at or beyond the last word are dropped."""
+    """(ceil(n/64), len(masks)) word store of non-negative masks below 2^(64 ceil(n/64))."""
     rows = (n + WORD_BITS - 1) // WORD_BITS
-    keep = full_mask(rows * WORD_BITS)
     words = np.empty((rows, len(masks)), dtype=WORD_DTYPE)
     for lo in range(0, len(masks), _PACK_CHUNK):  # chunks bound the bytes held beside the store
         chunk = masks[lo:lo + _PACK_CHUNK]
-        try:
-            raw = b"".join([m.to_bytes(rows * 8, "little") for m in chunk])
-        except OverflowError:  # a negative mask, or bits at or beyond the last word
-            raw = b"".join([(m & keep).to_bytes(rows * 8, "little") for m in chunk])
+        raw = b"".join([m.to_bytes(rows * 8, "little") for m in chunk])
         words[:, lo:lo + len(chunk)] = np.frombuffer(raw, WORD_DTYPE).reshape(len(chunk), rows).T
     return words
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hypergt.adaptive import _TOL, _run as _adaptive_run
-from hypergt.builders import _components
+from hypergt.builders import _components, _finish
 from hypergt.errors import EmptySupport, TooLarge
 from hypergt.model import (
     EdgeDistribution,
@@ -257,6 +257,35 @@ def random_test_set(n, u, rng):
     """One scheduled test of `reference_snagt`: each node independently with
     probability 1/u."""
     return mask_from_flags(rng.random(n) < 1.0 / u)
+
+
+def reference_sbim(m, k, seed_prob, q1, q2):
+    """`build_sbim` as the loop it ran before it summed one block product per
+    seed set: for each infected set S, over every seed set T inside it, the
+    weight of seeding exactly T times each node's chance to catch or escape.
+    Kept so the block form can be compared with it edge for edge."""
+    n = m * k
+    community = [v // k for v in range(n)]
+    masses = {}
+    for s in range(2 ** n):
+        total = 0.0
+        s_nodes = nodes_of(s)
+        others = [v for v in range(n) if not s >> v & 1]
+        for t_bits in range(2 ** len(s_nodes)):
+            seeds = [s_nodes[i] for i in range(len(s_nodes)) if t_bits >> i & 1]
+            w = (seed_prob ** len(seeds)) * ((1.0 - seed_prob) ** (n - len(seeds)))
+            for v in s_nodes:
+                if v in seeds:
+                    continue
+                same = sum(1 for u in seeds if community[u] == community[v])
+                miss = ((1.0 - q1) ** same) * ((1.0 - q2) ** (len(seeds) - same))
+                w *= 1.0 - miss
+            for v in others:
+                same = sum(1 for u in seeds if community[u] == community[v])
+                w *= ((1.0 - q1) ** same) * ((1.0 - q2) ** (len(seeds) - same))
+            total += w
+        masses[s] = total
+    return _finish(n, masses)
 
 
 # References that only tests use: the exact majority tail, the single-probe

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import sample_edge_faulty, sample_sbim
+from conftest import reference_sbim, sample_edge_faulty, sample_sbim
 from hypergt.builders import (
     SUPPORT_CAP,
     ModelSpec,
@@ -267,6 +267,29 @@ class TestGenerative:
         masses = {g.edge_masks[i]: float(d.probs[i]) for i in range(len(g))}
         assert masses == {0b1: pytest.approx(0.3), 0b0: pytest.approx(0.7)}
 
+    # Every (m, k) of at most 6 nodes, n = 0 included, at probabilities 0, an
+    # interior value and 1, then two larger models at the golden probabilities.
+    SBIM_CASES = [(m, k, seed_prob, q1, q2)
+                  for m in range(7) for k in range(7) if m * k <= 6
+                  for seed_prob in (0.0, 0.3, 1.0) for q1 in (0.0, 0.6, 1.0) for q2 in (0.0, 0.15, 1.0)
+                  ] + [(3, 3, 0.2, 0.6, 0.15), (2, 5, 0.2, 0.6, 0.15)]
+
+    def test_sbim_matches_the_per_infected_set_loop(self):
+        # One block product per seed set multiplies each term's factors in
+        # another order than the loop did, so masses move in their last bits.
+        for case in self.SBIM_CASES:
+            graph, dist = build_sbim(*case)
+            ref_graph, ref_dist = reference_sbim(*case)
+            assert graph.n == ref_graph.n and graph.edge_masks == ref_graph.edge_masks, case
+            assert np.abs(dist.probs - ref_dist.probs).max() <= 1e-15, case
+
+    def test_sbim_on_twelve_nodes_builds_fast(self):
+        # The per-infected-set loop took 7.0 s on a 2-vCPU Xeon VM, this one 0.4 s.
+        t0 = time.perf_counter()
+        graph, dist = build_sbim(3, 4, 0.2, 0.6, 0.15)
+        validate_model(graph, dist)
+        assert len(graph) == 4096 and time.perf_counter() - t0 < 2.0
+
     @pytest.mark.parametrize("family,params,sampler", [
         ("edge_faulty", {"n": 3, "contact_edges": [(0, 1), (1, 2)], "r": 0.6, "p": 0.4},
          lambda rng: sample_edge_faulty(3, [(0, 1), (1, 2)], 0.6, 0.4, rng)),
@@ -386,7 +409,9 @@ class TestGuards:
         (build_big_graph, (257,), 257 * 257),
         (build_islands, (1, 10 ** 6, 0.5), 10 ** 6),
         (build_cosize, (-1,), -1),
-    ], ids=["cosize", "nested", "big_graph", "islands", "negative"])
+        (build_edge_faulty, (80000, [], 0.5, 1.0), 80000),
+        (build_community, ([1] * 80000, 1.0, [1.0] * 80000), 80000),
+    ], ids=["cosize", "nested", "big_graph", "islands", "negative", "edge_faulty", "community"])
     def test_a_node_count_past_the_cap_is_refused_before_any_mask(self, build, args, nodes):
         # Each would build masks of more than NODE_CAP bits first: cosize at
         # n = 16000 took 2.5 s, and islands(1, 10^6) 6 s.
@@ -395,12 +420,51 @@ class TestGuards:
             build(*args)
         assert time.perf_counter() - t0 < 0.5
 
+    @pytest.mark.parametrize("m", [100, 10 ** 6])
+    def test_entropy_gap_refuses_an_unreachable_edge_count_before_sampling(self, m):
+        # 6 nodes have C(6, 2) = 15 size-2 subsets. Sampling until the attempt
+        # limit took 3.2 s to refuse m = 100, and m = 10^6 ran past 20 s.
+        t0 = time.perf_counter()
+        with pytest.raises(ModelError, match=re.escape(f"m={m} exceeds the 15 size-d subsets of 6 nodes")):
+            build_entropy_gap(6, m, 2)
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("family,params,key", [
+        ("community", {"sizes": [2, -1], "q": 0.5, "p": [0.5, 0.5]}, "sizes"),
+        ("random_regular", {"n": 6, "d": -1, "count": 3}, "d"),
+        ("random_regular", {"n": -5, "d": 2, "count": 3}, "n"),
+        ("random_regular", {"n": 6, "d": 2, "count": 3, "seed": -1}, "seed"),
+        ("entropy_gap", {"n": 6, "m": 3, "d": 2, "seed": -1}, "seed"),
+        ("sbim", {"m": -1, "k": -2, "seed_prob": 0.2, "q1": 0.5, "q2": 0.1}, "m"),
+        ("edge_faulty", {"n": 3, "contact_edges": [[0, 1], [0, -1]], "r": 0.5, "p": 0.5},
+         "contact_edges"),
+    ], ids=["list", "d", "n", "seed", "entropy-gap-seed", "sbim", "pair"])
+    def test_negative_integers_are_refused_naming_the_key(self, family, params, key):
+        # Before, these died with a traceback or built a wrong model: sbim a
+        # 2-node one, edge_faulty with contact edge [0, 2].
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{family} params: {key!r} must hold no negative integer, not {params[key]!r}")):
+            ModelSpec(family, params)
+
+    def test_sbim_refuses_negative_sizes(self):
+        with pytest.raises(ModelError, match=re.escape("need m, k >= 0, got m=-1, k=-2")):
+            build_sbim(-1, -2, 0.2, 0.5, 0.1)
+
+    @pytest.mark.parametrize("edge", [(0, 5), (0, -1), (3, 1)])
+    def test_edge_faulty_refuses_a_contact_endpoint_outside_the_nodes(self, edge):
+        with pytest.raises(NodeOutOfRange, match=re.escape(
+                f"contact edge {list(edge)} has a node outside 0..2")):
+            build_edge_faulty(3, [(0, 1), edge], 0.5, 0.5)
+
     @pytest.mark.parametrize("spec,error,message", [
         (ModelSpec("nested", {"n": 0}), EmptySupport, "no edge carries positive probability"),
         (ModelSpec("independent", {"p": [0.5] * 21}), SupportTooLarge, "at least 2097152 edges exceed cap"),
         # An infinite island probability lies outside [0, 1].
         (ModelSpec("islands", {"k": 2, "m": 1, "p": [math.inf, 0.5]}), ProbabilityOutOfRange,
          "probability p[0]=inf outside [0, 1]"),
+        # A negative integer where a builder annotates float is a probability.
+        (ModelSpec("islands", {"k": 2, "m": 1, "p": -1}), ProbabilityOutOfRange,
+         "probability p=-1.0 outside [0, 1]"),
     ])
     def test_build_model_errors_are_unchanged(self, spec, error, message):
         with pytest.raises(error, match=re.escape(message)):

@@ -1,17 +1,23 @@
 """Arbitrary JSON in place of a transcript record, a query, an outcome, an
 experiment config or any one of its fields, or a model file or any one of its
-fields: every input either parses or is refused with a ModelError subclass,
-never with a KeyError, TypeError, IndexError, OverflowError, MemoryError or
-bare ValueError."""
+fields, and parameters of the annotated types for every model family: every
+input either parses (or builds) or is refused with a ModelError subclass,
+never with a KeyError, TypeError, IndexError, AttributeError, OverflowError,
+MemoryError or bare ValueError."""
 
 import dataclasses
+import inspect
 import json
 import math
+import types
+import typing
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergt.builders import BUILDERS, ModelSpec, build_model
 from hypergt.errors import ModelError, SchemaError
 from hypergt.harness import ALGORITHMS, ExperimentConfig
 from hypergt.model import load_model, parse_json, save_model
@@ -175,6 +181,43 @@ class TestModelFiles:
     @given(st.lists(st.integers() | st.booleans(), max_size=4))
     def test_any_node_list(self, model_dir, edge):
         load({**VALID_MODEL, "edges": [[0], edge, []]}, model_dir)
+
+
+def of_type(hint):
+    """Values of an annotated builder parameter type: small integers, negative
+    ones included, and floats, out-of-range ones included. Integers stay at
+    most 3, so a model stays small enough to build (sbim at most 9 nodes)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return st.one_of(*map(of_type, args))
+    if origin is tuple:
+        return st.tuples(*map(of_type, args))
+    if origin is Sequence:
+        return st.lists(of_type(args[0]), max_size=3)
+    if hint is int:
+        return st.integers(-2, 3)
+    if hint is float:
+        return st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, math.nan, math.inf])
+    assert hint is type(None), hint
+    return st.none()
+
+
+def family_params(family):
+    """Every parameter of the family's builder, each of its annotated type."""
+    hints = typing.get_type_hints(BUILDERS[family])
+    return st.fixed_dictionaries({key: of_type(hints[key])
+                                  for key in inspect.signature(BUILDERS[family]).parameters})
+
+
+class TestModelSpecs:
+    @settings(FUZZ, max_examples=100)  # the 11 families add about 5 s
+    @pytest.mark.parametrize("family", sorted(BUILDERS))
+    @given(data=st.data())
+    def test_any_params_build_or_are_refused(self, family, data):
+        params = data.draw(family_params(family))
+        model = parse_or_refuse(lambda: build_model(ModelSpec(family, params)))
+        if model is not None and family == "edge_faulty":
+            assert all(0 <= v < params["n"] for e in params["contact_edges"] for v in e)
 
 
 @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000],
