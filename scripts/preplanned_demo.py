@@ -5,18 +5,15 @@ under symmetric noise once tests are repeated."""
 
 import argparse
 
-import numpy as np
-
 from hypergt import (
+    ExperimentConfig,
     ModelSpec,
-    NoiseChannel,
     SnagtConfig,
     build_model,
     noiseless_oracle,
-    noisy_oracle,
-    run_noisy_snagt,
+    run_experiment,
     run_snagt,
-    sample_truth,
+    summarize,
 )
 from hypergt.model import GroundTruth
 
@@ -43,29 +40,12 @@ def main() -> None:
     same = all(s[:k] == schedules[0][:k] for s in schedules)
     print(f"schedule identical across targets on the shared prefix: {same}")
 
-    ok = 0
-    tests = []
-    for trial in range(args.trials):
-        rng = np.random.default_rng(1000 + trial)
-        truth = sample_truth(graph, dist, rng)
-        tr = run_snagt(graph, dist, noiseless_oracle(truth), SnagtConfig(u=args.u, seed=trial))
-        ok += (not tr.halted) and tr.returned_mask() == truth.mask
-        tests.append(tr.total)
-    print(f"noiseless: {ok}/{args.trials} recovered, mean tests {np.mean(tests):.1f}")
-
-    channel = NoiseChannel(args.delta)
-    ok = 0
-    physical = []
-    for trial in range(args.trials):
-        ss = np.random.SeedSequence(entropy=5, spawn_key=(trial,))
-        r_target, r_noise = (np.random.default_rng(s) for s in ss.spawn(2))
-        truth = sample_truth(graph, dist, r_target)
-        tr = run_noisy_snagt(graph, dist, noisy_oracle(truth, channel, r_noise),
-                             SnagtConfig(u=args.u, seed=trial), channel)
-        ok += (not tr.halted) and tr.returned_mask() == truth.mask
-        physical.append(tr.total)
-    print(f"noisy (delta={args.delta}): {ok}/{args.trials} recovered, "
-          f"mean physical tests {np.mean(physical):.0f}")
+    for algorithm, delta, label in (("snagt", 0.0, "noiseless"),
+                                    ("noisy_snagt", args.delta, f"noisy (delta={args.delta})")):
+        config = ExperimentConfig(spec, algorithm, trials=args.trials, u=args.u, delta=delta)
+        s = summarize(run_experiment(config, graph, dist))
+        print(f"{label}: {s.count - s.wrong}/{s.count} recovered, "
+              f"mean physical tests {s.tests.mean:.1f}")
 
 
 if __name__ == "__main__":

@@ -228,7 +228,6 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         if idx is not None:
             return _finish(tr, graph, idx)
 
-        _check(not marg[~active].any(), "posterior mass outside the active set")
         s, found, w_s = _split_scan(obs.post.q, marg, graph, active, c)
         t_mask = mask_from_flags(active & ~s)
         if found:
@@ -273,8 +272,6 @@ def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
         if len(surviving) < int(s.sum()):
             s_mask = mask_from_flags(s)
             for e in surviving:
-                if obs.post.q[e] <= 0.0:
-                    continue
                 t2 = s_mask & ~graph.edge_masks[e]
                 # When S equals e there is nothing left to ask.
                 if t2 == 0 or not obs.ask(t2, COMPLEMENT):

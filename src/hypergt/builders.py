@@ -154,6 +154,8 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple
     """Families independently infected with probability q; a node of an
     infected family j is infected with probability p[j]."""
     sizes = list(map(int, sizes))
+    if min(sizes, default=0) < 0:
+        raise ModelError(f"need family sizes >= 0, got {min(sizes)}")
     n, largest = sum(sizes), max(sizes, default=0)
     check_node_count(n)
     p = list(map(float, p))
@@ -237,8 +239,8 @@ def build_big_graph(n: int) -> tuple[Hypergraph, EdgeDistribution]:
 def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None) -> tuple[Hypergraph, EdgeDistribution]:
     """Grow a size-d edge family by repeatedly taking a random (d+1)-node set
     and adding all its size-d subsets, until at least m edges exist; uniform."""
-    if n < d + 1:
-        raise ModelError(f"need n >= d+1, got n={n}, d={d}")
+    if d < 0 or n < d + 1:
+        raise ModelError(f"need n >= d+1 and d >= 0, got n={n}, d={d}")
     if m > math.comb(n, d):
         raise ModelError(f"m={m} exceeds the {math.comb(n, d)} size-d subsets of {n} nodes")
     rng = np.random.default_rng(seed)
@@ -266,6 +268,8 @@ def build_random_regular(n: int, d: int, r: float | None = None, count: int | No
     """
     if (r is None) == (count is None):
         raise ModelError("give exactly one of r, count")
+    if n < 0 or d < 0:
+        raise ModelError(f"need n, d >= 0, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     if r is not None:
         _check_probabilities(r=r)

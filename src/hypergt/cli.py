@@ -17,7 +17,7 @@ import os
 import sys
 
 from .builders import ModelSpec, build_model
-from .errors import ModelError
+from .errors import ModelError, SchemaError
 from .harness import (
     ExperimentConfig,
     check_bounds,
@@ -63,8 +63,7 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     out = args.out or config.output
     if not out:
-        print("no output path: give --out or set output in the config", file=sys.stderr)
-        return 2
+        raise SchemaError("no output path: give --out or set output in the config")
     # A mistyped directory fails here, not after every trial has run.
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)

@@ -50,6 +50,9 @@ CSV_COLUMNS = ("trial", "seed", "target", "tests", "stage1", "stage2", "informat
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings; SchemaError when built with a value of the
+    wrong type or a setting no engine accepts."""
+
     model: ModelSpec | str
     algorithm: str
     trials: int = 1
@@ -66,6 +69,11 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            if not _conforms(getattr(self, f.name), hints[f.name]):
+                raise SchemaError(f"experiment config: {f.name!r} must be {f.type}, "
+                                  f"not {getattr(self, f.name)!r}")
         if self.trials < 1:
             raise SchemaError("experiment config: trials must be >= 1")
         if self.seed < 0:
@@ -77,17 +85,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        """Parse a config record; SchemaError for a missing or unknown key or
-        a value of the wrong type."""
-        fields = dataclasses.fields(cls)
-        check_record(doc, "experiment config", ("model", "algorithm"), [f.name for f in fields])
+        """Parse a config record; SchemaError for a missing or unknown key,
+        and from the constructor for a value of the wrong type."""
+        check_record(doc, "experiment config", ("model", "algorithm"),
+                     [f.name for f in dataclasses.fields(cls)])
         if isinstance(doc["model"], dict):
             doc = {**doc, "model": ModelSpec.from_json(doc["model"], "model record")}
-        hints = typing.get_type_hints(cls)
-        for f in fields:
-            if f.name in doc and not _conforms(doc[f.name], hints[f.name]):
-                raise SchemaError(f"experiment config: {f.name!r} must be {f.type}, "
-                                  f"not {doc[f.name]!r}")
         return cls(**doc)
 
 

@@ -66,13 +66,13 @@ def repetitions(alpha: float, x: float, delta: float) -> int:
     max(2, u log2 n) for a stage-2 individual test and u n for a preplanned
     test, and must be >= 1. alpha must be finite and >= 0; 0 asks once."""
     if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha={alpha} must be finite and >= 0")
+        raise SchemaError(f"alpha={alpha} must be finite and >= 0")
     if not x >= 1:
-        raise ValueError(f"the repetition count needs x >= 1 (x is n, u log2 n or u n), got x={x}")
+        raise SchemaError(f"the repetition count needs x >= 1 (x is n, u log2 n or u n), got x={x}")
     try:
         return max(1, math.ceil(alpha * math.log2(x) / (1.0 - 2.0 * delta) ** 2))
     except OverflowError:
-        raise ValueError(f"alpha={alpha} overflows the repetition count") from None
+        raise SchemaError(f"alpha={alpha} overflows the repetition count") from None
 
 
 def _adaptive_repetitions(n: int, u: int | None, alpha: float, delta: float) -> dict[str, int]:
@@ -87,9 +87,9 @@ def _check_budget(u: int | None, max_physical_tests: int | None) -> None:
     """Refuse a stage-2 size bound outside 1..NODE_CAP or a physical-test
     budget below 1; None means n for either."""
     if u is not None and not 1 <= u <= NODE_CAP:  # no edge has more than NODE_CAP nodes
-        raise ValueError(f"u={u} must be >= 1" if u < 1 else f"u exceeds NODE_CAP={NODE_CAP}")
+        raise SchemaError(f"u={u} must be >= 1" if u < 1 else f"u exceeds NODE_CAP={NODE_CAP}")
     if max_physical_tests is not None and max_physical_tests < 1:
-        raise ValueError(f"physical-test budget {max_physical_tests} must be >= 1")
+        raise SchemaError(f"physical-test budget {max_physical_tests} must be >= 1")
 
 
 def noisy_oracle(truth: GroundTruth, channel: NoiseChannel,
@@ -121,9 +121,7 @@ def bayes_update_noisy(post: Posterior, t, observed: bool, delta: float) -> Post
 
 def admissible_threshold(delta: float) -> float:
     """Smallest split constant the noisy analysis supports:
-    1 - (1-d)^(1-d) * d^d."""
-    if delta == 0.0:
-        return 0.0
+    1 - (1-d)^(1-d) * d^d, which is 0 at d = 0."""
     return 1.0 - ((1.0 - delta) ** (1.0 - delta)) * (delta ** delta)
 
 
@@ -213,7 +211,7 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     """
     _check_budget(u, max_physical_tests)
     if config.variant != "base":
-        raise ValueError(f"noisy runs support only variant='base', got {config.variant!r}")
+        raise SchemaError(f"noisy runs support only variant='base', got {config.variant!r}")
     validate_model(graph, dist)
     delta = channel.delta
     if config.c <= admissible_threshold(delta):

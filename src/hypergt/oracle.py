@@ -79,7 +79,9 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
 
     @lru_cache(maxsize=None)
     def solve(state: int) -> tuple[float, int]:
-        """Returns (value, chosen negative-side subset; -1 at leaves)."""
+        """Returns (value, chosen negative-side subset; -1 at leaves). A state
+        of two or more edges always has a split: an inclusion-minimal edge
+        alone on the negative side."""
         if state & (state - 1) == 0:
             return 0.0, -1
         best_val, best_neg = None, -1
@@ -92,7 +94,6 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
                 if best_val is None or val < best_val - 1e-15:
                     best_val, best_neg = val, neg
             neg = (neg - 1) & state
-        assert best_val is not None, "no realizable split (duplicate-free states always have one)"
         return best_val, best_neg
 
     def build(state: int) -> PolicyNode:

@@ -53,14 +53,13 @@ class TestEntry:
 class Transcript:
     """What a run did: every issued test, counters, and the returned answer.
 
-    stage1 + stage2 always equals len(records); empty queries are resolved as
-    negative at zero cost and never appear here (the preplanned engines are
-    the exception: their empty tests are real scheduled tests).
+    Stage 2 counts the individual and complement records and stage 1 the
+    rest; empty queries are resolved as negative at zero cost and never
+    appear here (the preplanned engines are the exception: their empty tests
+    are real scheduled tests).
     """
 
     records: list[TestEntry] = field(default_factory=list)
-    stage1: int = 0
-    stage2: int = 0
     informative: int = 0
     pn: int = 0
     result_edge: int | None = None
@@ -72,19 +71,21 @@ class Transcript:
     def total(self) -> int:
         return len(self.records)
 
+    @property
+    def stage2(self) -> int:
+        return sum(r.stage in (INDIVIDUAL, COMPLEMENT) for r in self.records)
+
+    @property
+    def stage1(self) -> int:
+        return self.total - self.stage2
+
     def returned_mask(self) -> int | None:
         if self.result_nodes is None:
             return None
         return mask_of(self.result_nodes)
 
-    def add(self, query_mask: int, outcome: bool, stage: str, **extras: Any) -> TestEntry:
-        entry = TestEntry(query_mask, bool(outcome), stage, **extras)
-        self.records.append(entry)
-        if stage in (INDIVIDUAL, COMPLEMENT):
-            self.stage2 += 1
-        else:
-            self.stage1 += 1
-        return entry
+    def add(self, query_mask: int, outcome: bool, stage: str, **extras: Any) -> None:
+        self.records.append(TestEntry(query_mask, bool(outcome), stage, **extras))
 
     def to_json(self) -> dict[str, Any]:
         return {

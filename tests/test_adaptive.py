@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +28,7 @@ from hypergt.adaptive import (
     run_adaptive,
 )
 from hypergt.builders import build_cosize, build_nested, build_partial_regular, build_random_regular
-from hypergt.errors import NotRegular
+from hypergt.errors import NotRegular, SchemaError
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
@@ -61,6 +62,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdaptiveConfig(variant="truncated", c=0.4, f2=3)
         AdaptiveConfig(variant="truncated", c=1 / 3, f2=3)
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"variant": "x"}, "unknown variant 'x'"),
+        ({"variant": "truncated", "f2": 0}, "f2 must be >= 1"),
+    ], ids=["unknown-variant", "zero-f2"])
+    def test_variant_settings_are_refused(self, settings, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            AdaptiveConfig(**settings)
 
     def test_f2_from_eps(self, fig1):
         cfg = AdaptiveConfig(variant="truncated", c=0.3, eps=0.1)

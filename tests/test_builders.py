@@ -450,6 +450,34 @@ class TestGuards:
         with pytest.raises(ModelError, match=re.escape("need m, k >= 0, got m=-1, k=-2")):
             build_sbim(-1, -2, 0.2, 0.5, 0.1)
 
+    @pytest.mark.parametrize("build,args,kwargs,message", [
+        (build_community, ([3, -1], 0.5, [0.5, 0.5]), {}, "need family sizes >= 0, got -1"),
+        (build_community, ([-1], 0.5, [0.5]), {}, "need family sizes >= 0, got -1"),
+        (build_random_regular, (6, -1), {"count": 3}, "need n, d >= 0, got n=6, d=-1"),
+        (build_random_regular, (-5, 2), {"r": 0.5}, "need n, d >= 0, got n=-5, d=2"),
+        (build_entropy_gap, (6, 3, -1), {}, "need n >= d+1 and d >= 0, got n=6, d=-1"),
+    ], ids=["community", "community-negative-total", "random-regular-d", "random-regular-n",
+            "entropy-gap-d"])
+    def test_direct_calls_refuse_negative_sizes(self, build, args, kwargs, message):
+        t0 = time.perf_counter()
+        with pytest.raises(ModelError, match=re.escape(message)):
+            build(*args, **kwargs)
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("build,args,kwargs,message", [
+        (build_edge_faulty, (22, [(v, v + 1) for v in range(21)], 0.5, 0.5), {},
+         "at most 20 contact edges are enumerable"),
+        (build_random_regular, (1000, 3), {"r": 0.1},
+         "C(1000,3) subsets is too many to enumerate"),
+        (build_community, ([21], 0.5, [0.5]), {},
+         f"2^21 subsets of one family exceed cap {SUPPORT_CAP}"),
+    ], ids=["edge-faulty-contacts", "random-regular-subsets", "community-family"])
+    def test_an_enumeration_past_its_cap_is_refused_up_front(self, build, args, kwargs, message):
+        t0 = time.perf_counter()
+        with pytest.raises(SupportTooLarge, match=re.escape(message)):
+            build(*args, **kwargs)
+        assert time.perf_counter() - t0 < 0.5
+
     @pytest.mark.parametrize("edge", [(0, 5), (0, -1), (3, 1)])
     def test_edge_faulty_refuses_a_contact_endpoint_outside_the_nodes(self, edge):
         with pytest.raises(NodeOutOfRange, match=re.escape(

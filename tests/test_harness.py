@@ -372,6 +372,18 @@ class TestCli:
         dump = json.loads(out_path.read_text())
         assert abs(sum(dump["q"]) - 1.0) < 1e-9
 
+    def test_posterior_without_out_prints_the_dump(self, tmp_path, fig1_files, capsys):
+        transcript_path = tmp_path / "tr.json"
+        transcript_path.write_text(json.dumps([{"query": [1, 3], "outcome": True}]))
+        out_path = tmp_path / "post.json"
+        argv = ["posterior", "--model", fig1_files, "--transcript", str(transcript_path)]
+        assert cli_main(argv + ["--out", str(out_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr()
+        assert printed.err == "" and printed.out == out_path.read_text()
+        assert json.loads(printed.out)["q"] == pytest.approx([3 / 8, 0.0, 5 / 8], abs=1e-12)
+
     def test_build_model_spec_needs_a_family(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"params": {"n": 4}}))
@@ -458,10 +470,12 @@ class TestCli:
         (["posterior", "--model", "m.json", "--transcript", "tr.json", "--delta", "-0.5"],
          {"m.json": ModelSpec("nested", {"n": 4}), "tr.json": [{"query": [0], "outcome": True}]},
          "delta=-0.5 outside [0, 1/2)"),
+        (["run", "--config", "cfg.json"], {"cfg.json": {"model": NESTED4, "algorithm": "base"}},
+         "no output path: give --out or set output in the config"),
     ], ids=["malformed-params", "config-c-out-of-range", "check-trial-count",
             "oracle-missing-model", "oracle-too-large", "run-oracle-too-large",
             "negative-seed", "out-in-missing-directory", "snagt-on-zero-nodes",
-            "noisy-adaptive-on-zero-nodes", "posterior-negative-delta"])
+            "noisy-adaptive-on-zero-nodes", "posterior-negative-delta", "run-without-output"])
     def test_bad_input_exits_2_without_a_traceback(self, tmp_path, argv, files, message):
         for name, content in files.items():
             if isinstance(content, ModelSpec):

@@ -16,7 +16,7 @@ from conftest import (
 )
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
 from hypergt.builders import build_independent, build_islands, build_random_regular
-from hypergt.errors import SchemaError, ZeroSurvivorMass
+from hypergt.errors import ModelError, SchemaError, ZeroSurvivorMass
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
@@ -80,6 +80,10 @@ class TestBayesUpdate:
         a = bayes_update_noisy(post, [1, 3], True, 0.0)
         b = condition_on_test(post, [1, 3], True)
         assert np.array_equal(a.q, b.q)  # bitwise, same arithmetic path
+
+    def test_delta_of_one_half_is_refused(self, fig1):
+        with pytest.raises(ValueError, match=re.escape("delta=0.5 outside [0, 1/2)")):
+            bayes_update_noisy(prior_posterior(*fig1), [1, 3], True, 0.5)
 
     def test_fig1_hand_bayes(self, fig1):
         post = prior_posterior(*fig1)
@@ -184,9 +188,20 @@ class TestNoisyAdaptive:
     ], ids=["regular", "truncated"])
     def test_only_the_base_variant_runs_under_noise(self, fig1, config):
         graph, dist = fig1
-        with pytest.raises(ValueError, match="variant"):
+        with pytest.raises(ModelError, match="noisy runs support only variant='base'"):
             run_noisy_adaptive(graph, dist, oracle_for(graph, 0), config, NoiseChannel(0.1),
                                max_physical_tests=100)
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"u": 0}, "u=0 must be >= 1"),
+        ({"max_physical_tests": 0}, "physical-test budget 0 must be >= 1"),
+        ({"alpha": -1}, "alpha=-1 must be finite and >= 0"),
+    ], ids=["u", "budget", "alpha"])
+    def test_direct_calls_refuse_bad_settings_with_a_model_error(self, fig1, settings, message):
+        graph, dist = fig1
+        with pytest.raises(ModelError, match=re.escape(message)):
+            run_noisy_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(),
+                               NoiseChannel(0.1), **settings)
 
     def test_target_posterior_stays_positive(self):
         g, d = build_islands(4, 2, 0.5)

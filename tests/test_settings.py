@@ -39,6 +39,16 @@ def test_a_bad_value_is_refused_when_built_and_a_built_record_is_frozen(cls, goo
         setattr(record, name, getattr(record, name))
 
 
+@pytest.mark.parametrize("settings,message", [
+    ({"algorithm": "snagt", "u": 4.5}, "'u' must be int | None, not 4.5"),
+    ({"algorithm": "base", "trials": True}, "'trials' must be int, not True"),
+    ({"algorithm": "base", "seed": 1.5}, "'seed' must be int, not 1.5"),
+], ids=["float-u", "bool-trials", "float-seed"])
+def test_an_experiment_config_checks_its_field_types_when_built(settings, message):
+    with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
+        ExperimentConfig(NESTED4, **settings)
+
+
 def test_a_spec_keeps_its_own_copy_of_its_params():
     params = {"sizes": [3, 3], "q": 0.3, "p": [0.5, 0.5]}
     spec = ModelSpec("community", params)

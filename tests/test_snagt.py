@@ -20,6 +20,10 @@ class TestDyadicPartition:
     def test_bucket_assignment(self, p, bucket):
         assert dyadic_bucket(p) == bucket
 
+    def test_zero_has_no_band(self):
+        with pytest.raises(ValueError, match="bands are defined for positive probabilities only"):
+            dyadic_bucket(0.0)
+
 
 def row_flags(block, n):
     """(k, n) bool view of a (k, words) query block."""
