@@ -9,8 +9,8 @@ product-form families share one enumerator, `_product`, which refuses more
 than SUPPORT_CAP ways before it lists any. Each builder normalises its masses
 and hands them to the validating constructors; subsets with zero probability
 are left out of the support, and a support of more than SUPPORT_CAP edges is
-refused. The islands, community, edge-faulty, chain, co-size and two-scale
-families refuse more than NODE_CAP nodes before they build any mask.
+refused. Every family refuses more than NODE_CAP nodes before it builds any
+mask; seeded block infection stops at 12 nodes.
 `BUILDERS` maps each family name to its builder, and a `ModelSpec` names a
 family and its parameters.
 """
@@ -214,6 +214,7 @@ def build_partial_regular(n: int, d: int) -> tuple[Hypergraph, EdgeDistribution]
     remaining nodes belong to no edge."""
     if n < d + 1:
         raise ModelError(f"need n >= d+1, got n={n}, d={d}")
+    check_node_count(n)
     special = range(d + 1)
     masses = {mask_of(set(special) - {v}): 1.0 / (d + 1) for v in special}
     return _finish(n, masses)
@@ -241,6 +242,7 @@ def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None) -> tuple[
     and adding all its size-d subsets, until at least m edges exist; uniform."""
     if d < 0 or n < d + 1:
         raise ModelError(f"need n >= d+1 and d >= 0, got n={n}, d={d}")
+    check_node_count(n)
     if m > math.comb(n, d):
         raise ModelError(f"m={m} exceeds the {math.comb(n, d)} size-d subsets of {n} nodes")
     rng = np.random.default_rng(seed)
@@ -270,6 +272,7 @@ def build_random_regular(n: int, d: int, r: float | None = None, count: int | No
         raise ModelError("give exactly one of r, count")
     if n < 0 or d < 0:
         raise ModelError(f"need n, d >= 0, got n={n}, d={d}")
+    check_node_count(n)
     rng = np.random.default_rng(seed)
     if r is not None:
         _check_probabilities(r=r)

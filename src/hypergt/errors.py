@@ -35,7 +35,8 @@ class EmptySupport(ModelError):
 
 class SchemaError(ModelError):
     """A model or config record is malformed: a key is missing or unknown, a
-    value has the wrong type, or an experiment setting no engine accepts."""
+    value has the wrong type, or an experiment setting is one no trial can
+    run with or one its algorithm does not read."""
 
 
 class SupportTooLarge(ModelError):

@@ -27,7 +27,6 @@ from .model import (
     edge_entropy,
     expected_infections,
     load_model,
-    noiseless_oracle,
     prior_posterior,
     sample_truth,
 )
@@ -43,7 +42,17 @@ from .noisy import (
 from .oracle import optimal_expected_tests, run_policy
 from .snagt import SnagtConfig, run_snagt
 
-ALGORITHMS = ("base", "truncated", "regular", "snagt", "noisy_adaptive", "noisy_snagt", "oracle")
+# The engine settings each algorithm reads. Any other must keep its default.
+READS = {
+    "base": ("c",),
+    "truncated": ("c", "f2", "eps"),
+    "regular": ("c",),
+    "snagt": ("u", "stop_coeff", "cap_coeff"),
+    "noisy_adaptive": ("c", "u", "delta", "alpha", "max_tests"),
+    "noisy_snagt": ("u", "stop_coeff", "cap_coeff", "delta", "alpha"),
+    "oracle": (),
+}
+ALGORITHMS = tuple(READS)
 CSV_COLUMNS = ("trial", "seed", "target", "tests", "stage1", "stage2", "informative", "correct",
                "halted", "error")
 
@@ -51,7 +60,8 @@ CSV_COLUMNS = ("trial", "seed", "target", "tests", "stage1", "stage2", "informat
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's settings; SchemaError when built with a value of the
-    wrong type or a setting no engine accepts."""
+    wrong type, an engine setting no trial can run with, or a setting off its
+    default that the algorithm does not read (see READS)."""
 
     model: ModelSpec | str
     algorithm: str
@@ -117,58 +127,57 @@ def resolve_model(config: ExperimentConfig) -> tuple[Hypergraph, EdgeDistributio
 
 def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
             dist: EdgeDistribution | None = None):
-    """Check the engine settings of config, at the model's n once graph is
-    given, and raise SchemaError for any no trial can run with. With a model,
-    return the runner of one trial, run(truth, seed, rng_engine, rng_noise)
-    -> Transcript; the oracle's policy is searched here, once per model."""
+    """Check the engine settings of config against READS, and at the model's
+    n once graph is given; SchemaError for any no trial can run with. With
+    dist too, return the runner of one trial, run(truth, seed, rng_engine,
+    rng_noise) -> Transcript; the oracle's policy is searched here, once per
+    model."""
     algorithm, u = config.algorithm, config.u
-    noisy = algorithm in ("noisy_adaptive", "noisy_snagt")
-    preplanned = algorithm in ("snagt", "noisy_snagt")
     try:
-        if algorithm not in ALGORITHMS:
+        if algorithm not in READS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         channel = NoiseChannel(config.delta)
-        if config.delta and not noisy:
-            raise ValueError(f"delta={config.delta} applies only to noisy_adaptive and "
-                             "noisy_snagt")
-        if noisy:
-            repetitions(config.alpha, 2.0, config.delta)
-        if preplanned:
+        for f in dataclasses.fields(config):
+            readers = [a for a, row in READS.items() if f.name in row]
+            if readers and algorithm not in readers and getattr(config, f.name) != f.default:
+                raise ValueError(f"{f.name}={getattr(config, f.name)} applies only to "
+                                 + " and ".join(", ".join(readers).rsplit(", ", 1)))
+        repetitions(config.alpha, 2.0, config.delta)
+        if algorithm in ("snagt", "noisy_snagt"):
             if u is None:
                 raise ValueError(f"{algorithm} needs u")
             snagt = SnagtConfig(u, config.stop_coeff, config.cap_coeff)
             if graph is not None:
                 snagt._threshold_and_cap(graph.n)
-            if noisy and graph is not None:
                 repetitions(config.alpha, u * graph.n, config.delta)
         elif algorithm != "oracle":
-            if noisy:
-                _check_budget(u, config.max_tests)
-            adaptive = AdaptiveConfig(config.c, "base" if noisy else algorithm,
-                                      config.f2, config.eps)
-            if noisy and graph is not None:
+            _check_budget(u, config.max_tests)
+            adaptive = AdaptiveConfig(config.c, "base" if algorithm == "noisy_adaptive"
+                                      else algorithm, config.f2, config.eps)
+            if algorithm == "noisy_adaptive" and graph is not None:
                 _adaptive_repetitions(graph.n, u, config.alpha, config.delta)
     except ValueError as exc:
         raise SchemaError(f"experiment config: {exc}") from None
-    if graph is None:
+    if dist is None:
         return None
     policy = optimal_expected_tests(graph, dist)[1] if algorithm == "oracle" else None
 
     # The engines are looked up by their module names on every call, so a
-    # rebinding of those names (as tracing does) takes effect.
+    # rebinding of those names (as tracing does) takes effect. At delta = 0
+    # the noisy oracle answers truthfully and draws nothing.
     def run(truth, seed, rng_engine, rng_noise):
-        oracle = noisy_oracle(truth, channel, rng_noise) if noisy else noiseless_oracle(truth)
+        oracle = noisy_oracle(truth, channel, rng_noise)
         if algorithm == "oracle":
             return run_policy(graph, policy, oracle)
         if algorithm == "noisy_adaptive":
             return run_noisy_adaptive(graph, dist, oracle, adaptive, channel, alpha=config.alpha,
                                       u=u, max_physical_tests=config.max_tests)
-        if not preplanned:
-            return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine)
-        seeded = dataclasses.replace(snagt, seed=seed)
-        if noisy:
-            return run_noisy_snagt(graph, dist, oracle, seeded, channel, alpha=config.alpha)
-        return run_snagt(graph, dist, oracle, seeded)
+        if algorithm == "snagt":
+            return run_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed))
+        if algorithm == "noisy_snagt":
+            return run_noisy_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed),
+                                   channel, alpha=config.alpha)
+        return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine)
 
     return run
 
@@ -351,7 +360,9 @@ def _at_most(name: str, m: Moments, bound: float) -> BoundCheck:
 def check_bounds(graph: Hypergraph, dist: EdgeDistribution,
                  results: Sequence[TrialResult], config: ExperimentConfig) -> BoundReport:
     """Compare observed test counts against the applicable expectation bound
-    at three-standard-error slack."""
+    at three-standard-error slack; SchemaError for a config no run accepts
+    at the model's n."""
+    _engine(config, graph)
     if not results or len(results) != config.trials:
         raise MismatchedConfig(
             f"{len(results)} results for a config with trials={config.trials}")

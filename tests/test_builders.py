@@ -411,10 +411,16 @@ class TestGuards:
         (build_cosize, (-1,), -1),
         (build_edge_faulty, (80000, [], 0.5, 1.0), 80000),
         (build_community, ([1] * 80000, 1.0, [1.0] * 80000), 80000),
-    ], ids=["cosize", "nested", "big_graph", "islands", "negative", "edge_faulty", "community"])
+        (build_random_regular, (70000, 3, None, 30000), 70000),
+        (build_entropy_gap, (70000, 30000, 2), 70000),
+        (build_partial_regular, (NODE_CAP + 1, 3000), NODE_CAP + 1),
+    ], ids=["cosize", "nested", "big_graph", "islands", "negative", "edge_faulty", "community",
+            "random_regular", "entropy_gap", "partial_regular"])
     def test_a_node_count_past_the_cap_is_refused_before_any_mask(self, build, args, nodes):
         # Each would build masks of more than NODE_CAP bits first: cosize at
-        # n = 16000 took 2.5 s, and islands(1, 10^6) 6 s.
+        # n = 16000 took 2.5 s, and islands(1, 10^6) 6 s. Sampled, the
+        # random_regular and entropy_gap cases took 1.0-1.3 s and about
+        # 250 MB, and partial_regular 2.0 s.
         t0 = time.perf_counter()
         with pytest.raises(NodeOutOfRange, match=re.escape(f"node count {nodes} outside 0..{NODE_CAP}")):
             build(*args)

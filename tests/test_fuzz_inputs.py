@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from hypergt.builders import BUILDERS, ModelSpec, build_model
 from hypergt.errors import ModelError, SchemaError
-from hypergt.harness import ALGORITHMS, ExperimentConfig
+from hypergt.harness import ALGORITHMS, READS, ExperimentConfig
 from hypergt.model import load_model, parse_json, save_model
 from hypergt.transcript import read_records
 
@@ -81,8 +81,12 @@ class TestTranscriptRecords:
 
 
 def valid_config(algorithm):
+    """A config the algorithm accepts: of u=3 and eps=0.1 it sets those the
+    algorithm reads, as an unread setting off its default is refused."""
+    settings = {key: value for key, value in {"u": 3, "eps": 0.1}.items()
+                if key in READS[algorithm]}
     return {"model": {"family": "nested", "params": {"n": 4}}, "algorithm": algorithm,
-            "trials": 2, "u": 3, "eps": 0.1}
+            "trials": 2, **settings}
 
 
 def load_config(doc):

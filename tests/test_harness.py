@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hypergt
-from hypergt import cli
+from hypergt import cli, harness
 from hypergt.builders import ModelSpec, build_model
 from hypergt.cli import main as cli_main
 from hypergt.errors import MismatchedConfig, NodeOutOfRange, SchemaError
@@ -497,7 +497,14 @@ class TestCli:
         ({"algorithm": "bogus"}, "unknown algorithm 'bogus'"),
         ({"algorithm": "base", "c": 0.7}, "c=0.7 outside (0, 1/2)"),
         ({"algorithm": "snagt"}, "snagt needs u"),
-    ], ids=["unknown-algorithm", "c-out-of-range", "snagt-without-u"])
+        ({"algorithm": "snagt", "u": 3, "stop_coeff": 1e308},
+         "stop_coeff and cap_coeff overflow the test budget at n=6"),
+        ({"model": {"family": "independent", "params": {"p": []}}, "algorithm": "snagt", "u": 3},
+         "the survival threshold ceil(stop_coeff u log2 n) is undefined at n=0"),
+        ({"algorithm": "base", "u": 3},
+         "u=3 applies only to snagt, noisy_adaptive and noisy_snagt"),
+    ], ids=["unknown-algorithm", "c-out-of-range", "snagt-without-u", "overflow-at-n",
+            "snagt-on-zero-nodes", "unread-setting"])
     def test_check_refuses_a_config_no_run_accepts(self, tmp_path, capsys, settings, message):
         nested6 = {"family": "nested", "params": {"n": 6}}
         base, bad, csv_path = tmp_path / "base.json", tmp_path / "bad.json", tmp_path / "base.csv"
@@ -507,6 +514,38 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["check", "--config", str(bad), "--csv", str(csv_path)]) == 2
         assert capsys.readouterr() == ("", f"hypergt: experiment config: {message}\n")
+
+    def test_check_searches_the_oracle_policy_once(self, tmp_path, monkeypatch):
+        calls = []
+        search = harness.optimal_expected_tests
+        monkeypatch.setattr(harness, "optimal_expected_tests",
+                            lambda *a: calls.append(1) or search(*a))
+        config_path, csv_path = tmp_path / "cfg.json", tmp_path / "out.csv"
+        config_path.write_text(json.dumps({"model": NESTED4, "algorithm": "oracle", "trials": 3}))
+        assert cli_main(["run", "--config", str(config_path), "--out", str(csv_path)]) == 0
+        assert cli_main(["check", "--config", str(config_path), "--csv", str(csv_path)]) == 0
+        assert len(calls) == 2  # once per command
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"algorithm": "base", "max_tests": 0}, "max_tests=0 applies only to noisy_adaptive"),
+        ({"algorithm": "base", "u": 0},
+         "u=0 applies only to snagt, noisy_adaptive and noisy_snagt"),
+        ({"algorithm": "base", "f2": 0}, "f2=0 applies only to truncated"),
+        ({"algorithm": "base", "eps": 5.0}, "eps=5.0 applies only to truncated"),
+        ({"algorithm": "base", "alpha": -1.0},
+         "alpha=-1.0 applies only to noisy_adaptive and noisy_snagt"),
+        ({"algorithm": "snagt", "u": 3, "c": 0.25},
+         "c=0.25 applies only to base, truncated, regular and noisy_adaptive"),
+        ({"algorithm": "oracle", "u": 3},
+         "u=3 applies only to snagt, noisy_adaptive and noisy_snagt"),
+    ], ids=["base-max-tests", "base-u", "base-f2", "base-eps", "base-alpha", "snagt-c", "oracle-u"])
+    def test_run_refuses_a_setting_its_algorithm_does_not_read(self, tmp_path, capsys, settings,
+                                                              message):
+        config_path, csv_path = tmp_path / "cfg.json", tmp_path / "out.csv"
+        config_path.write_text(json.dumps({"model": NESTED4, **settings}))
+        assert cli_main(["run", "--config", str(config_path), "--out", str(csv_path)]) == 2
+        assert capsys.readouterr() == ("", f"hypergt: experiment config: {message}\n")
+        assert not csv_path.exists()
 
     def test_run_checks_its_output_directory_before_the_first_trial(self, tmp_path, capsys,
                                                                      monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypergt.adaptive import AdaptiveConfig
 from hypergt.builders import ModelSpec
 from hypergt.errors import SchemaError
-from hypergt.harness import ExperimentConfig
+from hypergt.harness import READS, ExperimentConfig, run_experiment
 from hypergt.noisy import NoiseChannel
 from hypergt.snagt import SnagtConfig
 
@@ -47,6 +47,39 @@ def test_a_bad_value_is_refused_when_built_and_a_built_record_is_frozen(cls, goo
 def test_an_experiment_config_checks_its_field_types_when_built(settings, message):
     with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
         ExperimentConfig(NESTED4, **settings)
+
+
+# A valid value off its default for every engine setting, and what an
+# algorithm needs besides (truncated takes f2 or eps, not both).
+OFF_DEFAULT = {"c": 0.25, "eps": 0.1, "f2": 2, "u": 3, "delta": 0.1, "alpha": 1.0,
+               "stop_coeff": 5.0, "cap_coeff": 3.0, "max_tests": 40}
+NEEDS = {"truncated": {"eps": 0.2}, "snagt": {"u": 3}, "noisy_snagt": {"u": 3}}
+
+
+def test_reads_names_every_engine_setting_and_nothing_else():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    named = {name for row in READS.values() for name in row}
+    assert named == fields - {"model", "algorithm", "trials", "seed", "output"}
+    assert named == OFF_DEFAULT.keys()
+
+
+@pytest.mark.parametrize("algorithm,name", [(a, name) for a, row in READS.items() for name in row])
+def test_an_algorithm_runs_with_every_setting_it_reads(algorithm, name):
+    settings = {**NEEDS.get(algorithm, {}), name: OFF_DEFAULT[name]}
+    if name == "f2":
+        del settings["eps"]
+    assert len(run_experiment(ExperimentConfig(NESTED4, algorithm, trials=2, **settings))) == 2
+
+
+@pytest.mark.parametrize("algorithm,name", [(a, name) for a, row in READS.items()
+                                            for name in OFF_DEFAULT if name not in row])
+def test_an_algorithm_refuses_every_setting_it_does_not_read(algorithm, name):
+    readers = [a for a, row in READS.items() if name in row]
+    message = f"experiment config: {name}={OFF_DEFAULT[name]} applies only to "
+    settings = {**NEEDS.get(algorithm, {}), name: OFF_DEFAULT[name]}
+    with pytest.raises(SchemaError, match=re.escape(message)) as info:
+        ExperimentConfig(NESTED4, algorithm, **settings)
+    assert str(info.value).endswith(readers[-1])
 
 
 def test_a_spec_keeps_its_own_copy_of_its_params():

@@ -42,8 +42,9 @@ def test_the_harness_calls_each_engine_by_its_module_name(monkeypatch, algorithm
     calls = []
     original = getattr(harness, engine)
     monkeypatch.setattr(harness, engine, lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    settings = {key: value for key, value in {"u": 4, "stop_coeff": 1.0, "delta": 0.05}.items()
+                if key in harness.READS[algorithm]}
     config = harness.ExperimentConfig(model=ModelSpec("nested", {"n": 4}), algorithm=algorithm,
-                                      trials=2, u=4, stop_coeff=1.0,
-                                      delta=0.05 if algorithm.startswith("noisy") else 0.0)
+                                      trials=2, **settings)
     harness.run_experiment(config)
     assert len(calls) == 2
