@@ -7,9 +7,10 @@ memory.
 The model is random_regular(n, 3, count=10n): 10n distinct 3-node edges of
 uniform mass. The script builds it, runs `--trials` seeded trials of `base`
 through `run_experiment`, checks that every trial recovered its target, and
-prints the build time, the mean milliseconds per trial and the process's peak
-resident set size (`ru_maxrss`). Run one n per process: the peak is the
-process's own.
+prints the build time, the mean milliseconds per trial, the mean tests per
+trial and the process's peak resident set size (`ru_maxrss`). The tests per
+trial show a change of behaviour at an n far beyond the golden grid next to
+the timing. Run one n per process: the peak is the process's own.
 """
 
 import argparse
@@ -37,9 +38,10 @@ def main() -> int:
     t2 = time.perf_counter()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     wrong = sum(not r.correct for r in results)
+    tests = sum(r.tests for r in results) / len(results)
     print(f"n={graph.n} |E|={len(graph)} trials={len(results)} wrong={wrong} "
           f"build_s={t1 - t0:.2f} ms_per_trial={(t2 - t1) * 1e3 / len(results):.1f} "
-          f"peak_rss_mb={peak_mb:.1f}")
+          f"tests_per_trial={tests:.2f} peak_rss_mb={peak_mb:.1f}")
     return 1 if wrong else 0
 
 

@@ -20,6 +20,16 @@ turn, as long as each provably stays above 1-c until its turn. The stage-2
 test list is frozen at entry: every node that is uncertain at that moment is
 tested, even if an earlier outcome in the same sweep settles it.
 
+A stage-1 test reuses what its scan already holds, in two ways. First, a step
+with nodes near a bound sums w(S) exactly once, as a few floats (the exact
+partials), and decides each such node on a short exact sum of those partials
+less the masses through it. This pays where removal weights tie exactly at c
+or 1-c, as under uniform or equal-mass priors. Second, the test's complement
+T is the active set less S, so an edge of positive mass meets T exactly when
+it is not inside S: the scan's in-S masses are what a negative outcome keeps,
+and q less them what a positive one keeps. The noiseless observer conditions
+on them with no pass over the edge words.
+
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
 often a test site is asked, how each answer updates the posterior and the
@@ -42,6 +52,7 @@ from .model import (
     EdgeDistribution,
     Hypergraph,
     Posterior,
+    _conditioned,
     certain_edge,
     condition_on_test,
     expected_infections,
@@ -97,8 +108,18 @@ def resolve_f2(config: AdaptiveConfig, graph: Hypergraph, dist: EdgeDistribution
     return max(1, math.ceil(mu / config.eps))
 
 
+def _exact_partials(values: list[float]) -> list[float]:
+    """Floats whose exact sum is that of `values`: each pass appends the
+    remainder rounded once, until the remainder is exactly 0 (fsum rounds
+    correctly, so it returns 0 only for an exact 0)."""
+    partials = []
+    while p := math.fsum(values + [-x for x in partials]):
+        partials.append(p)
+    return partials
+
+
 def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.ndarray,
-                c: float) -> tuple[np.ndarray, bool, float]:
+                c: float) -> tuple[np.ndarray, bool, float, Callable[[], np.ndarray]]:
     """Greedy node removal over the active set, lowest index first.
 
     `marg`, the node marginals of q, must be zero outside `active`: then E(S)
@@ -111,11 +132,20 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
     drops the lowest high node, and each next one while the m dropped before
     it stays below `room`, the least margin of a high node above 1-c + 2 _TOL:
     the nodes that one-at-a-time removal would drop in turn. A step costs
-    O(n + |E|), plus O(|E|) per node within _TOL of a bound, and each dropped
-    edge n once per scan.
+    O(n + |E|), and each dropped edge n once per scan.
 
-    Returns (s, found, w): the residual node flags, whether s landed strictly
-    inside the (c, 1-c) weight window, and the weight of s.
+    A step with nodes within _TOL of a bound, which exact ties at c or 1-c
+    bring (uniform or equal-mass priors), takes the exact partials of w(S)
+    once, in O(|E|) per pass, and then decides each such node on an fsum of
+    the partials less its in-S masses: O(|E|) for the edges through it and
+    O(deg) for the sum.
+
+    Returns (s, found, w, in_s): the residual node flags, whether s landed
+    strictly inside the (c, 1-c) weight window, the weight of s, and a
+    function giving q on the edges inside s and 0 elsewhere. As E(S) for
+    S = active holds all the mass, these are the masses of the edges that
+    miss the test active minus s. It is computed on call, as only the
+    noiseless observer reads it.
     """
     s = active.copy()
     m = marg.copy()
@@ -123,26 +153,35 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
     hi = 1.0 - c
     while True:
         # w(S \ v) = w(S) - m[v]. A node within _TOL of c or 1-c is decided
-        # exactly instead: fsum rounds once, so the sign of (in-S masses, listed
-        # once a step, minus those through v) - bound is the exact comparison.
+        # exactly against that bound instead: fsum rounds once, so the sign
+        # of (exact partials of w(S), minus the in-S masses through v) - bound
+        # is the exact comparison.
         w = qs.sum()
         w_minus = w - m
         above_c = w_minus > c
         above_hi = w_minus > hi
         ties = np.flatnonzero(s & (np.abs(np.abs(w_minus - 0.5) - (0.5 - c)) <= _TOL))
-        in_s = qs[qs != 0.0].tolist() if ties.size else []
-        for v in ties:
-            terms = in_s + (-qs[(qs != 0.0) & intersects(graph.words, 1 << int(v))]).tolist()
-            above_c[v] = math.fsum(terms + [-c]) > 0.0
-            above_hi[v] = math.fsum(terms + [-hi]) > 0.0
+        if ties.size:
+            nz = qs != 0.0
+            partials = _exact_partials(qs[nz].tolist())
+            for v in ties.tolist():
+                through = (-qs[nz & intersects(graph.words, 1 << v)]).tolist()
+                for bound, above in ((c, above_c), (hi, above_hi)):
+                    if abs(float(w_minus[v]) - bound) <= _TOL:
+                        above[v] = math.fsum(partials + through + [-bound]) > 0.0
         window = s & above_c & ~above_hi
         if window.any():
             v = int(np.argmax(window))
             s[v] = False
-            return s, True, float(w_minus[v])
+
+            def in_s() -> np.ndarray:  # the edges through v leave S with it
+                qs[intersects(graph.words, 1 << v)] = 0.0
+                return qs
+
+            return s, True, float(w_minus[v]), in_s
         high = np.flatnonzero(s & above_hi)
         if not high.size:
-            return s, False, float(w)
+            return s, False, float(w), lambda: qs
         room = w_minus[high].min() - hi - 2.0 * _TOL
         drop = high[:1 + int(np.searchsorted(np.cumsum(m[high]), room))]
         s[drop] = False
@@ -155,7 +194,7 @@ def find_split_set(post: Posterior, c: float) -> tuple[int, bool]:
     """Stage-1 search from S = {v : q_v > 0}: returns (node mask, found);
     found means w(S) landed in the (c, 1-c] window."""
     marg = node_marginals(post)
-    s, found, _ = _split_scan(post.q, marg, post.graph, marg > 0.0, c)
+    s, found, _, _ = _split_scan(post.q, marg, post.graph, marg > 0.0, c)
     return mask_from_flags(s), found
 
 
@@ -186,11 +225,21 @@ class _Exact:
         self.tr = Transcript()
         self.removed = 0.0
 
-    def ask(self, t_mask: int, stage: str) -> bool:
+    def ask(self, t_mask: int, stage: str,
+            in_s: Callable[[], np.ndarray] | None = None) -> bool:
+        """Ask t_mask once and condition on the answer. `in_s`, a stage-1
+        scan's, gives the masses of the edges inside S, which are the edges
+        of positive mass that miss t_mask: a negative outcome keeps them,
+        a positive one keeps q less them."""
         outcome = self.oracle(t_mask)
         before = self.post.q
         try:
-            self.post = condition_on_test(self.post, t_mask, outcome)
+            if in_s is None:
+                self.post = condition_on_test(self.post, t_mask, outcome)
+            else:
+                kept = in_s()
+                self.post = _conditioned(self.post, before - kept if outcome else kept,
+                                         t_mask, outcome)
         except ZeroSurvivorMass as exc:
             raise OracleInconsistent(str(exc)) from exc
         self.removed = float(before[self.post.q == 0.0].sum())
@@ -228,17 +277,17 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         if idx is not None:
             return _finish(tr, graph, idx)
 
-        s, found, w_s = _split_scan(obs.post.q, marg, graph, active, c)
+        s, found, w_s, in_s = _split_scan(obs.post.q, marg, graph, active, c)
         t_mask = mask_from_flags(active & ~s)
         if found:
-            verdict = obs.ask(t_mask, SPLIT)
+            verdict = obs.ask(t_mask, SPLIT, in_s)
         else:
             # No informative split exists: the residual S holds almost all
             # the mass and each of its nodes is almost surely infected.
             _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
             _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
             # An empty complement is resolved as negative at zero test cost.
-            verdict = obs.ask(t_mask, RESIDUAL) if t_mask else False
+            verdict = obs.ask(t_mask, RESIDUAL, in_s) if t_mask else False
         if verdict is None:
             return tr
         if found or verdict:

@@ -245,6 +245,8 @@ def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None) -> tuple[
     check_node_count(n)
     if m > math.comb(n, d):
         raise ModelError(f"m={m} exceeds the {math.comb(n, d)} size-d subsets of {n} nodes")
+    if m > SUPPORT_CAP:
+        raise SupportTooLarge(f"{m} edges exceed cap {SUPPORT_CAP}")
     rng = np.random.default_rng(seed)
     edges: set[int] = set()
     attempts = 0

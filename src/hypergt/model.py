@@ -223,7 +223,13 @@ def condition_on_test(post: Posterior, t: int | Iterable[int], outcome: bool) ->
     edges disjoint from t; survivors are rescaled to total mass 1."""
     t_mask = t if isinstance(t, int) else mask_of(t)
     hits = edge_outcomes(post.graph, t_mask)
-    q = post.q * (hits if outcome else ~hits)
+    return _conditioned(post, post.q * (hits if outcome else ~hits), t_mask, outcome)
+
+
+def _conditioned(post: Posterior, q: np.ndarray, t_mask: int, outcome: bool) -> Posterior:
+    """The posterior after (t_mask, outcome), given q, the masses of post
+    that the outcome keeps and 0 elsewhere: q as it is when no mass was
+    removed, else rescaled to total mass 1."""
     if np.array_equal(q, post.q):  # no mass removed: keep exact prior values
         return Posterior(post.graph, q)
     total = q.sum()

@@ -148,9 +148,13 @@ class _Repeated:
         self.cap = cap
         self.groups = 0
 
-    def ask(self, t_mask: int, stage: str) -> bool | None:
+    def ask(self, t_mask: int, stage: str,
+            in_s: Callable[[], np.ndarray] | None = None) -> bool | None:
         """Issue up to ell physical tests, then fold their outcomes into the
-        posterior; None means the budget ran out within the group."""
+        posterior; None means the budget ran out within the group. A stage-1
+        scan's `in_s` is not read: an edge of positive prior whose q has
+        underflowed can lie outside the scanned set, so `edge_outcomes`
+        decides every edge."""
         self.groups += 1
         ell = self.ells[stage]
         asked = min(ell, self.cap - self.tr.total)

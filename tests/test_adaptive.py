@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,18 +21,28 @@ from conftest import (
     truth_for,
 )
 import hypergt
+import hypergt.adaptive as adaptive
 from hypergt.adaptive import (
     AdaptiveConfig,
+    _exact_partials,
+    _Exact,
     _split_scan,
     find_split_set,
     resolve_f2,
     run_adaptive,
 )
-from hypergt.builders import build_cosize, build_nested, build_partial_regular, build_random_regular
-from hypergt.errors import NotRegular, SchemaError
+from hypergt.builders import (
+    build_cosize,
+    build_model,
+    build_nested,
+    build_partial_regular,
+    build_random_regular,
+)
+from hypergt.errors import NotRegular, OracleInconsistent, SchemaError
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
+    certain_edge,
     condition_on_test,
     edge_entropy,
     expected_infections,
@@ -40,7 +51,9 @@ from hypergt.model import (
 )
 from hypergt.noisy import bayes_update_noisy
 from hypergt.oracle import direct_posterior
-from hypergt.sets import mask_from_flags, mask_of, nodes_of
+from hypergt.sets import intersects, mask_from_flags, mask_of, nodes_of
+from hypergt.transcript import RESIDUAL, SPLIT
+from test_golden import MODELS as GOLDEN_MODELS
 
 
 def enumerate_targets(graph, dist, config):
@@ -187,7 +200,7 @@ class TestBatchedScan:
                 calls.clear()
                 graph.node_mass = counted
                 try:
-                    s, found, w = _split_scan(post.q, marg, graph, active, c)
+                    s, found, w, _ = _split_scan(post.q, marg, graph, active, c)
                 finally:
                     del graph.node_mass
                 assert np.array_equal(s, s_ref) and found == found_ref
@@ -196,6 +209,95 @@ class TestBatchedScan:
                 removed += int(active.sum() - s.sum()) - found
                 steps += len(calls)
         assert steps < removed  # some step dropped two or more nodes
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("n", [64, 200, 500])
+    def test_exact_partials_decide_as_the_full_sums_do(self, n, noisy, monkeypatch):
+        # A uniform prior, conditioned exactly, leaves removal weights tied
+        # exactly at c or 1-c; noisy updates spread the masses over so many
+        # exponents that the exact sum of w(S) takes three or more partials
+        # (uniform masses take two).
+        graph, dist = _regular_model(n, False)
+        rng = np.random.default_rng(n + noisy)
+        c = 1.0 / 3.0
+        scanned = []
+
+        def counted(values):
+            scanned.append(_exact_partials(values))
+            return scanned[-1]
+
+        monkeypatch.setattr(adaptive, "_exact_partials", counted)
+        counts = []
+        for case in range(9):
+            post = prior_posterior(graph, dist)
+            target = graph.edge_masks[int(rng.integers(len(graph)))]
+            for _ in range(int(rng.integers(20, 41)) if noisy else case):
+                t = mask_from_flags(rng.random(n) < rng.choice([0.01, 0.05, 0.2]))
+                if noisy:
+                    post = bayes_update_noisy(post, t, bool(t & target) != (rng.random() < 0.05), 0.05)
+                else:
+                    post = condition_on_test(post, t, bool(t & target))
+            # Every node of S = {v : q_v > 0} against both bounds, value for
+            # value: the partials and the full in-S list sum to the same
+            # exact number, which fsum rounds once.
+            live = post.q != 0.0
+            in_s = post.q[live].tolist()
+            partials = _exact_partials(in_s)
+            assert sum(map(Fraction, partials)) == sum(map(Fraction, in_s))
+            counts.append(len(partials))
+            marg = node_marginals(post)
+            for v in np.flatnonzero(marg > 0.0).tolist():
+                through = (-post.q[live & intersects(graph.words, 1 << v)]).tolist()
+                for bound in (c, 1.0 - c):
+                    assert math.fsum(partials + through + [-bound]) == \
+                        math.fsum(in_s + through + [-bound])
+            s, found, w, _ = _split_scan(post.q, marg, graph, marg > 0.0, c)
+            s_ref, found_ref, w_ref = reference_step_scan(post.q, marg, graph, marg > 0.0, c)
+            assert np.array_equal(s, s_ref) and found == found_ref and w == w_ref
+        if noisy:
+            assert max(counts) >= 3
+        else:
+            assert scanned  # some step decided a node within _TOL of a bound
+
+
+class TestConditionFromScan:
+    """The noiseless observer conditions a stage-1 test on the scan's in-S
+    masses; it must give the posterior and the removed mass that conditioning
+    on the test mask gives."""
+
+    def test_matches_the_word_kernel_on_the_golden_models(self):
+        kinds = set()
+        for spec, c in GOLDEN_MODELS.values():
+            graph, dist = build_model(spec)
+            for target in np.flatnonzero(dist.probs)[::7][:12].tolist():
+                post = prior_posterior(graph, dist)
+                active = np.ones(graph.n, dtype=bool)
+                while certain_edge(post) is None:
+                    marg = node_marginals(post)
+                    s, found, _, in_s = _split_scan(post.q, marg, graph, active, c)
+                    t = mask_from_flags(active & ~s)
+                    if not t:
+                        break
+                    stage = SPLIT if found else RESIDUAL
+                    kinds.add(stage)
+                    for outcome in (False, True):
+                        scan = _Exact(lambda _: outcome, post)
+                        kernel = _Exact(lambda _: outcome, post)
+                        try:
+                            kernel.ask(t, stage)
+                        except OracleInconsistent:
+                            with pytest.raises(OracleInconsistent):
+                                scan.ask(t, stage, in_s)
+                            continue
+                        scan.ask(t, stage, in_s)
+                        assert scan.post.q.tobytes() == kernel.post.q.tobytes()
+                        assert scan.removed == kernel.removed
+                    outcome = bool(t & graph.edge_masks[target])
+                    post = condition_on_test(post, t, outcome)
+                    if not (found or outcome):
+                        break
+                    active = node_marginals(post) > 0.0
+        assert kinds == {SPLIT, RESIDUAL}
 
 
 class TestRunBase:
@@ -416,13 +518,15 @@ class TestVariantGuards:
             run_adaptive(g, d, lambda t: False, AdaptiveConfig(c=0.2))
 
 
-# Stubs conditioning with a step that removes nothing, then runs fig1 at
-# c=0.1, whose first test is a weight-window split.
+# Stubs conditioning, on a test mask and on a scan's kept masses alike, with
+# a step that removes nothing, then runs fig1 at c=0.1, whose first test is a
+# weight-window split.
 NO_OP_CONDITIONING_PROBE = """
 import hypergt.adaptive as adaptive
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
 
 adaptive.condition_on_test = lambda post, t, outcome: post
+adaptive._conditioned = lambda post, q, t, outcome: post
 graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])
 dist = EdgeDistribution([0.3, 0.2, 0.5])
 truth = GroundTruth(0, graph.edge_masks[0])

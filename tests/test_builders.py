@@ -435,6 +435,19 @@ class TestGuards:
             build_entropy_gap(6, m, 2)
         assert time.perf_counter() - t0 < 0.5
 
+    @pytest.mark.parametrize("through_spec", [False, True], ids=["direct", "spec"])
+    def test_entropy_gap_refuses_an_edge_count_past_the_cap_before_sampling(self, through_spec):
+        # C(1500, 2) = 1124250 subsets can hold 2^20 + 1 edges, but the
+        # model would be refused once built; sampling them ran past 120 s.
+        m = SUPPORT_CAP + 1
+        t0 = time.perf_counter()
+        with pytest.raises(SupportTooLarge, match=re.escape(f"{m} edges exceed cap {SUPPORT_CAP}")):
+            if through_spec:
+                build_model(ModelSpec("entropy_gap", {"n": 1500, "m": m, "d": 2}))
+            else:
+                build_entropy_gap(1500, m, 2)
+        assert time.perf_counter() - t0 < 0.5
+
     @pytest.mark.parametrize("family,params,key", [
         ("community", {"sizes": [2, -1], "q": 0.5, "p": [0.5, 0.5]}, "sizes"),
         ("random_regular", {"n": 6, "d": -1, "count": 3}, "d"),

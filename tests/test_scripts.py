@@ -37,3 +37,10 @@ def test_preplanned_demo_prints_the_schedule_check_and_both_recovery_lines():
     assert lines[0] == "schedule identical across targets on the shared prefix: True"
     assert [line.split(":")[0] for line in lines[1:]] == ["noiseless", "noisy (delta=0.05)"]
     assert all(" recovered, mean physical tests " in line for line in lines[1:])
+
+
+def test_scale_probe_prints_the_mean_tests_per_trial():
+    fields = dict(item.split("=") for item in
+                  run_script(["scale_probe.py", "--n", "60", "--trials", "3"]).split())
+    assert {"ms_per_trial", "tests_per_trial", "peak_rss_mb"} <= set(fields)
+    assert float(fields["tests_per_trial"]) > 0.0
