@@ -18,17 +18,18 @@ from hypergt import (
     run_adaptive,
 )
 from hypergt.model import GroundTruth
+from hypergt.sets import mask_of, nodes_of
 
 graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])
 dist = EdgeDistribution([0.3, 0.2, 0.5])
 
 post = prior_posterior(graph, dist)
-print("edges:", [graph.edge_nodes(i) for i in range(len(graph))])
+print("edges:", [nodes_of(m) for m in graph.edge_masks])
 print("prior mass:", dist.probs)
 print("node marginals:", np.round(node_marginals(post), 4))
 print(f"H(X) = {edge_entropy(dist):.5f} bits, mu = {expected_infections(post):.3f}")
 
-step = condition_on_test(post, [1, 3], True)
+step = condition_on_test(post, mask_of([1, 3]), True)
 print("\nafter a positive test on nodes {1, 3}:")
 print("posterior:", np.round(step.q, 4))
 print("node marginals:", np.round(node_marginals(step), 4))
@@ -39,7 +40,7 @@ for i, p in enumerate(dist.probs):
     truth = GroundTruth(i, graph.edge_masks[i])
     tr = run_adaptive(graph, dist, noiseless_oracle(truth), AdaptiveConfig(c=0.1))
     seq = ", ".join(f"{r.query}{'+' if r.outcome else '-'}" for r in tr.records)
-    print(f"  target {graph.edge_nodes(i)}: {tr.total} tests  [{seq}]")
+    print(f"  target {nodes_of(truth.mask)}: {tr.total} tests  [{seq}]")
     expected += p * tr.total
 print(f"expected tests, weighted by the prior: {expected}")
 

@@ -46,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+from .builders import _conforms
 from .errors import InvariantViolation, NotRegular, OracleInconsistent, SchemaError, ZeroSurvivorMass
 from .model import (
     CERTAINTY_TOL,
@@ -74,9 +75,10 @@ class AdaptiveConfig:
 
     c: split constant in (0, 1/2); default 1/3 (the error-tolerant optimum).
     variant: "base" | "truncated" | "regular".
-    f2: positive-count cutoff for the truncated variant.
+    f2: positive-count cutoff for the truncated variant, an integer >= 1.
     eps: tolerated error for the truncated variant, whose cutoff is then
-        ceil(mu / eps); it takes f2 or eps, not both.
+        ceil(mu / eps); it takes f2 or eps, not both, and no other variant
+        takes either.
     """
 
     c: float = 1.0 / 3.0
@@ -89,11 +91,16 @@ class AdaptiveConfig:
             raise SchemaError(f"c={self.c} outside (0, 1/2)")
         if self.variant not in ("base", "truncated", "regular"):
             raise SchemaError(f"unknown variant {self.variant!r}")
+        if self.variant != "truncated" and (self.f2, self.eps) != (None, None):
+            raise SchemaError(f"f2 and eps apply only to the truncated variant, got "
+                              f"f2={self.f2}, eps={self.eps}")
         if self.variant == "truncated":
             if self.c > 1.0 / 3.0 + 1e-12:
                 raise SchemaError(f"truncated variant needs c <= 1/3, got {self.c}")
             if (self.f2 is None) == (self.eps is None):
                 raise SchemaError("truncated variant needs f2 or eps, not both")
+            if self.f2 is not None and not _conforms(self.f2, int):
+                raise SchemaError(f"f2={self.f2!r} must be an integer")
             if self.f2 is not None and self.f2 < 1:
                 raise SchemaError("f2 must be >= 1")
             if self.eps is not None and not 0.0 < self.eps < 1.0:
@@ -210,8 +217,7 @@ def _uncertain_nodes(marg: np.ndarray, s: np.ndarray) -> list[int]:
 
 
 def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
-    tr.result_edge = idx
-    tr.result_nodes = graph.edge_nodes(idx)
+    tr.result_edge, tr.result_mask = idx, graph.edge_masks[idx]
     return tr
 
 
@@ -250,7 +256,7 @@ class _Exact:
         _check(self.removed >= c - _TOL, f"informative test removed only {self.removed}")
         self.tr.informative += 1
 
-    def finish(self, positives: list[int]) -> Transcript:
+    def finish(self, positives: int) -> Transcript:
         idx = certain_edge(self.post)
         if idx is None:
             raise OracleInconsistent("individual sweep left no certain edge")
@@ -304,7 +310,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     tr.pn += 1
                 if tr.pn >= f2:
                     marg = node_marginals(obs.post)
-                    tr.result_nodes = tuple(np.flatnonzero(marg >= 1.0 - CERTAINTY_TOL).tolist())
+                    tr.result_mask = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
                     tr.result_edge = certain_edge(obs.post)
                     return tr
         marg = node_marginals(obs.post)
@@ -331,14 +337,14 @@ def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
     # Test every node that is uncertain right now, in index order, updating
     # after each; outcomes later in the sweep do not shrink the list.
     marg = node_marginals(obs.post)
-    positives = [int(v) for v in np.flatnonzero(marg >= 1.0 - CERTAINTY_TOL)]
+    positives = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
     for v in _uncertain_nodes(marg, s):
         verdict = obs.ask(1 << v, INDIVIDUAL)
         if verdict is None:
             return obs.tr
         if verdict:
-            positives.append(v)
-    return obs.finish(sorted(positives))
+            positives |= 1 << v
+    return obs.finish(positives)
 
 
 def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,

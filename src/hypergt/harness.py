@@ -207,7 +207,7 @@ def run_experiment(config: ExperimentConfig,
         mu_stage2 = tr.mu_stage2 if tr.mu_stage2 is not None else 0.0
         results.append(TrialResult(trial, trial_seed, truth.target, tr.total, tr.stage1,
                                    tr.stage2, tr.informative,
-                                   correct=not tr.halted and tr.returned_mask() == truth.mask,
+                                   correct=not tr.halted and tr.result_mask == truth.mask,
                                    halted=tr.halted, mu_stage2=mu_stage2))
     return results
 

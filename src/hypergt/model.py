@@ -59,10 +59,10 @@ class Hypergraph:
     Edges (node lists or bitmasks) are stored as bitmasks in input order;
     edge identity is the index into that list. The empty edge (nobody
     infected) is a legal member. The constructor rejects a non-integer n or
-    node (SchemaError), an n outside 0..NODE_CAP or a node outside 0..n-1
-    (NodeOutOfRange) and a repeated edge (DuplicateEdge), naming the first
-    offending edge, and builds the read-only packed words (see `sets`) and
-    edge sizes.
+    node, a boolean included (SchemaError), an n outside 0..NODE_CAP or a
+    node outside 0..n-1 (NodeOutOfRange) and a repeated edge (DuplicateEdge),
+    naming the first offending edge, and builds the read-only packed words
+    (see `sets`) and edge sizes.
     """
 
     def __init__(self, n: int, edges: Iterable[Iterable[int] | int]):
@@ -92,9 +92,6 @@ class Hypergraph:
     def __len__(self) -> int:
         return len(self.edge_masks)
 
-    def edge_nodes(self, i: int) -> tuple[int, ...]:
-        return nodes_of(self.edge_masks[i])
-
     def node_mass(self, q: np.ndarray, edges: np.ndarray | None = None) -> np.ndarray:
         """Sum of q[e] times edge e's node indicator, over every edge or the
         indices `edges`. The first call builds the kernel: below SPARSE_DENSITY
@@ -120,9 +117,12 @@ class Hypergraph:
 
 
 def _edge_mask(i: int, e: Iterable[int] | int, n: int) -> int:
-    """Bitmask of edge i; a node index outside 0..n-1 gives the out-of-range mask -1."""
+    """Bitmask of edge i; a node index outside 0..n-1 gives the out-of-range mask -1.
+    A boolean edge or node is refused like any other non-integer: a boolean
+    node becomes None, which mask_of cannot shift by."""
     try:
-        return e if isinstance(e, int) else mask_of(v if 0 <= v < n else -1 for v in e)
+        return e if type(e) is int else mask_of(
+            None if isinstance(v, bool) else v if 0 <= v < n else -1 for v in e)
     except TypeError:
         raise SchemaError(f"edge {i} is not a list of integer node indices: {e!r}") from None
     except ValueError:  # a shift by -1: no node outside 0..n-1 is shifted, however large
@@ -218,10 +218,10 @@ def edge_outcomes(graph: Hypergraph, t_mask: int) -> np.ndarray:
     return intersects(graph.words, t_mask)
 
 
-def condition_on_test(post: Posterior, t: int | Iterable[int], outcome: bool) -> Posterior:
-    """Noiseless conditioning: positive keeps edges hitting t, negative keeps
-    edges disjoint from t; survivors are rescaled to total mass 1."""
-    t_mask = t if isinstance(t, int) else mask_of(t)
+def condition_on_test(post: Posterior, t_mask: int, outcome: bool) -> Posterior:
+    """Noiseless conditioning: positive keeps edges hitting node mask t_mask,
+    negative keeps edges disjoint from it; survivors are rescaled to total
+    mass 1."""
     hits = edge_outcomes(post.graph, t_mask)
     return _conditioned(post, post.q * (hits if outcome else ~hits), t_mask, outcome)
 
@@ -267,7 +267,7 @@ def save_model(path: str, graph: Hypergraph, dist: EdgeDistribution) -> None:
     """
     doc = {
         "n": graph.n,
-        "edges": [list(graph.edge_nodes(i)) for i in range(len(graph))],
+        "edges": [list(nodes_of(m)) for m in graph.edge_masks],
         "probs": [float(p) for p in dist.probs],
     }
     with open(path, "w") as fh:

@@ -42,7 +42,7 @@ from .model import (
     prior_posterior,
     validate_model,
 )
-from .sets import mask_of, nodes_of
+from .sets import nodes_of
 from .snagt import SnagtConfig, _run as _snagt_run
 from .transcript import INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
@@ -105,15 +105,13 @@ def noisy_oracle(truth: GroundTruth, channel: NoiseChannel,
     return answers
 
 
-def bayes_update_noisy(post: Posterior, t, observed: bool, delta: float) -> Posterior:
-    """Exact Bayes step: q'(e) ∝ q(e) * (1-delta if e's noiseless outcome on T
-    matches the observation else delta). At delta = 0 this is noiseless
-    conditioning."""
-    if not 0.0 <= delta < 0.5:
-        raise ValueError(f"delta={delta} outside [0, 1/2)")
+def bayes_update_noisy(post: Posterior, t_mask: int, observed: bool, delta: float) -> Posterior:
+    """Exact Bayes step: q'(e) ∝ q(e) * (1-delta if e's noiseless outcome on
+    node mask t_mask matches the observation else delta). At delta = 0 this
+    is noiseless conditioning; SchemaError for a delta outside [0, 1/2)."""
+    NoiseChannel(delta)
     if delta == 0.0:
-        return condition_on_test(post, t, observed)
-    t_mask = t if isinstance(t, int) else mask_of(t)
+        return condition_on_test(post, t_mask, observed)
     match = edge_outcomes(post.graph, t_mask) == bool(observed)
     q = post.q * np.where(match, 1.0 - delta, delta)  # keeps at least delta of the mass
     return Posterior(post.graph, q / q.sum())
@@ -194,8 +192,8 @@ class _Repeated:
     def informative(self, c: float) -> None:
         self.tr.informative += 1
 
-    def finish(self, positives: list[int]) -> Transcript:
-        self.tr.result_nodes = tuple(positives)
+    def finish(self, positives: int) -> Transcript:
+        self.tr.result_mask = positives
         self.tr.result_edge = certain_edge(self.post)
         return self.tr
 

@@ -99,7 +99,7 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
     def build(state: int) -> PolicyNode:
         val, neg = solve(state)
         if neg == -1:
-            return PolicyNode(0.0, edge=alive[nodes_of(state)[0]])
+            return PolicyNode(0.0, edge=alive[state.bit_length() - 1])
         pos = state & ~neg
         return PolicyNode(val, test=union[pos] & ~union[neg], on_positive=build(pos),
                           on_negative=build(neg))
@@ -139,5 +139,5 @@ def run_policy(graph: Hypergraph, policy: PolicyNode, oracle) -> Transcript:
         outcome = oracle(node.test)
         tr.add(node.test, outcome, SPLIT)
         node = node.on_positive if outcome else node.on_negative
-    tr.result_edge, tr.result_nodes = node.edge, graph.edge_nodes(node.edge)
+    tr.result_edge, tr.result_mask = node.edge, graph.edge_masks[node.edge]
     return tr

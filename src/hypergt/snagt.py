@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .builders import _conforms
 from .errors import EmptySupport, SchemaError
 from .model import NODE_CAP, EdgeDistribution, Hypergraph, validate_model
 from .sets import meets, pack_rows
@@ -42,10 +43,14 @@ class SnagtConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if not _conforms(self.u, int):
+            raise SchemaError(f"u={self.u!r} must be an integer")
         if not 2 <= self.u <= NODE_CAP:  # no edge has more than NODE_CAP nodes
             raise SchemaError(f"u={self.u} must be >= 2" if self.u < 2 else f"u exceeds NODE_CAP={NODE_CAP}")
         if not (0.0 < self.stop_coeff < math.inf and 0.0 < self.cap_coeff < math.inf):
             raise SchemaError("stop_coeff and cap_coeff must be positive and finite")
+        if self.seed is not None and not _conforms(self.seed, int, natural=True):
+            raise SchemaError(f"seed={self.seed!r} must be None or an integer >= 0")
 
     def _threshold_and_cap(self, n: int) -> tuple[int, int]:
         """ceil(stop_coeff u log2 n) and floor(cap_coeff u n); SchemaError if not finite."""
@@ -130,7 +135,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
         ready = np.flatnonzero(candidate & (time >= threshold))
         if ready.size:
             e = int(live[band == ready[int(pick_rng.integers(ready.size))]][0])
-            tr.result_edge, tr.result_nodes = e, graph.edge_nodes(e)
+            tr.result_edge, tr.result_mask = e, graph.edge_masks[e]
             return tr
 
         if tests >= cap:

@@ -63,7 +63,7 @@ class Transcript:
     informative: int = 0
     pn: int = 0
     result_edge: int | None = None
-    result_nodes: tuple[int, ...] | None = None
+    result_mask: int | None = None  # the returned node set
     halted: bool = False
     mu_stage2: float | None = None  # expected infections at stage-2 entry
 
@@ -79,10 +79,9 @@ class Transcript:
     def stage1(self) -> int:
         return self.total - self.stage2
 
-    def returned_mask(self) -> int | None:
-        if self.result_nodes is None:
-            return None
-        return mask_of(self.result_nodes)
+    @property
+    def result_nodes(self) -> tuple[int, ...] | None:
+        return None if self.result_mask is None else nodes_of(self.result_mask)
 
     def add(self, query_mask: int, outcome: bool, stage: str, **extras: Any) -> None:
         self.records.append(TestEntry(query_mask, bool(outcome), stage, **extras))
@@ -95,7 +94,7 @@ class Transcript:
             "informative": self.informative,
             "pn": self.pn,
             "result_edge": self.result_edge,
-            "result_nodes": list(self.result_nodes) if self.result_nodes is not None else None,
+            "result_nodes": None if self.result_mask is None else list(self.result_nodes),
             "halted": self.halted,
             "mu_stage2": self.mu_stage2,
         }

@@ -187,7 +187,7 @@ def reference_snagt(graph, dist, oracle, config, repetitions):
         ready = np.flatnonzero(candidate & (time >= threshold))
         if ready.size:
             e = int(live[band == ready[int(pick_rng.integers(ready.size))]][0])
-            tr.result_edge, tr.result_nodes = e, graph.edge_nodes(e)
+            tr.result_edge, tr.result_mask = e, graph.edge_masks[e]
             return tr
 
         if tests >= cap:

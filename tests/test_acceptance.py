@@ -234,7 +234,7 @@ def test_criterion_09_noisy_adaptive():
         tr = run_noisy_adaptive(g, d, noisy_oracle(truth, channel, r_noise),
                                 AdaptiveConfig(c=1 / 3), channel, u=12,
                                 max_physical_tests=2000)
-        ok_runs += (not tr.halted) and tr.returned_mask() == truth.mask
+        ok_runs += (not tr.halted) and tr.result_mask == truth.mask
         # running exact-Bayes replay: the target's mass never hits zero
         weights = d.probs.copy()
         for rec in tr.records:

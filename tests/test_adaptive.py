@@ -358,7 +358,7 @@ class TestRunBase:
         graph, dist = random_model(rng)
         target = int(rng.choice(len(dist.probs), p=dist.probs))
         tr = run_adaptive(graph, dist, oracle_for(graph, target), AdaptiveConfig(c=c))
-        assert tr.returned_mask() == graph.edge_masks[target]
+        assert tr.result_mask == graph.edge_masks[target]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -426,7 +426,7 @@ class TestRunTruncated:
                 cfg = AdaptiveConfig(c=0.1, variant="truncated", f2=3)
                 trunc = run_adaptive(graph, dist, oracle_for(graph, i), cfg,
                                      rng=np.random.default_rng(seed))
-                assert trunc.returned_mask() == base.returned_mask()
+                assert trunc.result_mask == base.result_mask
 
     def test_controlled_failure_when_target_exceeds_cut(self):
         """With the cutoff below the target size, a run that reaches the
@@ -436,7 +436,7 @@ class TestRunTruncated:
         for seed in range(30):
             cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=2)
             tr = run_adaptive(g, d, oracle_for(g, 0), cfg, rng=np.random.default_rng(seed))
-            if tr.returned_mask() != g.edge_masks[0]:
+            if tr.result_mask != g.edge_masks[0]:
                 saw_failure = True
                 assert tr.pn == 2
                 assert len(tr.result_nodes) == 2
@@ -450,7 +450,7 @@ class TestRunTruncated:
                 for i in range(len(g)):
                     cfg = AdaptiveConfig(c=0.3, variant="truncated", f2=f2)
                     tr = run_adaptive(g, d, oracle_for(g, i), cfg, rng=np.random.default_rng(seed))
-                    if tr.returned_mask() != g.edge_masks[i]:
+                    if tr.result_mask != g.edge_masks[i]:
                         assert int(g.edge_sizes[i]) > f2
 
     def test_pn_counts_stage2_positives(self):

@@ -32,6 +32,7 @@ from hypergt.model import (
     validate_model,
 )
 from hypergt.oracle import direct_posterior
+from hypergt.sets import mask_of
 
 
 class TestValidation:
@@ -113,6 +114,12 @@ class TestValidation:
         with pytest.raises(SchemaError, match="node count True is not an integer"):
             Hypergraph(True, [[0]])
 
+    @pytest.mark.parametrize("edge", [[True, 2], True], ids=["node", "edge"])
+    def test_a_boolean_node_or_edge_is_refused_as_the_model_file_loader_does(self, edge):
+        message = f"edge 0 is not a list of integer node indices: {edge!r}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            Hypergraph(3, [edge])
+
     def test_probs_are_read_only(self, fig1):
         _, dist = fig1
         with pytest.raises(ValueError, match="read-only"):
@@ -177,7 +184,7 @@ class TestWeightsAndMarginals:
         assert node_marginal(post, 2) == 0.0
 
     def test_marginal_after_positive_test(self, fig1):
-        post = condition_on_test(prior_posterior(*fig1), [1, 3], True)
+        post = condition_on_test(prior_posterior(*fig1), mask_of([1, 3]), True)
         assert node_marginal(post, 3) == pytest.approx(0.625, abs=1e-12)
 
 
@@ -253,27 +260,27 @@ class TestEntropy:
 
 class TestConditioning:
     def test_fig1_positive(self, fig1):
-        post = condition_on_test(prior_posterior(*fig1), [1, 3], True)
+        post = condition_on_test(prior_posterior(*fig1), mask_of([1, 3]), True)
         assert np.allclose(post.q, [0.375, 0.0, 0.625], atol=1e-12)
         assert post.q[1] == 0.0
 
     def test_fig1_negative_single_node(self, fig1):
-        post = condition_on_test(prior_posterior(*fig1), [0], False)
+        post = condition_on_test(prior_posterior(*fig1), mask_of([0]), False)
         assert np.allclose(post.q, [0.0, 0.0, 1.0], atol=0)
 
     def test_fig1_positive_v5(self, fig1):
-        post = condition_on_test(prior_posterior(*fig1), [4], True)
+        post = condition_on_test(prior_posterior(*fig1), mask_of([4]), True)
         assert np.allclose(post.q, [0.0, 2 / 7, 5 / 7], atol=1e-12)
 
     def test_inconsistent_observation_raises(self, fig1):
-        post = condition_on_test(prior_posterior(*fig1), [0], False)
+        post = condition_on_test(prior_posterior(*fig1), mask_of([0]), False)
         with pytest.raises(ZeroSurvivorMass):
-            condition_on_test(post, [0], True)
+            condition_on_test(post, mask_of([0]), True)
 
     def test_empty_edge_always_negative(self):
         g = Hypergraph(2, [[], [0, 1]])
         post = prior_posterior(g, EdgeDistribution([0.5, 0.5]))
-        post = condition_on_test(post, [0, 1], False)
+        post = condition_on_test(post, mask_of([0, 1]), False)
         assert post.q[0] == 1.0
 
 

@@ -77,17 +77,17 @@ class TestChannelAndOracle:
 class TestBayesUpdate:
     def test_zero_delta_collapses_to_conditioning(self, fig1):
         post = prior_posterior(*fig1)
-        a = bayes_update_noisy(post, [1, 3], True, 0.0)
-        b = condition_on_test(post, [1, 3], True)
+        a = bayes_update_noisy(post, mask_of([1, 3]), True, 0.0)
+        b = condition_on_test(post, mask_of([1, 3]), True)
         assert np.array_equal(a.q, b.q)  # bitwise, same arithmetic path
 
     def test_delta_of_one_half_is_refused(self, fig1):
-        with pytest.raises(ValueError, match=re.escape("delta=0.5 outside [0, 1/2)")):
-            bayes_update_noisy(prior_posterior(*fig1), [1, 3], True, 0.5)
+        with pytest.raises(SchemaError, match=re.escape("delta=0.5 outside [0, 1/2)")):
+            bayes_update_noisy(prior_posterior(*fig1), mask_of([1, 3]), True, 0.5)
 
     def test_fig1_hand_bayes(self, fig1):
         post = prior_posterior(*fig1)
-        noisy = bayes_update_noisy(post, [1, 3], True, 0.1)
+        noisy = bayes_update_noisy(post, mask_of([1, 3]), True, 0.1)
         assert np.allclose(noisy.q, [27 / 74, 2 / 74, 45 / 74], atol=1e-12)
 
     @settings(max_examples=80, deadline=None)
@@ -180,7 +180,7 @@ class TestNoisyAdaptive:
                                        alpha=0.0, max_physical_tests=1000)
             assert [(r.query, r.outcome) for r in noisy.records] == \
                    [(r.query, r.outcome) for r in base.records]
-            assert noisy.returned_mask() == base.returned_mask()
+            assert noisy.result_mask == base.result_mask
 
     @pytest.mark.parametrize("config", [
         AdaptiveConfig(variant="regular"),
@@ -230,7 +230,7 @@ class TestNoisyAdaptive:
             tr = run_noisy_adaptive(g, d, noisy_oracle(truth, channel, r_n),
                                     AdaptiveConfig(c=1 / 3), channel, u=12,
                                     max_physical_tests=2000)
-            ok += (not tr.halted) and tr.returned_mask() == truth.mask
+            ok += (not tr.halted) and tr.result_mask == truth.mask
         assert ok / trials >= 0.9
 
     def test_default_cap_is_n_and_halts(self):
@@ -406,7 +406,7 @@ class TestNoisySnagt:
             truth = sample_truth(g, d, r_t)
             tr = run_noisy_snagt(g, d, noisy_oracle(truth, channel, r_n),
                                  SnagtConfig(u=3, seed=trial), channel)
-            ok += (not tr.halted) and tr.returned_mask() == truth.mask
+            ok += (not tr.halted) and tr.result_mask == truth.mask
         assert ok / trials >= 0.9
 
 

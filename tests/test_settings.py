@@ -16,20 +16,39 @@ from hypergt.snagt import SnagtConfig
 
 NESTED4 = ModelSpec("nested", {"n": 4})
 
+TRUNCATED = {"variant": "truncated", "f2": 2}
+
 # (class, valid settings, one bad setting, the message it raises, a field to assign)
 RECORDS = [
-    (AdaptiveConfig, {}, {"c": 0.7}, "c=0.7 outside (0, 1/2)", "c"),
-    (SnagtConfig, {"u": 3}, {"u": 1}, "u=1 must be >= 2", "u"),
-    (NoiseChannel, {"delta": 0.1}, {"delta": 0.5}, "delta=0.5 outside [0, 1/2)", "delta"),
-    (ExperimentConfig, {"model": NESTED4, "algorithm": "base"}, {"trials": 0},
-     "experiment config: trials must be >= 1", "trials"),
-    (ModelSpec, {"family": "nested", "params": {"n": 4}}, {"family": "fig1"},
-     "unknown model family 'fig1'", "family"),
+    pytest.param(AdaptiveConfig, {}, {"c": 0.7}, "c=0.7 outside (0, 1/2)", "c",
+                 id="AdaptiveConfig"),
+    pytest.param(AdaptiveConfig, TRUNCATED, {"f2": 1.5}, "f2=1.5 must be an integer", "f2",
+                 id="AdaptiveConfig-float-f2"),
+    pytest.param(AdaptiveConfig, TRUNCATED, {"f2": True}, "f2=True must be an integer", "f2",
+                 id="AdaptiveConfig-bool-f2"),
+    pytest.param(AdaptiveConfig, {}, {"f2": -7, "eps": 5.0},
+                 "f2 and eps apply only to the truncated variant, got f2=-7, eps=5.0", "variant",
+                 id="AdaptiveConfig-f2-eps-on-base"),
+    pytest.param(AdaptiveConfig, {"variant": "regular"}, {"eps": 0.1},
+                 "f2 and eps apply only to the truncated variant, got f2=None, eps=0.1",
+                 "variant", id="AdaptiveConfig-eps-on-regular"),
+    pytest.param(SnagtConfig, {"u": 3}, {"u": 1}, "u=1 must be >= 2", "u", id="SnagtConfig"),
+    pytest.param(SnagtConfig, {"u": 3}, {"u": 2.5}, "u=2.5 must be an integer", "u",
+                 id="SnagtConfig-float-u"),
+    pytest.param(SnagtConfig, {"u": 3}, {"u": True}, "u=True must be an integer", "u",
+                 id="SnagtConfig-bool-u"),
+    pytest.param(SnagtConfig, {"u": 3, "seed": 0}, {"seed": -1},
+                 "seed=-1 must be None or an integer >= 0", "seed", id="SnagtConfig-negative-seed"),
+    pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": 0.5}, "delta=0.5 outside [0, 1/2)",
+                 "delta", id="NoiseChannel"),
+    pytest.param(ExperimentConfig, {"model": NESTED4, "algorithm": "base"}, {"trials": 0},
+                 "experiment config: trials must be >= 1", "trials", id="ExperimentConfig"),
+    pytest.param(ModelSpec, {"family": "nested", "params": {"n": 4}}, {"family": "fig1"},
+                 "unknown model family 'fig1'", "family", id="ModelSpec"),
 ]
 
 
-@pytest.mark.parametrize("cls,good,bad,message,name", RECORDS,
-                         ids=[r[0].__name__ for r in RECORDS])
+@pytest.mark.parametrize("cls,good,bad,message,name", RECORDS)
 def test_a_bad_value_is_refused_when_built_and_a_built_record_is_frozen(cls, good, bad,
                                                                         message, name):
     with pytest.raises(SchemaError, match=re.escape(message)):

@@ -119,7 +119,7 @@ class TestRunSnagt:
             rng = np.random.default_rng(500 + trial)
             truth = sample_truth(g, d, rng)
             tr = run_snagt(g, d, noiseless_oracle(truth), SnagtConfig(u=3, seed=trial))
-            ok += (not tr.halted) and tr.returned_mask() == truth.mask
+            ok += (not tr.halted) and tr.result_mask == truth.mask
         assert ok / trials >= 0.95
 
     def test_halts_at_the_cap(self):
