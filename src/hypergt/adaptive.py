@@ -87,6 +87,8 @@ class AdaptiveConfig:
     eps: float | None = None
 
     def __post_init__(self) -> None:
+        if not _conforms(self.c, float):
+            raise SchemaError(f"c={self.c!r} must be a number")
         if not 0.0 < self.c < 0.5:
             raise SchemaError(f"c={self.c} outside (0, 1/2)")
         if self.variant not in ("base", "truncated", "regular"):
@@ -103,6 +105,8 @@ class AdaptiveConfig:
                 raise SchemaError(f"f2={self.f2!r} must be an integer")
             if self.f2 is not None and self.f2 < 1:
                 raise SchemaError("f2 must be >= 1")
+            if self.eps is not None and not _conforms(self.eps, float):
+                raise SchemaError(f"eps={self.eps!r} must be a number")
             if self.eps is not None and not 0.0 < self.eps < 1.0:
                 raise SchemaError("eps must lie in (0, 1)")
 

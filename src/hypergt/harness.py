@@ -205,8 +205,9 @@ def run_experiment(config: ExperimentConfig,
         # Trials that never enter stage 2 contribute 0 to the stage-2 budget on
         # both sides of the bound.
         mu_stage2 = tr.mu_stage2 if tr.mu_stage2 is not None else 0.0
-        results.append(TrialResult(trial, trial_seed, truth.target, tr.total, tr.stage1,
-                                   tr.stage2, tr.informative,
+        stage2 = tr.stage2
+        results.append(TrialResult(trial, trial_seed, truth.target, tr.total, tr.total - stage2,
+                                   stage2, tr.informative,
                                    correct=not tr.halted and tr.result_mask == truth.mask,
                                    halted=tr.halted, mu_stage2=mu_stage2))
     return results

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .adaptive import AdaptiveConfig, _run as _adaptive_run
+from .builders import _conforms
 from .errors import SchemaError, ZeroSurvivorMass
 from .model import (
     NODE_CAP,
@@ -56,6 +57,8 @@ class NoiseChannel:
     delta: float
 
     def __post_init__(self) -> None:
+        if not _conforms(self.delta, float):
+            raise SchemaError(f"delta={self.delta!r} must be a number")
         if not 0.0 <= self.delta < 0.5:
             raise SchemaError(f"delta={self.delta} outside [0, 1/2)")
 

@@ -7,6 +7,9 @@ shape (ceil(n/64), |E|): row j holds nodes 64j..64j+63 of every edge, so one
 row is contiguous and one vector op answers a question about all edges at
 once. `intersects` is that question for a group test: which edges does the
 query hit? `meets` asks it for a block of queries packed by `pack_rows`.
+Both read whole rows, so a column selection of a store is taken with `take`
+or `compress` along axis 1, which stay row-major: fancy indexing,
+`words[:, idx]`, returns a column-major copy whose rows are strided.
 """
 
 from __future__ import annotations

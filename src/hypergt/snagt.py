@@ -18,6 +18,10 @@ in order, and scored by one word kernel that finds each live edge's first
 contradicted test; per-band cumulative deaths give each record the snapshot a
 test-at-a-time loop would. The draws are cut from one stream, so schedule,
 oracle calls and transcripts are that loop's.
+
+The kernel reads the live edges' words row by row, so their store stays
+row-major: the model's own store when every edge is live, else a `take` of
+the live columns, and after each draw a `compress` that drops the dead ones.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ class SnagtConfig:
             raise SchemaError(f"u={self.u!r} must be an integer")
         if not 2 <= self.u <= NODE_CAP:  # no edge has more than NODE_CAP nodes
             raise SchemaError(f"u={self.u} must be >= 2" if self.u < 2 else f"u exceeds NODE_CAP={NODE_CAP}")
+        if not _conforms(self.stop_coeff, float):
+            raise SchemaError(f"stop_coeff={self.stop_coeff!r} must be a number")
+        if not _conforms(self.cap_coeff, float):
+            raise SchemaError(f"cap_coeff={self.cap_coeff!r} must be a number")
         if not (0.0 < self.stop_coeff < math.inf and 0.0 < self.cap_coeff < math.inf):
             raise SchemaError("stop_coeff and cap_coeff must be positive and finite")
         if self.seed is not None and not _conforms(self.seed, int, natural=True):
@@ -105,13 +113,15 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
     tail = math.ceil(n * math.log2(n)) if n >= 2 else math.inf  # later bands merge
     values, inverse = np.unique(probs[probs > 0.0], return_inverse=True)
     ids = np.array([min(dyadic_bucket(float(p)), tail) for p in values])
-    _, band = np.unique(ids[inverse], return_inverse=True)  # ascending band ids
+    band = np.unique(ids, return_inverse=True)[1][inverse]  # ascending band ids
     count = np.bincount(band)
     # A band's time counts the tests it survived as a candidate; candidacy is
     # count == 1, taken after each test, so no band starts as one.
     time = np.zeros(count.size, dtype=np.int64)
     candidate = np.zeros(count.size, dtype=bool)
-    live_words = graph.words[:, live]  # columns of the caller's cached store
+    # Row-major live columns of the caller's cached store: the store itself
+    # when every edge is live (the first `compress` copies it), else a `take`.
+    live_words = graph.words if live.size == len(graph) else graph.words.take(live, axis=1)
 
     threshold, cap = config._threshold_and_cap(n)
     if threshold >= cap:
@@ -148,9 +158,10 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
         k = min(chunk, cap - tests, max(1, threshold - int(time.max())))
         chunk *= 2
         block = random_test_set(n, u, schedule_rng, k)
-        masks = [int.from_bytes(row.tobytes(), "little") for row in block]
-        outcomes = [[bool(oracle(m)) for _ in range(repetitions)] for m in masks]
-        verdict = np.array([2 * sum(votes) >= repetitions for votes in outcomes])
+        raw, width = block.tobytes(), 8 * block.shape[1]
+        masks = [int.from_bytes(raw[i:i + width], "little") for i in range(0, k * width, width)]
+        outcomes = [bool(oracle(m)) for m in masks for _ in range(repetitions)]
+        verdict = 2 * np.reshape(outcomes, (k, repetitions)).sum(axis=1) >= repetitions
 
         # An edge dies at its first test whose verdict it contradicts.
         wrong = meets(live_words, block) != verdict[:, None]
@@ -160,12 +171,12 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
         after = count - np.cumsum(deaths, axis=0)  # band counts after each test
         before = np.vstack([candidate, after[:-1] == 1])  # candidacy before each test
         times = time + np.cumsum(before, axis=0) - before  # band times before each test
-        for i, (mask, votes, sg_size, sg_max_time) in enumerate(zip(
-                masks, outcomes, before.sum(axis=1).tolist(), times.max(axis=1).tolist())):
-            for outcome in votes:
-                tr.add(mask, outcome, RANDOM,
-                       rep_group=tests + i if repetitions > 1 else None,
-                       sg_size=sg_size, sg_max_time=sg_max_time)
+        sg_size, sg_max_time = before.sum(axis=1).tolist(), times.max(axis=1).tolist()
+        for j, outcome in enumerate(outcomes):
+            i = j // repetitions
+            tr.add(masks[i], outcome, RANDOM, None, tests + i if repetitions > 1 else None,
+                   sg_size[i], sg_max_time[i])
         tests += k
         count, candidate, time = after[-1], after[-1] == 1, times[-1] + before[-1]
-        live, band, live_words = live[~dead], band[~dead], live_words[:, ~dead]
+        live, band = live[~dead], band[~dead]
+        live_words = live_words.compress(~dead, axis=1)

@@ -22,7 +22,7 @@ _OPTIONAL_KEYS = ("mass_removed", "rep_group", "sg_size", "sg_max_time")
 RECORD_KEYS = ("query", "outcome", "stage") + _OPTIONAL_KEYS
 
 
-@dataclass
+@dataclass(slots=True)
 class TestEntry:
     query_mask: int
     outcome: bool
@@ -83,8 +83,16 @@ class Transcript:
     def result_nodes(self) -> tuple[int, ...] | None:
         return None if self.result_mask is None else nodes_of(self.result_mask)
 
-    def add(self, query_mask: int, outcome: bool, stage: str, **extras: Any) -> None:
-        self.records.append(TestEntry(query_mask, bool(outcome), stage, **extras))
+    def add(self, query_mask: int, outcome: bool, stage: str, mass_removed: float | None = None,
+            rep_group: int | None = None, sg_size: int | None = None,
+            sg_max_time: int | None = None) -> None:
+        """Append a record. The optional fields stay None unless an engine
+        sets them: mass_removed, the posterior mass a noiseless adaptive test
+        removed; rep_group, the index shared by the repeats of one noisy test;
+        sg_size and sg_max_time, a preplanned engine's candidate-band count
+        and longest band survival time before the test."""
+        self.records.append(TestEntry(query_mask, bool(outcome), stage, mass_removed, rep_group,
+                                      sg_size, sg_max_time))
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -40,7 +40,8 @@ def test_preplanned_demo_prints_the_schedule_check_and_both_recovery_lines():
 
 
 def test_scale_probe_prints_the_mean_tests_per_trial():
-    fields = dict(item.split("=") for item in
-                  run_script(["scale_probe.py", "--n", "60", "--trials", "3"]).split())
-    assert {"ms_per_trial", "tests_per_trial", "peak_rss_mb"} <= set(fields)
-    assert float(fields["tests_per_trial"]) > 0.0
+    for algorithm in ("base", "snagt"):
+        fields = dict(item.split("=") for item in run_script(
+            ["scale_probe.py", "--n", "60", "--trials", "3", "--algorithm", algorithm]).split())
+        assert {"ms_per_trial", "tests_per_trial", "peak_rss_mb"} <= set(fields)
+        assert float(fields["tests_per_trial"]) > 0.0

@@ -32,7 +32,17 @@ RECORDS = [
     pytest.param(AdaptiveConfig, {"variant": "regular"}, {"eps": 0.1},
                  "f2 and eps apply only to the truncated variant, got f2=None, eps=0.1",
                  "variant", id="AdaptiveConfig-eps-on-regular"),
+    pytest.param(AdaptiveConfig, {}, {"c": "0.2"}, "c='0.2' must be a number", "c",
+                 id="AdaptiveConfig-str-c"),
+    pytest.param(AdaptiveConfig, {"variant": "truncated", "eps": 0.2}, {"eps": "0.1"},
+                 "eps='0.1' must be a number", "eps", id="AdaptiveConfig-str-eps"),
     pytest.param(SnagtConfig, {"u": 3}, {"u": 1}, "u=1 must be >= 2", "u", id="SnagtConfig"),
+    pytest.param(SnagtConfig, {"u": 3}, {"stop_coeff": "5"}, "stop_coeff='5' must be a number",
+                 "stop_coeff", id="SnagtConfig-str-stop_coeff"),
+    pytest.param(SnagtConfig, {"u": 3}, {"cap_coeff": "5"}, "cap_coeff='5' must be a number",
+                 "cap_coeff", id="SnagtConfig-str-cap_coeff"),
+    pytest.param(SnagtConfig, {"u": 3}, {"stop_coeff": True}, "stop_coeff=True must be a number",
+                 "stop_coeff", id="SnagtConfig-bool-stop_coeff"),
     pytest.param(SnagtConfig, {"u": 3}, {"u": 2.5}, "u=2.5 must be an integer", "u",
                  id="SnagtConfig-float-u"),
     pytest.param(SnagtConfig, {"u": 3}, {"u": True}, "u=True must be an integer", "u",
@@ -41,6 +51,10 @@ RECORDS = [
                  "seed=-1 must be None or an integer >= 0", "seed", id="SnagtConfig-negative-seed"),
     pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": 0.5}, "delta=0.5 outside [0, 1/2)",
                  "delta", id="NoiseChannel"),
+    pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": "0.1"}, "delta='0.1' must be a number",
+                 "delta", id="NoiseChannel-str-delta"),
+    pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": False}, "delta=False must be a number",
+                 "delta", id="NoiseChannel-bool-delta"),
     pytest.param(ExperimentConfig, {"model": NESTED4, "algorithm": "base"}, {"trials": 0},
                  "experiment config: trials must be >= 1", "trials", id="ExperimentConfig"),
     pytest.param(ModelSpec, {"family": "nested", "params": {"n": 4}}, {"family": "fig1"},

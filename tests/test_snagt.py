@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import hypergt.snagt
 from conftest import oracle_for, random_test_set as reference_test_set, reference_snagt, truth_for
 from hypergt.builders import build_nested, build_random_regular
 from hypergt.errors import EmptySupport, SchemaError
 from hypergt.model import NODE_CAP, EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
 from hypergt.noisy import NoiseChannel, noisy_oracle, repetitions, run_noisy_snagt
-from hypergt.sets import mask_of
+from hypergt.sets import mask_of, meets
 from hypergt.snagt import SnagtConfig, dyadic_bucket, random_test_set, run_snagt
 
 
@@ -370,3 +371,32 @@ class TestBlockEngine:
                                lambda: noisy_oracle(truth, channel, np.random.default_rng(seed)),
                                SnagtConfig(u=u, stop_coeff=1.0, seed=seed), channel)
             assert all(r.rep_group is not None for r in tr.records)
+
+
+class TestStoreLayout:
+    """`meets` reads each word row of the live store whole, so the store the
+    engine hands it must be C-contiguous. Both models span more than one word
+    row: with one row an array is C- and F-contiguous at once, and no layout
+    shows."""
+
+    @pytest.mark.parametrize("model", [
+        lambda: build_nested(100),  # edges above u are dropped: the live columns are gathered
+        lambda: build_random_regular(130, 3, count=400, seed=1),  # every edge is live
+    ], ids=["nested100", "regular130"])
+    def test_every_store_meets_reads_is_row_major(self, model, monkeypatch):
+        g, d = model()
+        assert g.words.shape[0] > 1
+        stores = []
+
+        def checked_meets(words, queries):
+            stores.append(words.flags["C_CONTIGUOUS"])
+            return meets(words, queries)
+
+        monkeypatch.setattr(hypergt.snagt, "meets", checked_meets)
+        config = SnagtConfig(u=4, stop_coeff=1.0, seed=0)
+        target = int(np.flatnonzero(g.edge_sizes <= 4)[-1])
+        run_snagt(g, d, oracle_for(g, target), config)
+        channel = NoiseChannel(0.05)
+        run_noisy_snagt(g, d, noisy_oracle(truth_for(g, target), channel,
+                                           np.random.default_rng(0)), config, channel)
+        assert len(stores) > 2 and all(stores)
