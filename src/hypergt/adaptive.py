@@ -46,13 +46,13 @@ from typing import Callable
 
 import numpy as np
 
-from .builders import _conforms
 from .errors import InvariantViolation, NotRegular, OracleInconsistent, SchemaError, ZeroSurvivorMass
 from .model import (
     CERTAINTY_TOL,
     EdgeDistribution,
     Hypergraph,
     Posterior,
+    _check_types,
     _conditioned,
     certain_edge,
     condition_on_test,
@@ -87,8 +87,7 @@ class AdaptiveConfig:
     eps: float | None = None
 
     def __post_init__(self) -> None:
-        if not _conforms(self.c, float):
-            raise SchemaError(f"c={self.c!r} must be a number")
+        _check_types(AdaptiveConfig, vars(self), "adaptive config")
         if not 0.0 < self.c < 0.5:
             raise SchemaError(f"c={self.c} outside (0, 1/2)")
         if self.variant not in ("base", "truncated", "regular"):
@@ -101,12 +100,8 @@ class AdaptiveConfig:
                 raise SchemaError(f"truncated variant needs c <= 1/3, got {self.c}")
             if (self.f2 is None) == (self.eps is None):
                 raise SchemaError("truncated variant needs f2 or eps, not both")
-            if self.f2 is not None and not _conforms(self.f2, int):
-                raise SchemaError(f"f2={self.f2!r} must be an integer")
             if self.f2 is not None and self.f2 < 1:
                 raise SchemaError("f2 must be >= 1")
-            if self.eps is not None and not _conforms(self.eps, float):
-                raise SchemaError(f"eps={self.eps!r} must be a number")
             if self.eps is not None and not 0.0 < self.eps < 1.0:
                 raise SchemaError("eps must lie in (0, 1)")
 

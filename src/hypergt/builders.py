@@ -18,12 +18,8 @@ family and its parameters.
 from __future__ import annotations
 
 import copy
-import functools
 import inspect
 import math
-import numbers
-import types
-import typing
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, repeat
@@ -33,7 +29,7 @@ import numpy as np
 
 from .errors import (EmptySupport, ModelError, NodeOutOfRange, ProbabilityOutOfRange, SchemaError,
                      SupportTooLarge)
-from .model import EdgeDistribution, Hypergraph, check_node_count, check_record
+from .model import EdgeDistribution, Hypergraph, _check_types, check_node_count, check_record
 from .sets import mask_of
 
 SUPPORT_CAP = 1 << 20
@@ -59,44 +55,11 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in BUILDERS:
             raise SchemaError(f"unknown model family {self.family!r}")
-        args, hints = _signature(self.family)
-        check_record(self.params, f"{self.family} params",
-                     [k for k, a in args.items() if a.default is inspect.Parameter.empty],
-                     list(args))
-        for key, value in self.params.items():
-            if not _conforms(value, hints[key]):
-                raise SchemaError(f"{self.family} params: {key!r} must be "
-                                  f"{args[key].annotation}, not {value!r}")
-            if not _conforms(value, hints[key], natural=True):
-                raise SchemaError(f"{self.family} params: {key!r} must hold no negative "
-                                  f"integer, not {value!r}")
+        builder, what = BUILDERS[self.family], f"{self.family} params"
+        args = inspect.signature(builder).parameters
+        check_record(self.params, what, [k for k, a in args.items() if a.default is a.empty], list(args))
+        _check_types(builder, self.params, what, natural=True)
         object.__setattr__(self, "params", copy.deepcopy(self.params))
-
-
-@functools.cache
-def _signature(family: str) -> tuple:
-    """The parameters and type hints of a family's builder, read once."""
-    return inspect.signature(BUILDERS[family]).parameters, typing.get_type_hints(BUILDERS[family])
-
-
-def _conforms(value, hint, natural: bool = False) -> bool:
-    """Whether value has the annotated type: int and float take numbers but not
-    booleans, and with `natural` int takes none below 0; a sequence or a tuple
-    takes a list, tuple or numpy array, and any other type its instances."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_conforms(value, a, natural) for a in args)
-    if origin in (Sequence, tuple):
-        if not isinstance(value, (list, tuple, np.ndarray)):
-            return False
-        if origin is tuple:
-            return len(value) == len(args) and all(_conforms(x, a, natural) for x, a in zip(value, args))
-        return all(_conforms(x, args[0], natural) for x in value)
-    if hint in (int, float):
-        kind = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool) and (
-            not natural or hint is float or value >= 0)
-    return isinstance(value, hint)
 
 
 def _check_probabilities(**params) -> None:
@@ -180,6 +143,8 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple
 def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
     """k islands of m nodes; all nodes of an island share one state, and
     islands are independent with infection probabilities p."""
+    check_node_count(k)  # at most NODE_CAP islands, of at most NODE_CAP nodes each
+    check_node_count(m)
     _check_probabilities(p=p)
     ps = [float(p)] * k if np.isscalar(p) else list(map(float, p))
     if len(ps) != k:
@@ -224,6 +189,7 @@ def build_big_graph(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """n communities of n nodes; half the mass on the n^2 small edges
     (community minus one node), half on the n large edges (everything except
     one community)."""
+    check_node_count(n)
     total = n * n
     check_node_count(total)
     full = (1 << total) - 1

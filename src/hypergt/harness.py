@@ -11,18 +11,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import typing
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .adaptive import AdaptiveConfig, run_adaptive
-from .builders import ModelSpec, _conforms, build_model
+from .builders import ModelSpec, build_model
 from .errors import MismatchedConfig, SchemaError
 from .model import (
     EdgeDistribution,
     Hypergraph,
+    _check_types,
     check_record,
     edge_entropy,
     expected_infections,
@@ -79,11 +79,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        hints = typing.get_type_hints(type(self))
-        for f in dataclasses.fields(self):
-            if not _conforms(getattr(self, f.name), hints[f.name]):
-                raise SchemaError(f"experiment config: {f.name!r} must be {f.type}, "
-                                  f"not {getattr(self, f.name)!r}")
+        _check_types(ExperimentConfig, vars(self), "experiment config")
         if self.trials < 1:
             raise SchemaError("experiment config: trials must be >= 1")
         if self.seed < 0:

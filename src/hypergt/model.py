@@ -9,8 +9,12 @@ rescales the surviving mass to 1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
+import types
+import typing
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
@@ -47,8 +51,10 @@ SPARSE_DENSITY = 1 / 16
 
 
 def check_node_count(n: int) -> None:
-    """NodeOutOfRange for a node count outside 0..NODE_CAP. Builders call it
-    before they make any n-bit mask, as the Hypergraph constructor does."""
+    """SchemaError for a node count that is not an integer (a boolean is not),
+    NodeOutOfRange for one outside 0..NODE_CAP; builders call it before any mask."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise SchemaError(f"node count {n!r} is not an integer")
     if not 0 <= n <= NODE_CAP:
         raise NodeOutOfRange(f"node count {n} outside 0..{NODE_CAP}")
 
@@ -66,10 +72,8 @@ class Hypergraph:
     """
 
     def __init__(self, n: int, edges: Iterable[Iterable[int] | int]):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise SchemaError(f"node count {n!r} is not an integer")
+        check_node_count(n)
         self.n = int(n)
-        check_node_count(self.n)
         if not isinstance(edges, Iterable):
             raise SchemaError(f"edges must be a list, not {type(edges).__name__}")
         masks = tuple(_edge_mask(i, e, self.n) for i, e in enumerate(edges))
@@ -286,6 +290,44 @@ def check_record(doc, what: str, required: Sequence[str], allowed: Sequence[str]
     for key in doc:
         if key not in allowed:
             raise SchemaError(f"{what} has unknown key {key!r}")
+
+
+def _check_types(owner, values: dict, what: str, natural: bool = False) -> None:
+    """SchemaError `what: 'name' must be <annotation>, not <value>` for the first
+    value without the type that owner, a settings class or a function, annotates
+    for its name; with `natural` an int is >= 0. Hints resolve once per owner."""
+    hints = _hints(owner)
+    for name, value in values.items():
+        if not _conforms(value, hints[name], natural):
+            if natural and _conforms(value, hints[name]):
+                raise SchemaError(f"{what}: {name!r} must hold no negative integer, not {value!r}")
+            raise SchemaError(f"{what}: {name!r} must be {owner.__annotations__[name]}, not {value!r}")
+
+
+@functools.cache
+def _hints(owner) -> dict:
+    """The resolved type of each name that owner annotates."""
+    return typing.get_type_hints(owner)
+
+
+def _conforms(value, hint, natural: bool = False) -> bool:
+    """Whether value has the annotated type: int and float take numbers but not
+    booleans, and with `natural` int takes none below 0; a sequence or a tuple
+    takes a list, tuple or numpy array, and any other type its instances."""
+    if hint is int or hint is float:  # an exact int or float skips the ABC check
+        kind = numbers.Integral if hint is int else numbers.Real
+        return (type(value) is hint or isinstance(value, kind) and not isinstance(value, bool)) and (
+            not natural or hint is float or value >= 0)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType or origin is typing.Union:
+        return any(_conforms(value, a, natural) for a in args)
+    if origin in (Sequence, tuple):
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            return False
+        if origin is tuple:
+            return len(value) == len(args) and all(_conforms(x, a, natural) for x, a in zip(value, args))
+        return all(_conforms(x, args[0], natural) for x in value)
+    return isinstance(value, hint)
 
 
 def parse_json(text: str, what: str):

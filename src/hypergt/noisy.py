@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .adaptive import AdaptiveConfig, _run as _adaptive_run
-from .builders import _conforms
 from .errors import SchemaError, ZeroSurvivorMass
 from .model import (
     NODE_CAP,
@@ -35,6 +34,7 @@ from .model import (
     GroundTruth,
     Hypergraph,
     Posterior,
+    _check_types,
     certain_edge,
     condition_on_test,
     edge_outcomes,
@@ -57,8 +57,7 @@ class NoiseChannel:
     delta: float
 
     def __post_init__(self) -> None:
-        if not _conforms(self.delta, float):
-            raise SchemaError(f"delta={self.delta!r} must be a number")
+        _check_types(NoiseChannel, vars(self), "noise channel")
         if not 0.0 <= self.delta < 0.5:
             raise SchemaError(f"delta={self.delta} outside [0, 1/2)")
 
@@ -68,6 +67,12 @@ def repetitions(alpha: float, x: float, delta: float) -> int:
     never fewer than once. x is n for the residual group test,
     max(2, u log2 n) for a stage-2 individual test and u n for a preplanned
     test, and must be >= 1. alpha must be finite and >= 0; 0 asks once."""
+    _check_types(repetitions, {"alpha": alpha, "x": x, "delta": delta}, "repetitions")
+    return _repetitions(alpha, x, delta)
+
+
+def _repetitions(alpha: float, x: float, delta: float) -> int:
+    """`repetitions` past its type check, for an engine that checked its settings."""
     if not 0.0 <= alpha < math.inf:
         raise SchemaError(f"alpha={alpha} must be finite and >= 0")
     if not x >= 1:
@@ -82,8 +87,8 @@ def _adaptive_repetitions(n: int, u: int | None, alpha: float, delta: float) -> 
     """How often the noisy adaptive engine asks a site in each stage; u=None
     means n."""
     u = n if u is None else u
-    return {SPLIT: 1, RESIDUAL: repetitions(alpha, n, delta),
-            INDIVIDUAL: repetitions(alpha, max(2.0, math.log2(n) * u), delta)}
+    return {SPLIT: 1, RESIDUAL: _repetitions(alpha, n, delta),
+            INDIVIDUAL: _repetitions(alpha, max(2.0, math.log2(n) * u), delta)}
 
 
 def _check_budget(u: int | None, max_physical_tests: int | None) -> None:
@@ -214,6 +219,8 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     physical-test budget (>= 1) defaults to n, the asymptotic analysis' cap;
     desk runs usually need to raise it. Only the base variant runs under noise.
     """
+    _check_types(run_noisy_adaptive, {"alpha": alpha, "u": u, "max_physical_tests": max_physical_tests},
+                 "run_noisy_adaptive")
     _check_budget(u, max_physical_tests)
     if config.variant != "base":
         raise SchemaError(f"noisy runs support only variant='base', got {config.variant!r}")
@@ -239,6 +246,7 @@ def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracl
     elimination. Schedule and repetition counts depend only on (n, u, seed),
     so the design stays target-independent; the test cap scales by the
     repetition factor."""
+    _check_types(run_noisy_snagt, {"alpha": alpha}, "run_noisy_snagt")
     config._threshold_and_cap(graph.n)  # refuses n = 0 before log2(u n) can
     return _snagt_run(graph, dist, oracle, config,
-                      repetitions(alpha, config.u * graph.n, channel.delta))
+                      _repetitions(alpha, config.u * graph.n, channel.delta))

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import _conforms
 from .errors import EmptySupport, SchemaError
-from .model import NODE_CAP, EdgeDistribution, Hypergraph, validate_model
+from .model import NODE_CAP, EdgeDistribution, Hypergraph, _check_types, validate_model
 from .sets import meets, pack_rows
 from .transcript import RANDOM, Transcript
 
@@ -47,18 +46,11 @@ class SnagtConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not _conforms(self.u, int):
-            raise SchemaError(f"u={self.u!r} must be an integer")
+        _check_types(SnagtConfig, vars(self), "snagt config", natural=True)
         if not 2 <= self.u <= NODE_CAP:  # no edge has more than NODE_CAP nodes
             raise SchemaError(f"u={self.u} must be >= 2" if self.u < 2 else f"u exceeds NODE_CAP={NODE_CAP}")
-        if not _conforms(self.stop_coeff, float):
-            raise SchemaError(f"stop_coeff={self.stop_coeff!r} must be a number")
-        if not _conforms(self.cap_coeff, float):
-            raise SchemaError(f"cap_coeff={self.cap_coeff!r} must be a number")
         if not (0.0 < self.stop_coeff < math.inf and 0.0 < self.cap_coeff < math.inf):
             raise SchemaError("stop_coeff and cap_coeff must be positive and finite")
-        if self.seed is not None and not _conforms(self.seed, int, natural=True):
-            raise SchemaError(f"seed={self.seed!r} must be None or an integer >= 0")
 
     def _threshold_and_cap(self, n: int) -> tuple[int, int]:
         """ceil(stop_coeff u log2 n) and floor(cap_coeff u n); SchemaError if not finite."""

@@ -348,6 +348,19 @@ class TestGuards:
         with pytest.raises(SchemaError, match=re.escape(message)):
             build_model(ModelSpec(family, params))
 
+    @pytest.mark.parametrize("build,args,message", [
+        (build_nested, ("5",), "node count '5' is not an integer"),
+        (build_cosize, (2.5,), "node count 2.5 is not an integer"),
+        (build_big_graph, ("3",), "node count '3' is not an integer"),
+        (build_islands, (2, "2", 0.5), "node count '2' is not an integer"),
+        (build_islands, (2.0, 2, 0.5), "node count 2.0 is not an integer"),
+    ], ids=["nested", "cosize", "big_graph", "islands-m", "islands-k"])
+    def test_direct_calls_refuse_a_non_integer_size(self, build, args, message):
+        # Each raised a bare TypeError from arithmetic on the size, where the
+        # Hypergraph constructor refuses the same count with SchemaError.
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            build(*args)
+
     def test_islands_refuse_a_large_support_before_enumerating(self):
         t0 = time.perf_counter()
         with pytest.raises(SupportTooLarge, match=re.escape(f"2097152 edges exceed cap {SUPPORT_CAP}")):

@@ -196,10 +196,18 @@ class TestNoisyAdaptive:
         ({"u": 0}, "u=0 must be >= 1"),
         ({"max_physical_tests": 0}, "physical-test budget 0 must be >= 1"),
         ({"alpha": -1}, "alpha=-1 must be finite and >= 0"),
-    ], ids=["u", "budget", "alpha"])
+        # Of the wrong type, a string raised a bare TypeError mid-run, and a
+        # boolean alpha and a fractional u were run with.
+        ({"alpha": "2"}, "run_noisy_adaptive: 'alpha' must be float, not '2'"),
+        ({"alpha": True}, "run_noisy_adaptive: 'alpha' must be float, not True"),
+        ({"u": "3"}, "run_noisy_adaptive: 'u' must be int | None, not '3'"),
+        ({"u": 2.5}, "run_noisy_adaptive: 'u' must be int | None, not 2.5"),
+        ({"max_physical_tests": "9"},
+         "run_noisy_adaptive: 'max_physical_tests' must be int | None, not '9'"),
+    ], ids=["u", "budget", "alpha", "str-alpha", "bool-alpha", "str-u", "float-u", "str-budget"])
     def test_direct_calls_refuse_bad_settings_with_a_model_error(self, fig1, settings, message):
         graph, dist = fig1
-        with pytest.raises(ModelError, match=re.escape(message)):
+        with pytest.raises(SchemaError, match=re.escape(message)):
             run_noisy_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(),
                                NoiseChannel(0.1), **settings)
 
@@ -395,6 +403,13 @@ class TestNoisySnagt:
         k = min(len(runs[0]), len(runs[1]))
         assert runs[0][:k] == runs[1][:k]
 
+    def test_a_string_alpha_is_refused(self, fig1):
+        graph, dist = fig1
+        with pytest.raises(SchemaError, match=re.escape(
+                "run_noisy_snagt: 'alpha' must be float, not '2'")):
+            run_noisy_snagt(graph, dist, oracle_for(graph, 0), SnagtConfig(4), NoiseChannel(0.1),
+                            alpha="2")
+
     def test_recovery_under_noise(self):
         g, d = build_random_regular(40, 3, count=20, seed=3)
         channel = NoiseChannel(0.05)
@@ -446,6 +461,15 @@ class TestSchedule:
     def test_alpha_outside_its_range_is_refused(self, alpha, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             repetitions(alpha, 4, 0.4)
+
+    @pytest.mark.parametrize("args,message", [
+        ((2.0, "5", 0.1), "repetitions: 'x' must be float, not '5'"),
+        ((True, 5, 0.1), "repetitions: 'alpha' must be float, not True"),
+        ((2.0, 5, None), "repetitions: 'delta' must be float, not None"),
+    ], ids=["str-x", "bool-alpha", "none-delta"])
+    def test_arguments_of_the_wrong_type_are_refused(self, args, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            repetitions(*args)
 
     @pytest.mark.parametrize("x", [0, 0.5, -4, math.nan])
     def test_x_below_one_is_refused(self, x):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hypergt
+from hypergt.harness import ALGORITHMS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,9 +40,10 @@ def test_preplanned_demo_prints_the_schedule_check_and_both_recovery_lines():
     assert all(" recovered, mean physical tests " in line for line in lines[1:])
 
 
-def test_scale_probe_prints_the_mean_tests_per_trial():
-    for algorithm in ("base", "snagt"):
-        fields = dict(item.split("=") for item in run_script(
-            ["scale_probe.py", "--n", "60", "--trials", "3", "--algorithm", algorithm]).split())
-        assert {"ms_per_trial", "tests_per_trial", "peak_rss_mb"} <= set(fields)
-        assert float(fields["tests_per_trial"]) > 0.0
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_scale_probe_prints_the_mean_tests_per_trial(algorithm):
+    fields = dict(item.split("=") for item in run_script(
+        ["scale_probe.py", "--n", "60", "--trials", "3", "--algorithm", algorithm]).split())
+    assert list(fields) == ["n", "|E|", "trials", "wrong", "build_s", "ms_per_trial",
+                            "tests_per_trial", "peak_rss_mb"]
+    assert float(fields["tests_per_trial"]) > 0.0

@@ -4,6 +4,8 @@ remember to check one."""
 
 import dataclasses
 import re
+import typing
+from collections import Counter
 
 import pytest
 
@@ -22,9 +24,11 @@ TRUNCATED = {"variant": "truncated", "f2": 2}
 RECORDS = [
     pytest.param(AdaptiveConfig, {}, {"c": 0.7}, "c=0.7 outside (0, 1/2)", "c",
                  id="AdaptiveConfig"),
-    pytest.param(AdaptiveConfig, TRUNCATED, {"f2": 1.5}, "f2=1.5 must be an integer", "f2",
+    pytest.param(AdaptiveConfig, TRUNCATED, {"f2": 1.5},
+                 "adaptive config: 'f2' must be int | None, not 1.5", "f2",
                  id="AdaptiveConfig-float-f2"),
-    pytest.param(AdaptiveConfig, TRUNCATED, {"f2": True}, "f2=True must be an integer", "f2",
+    pytest.param(AdaptiveConfig, TRUNCATED, {"f2": True},
+                 "adaptive config: 'f2' must be int | None, not True", "f2",
                  id="AdaptiveConfig-bool-f2"),
     pytest.param(AdaptiveConfig, {}, {"f2": -7, "eps": 5.0},
                  "f2 and eps apply only to the truncated variant, got f2=-7, eps=5.0", "variant",
@@ -32,29 +36,36 @@ RECORDS = [
     pytest.param(AdaptiveConfig, {"variant": "regular"}, {"eps": 0.1},
                  "f2 and eps apply only to the truncated variant, got f2=None, eps=0.1",
                  "variant", id="AdaptiveConfig-eps-on-regular"),
-    pytest.param(AdaptiveConfig, {}, {"c": "0.2"}, "c='0.2' must be a number", "c",
-                 id="AdaptiveConfig-str-c"),
+    pytest.param(AdaptiveConfig, {}, {"c": "0.2"}, "adaptive config: 'c' must be float, not '0.2'",
+                 "c", id="AdaptiveConfig-str-c"),
     pytest.param(AdaptiveConfig, {"variant": "truncated", "eps": 0.2}, {"eps": "0.1"},
-                 "eps='0.1' must be a number", "eps", id="AdaptiveConfig-str-eps"),
+                 "adaptive config: 'eps' must be float | None, not '0.1'", "eps",
+                 id="AdaptiveConfig-str-eps"),
     pytest.param(SnagtConfig, {"u": 3}, {"u": 1}, "u=1 must be >= 2", "u", id="SnagtConfig"),
-    pytest.param(SnagtConfig, {"u": 3}, {"stop_coeff": "5"}, "stop_coeff='5' must be a number",
-                 "stop_coeff", id="SnagtConfig-str-stop_coeff"),
-    pytest.param(SnagtConfig, {"u": 3}, {"cap_coeff": "5"}, "cap_coeff='5' must be a number",
-                 "cap_coeff", id="SnagtConfig-str-cap_coeff"),
-    pytest.param(SnagtConfig, {"u": 3}, {"stop_coeff": True}, "stop_coeff=True must be a number",
-                 "stop_coeff", id="SnagtConfig-bool-stop_coeff"),
-    pytest.param(SnagtConfig, {"u": 3}, {"u": 2.5}, "u=2.5 must be an integer", "u",
+    pytest.param(SnagtConfig, {"u": 3}, {"stop_coeff": "5"},
+                 "snagt config: 'stop_coeff' must be float, not '5'", "stop_coeff",
+                 id="SnagtConfig-str-stop_coeff"),
+    pytest.param(SnagtConfig, {"u": 3}, {"cap_coeff": "5"},
+                 "snagt config: 'cap_coeff' must be float, not '5'", "cap_coeff",
+                 id="SnagtConfig-str-cap_coeff"),
+    pytest.param(SnagtConfig, {"u": 3}, {"stop_coeff": True},
+                 "snagt config: 'stop_coeff' must be float, not True", "stop_coeff",
+                 id="SnagtConfig-bool-stop_coeff"),
+    pytest.param(SnagtConfig, {"u": 3}, {"u": 2.5}, "snagt config: 'u' must be int, not 2.5", "u",
                  id="SnagtConfig-float-u"),
-    pytest.param(SnagtConfig, {"u": 3}, {"u": True}, "u=True must be an integer", "u",
+    pytest.param(SnagtConfig, {"u": 3}, {"u": True}, "snagt config: 'u' must be int, not True", "u",
                  id="SnagtConfig-bool-u"),
     pytest.param(SnagtConfig, {"u": 3, "seed": 0}, {"seed": -1},
-                 "seed=-1 must be None or an integer >= 0", "seed", id="SnagtConfig-negative-seed"),
+                 "snagt config: 'seed' must hold no negative integer, not -1", "seed",
+                 id="SnagtConfig-negative-seed"),
     pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": 0.5}, "delta=0.5 outside [0, 1/2)",
                  "delta", id="NoiseChannel"),
-    pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": "0.1"}, "delta='0.1' must be a number",
-                 "delta", id="NoiseChannel-str-delta"),
-    pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": False}, "delta=False must be a number",
-                 "delta", id="NoiseChannel-bool-delta"),
+    pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": "0.1"},
+                 "noise channel: 'delta' must be float, not '0.1'", "delta",
+                 id="NoiseChannel-str-delta"),
+    pytest.param(NoiseChannel, {"delta": 0.1}, {"delta": False},
+                 "noise channel: 'delta' must be float, not False", "delta",
+                 id="NoiseChannel-bool-delta"),
     pytest.param(ExperimentConfig, {"model": NESTED4, "algorithm": "base"}, {"trials": 0},
                  "experiment config: trials must be >= 1", "trials", id="ExperimentConfig"),
     pytest.param(ModelSpec, {"family": "nested", "params": {"n": 4}}, {"family": "fig1"},
@@ -80,6 +91,23 @@ def test_a_bad_value_is_refused_when_built_and_a_built_record_is_frozen(cls, goo
 def test_an_experiment_config_checks_its_field_types_when_built(settings, message):
     with pytest.raises(SchemaError, match=re.escape(f"experiment config: {message}")):
         ExperimentConfig(NESTED4, **settings)
+
+
+def test_type_hints_are_resolved_once_per_owner(monkeypatch):
+    # Resolving ExperimentConfig's hints cost more than the rest of its
+    # construction; a preplanned trial rebuilds its SnagtConfig every time.
+    owners = []
+    resolve = typing.get_type_hints
+
+    def counted(owner, *args, **kwargs):
+        owners.append(owner)
+        return resolve(owner, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counted)
+    for i in range(100):
+        ExperimentConfig(NESTED4, "base", seed=i)
+        dataclasses.replace(SnagtConfig(4), seed=i)
+    assert [owner for owner, count in Counter(owners).items() if count > 1] == []
 
 
 # A valid value off its default for every engine setting, and what an
