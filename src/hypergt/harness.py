@@ -40,7 +40,7 @@ from .noisy import (
     run_noisy_snagt,
 )
 from .oracle import optimal_expected_tests, run_policy
-from .snagt import SnagtConfig, run_snagt
+from .snagt import SnagtConfig, band_plan, run_snagt
 
 # The engine settings each algorithm reads. Any other must keep its default.
 READS = {
@@ -125,9 +125,10 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
             dist: EdgeDistribution | None = None):
     """Check the engine settings of config against READS, and at the model's
     n once graph is given; SchemaError for any no trial can run with. With
-    dist too, return the runner of one trial, run(truth, seed, rng_engine,
-    rng_noise) -> Transcript; the oracle's policy is searched here, once per
-    model."""
+    dist too, return the runner of one trial, run(truth, seed, trial) ->
+    Transcript, which builds the trial's engine and noise generators only
+    where it draws from them. The oracle's policy and the preplanned engines'
+    band plan are built here, once per experiment."""
     algorithm, u = config.algorithm, config.u
     try:
         if algorithm not in READS:
@@ -157,11 +158,19 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     if dist is None:
         return None
     policy = optimal_expected_tests(graph, dist)[1] if algorithm == "oracle" else None
+    plan = None
+    if algorithm in ("snagt", "noisy_snagt"):
+        try:
+            plan = band_plan(graph, dist, u)
+        except Exception:  # noqa: BLE001 - each trial raises it again, as its own record
+            pass
 
     # The engines are looked up by their module names on every call, so a
     # rebinding of those names (as tracing does) takes effect. At delta = 0
-    # the noisy oracle answers truthfully and draws nothing.
-    def run(truth, seed, rng_engine, rng_noise):
+    # the noisy oracle answers truthfully and draws nothing, so it gets no
+    # generator; only the truncated variant draws from the engine generator.
+    def run(truth, seed, trial):
+        rng_noise = _generator(config.seed, trial, 2) if channel.delta else None
         oracle = noisy_oracle(truth, channel, rng_noise)
         if algorithm == "oracle":
             return run_policy(graph, policy, oracle)
@@ -169,13 +178,20 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
             return run_noisy_adaptive(graph, dist, oracle, adaptive, channel, alpha=config.alpha,
                                       u=u, max_physical_tests=config.max_tests)
         if algorithm == "snagt":
-            return run_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed))
+            return run_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed), plan=plan)
         if algorithm == "noisy_snagt":
             return run_noisy_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed),
-                                   channel, alpha=config.alpha)
+                                   channel, alpha=config.alpha, plan=plan)
+        rng_engine = _generator(config.seed, trial, 1) if algorithm == "truncated" else None
         return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine)
 
     return run
+
+
+def _generator(seed: int, trial: int, i: int) -> np.random.Generator:
+    """Generator i of a trial, from child (trial, i) of the master seed: 0
+    draws the target, 1 the truncated engine's nodes and 2 the noise flips."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, i)))
 
 
 def run_experiment(config: ExperimentConfig,
@@ -190,10 +206,9 @@ def run_experiment(config: ExperimentConfig,
     for trial in range(config.trials):
         ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))
         trial_seed = int(ss.generate_state(1, dtype=np.uint64)[0])
-        rng_target, rng_engine, rng_noise = (np.random.default_rng(s) for s in ss.spawn(3))
-        truth = sample_truth(graph, dist, rng_target)
+        truth = sample_truth(graph, dist, _generator(config.seed, trial, 0))
         try:
-            tr = run(truth, trial_seed, rng_engine, rng_noise)
+            tr = run(truth, trial_seed, trial)
         except Exception as exc:  # noqa: BLE001 - failures become records
             results.append(TrialResult(trial, trial_seed, truth.target, 0, 0, 0, 0,
                                        correct=False, halted=True, error=repr(exc)))
@@ -220,7 +235,8 @@ def write_csv(results: Sequence[TrialResult], path: str) -> None:
 
 def read_csv(path: str) -> list[TrialResult]:
     """Read a results CSV. The error column may be absent; a missing integer
-    column, or a cell of one that is not an integer, raises SchemaError."""
+    column, a cell of one that is not an integer, a negative one, or a
+    correct or halted cell other than 0 or 1 raises SchemaError."""
     numeric = CSV_COLUMNS[:-1]
     out = []
     with open(path, newline="") as fh:
@@ -236,6 +252,10 @@ def read_csv(path: str) -> list[TrialResult]:
                 except (TypeError, ValueError):
                     raise SchemaError(f"results CSV {path} row {i} column {key!r} holds "
                                       f"{row[key]!r}, not an integer") from None
+                flag = key in ("correct", "halted")
+                if cells[key] < 0 or flag and cells[key] > 1:
+                    raise SchemaError(f"results CSV {path} row {i} column {key!r} holds "
+                                      f"{row[key]!r}, not {'0 or 1' if flag else 'an integer >= 0'}")
             cells["correct"], cells["halted"] = bool(cells["correct"]), bool(cells["halted"])
             out.append(TrialResult(**cells, error=row.get("error") or None))
     return out

@@ -306,28 +306,42 @@ def _check_types(owner, values: dict, what: str, natural: bool = False) -> None:
 
 @functools.cache
 def _hints(owner) -> dict:
-    """The resolved type of each name that owner annotates."""
-    return typing.get_type_hints(owner)
+    """The type of each name that owner annotates, as `_members` of its hint."""
+    return {name: _members(hint) for name, hint in typing.get_type_hints(owner).items()}
 
 
-def _conforms(value, hint, natural: bool = False) -> bool:
-    """Whether value has the annotated type: int and float take numbers but not
-    booleans, and with `natural` int takes none below 0; a sequence or a tuple
-    takes a list, tuple or numpy array, and any other type its instances."""
-    if hint is int or hint is float:  # an exact int or float skips the ABC check
-        kind = numbers.Integral if hint is int else numbers.Real
-        return (type(value) is hint or isinstance(value, kind) and not isinstance(value, bool)) and (
-            not natural or hint is float or value >= 0)
+def _members(hint) -> tuple:
+    """A resolved hint as the tuple of types a value may have: a union gives
+    each of its members, a Sequence[X] or tuple[X, ...] the pair (its origin,
+    the members of each argument), and any other hint itself."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType or origin is typing.Union:
-        return any(_conforms(value, a, natural) for a in args)
+        return tuple(m for a in args for m in _members(a))
     if origin in (Sequence, tuple):
-        if not isinstance(value, (list, tuple, np.ndarray)):
-            return False
-        if origin is tuple:
-            return len(value) == len(args) and all(_conforms(x, a, natural) for x, a in zip(value, args))
-        return all(_conforms(x, args[0], natural) for x in value)
-    return isinstance(value, hint)
+        return ((origin, tuple(_members(a) for a in args)),)
+    return (hint,)
+
+
+def _conforms(value, members: tuple, natural: bool = False) -> bool:
+    """Whether value has one of the `_members` types: int and float take
+    numbers but not booleans, and with `natural` int takes none below 0; a
+    sequence or a tuple takes a list, tuple or numpy array, and any other type
+    its instances."""
+    for hint in members:
+        if hint is int or hint is float:  # an exact int or float skips the ABC check
+            kind = numbers.Integral if hint is int else numbers.Real
+            ok = (type(value) is hint or isinstance(value, kind) and not isinstance(value, bool)) and (
+                not natural or hint is float or value >= 0)
+        elif type(hint) is tuple:  # (Sequence or tuple, the members of each argument)
+            origin, args = hint
+            ok = isinstance(value, (list, tuple, np.ndarray)) and (
+                len(value) == len(args) and all(_conforms(x, a, natural) for x, a in zip(value, args))
+                if origin is tuple else all(_conforms(x, args[0], natural) for x in value))
+        else:
+            ok = isinstance(value, hint)
+        if ok:
+            return True
+    return False
 
 
 def parse_json(text: str, what: str):

@@ -44,7 +44,7 @@ from .model import (
     validate_model,
 )
 from .sets import nodes_of
-from .snagt import SnagtConfig, _run as _snagt_run
+from .snagt import BandPlan, SnagtConfig, _run as _snagt_run
 from .transcript import INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
 TestOracle = Callable[[int], bool]
@@ -101,8 +101,9 @@ def _check_budget(u: int | None, max_physical_tests: int | None) -> None:
 
 
 def noisy_oracle(truth: GroundTruth, channel: NoiseChannel,
-                 rng: np.random.Generator) -> TestOracle:
-    """True outcome XOR an independent Bernoulli(delta) flip per call."""
+                 rng: np.random.Generator | None) -> TestOracle:
+    """True outcome XOR an independent Bernoulli(delta) flip per call; at
+    delta = 0 nothing is drawn, and rng may be None."""
     clean = noiseless_oracle(truth)
     delta = channel.delta
 
@@ -240,13 +241,13 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
 
 def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
                     config: SnagtConfig, channel: NoiseChannel,
-                    alpha: float = 2.0) -> Transcript:
+                    alpha: float = 2.0, plan: BandPlan | None = None) -> Transcript:
     """Semi-non-adaptive run under noise: every scheduled random test is
     repeated per `repetitions` with x = u n, and the majority verdict drives
     elimination. Schedule and repetition counts depend only on (n, u, seed),
     so the design stays target-independent; the test cap scales by the
-    repetition factor."""
+    repetition factor. `plan` is as for `run_snagt`."""
     _check_types(run_noisy_snagt, {"alpha": alpha}, "run_noisy_snagt")
     config._threshold_and_cap(graph.n)  # refuses n = 0 before log2(u n) can
     return _snagt_run(graph, dist, oracle, config,
-                      _repetitions(alpha, config.u * graph.n, channel.delta))
+                      _repetitions(alpha, config.u * graph.n, channel.delta), plan)

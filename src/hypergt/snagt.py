@@ -6,9 +6,12 @@ survivors are partitioned into dyadic probability bands; a band becomes a
 candidate once a single edge of it survives, and the run stops when some
 candidate has survived ceil(stop_coeff * u * log2 n) further tests. `_run`
 keeps these rules as flat arrays: a band id per live edge, and a count,
-candidate flag and time per band. Every queried set is drawn before any
-outcome is seen (each node independently with probability 1/u), so the
-schedule is a pure function of (n, u, seed).
+candidate flag and time per band. Those arrays at the start of a run, with
+the live edges' word store, depend only on (graph, dist, u): `band_plan`
+builds them as a read-only `BandPlan`, which the harness builds once per
+experiment and a direct call builds for itself. Every queried set is drawn
+before any outcome is seen (each node independently with probability 1/u),
+so the schedule is a pure function of (n, u, seed).
 
 As no test waits for an outcome, `_run` draws many tests at once: no band
 can ripen within threshold - max(time) tests, so each pass of its one loop
@@ -16,8 +19,9 @@ checks the stopping rule and the cap, then draws at most that many tests, and
 at most 8, 16, 32, ... in successive passes. A draw is packed at once, asked
 in order, and scored by one word kernel that finds each live edge's first
 contradicted test; per-band cumulative deaths give each record the snapshot a
-test-at-a-time loop would. The draws are cut from one stream, so schedule,
-oracle calls and transcripts are that loop's.
+test-at-a-time loop would, and the draw goes into the transcript as one
+block. The draws are cut from one stream, so schedule, oracle calls and
+transcripts are that loop's.
 
 The kernel reads the live edges' words row by row, so their store stays
 row-major: the model's own store when every edge is live, else a `take` of
@@ -78,17 +82,26 @@ def random_test_set(n: int, u: int, rng: np.random.Generator, k: int) -> np.ndar
     return pack_rows(rng.random((k, n)) < 1.0 / u)
 
 
-def run_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle,
-              config: SnagtConfig) -> Transcript:
-    """Noiseless semi-non-adaptive run. Empty scheduled tests are real tests:
-    they are issued, recorded, and always answer negative."""
-    return _run(graph, dist, oracle, config, repetitions=1)
+@dataclass(frozen=True)
+class BandPlan:
+    """The per-model part of a preplanned run at size bound u: the indices of
+    the live edges (size <= u, positive mass), the band id of each, and per
+    band its edge count, zero time and no candidacy; plus the live edges'
+    row-major word store. A run never writes into these arrays, so one plan
+    serves every run on (graph, dist, u)."""
+
+    u: int
+    live: np.ndarray
+    band: np.ndarray
+    count: np.ndarray
+    time: np.ndarray
+    candidate: np.ndarray
+    live_words: np.ndarray
 
 
-def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
-         repetitions: int) -> Transcript:
-    validate_model(graph, dist)
-    u = config.u
+def band_plan(graph: Hypergraph, dist: EdgeDistribution, u: int) -> BandPlan:
+    """The BandPlan of (graph, dist) at u; EmptySupport when the edges of
+    size <= u carry no probability."""
     n = graph.n
     # u bounds the target size as Pr(|e*| > u) -> 0, so size-u edges stay; a
     # regular support run with u equal to the common edge size keeps its mass.
@@ -109,11 +122,34 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
     count = np.bincount(band)
     # A band's time counts the tests it survived as a candidate; candidacy is
     # count == 1, taken after each test, so no band starts as one.
-    time = np.zeros(count.size, dtype=np.int64)
-    candidate = np.zeros(count.size, dtype=bool)
+    time, candidate = np.zeros(count.size, dtype=np.int64), np.zeros(count.size, dtype=bool)
+    for a in (live, band, count, time, candidate):
+        a.flags.writeable = False
     # Row-major live columns of the caller's cached store: the store itself
-    # when every edge is live (the first `compress` copies it), else a `take`.
+    # when every edge is live (a run's first `compress` copies it), else a `take`.
     live_words = graph.words if live.size == len(graph) else graph.words.take(live, axis=1)
+    return BandPlan(u, live, band, count, time, candidate, live_words)
+
+
+def run_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle,
+              config: SnagtConfig, plan: BandPlan | None = None) -> Transcript:
+    """Noiseless semi-non-adaptive run. Empty scheduled tests are real tests:
+    they are issued, recorded, and always answer negative. `plan` is
+    band_plan(graph, dist, config.u), built here when not given."""
+    return _run(graph, dist, oracle, config, 1, plan)
+
+
+def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
+         repetitions: int, plan: BandPlan | None = None) -> Transcript:
+    validate_model(graph, dist)
+    u = config.u
+    n = graph.n
+    if plan is None:
+        plan = band_plan(graph, dist, u)
+    elif plan.u != u:
+        raise SchemaError(f"a band plan for u={plan.u} cannot run a config with u={u}")
+    live, band, count, time, candidate, live_words = (
+        plan.live, plan.band, plan.count, plan.time, plan.candidate, plan.live_words)
 
     threshold, cap = config._threshold_and_cap(n)
     if threshold >= cap:
@@ -152,8 +188,10 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
         block = random_test_set(n, u, schedule_rng, k)
         raw, width = block.tobytes(), 8 * block.shape[1]
         masks = [int.from_bytes(raw[i:i + width], "little") for i in range(0, k * width, width)]
-        outcomes = [bool(oracle(m)) for m in masks for _ in range(repetitions)]
-        verdict = 2 * np.reshape(outcomes, (k, repetitions)).sum(axis=1) >= repetitions
+        asked = masks if repetitions == 1 else np.repeat(np.array(masks, dtype=object),
+                                                          repetitions).tolist()
+        outcomes = list(map(oracle, asked))
+        verdict = 2 * np.array(outcomes, dtype=bool).reshape(k, repetitions).sum(axis=1) >= repetitions
 
         # An edge dies at its first test whose verdict it contradicts.
         wrong = meets(live_words, block) != verdict[:, None]
@@ -163,11 +201,11 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
         after = count - np.cumsum(deaths, axis=0)  # band counts after each test
         before = np.vstack([candidate, after[:-1] == 1])  # candidacy before each test
         times = time + np.cumsum(before, axis=0) - before  # band times before each test
-        sg_size, sg_max_time = before.sum(axis=1).tolist(), times.max(axis=1).tolist()
-        for j, outcome in enumerate(outcomes):
-            i = j // repetitions
-            tr.add(masks[i], outcome, RANDOM, None, tests + i if repetitions > 1 else None,
-                   sg_size[i], sg_max_time[i])
+        tr.extend(asked, outcomes, RANDOM,
+                  rep_group=None if repetitions == 1 else
+                  np.repeat(np.arange(tests, tests + k), repetitions).tolist(),
+                  sg_size=np.repeat(before.sum(axis=1), repetitions).tolist(),
+                  sg_max_time=np.repeat(times.max(axis=1), repetitions).tolist())
         tests += k
         count, candidate, time = after[-1], after[-1] == 1, times[-1] + before[-1]
         live, band = live[~dead], band[~dead]

@@ -1,5 +1,6 @@
 """Engine run records: ordered tests with stage tags plus outcome counters,
-and the reader of their JSON form."""
+and the reader of their JSON form. A transcript stores its records as
+columns, so an engine can append a whole block of tests in one call."""
 
 from __future__ import annotations
 
@@ -53,13 +54,20 @@ class TestEntry:
 class Transcript:
     """What a run did: every issued test, counters, and the returned answer.
 
-    Stage 2 counts the individual and complement records and stage 1 the
-    rest; empty queries are resolved as negative at zero cost and never
-    appear here (the preplanned engines are the exception: their empty tests
-    are real scheduled tests).
+    The records are stored as columns, one list per `TestEntry` field;
+    `records` builds the entries when read. Stage 2 counts the individual and
+    complement records and stage 1 the rest; empty queries are resolved as
+    negative at zero cost and never appear here (the preplanned engines are
+    the exception: their empty tests are real scheduled tests).
     """
 
-    records: list[TestEntry] = field(default_factory=list)
+    query_masks: list[int] = field(default_factory=list)
+    outcomes: list[bool] = field(default_factory=list)
+    stages: list[str] = field(default_factory=list)
+    masses_removed: list[float | None] = field(default_factory=list)
+    rep_groups: list[int | None] = field(default_factory=list)
+    sg_sizes: list[int | None] = field(default_factory=list)
+    sg_max_times: list[int | None] = field(default_factory=list)
     informative: int = 0
     pn: int = 0
     result_edge: int | None = None
@@ -67,13 +75,22 @@ class Transcript:
     halted: bool = False
     mu_stage2: float | None = None  # expected infections at stage-2 entry
 
+    def _columns(self) -> tuple[list, ...]:
+        """The record columns in `TestEntry` field order."""
+        return (self.query_masks, self.outcomes, self.stages, self.masses_removed,
+                self.rep_groups, self.sg_sizes, self.sg_max_times)
+
+    @property
+    def records(self) -> list[TestEntry]:
+        return [TestEntry(*row) for row in zip(*self._columns())]
+
     @property
     def total(self) -> int:
-        return len(self.records)
+        return len(self.stages)
 
     @property
     def stage2(self) -> int:
-        return sum(r.stage in (INDIVIDUAL, COMPLEMENT) for r in self.records)
+        return self.stages.count(INDIVIDUAL) + self.stages.count(COMPLEMENT)
 
     @property
     def stage1(self) -> int:
@@ -91,8 +108,29 @@ class Transcript:
         removed; rep_group, the index shared by the repeats of one noisy test;
         sg_size and sg_max_time, a preplanned engine's candidate-band count
         and longest band survival time before the test."""
-        self.records.append(TestEntry(query_mask, bool(outcome), stage, mass_removed, rep_group,
-                                      sg_size, sg_max_time))
+        self.query_masks.append(query_mask)
+        self.outcomes.append(bool(outcome))
+        self.stages.append(stage)
+        self.masses_removed.append(mass_removed)
+        self.rep_groups.append(rep_group)
+        self.sg_sizes.append(sg_size)
+        self.sg_max_times.append(sg_max_time)
+
+    def extend(self, query_masks: list[int], outcomes: list[bool], stage: str,
+               mass_removed: list[float | None] | None = None,
+               rep_group: list[int | None] | None = None, sg_size: list[int | None] | None = None,
+               sg_max_time: list[int | None] | None = None) -> None:
+        """Append one record per query mask, all of one stage: the records
+        `add` would append one at a time. Each optional field is a list of
+        one value per record, or None for all; ValueError for a list of
+        another length."""
+        k = len(query_masks)
+        values = (query_masks, list(map(bool, outcomes)), [stage] * k, mass_removed, rep_group,
+                  sg_size, sg_max_time)
+        if any(v is not None and len(v) != k for v in values):
+            raise ValueError(f"every column of a block of {k} records needs {k} values")
+        for column, v in zip(self._columns(), values):
+            column += [None] * k if v is None else v
 
     def to_json(self) -> dict[str, Any]:
         return {

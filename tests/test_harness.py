@@ -88,6 +88,35 @@ class TestRunExperiment:
         assert s.wrong == 0
         assert abs(s.tests.mean - 1.5) < 0.1
 
+    @pytest.mark.parametrize("algorithm,settings", [
+        ("snagt", {"u": 3, "stop_coeff": 1.0}),
+        ("noisy_snagt", {"u": 3, "stop_coeff": 1.0, "delta": 0.05}),
+    ], ids=["snagt", "noisy_snagt"])
+    def test_the_band_plan_is_built_once_per_experiment(self, monkeypatch, algorithm, settings):
+        built = []
+        original = harness.band_plan
+        monkeypatch.setattr(harness, "band_plan", lambda *a: built.append(a) or original(*a))
+        config = ExperimentConfig(model=ModelSpec("nested", {"n": 6}), algorithm=algorithm,
+                                  trials=4, **settings)
+        results = run_experiment(config)
+        assert len(built) == 1 and len(results) == 4
+        assert all(r.error is None for r in results)
+
+    @pytest.mark.parametrize("algorithm,settings,generators", [
+        ("base", {}, 1),  # the target's
+        ("truncated", {"eps": 0.2}, 2),  # and the engine's node picks
+        ("noisy_adaptive", {"delta": 0.05}, 2),  # and the noise flips
+    ], ids=["base", "truncated", "noisy"])
+    def test_a_trial_builds_only_the_generators_it_draws_from(self, monkeypatch, algorithm,
+                                                             settings, generators):
+        built = []
+        original = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or original(*a))
+        config = ExperimentConfig(model=ModelSpec("nested", {"n": 6}), algorithm=algorithm,
+                                  trials=5, **settings)
+        run_experiment(config)
+        assert len(built) == 5 * generators
+
     def test_snagt_requires_u(self, fig1_files):
         with pytest.raises(ValueError):
             ExperimentConfig(model=fig1_files, algorithm="snagt", trials=1)
@@ -237,7 +266,13 @@ class TestCsv:
          "lacks column 'tests'"),
         (CSV_HEADER + "\n0,1,2,3,2,1,2,1,0\n1,1,2,x,2,1,2,1,0\n", "row 2 column 'tests'"),
         (CSV_HEADER + "\n0,1,2,3,2,1\n", "row 1 column 'informative'"),
-    ], ids=["missing-column", "not-an-integer", "short-row"])
+        (CSV_HEADER + "\n0,1,2,3,2,1,2,1,0\n1,1,2,3,2,1,2,2,0\n",
+         "row 2 column 'correct' holds '2', not 0 or 1"),
+        (CSV_HEADER + "\n0,1,2,3,2,1,2,1,7\n", "row 1 column 'halted' holds '7', not 0 or 1"),
+        (CSV_HEADER + "\n0,1,2,-3,2,1,2,1,0\n", "row 1 column 'tests' holds '-3', not an integer >= 0"),
+        (CSV_HEADER + "\n0,1,2,3,2,-1,2,1,0\n", "row 1 column 'stage2' holds '-1'"),
+    ], ids=["missing-column", "not-an-integer", "short-row", "correct-2", "halted-7",
+            "negative-tests", "negative-stage2"])
     def test_read_names_the_bad_cell(self, tmp_path, text, message):
         path = tmp_path / "r.csv"
         path.write_text(text)

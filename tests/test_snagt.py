@@ -11,7 +11,8 @@ from hypergt.errors import EmptySupport, SchemaError
 from hypergt.model import NODE_CAP, EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
 from hypergt.noisy import NoiseChannel, noisy_oracle, repetitions, run_noisy_snagt
 from hypergt.sets import mask_of, meets
-from hypergt.snagt import SnagtConfig, dyadic_bucket, random_test_set, run_snagt
+from hypergt.snagt import SnagtConfig, band_plan, dyadic_bucket, random_test_set, run_snagt
+from hypergt.transcript import COMPLEMENT, INDIVIDUAL, RANDOM, RESIDUAL, SPLIT, Transcript
 
 
 class TestDyadicPartition:
@@ -400,3 +401,96 @@ class TestStoreLayout:
         run_noisy_snagt(g, d, noisy_oracle(truth_for(g, target), channel,
                                            np.random.default_rng(0)), config, channel)
         assert len(stores) > 2 and all(stores)
+
+
+class TestBandPlan:
+    """One plan serves every run on its (graph, dist, u): runs given it equal
+    runs that build their own, and leave it as it was."""
+
+    def test_runs_that_share_a_plan_match_runs_that_build_one(self):
+        g, d = community12()
+        plan = band_plan(g, d, 4)
+        before = [a.copy() for a in (plan.live, plan.band, plan.count, plan.time, plan.candidate)]
+        channel = NoiseChannel(0.1)
+        for seed in range(3):
+            config = SnagtConfig(u=4, stop_coeff=1.0, seed=seed)
+            shared = run_snagt(g, d, oracle_for(g, seed), config, plan=plan)
+            assert shared.to_json() == run_snagt(g, d, oracle_for(g, seed), config).to_json()
+            noisy = [run_noisy_snagt(g, d, noisy_oracle(truth_for(g, seed), channel,
+                                                        np.random.default_rng(seed)),
+                                     config, channel, **kw).to_json() for kw in ({"plan": plan}, {})]
+            assert noisy[0] == noisy[1]
+        after = (plan.live, plan.band, plan.count, plan.time, plan.candidate)
+        assert all(np.array_equal(a, b) and not b.flags.writeable for a, b in zip(before, after))
+
+    def test_a_plan_for_another_u_is_refused(self):
+        g, d = community12()
+        with pytest.raises(SchemaError, match="a band plan for u=3 cannot run a config with u=4"):
+            run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=4, seed=0), plan=band_plan(g, d, 3))
+
+    def test_an_empty_support_is_refused_when_planned(self):
+        g = Hypergraph(3, [[0, 1, 2]])
+        with pytest.raises(EmptySupport):
+            band_plan(g, EdgeDistribution([1.0]), 2)
+
+
+# (query mask, outcome, stage, mass removed) of an adaptive run's records.
+MIXED = [(0b011, True, SPLIT, 0.25), (0b100, False, SPLIT, 0.5), (0b001, True, RESIDUAL, None),
+         (0b001, True, INDIVIDUAL, None), (0b010, False, INDIVIDUAL, None),
+         (0b110, True, COMPLEMENT, None)]
+
+
+class TestTranscriptBlocks:
+    """`Transcript.extend` appends the records `add` would, one at a time."""
+
+    @staticmethod
+    def one_at_a_time(records):
+        tr = Transcript()
+        for r in records:
+            tr.add(r.query_mask, r.outcome, r.stage, r.mass_removed, r.rep_group, r.sg_size,
+                   r.sg_max_time)
+        return tr
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.records == b.records
+        assert a.to_json()["records"] == b.to_json()["records"]
+        assert (a.total, a.stage1, a.stage2) == (b.total, b.stage1, b.stage2)
+
+    def test_blocks_of_a_mixed_stage_transcript(self):
+        single = Transcript()
+        for mask, outcome, stage, removed in MIXED:
+            single.add(mask, outcome, stage, mass_removed=removed)
+        blocks = Transcript()
+        for start, stop in ((0, 2), (2, 3), (3, 5), (5, 6)):  # one block per run of a stage
+            rows = MIXED[start:stop]
+            blocks.extend([r[0] for r in rows], [r[1] for r in rows], rows[0][2],
+                          mass_removed=[r[3] for r in rows])
+        self.assert_same(blocks, single)
+        assert (blocks.total, blocks.stage1, blocks.stage2) == (6, 3, 3)
+
+    def test_a_noisy_preplanned_block_with_rep_groups(self):
+        g, d = community12()
+        channel = NoiseChannel(0.1)
+        tr = run_noisy_snagt(g, d, noisy_oracle(truth_for(g, 1), channel, np.random.default_rng(1)),
+                             SnagtConfig(u=4, stop_coeff=1.0, seed=1), channel)
+        assert len({r.rep_group for r in tr.records}) < tr.total  # groups of repeats
+        self.assert_same(tr, self.one_at_a_time(tr.records))
+        whole = Transcript()
+        records = tr.records
+        whole.extend([r.query_mask for r in records], [r.outcome for r in records], RANDOM,
+                     rep_group=[r.rep_group for r in records], sg_size=[r.sg_size for r in records],
+                     sg_max_time=[r.sg_max_time for r in records])
+        self.assert_same(whole, tr)
+
+    def test_outcomes_are_stored_as_booleans(self):
+        tr = Transcript()
+        tr.extend([1, 2], [np.True_, 0], SPLIT)
+        assert [type(o) for o in tr.outcomes] == [bool, bool]
+        assert tr.to_json()["records"][1]["outcome"] is False
+
+    def test_a_column_of_another_length_is_refused(self):
+        tr = Transcript()
+        with pytest.raises(ValueError, match="a block of 2 records needs 2 values"):
+            tr.extend([1, 2], [True, False], RANDOM, sg_size=[0])
+        assert tr.total == 0
