@@ -30,6 +30,16 @@ it is not inside S: the scan's in-S masses are what a negative outcome keeps,
 and q less them what a positive one keeps. The noiseless observer conditions
 on them with no pass over the edge words.
 
+Under base and regular each stage-1 test depends on the outcome history
+alone, so all runs of one model and config walk one decision tree, and a step
+memo that they share holds each stage-1 step under its history: the test's
+mask and stage and a residual test's flags, or a leaf's certain edge. A run
+that finds its history there asks the stored test with no scan or marginals
+and conditions on it through `condition_on_test`, which gives the bits the
+scan's in-S route gives, so the run goes on as a fresh one would. The
+truncated variant, which draws random nodes, and the noisy observer run with
+no memo.
+
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
 often a test site is asked, how each answer updates the posterior and the
@@ -220,6 +230,18 @@ def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
     return tr
 
 
+@dataclass(slots=True)
+class _Step:
+    """The stage-1 step that any trial with one outcome history takes: a
+    leaf's certain edge, or the test's mask, stage and residual flags (those
+    of a residual test only, which stage 2 reads)."""
+
+    edge: int | None
+    t_mask: int = 0
+    stage: str | None = None
+    s: np.ndarray | None = None
+
+
 class _Exact:
     """Noiseless observer: each test site is asked once and conditioned on
     exactly; the stage-2 sweep ends on the certain edge."""
@@ -263,11 +285,14 @@ class _Exact:
 
 
 def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
-         active: np.ndarray, rng: np.random.Generator | None = None) -> Transcript:
+         active: np.ndarray, rng: np.random.Generator | None = None,
+         memo: dict | None = None) -> Transcript:
     """The two-stage loop. `active` flags the nodes stage 1 scans first;
     after each test it is the nodes of positive marginal, which a noisy
     posterior can give back to a node it had underflowed. An observer verdict
-    of None means the observer halted the run."""
+    of None means the observer halted the run. `memo`, for `_Exact` under
+    base or regular only, maps an outcome history (a key >= 1) to the stage-1
+    step taken there; a step found in it is replayed instead of scanned."""
     variant = config.variant
     if variant == "truncated":
         f2 = resolve_f2(config, graph, dist)
@@ -275,24 +300,38 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
             rng = np.random.default_rng()
     c = config.c
     tr = obs.tr
-    marg = node_marginals(obs.post)
+    marg = None  # the node marginals of obs.post, taken when a step is scanned
+    key = 1  # the outcome history, as bits after a leading 1
 
     while True:
-        idx = certain_edge(obs.post)
-        if idx is not None:
-            return _finish(tr, graph, idx)
-
-        s, found, w_s, in_s = _split_scan(obs.post.q, marg, graph, active, c)
-        t_mask = mask_from_flags(active & ~s)
-        if found:
-            verdict = obs.ask(t_mask, SPLIT, in_s)
-        else:
-            # No informative split exists: the residual S holds almost all
-            # the mass and each of its nodes is almost surely infected.
-            _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
-            _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
+        step = None if memo is None else memo.get(key)
+        if step is None:
+            idx = certain_edge(obs.post)
+            if idx is not None:
+                if memo is not None:
+                    memo[key] = _Step(idx)
+                return _finish(tr, graph, idx)
+            if marg is None:
+                marg = node_marginals(obs.post)
+            if active is None:
+                active = marg > 0.0
+            s, found, w_s, in_s = _split_scan(obs.post.q, marg, graph, active, c)
+            if not found:
+                # No informative split exists: the residual S holds almost all
+                # the mass and each of its nodes is almost surely infected.
+                _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
+                _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
+            step = _Step(None, mask_from_flags(active & ~s), SPLIT if found else RESIDUAL,
+                         None if found else s)
+            if memo is not None:
+                memo[key] = step
             # An empty complement is resolved as negative at zero test cost.
-            verdict = obs.ask(t_mask, RESIDUAL, in_s) if t_mask else False
+            verdict = obs.ask(step.t_mask, step.stage, in_s) if step.t_mask else False
+        elif step.edge is not None:
+            return _finish(tr, graph, step.edge)
+        else:
+            found, s = step.stage == SPLIT, step.s
+            verdict = obs.ask(step.t_mask, step.stage) if step.t_mask else False
         if verdict is None:
             return tr
         if found or verdict:
@@ -312,8 +351,8 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     tr.result_mask = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
                     tr.result_edge = certain_edge(obs.post)
                     return tr
-        marg = node_marginals(obs.post)
-        active = marg > 0.0
+        marg = active = None
+        key = 2 * key + verdict
 
 
 def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
@@ -348,11 +387,27 @@ def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
 
 def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
                  config: AdaptiveConfig | None = None,
-                 rng: np.random.Generator | None = None) -> Transcript:
+                 rng: np.random.Generator | None = None,
+                 memo: dict | None = None) -> Transcript:
     """Run the configured variant against a noiseless oracle. Stage 1 first
     scans all n nodes, those of zero prior mass included. rng draws the
-    truncated variant's random node picks; None means an unseeded one."""
+    truncated variant's random node picks; None means an unseeded one.
+
+    memo, for base and regular only, is a dict that the runs of one (graph,
+    dist, c) share, empty at first: each stage-1 step a run computes is
+    stored under its outcome history, and a later run with that history
+    replays it. Key 0 holds the (graph, dist, c) that filled it. SchemaError
+    for a memo filled for another graph, dist (by identity) or c, and for a
+    memo under the truncated variant, whose stage 1 resumes after random
+    node picks."""
     config = config or AdaptiveConfig()
     validate_model(graph, dist)
+    if memo is not None:
+        if config.variant == "truncated":
+            raise SchemaError("a step memo applies only to the base and regular variants")
+        owner = memo.setdefault(0, (graph, dist, config.c))
+        if owner[0] is not graph or owner[1] is not dist or owner[2] != config.c:
+            raise SchemaError(f"a step memo filled for another graph, dist or c "
+                              f"(c={owner[2]}, not {config.c})")
     obs = _Exact(oracle, prior_posterior(graph, dist))
-    return _run(graph, dist, config, obs, np.ones(graph.n, dtype=bool), rng)
+    return _run(graph, dist, config, obs, np.ones(graph.n, dtype=bool), rng, memo)

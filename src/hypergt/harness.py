@@ -128,7 +128,10 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     dist too, return the runner of one trial, run(truth, seed, trial) ->
     Transcript, which builds the trial's engine and noise generators only
     where it draws from them. The oracle's policy and the preplanned engines'
-    band plan are built here, once per experiment."""
+    band plan are built here, once per experiment, and so is the empty step
+    memo that the trials of base and regular share: both pick each stage-1
+    test from the outcome history alone, so a trial replays every step an
+    earlier trial with the same history computed."""
     algorithm, u = config.algorithm, config.u
     try:
         if algorithm not in READS:
@@ -158,6 +161,7 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     if dist is None:
         return None
     policy = optimal_expected_tests(graph, dist)[1] if algorithm == "oracle" else None
+    memo = {} if algorithm in ("base", "regular") else None
     plan = None
     if algorithm in ("snagt", "noisy_snagt"):
         try:
@@ -183,7 +187,7 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
             return run_noisy_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed),
                                    channel, alpha=config.alpha, plan=plan)
         rng_engine = _generator(config.seed, trial, 1) if algorithm == "truncated" else None
-        return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine)
+        return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine, memo=memo)
 
     return run
 

@@ -520,7 +520,8 @@ class TestVariantGuards:
 
 # Stubs conditioning, on a test mask and on a scan's kept masses alike, with
 # a step that removes nothing, then runs fig1 at c=0.1, whose first test is a
-# weight-window split.
+# weight-window split, twice on one step memo: the second run replays the
+# step the first one scanned.
 NO_OP_CONDITIONING_PROBE = """
 import hypergt.adaptive as adaptive
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
@@ -530,10 +531,13 @@ adaptive._conditioned = lambda post, q, t, outcome: post
 graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])
 dist = EdgeDistribution([0.3, 0.2, 0.5])
 truth = GroundTruth(0, graph.edge_masks[0])
-try:
-    adaptive.run_adaptive(graph, dist, noiseless_oracle(truth), adaptive.AdaptiveConfig(c=0.1))
-except Exception as exc:
-    print(type(exc).__name__)
+memo = {}
+for _ in range(2):
+    try:
+        adaptive.run_adaptive(graph, dist, noiseless_oracle(truth), adaptive.AdaptiveConfig(c=0.1),
+                              memo=memo)
+    except Exception as exc:
+        print(type(exc).__name__)
 """
 
 
@@ -546,7 +550,91 @@ class TestInvariants:
         done = subprocess.run([sys.executable, "-O", "-c", NO_OP_CONDITIONING_PROBE],
                               env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=60)
-        assert done.stdout.strip() == "InvariantViolation", done.stderr
+        assert done.stdout.split() == ["InvariantViolation"] * 2, done.stderr
+
+
+def counted(graph, target):
+    """A truthful oracle for target, and the list of the queries it was asked."""
+    asked = []
+    answer = oracle_for(graph, target)
+    return asked, lambda t: asked.append(t) or answer(t)
+
+
+def transcript_or_error(run):
+    try:
+        return run().to_json()
+    except (NotRegular, OracleInconsistent) as exc:
+        return repr(exc)
+
+
+class TestStepMemo:
+    """Runs that share a step memo replay the stage-1 steps that earlier runs
+    computed; each must give a fresh run's transcript, asking the oracle once
+    per recorded test."""
+
+    @staticmethod
+    def model(name, fig1):
+        if name == "fig1":
+            return fig1
+        if name == "point_mass":  # the root step is a leaf
+            return Hypergraph(4, [[0], [1, 2], [3]]), EdgeDistribution([0.0, 1.0, 0.0])
+        return build_model(GOLDEN_MODELS[name][0])
+
+    @pytest.mark.parametrize("variant", ["base", "regular"])
+    @pytest.mark.parametrize("name", [*GOLDEN_MODELS, "fig1", "point_mass"])
+    def test_shared_memo_runs_match_fresh_runs(self, fig1, name, variant):
+        graph, dist = self.model(name, fig1)
+        targets = np.random.default_rng(7).choice(len(dist), size=50, p=dist.probs).tolist()
+        for c in (1.0 / 3.0, 0.45, 0.2):
+            config = AdaptiveConfig(c=c, variant=variant)
+            memo = {}
+            for target in targets:
+                asked, oracle = counted(graph, target)
+                shared = transcript_or_error(
+                    lambda: run_adaptive(graph, dist, oracle, config, memo=memo))
+                fresh = transcript_or_error(
+                    lambda: run_adaptive(graph, dist, oracle_for(graph, target), config))
+                assert shared == fresh, (c, target)
+                if isinstance(shared, dict):
+                    assert len(asked) == len(shared["records"]), (c, target)
+            steps = [step for key, step in memo.items() if key]
+            if name == "point_mass":
+                assert [step.edge for step in steps] == [1]
+            if name == "cosize70":  # stage 2 entered on an empty complement
+                assert [(step.stage, step.t_mask) for step in steps] == [(RESIDUAL, 0)]
+
+    @pytest.mark.parametrize("variant", ["base", "regular"])
+    def test_a_failed_run_leaves_nothing_to_replay(self, variant):
+        g, d = build_cosize(6)
+        config = AdaptiveConfig(c=0.2, variant=variant)
+        memo = {}
+        with pytest.raises(OracleInconsistent):
+            run_adaptive(g, d, lambda t: False, config, memo=memo)
+        for target in range(len(d)):
+            asked, oracle = counted(g, target)
+            shared = run_adaptive(g, d, oracle, config, memo=memo).to_json()
+            assert shared == run_adaptive(g, d, oracle_for(g, target), config).to_json()
+            assert len(asked) == len(shared["records"])
+
+    def test_a_memo_filled_for_another_model_or_c_is_refused(self, fig1):
+        graph, dist = fig1
+        memo = {}
+        run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.2), memo=memo)
+        run_adaptive(graph, dist, oracle_for(graph, 1), AdaptiveConfig(c=0.2, variant="regular"),
+                     memo=memo)  # base and regular share stage 1
+        filled = dict(memo)
+        same_graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])  # equal, but not the one
+        for g, d, c in ((graph, dist, 0.45), (same_graph, dist, 0.2),
+                        (graph, EdgeDistribution([0.3, 0.2, 0.5]), 0.2)):
+            with pytest.raises(SchemaError, match="another graph, dist or c"):
+                run_adaptive(g, d, oracle_for(g, 0), AdaptiveConfig(c=c), memo=memo)
+        assert memo == filled
+
+    def test_truncated_refuses_a_memo(self, fig1):
+        graph, dist = fig1
+        with pytest.raises(SchemaError, match="base and regular"):
+            run_adaptive(graph, dist, oracle_for(graph, 0),
+                         AdaptiveConfig(variant="truncated", f2=1), memo={})
 
 
 class TestTranscriptRecord:

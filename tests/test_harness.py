@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import hypergt
-from hypergt import cli, harness
+from hypergt import adaptive, cli, harness, noisy
 from hypergt.builders import ModelSpec, build_model
 from hypergt.cli import main as cli_main
 from hypergt.errors import MismatchedConfig, NodeOutOfRange, SchemaError
@@ -101,6 +102,42 @@ class TestRunExperiment:
         results = run_experiment(config)
         assert len(built) == 1 and len(results) == 4
         assert all(r.error is None for r in results)
+
+    @pytest.mark.parametrize("algorithm,settings,shared", [
+        ("base", {}, True),
+        ("regular", {}, True),
+        ("truncated", {"eps": 0.2}, False),
+        ("noisy_adaptive", {"delta": 0.05}, False),
+        ("oracle", {}, False),
+    ])
+    def test_base_and_regular_share_one_step_memo_per_experiment(self, monkeypatch, algorithm,
+                                                                 settings, shared):
+        seen = []  # (experiment, memo, stage-1 steps in it) at each adaptive loop entry
+        original = adaptive._run
+        signature = inspect.signature(original)
+
+        def spy(*args, **kwargs):
+            memo = signature.bind(*args, **kwargs).arguments.get("memo")
+            steps = None if memo is None else sum(key > 0 for key in memo)  # key 0: its owner
+            seen.append((experiment, memo, steps))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "_run", spy)
+        monkeypatch.setattr(noisy, "_adaptive_run", spy)
+        config = ExperimentConfig(model=ModelSpec("nested", {"n": 6}), algorithm=algorithm,
+                                  trials=4, **settings)
+        for experiment in (0, 1):
+            assert all(r.error is None for r in run_experiment(config))
+        if not shared:
+            assert all(memo is None for _, memo, _ in seen)
+            assert len(seen) == (0 if algorithm == "oracle" else 8)
+            return
+        assert len(seen) == 8
+        for experiment in (0, 1):
+            memos = [(memo, steps) for e, memo, steps in seen if e == experiment]
+            assert all(memo is memos[0][0] for memo, _ in memos)
+            assert isinstance(memos[0][0], dict) and memos[0][1] == 0  # no step at the first trial
+        assert seen[0][1] is not seen[-1][1]
 
     @pytest.mark.parametrize("algorithm,settings,generators", [
         ("base", {}, 1),  # the target's
