@@ -36,9 +36,14 @@ memo that they share holds each stage-1 step under its history: the test's
 mask and stage and a residual test's flags, or a leaf's certain edge. A run
 that finds its history there asks the stored test with no scan or marginals
 and conditions on it through `condition_on_test`, which gives the bits the
-scan's in-S route gives, so the run goes on as a fresh one would. The
-truncated variant, which draws random nodes, and the noisy observer run with
-no memo.
+scan's in-S route gives, so the run goes on as a fresh one would. The noisy
+observer shares a memo too: its posterior is fixed by each group's test,
+size and count of positive votes, so its history is the vote counts. Each
+ask records what it heard, an outcome or a vote count, and the history key
+takes it as a digit of ell.bit_length() bits, ell being the group size of
+the step stored at the prefix; as that step fixes the width, no two
+histories share a key (an exact outcome is a 1-bit digit). The truncated
+variant, which draws random nodes, runs with no memo.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -246,6 +251,8 @@ class _Exact:
     """Noiseless observer: each test site is asked once and conditioned on
     exactly; the stage-2 sweep ends on the certain edge."""
 
+    settings = "noiseless"  # what a shared step memo must match besides graph, dist and c
+
     def __init__(self, oracle: TestOracle, post: Posterior):
         self.oracle = oracle
         self.post = post
@@ -257,7 +264,8 @@ class _Exact:
         """Ask t_mask once and condition on the answer. `in_s`, a stage-1
         scan's, gives the masses of the edges inside S, which are the edges
         of positive mass that miss t_mask: a negative outcome keeps them,
-        a positive one keeps q less them."""
+        a positive one keeps q less them. The outcome is what it heard, a
+        1-bit digit in the history that keys a step memo."""
         outcome = self.oracle(t_mask)
         before = self.post.q
         try:
@@ -271,6 +279,7 @@ class _Exact:
             raise OracleInconsistent(str(exc)) from exc
         self.removed = float(before[self.post.q == 0.0].sum())
         self.tr.add(t_mask, outcome, stage, mass_removed=self.removed)
+        self.heard = (outcome, 1)
         return outcome
 
     def informative(self, c: float) -> None:
@@ -290,18 +299,29 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     """The two-stage loop. `active` flags the nodes stage 1 scans first;
     after each test it is the nodes of positive marginal, which a noisy
     posterior can give back to a node it had underflowed. An observer verdict
-    of None means the observer halted the run. `memo`, for `_Exact` under
-    base or regular only, maps an outcome history (a key >= 1) to the stage-1
-    step taken there; a step found in it is replayed instead of scanned."""
+    of None means the observer halted the run. `memo`, under base or regular
+    only, maps a history (a key >= 1) to the stage-1 step taken there; a step
+    found in it is replayed instead of scanned. Key 0 holds the graph, dist,
+    c and observer settings that filled it: SchemaError for a memo filled for
+    another graph or dist (by identity) or other settings, and for a memo
+    under the truncated variant, whose stage 1 resumes after random node
+    picks."""
     variant = config.variant
+    c = config.c
+    if memo is not None:
+        if variant == "truncated":
+            raise SchemaError("a step memo applies only to the base and regular variants")
+        owner = memo.setdefault(0, (graph, dist, c, obs.settings))
+        if owner[0] is not graph or owner[1] is not dist or owner[2:] != (c, obs.settings):
+            raise SchemaError(f"a step memo filled for another graph, dist or c, or another "
+                              f"observer (c={owner[2]}, {owner[3]}; not c={c}, {obs.settings})")
     if variant == "truncated":
         f2 = resolve_f2(config, graph, dist)
         if rng is None:
             rng = np.random.default_rng()
-    c = config.c
     tr = obs.tr
     marg = None  # the node marginals of obs.post, taken when a step is scanned
-    key = 1  # the outcome history, as bits after a leading 1
+    key = 1  # the history, as the digits obs.heard after a leading 1
 
     while True:
         step = None if memo is None else memo.get(key)
@@ -352,7 +372,9 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     tr.result_edge = certain_edge(obs.post)
                     return tr
         marg = active = None
-        key = 2 * key + verdict
+        if memo is not None:
+            digit, bits = obs.heard
+            key = key << bits | digit
 
 
 def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
@@ -397,17 +419,10 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
     dist, c) share, empty at first: each stage-1 step a run computes is
     stored under its outcome history, and a later run with that history
     replays it. Key 0 holds the (graph, dist, c) that filled it. SchemaError
-    for a memo filled for another graph, dist (by identity) or c, and for a
-    memo under the truncated variant, whose stage 1 resumes after random
-    node picks."""
+    for a memo filled for another graph, dist (by identity) or c, or by
+    `run_noisy_adaptive`, and for a memo under the truncated variant, whose
+    stage 1 resumes after random node picks."""
     config = config or AdaptiveConfig()
     validate_model(graph, dist)
-    if memo is not None:
-        if config.variant == "truncated":
-            raise SchemaError("a step memo applies only to the base and regular variants")
-        owner = memo.setdefault(0, (graph, dist, config.c))
-        if owner[0] is not graph or owner[1] is not dist or owner[2] != config.c:
-            raise SchemaError(f"a step memo filled for another graph, dist or c "
-                              f"(c={owner[2]}, not {config.c})")
     obs = _Exact(oracle, prior_posterior(graph, dist))
     return _run(graph, dist, config, obs, np.ones(graph.n, dtype=bool), rng, memo)

@@ -129,9 +129,10 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     Transcript, which builds the trial's engine and noise generators only
     where it draws from them. The oracle's policy and the preplanned engines'
     band plan are built here, once per experiment, and so is the empty step
-    memo that the trials of base and regular share: both pick each stage-1
-    test from the outcome history alone, so a trial replays every step an
-    earlier trial with the same history computed."""
+    memo that the trials of base, regular and noisy_adaptive share: each picks
+    every stage-1 test from the history of outcomes (of vote counts under
+    noise) alone, so a trial replays every step an earlier trial with the
+    same history computed."""
     algorithm, u = config.algorithm, config.u
     try:
         if algorithm not in READS:
@@ -161,7 +162,7 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     if dist is None:
         return None
     policy = optimal_expected_tests(graph, dist)[1] if algorithm == "oracle" else None
-    memo = {} if algorithm in ("base", "regular") else None
+    memo = {} if algorithm in ("base", "regular", "noisy_adaptive") else None
     plan = None
     if algorithm in ("snagt", "noisy_snagt"):
         try:
@@ -180,7 +181,7 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
             return run_policy(graph, policy, oracle)
         if algorithm == "noisy_adaptive":
             return run_noisy_adaptive(graph, dist, oracle, adaptive, channel, alpha=config.alpha,
-                                      u=u, max_physical_tests=config.max_tests)
+                                      u=u, max_physical_tests=config.max_tests, memo=memo)
         if algorithm == "snagt":
             return run_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed), plan=plan)
         if algorithm == "noisy_snagt":

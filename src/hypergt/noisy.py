@@ -154,11 +154,14 @@ class _Repeated:
         self.ells = ells
         self.cap = cap
         self.groups = 0
+        self.settings = {"delta": delta, "ells": ells, "cap": cap}  # what a step memo must match
 
     def ask(self, t_mask: int, stage: str,
             in_s: Callable[[], np.ndarray] | None = None) -> bool | None:
         """Issue up to ell physical tests, then fold their outcomes into the
-        posterior; None means the budget ran out within the group. A stage-1
+        posterior; None means the budget ran out within the group. A full
+        group's vote count is what it heard, a digit of ell.bit_length() bits
+        in the history that keys a step memo. A stage-1
         scan's `in_s` is not read: an edge of positive prior whose q has
         underflowed can lie outside the scanned set, so `edge_outcomes`
         decides every edge."""
@@ -177,6 +180,7 @@ class _Repeated:
         if asked < ell:
             self.tr.halted = True
             return None
+        self.heard = (votes, ell.bit_length())
         return 2 * votes >= ell
 
     def _posterior(self, t_mask: int, votes: int, asked: int) -> Posterior:
@@ -210,7 +214,8 @@ class _Repeated:
 def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
                        config: AdaptiveConfig, channel: NoiseChannel, alpha: float = 2.0,
                        u: int | None = None,
-                       max_physical_tests: int | None = None) -> Transcript:
+                       max_physical_tests: int | None = None,
+                       memo: dict | None = None) -> Transcript:
     """The base adaptive loop under symmetric noise.
 
     Weight-window tests run once; the residual group test and the stage-2
@@ -219,6 +224,11 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     exact Bayes. Stage 1 first scans the nodes of positive prior mass. The
     physical-test budget (>= 1) defaults to n, the asymptotic analysis' cap;
     desk runs usually need to raise it. Only the base variant runs under noise.
+
+    memo is as for `run_adaptive`, keyed by the vote counts each group heard:
+    a dict, empty at first, that runs of one (graph, dist, c, delta, budget)
+    and repetition counts share. Key 0 holds those; SchemaError for a memo
+    filled for others, or by `run_adaptive`.
     """
     _check_types(run_noisy_adaptive, {"alpha": alpha, "u": u, "max_physical_tests": max_physical_tests},
                  "run_noisy_adaptive")
@@ -236,7 +246,7 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     cap = graph.n if max_physical_tests is None else max_physical_tests
     post = prior_posterior(graph, dist)
     obs = _Repeated(oracle, post, delta, _adaptive_repetitions(graph.n, u, alpha, delta), cap)
-    return _adaptive_run(graph, dist, config, obs, node_marginals(post) > 0.0)
+    return _adaptive_run(graph, dist, config, obs, node_marginals(post) > 0.0, memo=memo)
 
 
 def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,

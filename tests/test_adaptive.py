@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -33,6 +34,7 @@ from hypergt.adaptive import (
 )
 from hypergt.builders import (
     build_cosize,
+    build_islands,
     build_model,
     build_nested,
     build_partial_regular,
@@ -41,6 +43,7 @@ from hypergt.builders import (
 from hypergt.errors import NotRegular, OracleInconsistent, SchemaError
 from hypergt.model import (
     EdgeDistribution,
+    GroundTruth,
     Hypergraph,
     certain_edge,
     condition_on_test,
@@ -49,7 +52,13 @@ from hypergt.model import (
     node_marginals,
     prior_posterior,
 )
-from hypergt.noisy import bayes_update_noisy
+from hypergt.noisy import (
+    NoiseChannel,
+    _adaptive_repetitions,
+    bayes_update_noisy,
+    noisy_oracle,
+    run_noisy_adaptive,
+)
 from hypergt.oracle import direct_posterior
 from hypergt.sets import intersects, mask_from_flags, mask_of, nodes_of
 from hypergt.transcript import RESIDUAL, SPLIT
@@ -567,6 +576,27 @@ def transcript_or_error(run):
         return repr(exc)
 
 
+def noisy_run(graph, dist, target, delta, trial, c=0.45, memo=None, **settings):
+    """`run_noisy_adaptive` against target, its flips drawn from a generator
+    seeded by trial, as `transcript_or_error` gives it."""
+    oracle = noisy_oracle(GroundTruth(target, graph.edge_masks[target]), NoiseChannel(delta),
+                          np.random.default_rng(trial))
+    return transcript_or_error(lambda: run_noisy_adaptive(
+        graph, dist, oracle, AdaptiveConfig(c=c), NoiseChannel(delta), memo=memo, **settings))
+
+
+class LoggedMemo(dict):
+    """A step memo that logs each lookup as (key, whether a step was there)."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = []
+
+    def get(self, key, default=None):
+        self.lookups.append((key, key in self))
+        return super().get(key, default)
+
+
 class TestStepMemo:
     """Runs that share a step memo replay the stage-1 steps that earlier runs
     computed; each must give a fresh run's transcript, asking the oracle once
@@ -635,6 +665,58 @@ class TestStepMemo:
         with pytest.raises(SchemaError, match="base and regular"):
             run_adaptive(graph, dist, oracle_for(graph, 0),
                          AdaptiveConfig(variant="truncated", f2=1), memo={})
+
+    @pytest.mark.parametrize("name", ["community12", "regular64", "islands"])
+    def test_noisy_runs_on_a_shared_memo_match_fresh_runs(self, name):
+        """Noisy runs key each step by the vote counts of the groups before
+        it. The grid has runs that halt inside a replayed group, and residual
+        groups of ell >= 4 whose wide digits sit in keys beside 1-bit ones."""
+        graph, dist = build_islands(4, 2, 0.5) if name == "islands" else self.model(name, None)
+        targets = np.random.default_rng(11).choice(len(dist), size=24, p=dist.probs).tolist()
+        halted_in_replay = wide_parents = 0
+        # c = 1/3 lies below the admissible threshold at delta = 0.2.
+        for (c, delta), alpha, u, cap in itertools.product(
+                ((1.0 / 3.0, 0.05), (0.45, 0.05), (0.45, 0.2)), (0.0, 2.0), (None, 8),
+                (5, 13, 25, None)):
+            settings = {"c": c, "alpha": alpha, "u": u, "max_physical_tests": cap}
+            memo = LoggedMemo()
+            for trial, target in enumerate(targets):
+                memo.lookups.clear()
+                shared = noisy_run(graph, dist, target, delta, trial, memo=memo, **settings)
+                assert shared == noisy_run(graph, dist, target, delta, trial, **settings), \
+                    (c, delta, alpha, u, cap, trial)
+                if isinstance(shared, dict) and shared["halted"] and shared["mu_stage2"] is None:
+                    halted_in_replay += memo.lookups[-1][1]  # the group of the last step looked up
+            ell = _adaptive_repetitions(graph.n, u, alpha, delta)[RESIDUAL]
+            if ell >= 4:
+                wide_parents += sum(
+                    step.stage == RESIDUAL and any(key << ell.bit_length() | votes in memo
+                                                   for votes in range(ell + 1))
+                    for key, step in memo.items() if key)
+        assert halted_in_replay and wide_parents, (halted_in_replay, wide_parents)
+
+    def test_a_noisy_memo_filled_for_other_settings_is_refused(self, fig1):
+        graph, dist = fig1
+        settings = {"c": 0.45, "alpha": 2.0, "u": None, "max_physical_tests": 25}
+        memo = {}
+        for trial in range(4):
+            noisy_run(graph, dist, trial % 3, 0.05, trial, memo=memo, **settings)
+        filled = dict(memo)
+        for other in ({"delta": 0.2}, {"alpha": 0.0}, {"u": 1}, {"max_physical_tests": 13},
+                      {"max_physical_tests": None}, {"c": 0.4}):
+            delta = other.pop("delta", 0.05)
+            with pytest.raises(SchemaError, match="another graph, dist or c, or another observer"):
+                noisy_run(graph, dist, 0, delta, 0, memo=memo, **{**settings, **other})
+        with pytest.raises(SchemaError, match="another observer"):  # filled under noise
+            run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.45), memo=memo)
+        assert memo == filled
+
+        exact = {}
+        run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.45), memo=exact)
+        filled = dict(exact)
+        with pytest.raises(SchemaError, match="another observer"):
+            noisy_run(graph, dist, 0, 0.05, 0, memo=exact, **settings)
+        assert exact == filled
 
 
 class TestTranscriptRecord:

@@ -107,11 +107,12 @@ class TestRunExperiment:
         ("base", {}, True),
         ("regular", {}, True),
         ("truncated", {"eps": 0.2}, False),
-        ("noisy_adaptive", {"delta": 0.05}, False),
+        ("noisy_adaptive", {"delta": 0.05}, True),
         ("oracle", {}, False),
     ])
-    def test_base_and_regular_share_one_step_memo_per_experiment(self, monkeypatch, algorithm,
-                                                                 settings, shared):
+    def test_base_regular_and_noisy_share_one_step_memo_per_experiment(self, monkeypatch,
+                                                                       algorithm, settings,
+                                                                       shared):
         seen = []  # (experiment, memo, stage-1 steps in it) at each adaptive loop entry
         original = adaptive._run
         signature = inspect.signature(original)
