@@ -31,19 +31,18 @@ and q less them what a positive one keeps. The noiseless observer conditions
 on them with no pass over the edge words.
 
 Under base and regular each stage-1 test depends on the outcome history
-alone, so all runs of one model and config walk one decision tree, and a step
-memo that they share holds each stage-1 step under its history: the test's
-mask and stage and a residual test's flags, or a leaf's certain edge. A run
-that finds its history there asks the stored test with no scan or marginals
+alone, so all runs of one model and config walk one decision tree. A memo
+that they share holds that tree: its root step under ("steps", graph, dist,
+c, observer settings), and each later step in the `after` dict of the step
+before it, under what that step's test heard. A step is the test's mask and
+stage and a residual test's flags, or a leaf's certain edge. A run that
+finds its next step there asks the stored test with no scan or marginals
 and conditions on it through `condition_on_test`, which gives the bits the
 scan's in-S route gives, so the run goes on as a fresh one would. The noisy
-observer shares a memo too: its posterior is fixed by each group's test,
-size and count of positive votes, so its history is the vote counts. Each
-ask records what it heard, an outcome or a vote count, and the history key
-takes it as a digit of ell.bit_length() bits, ell being the group size of
-the step stored at the prefix; as that step fixes the width, no two
-histories share a key (an exact outcome is a 1-bit digit). The truncated
-variant, which draws random nodes, runs with no memo.
+observer's posterior is fixed by each group's test, size and count of
+positive votes, so its tree branches on the vote count. The truncated
+variant shares base's tree up to stage-2 entry, where its random node
+picks begin.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -56,7 +55,7 @@ Bayes-updating one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -239,19 +238,21 @@ def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
 class _Step:
     """The stage-1 step that any trial with one outcome history takes: a
     leaf's certain edge, or the test's mask, stage and residual flags (those
-    of a residual test only, which stage 2 reads)."""
+    of a residual test only, which stage 2 reads), and the steps after it by
+    what its test heard."""
 
     edge: int | None
     t_mask: int = 0
     stage: str | None = None
     s: np.ndarray | None = None
+    after: dict = field(default_factory=dict)
 
 
 class _Exact:
     """Noiseless observer: each test site is asked once and conditioned on
     exactly; the stage-2 sweep ends on the certain edge."""
 
-    settings = "noiseless"  # what a shared step memo must match besides graph, dist and c
+    settings = "noiseless"  # keys its step tree in a memo, with graph, dist and c
 
     def __init__(self, oracle: TestOracle, post: Posterior):
         self.oracle = oracle
@@ -264,8 +265,8 @@ class _Exact:
         """Ask t_mask once and condition on the answer. `in_s`, a stage-1
         scan's, gives the masses of the edges inside S, which are the edges
         of positive mass that miss t_mask: a negative outcome keeps them,
-        a positive one keeps q less them. The outcome is what it heard, a
-        1-bit digit in the history that keys a step memo."""
+        a positive one keeps q less them. The outcome is what it heard,
+        which picks the next step in a memo's step tree."""
         outcome = self.oracle(t_mask)
         before = self.post.q
         try:
@@ -279,7 +280,7 @@ class _Exact:
             raise OracleInconsistent(str(exc)) from exc
         self.removed = float(before[self.post.q == 0.0].sum())
         self.tr.add(t_mask, outcome, stage, mass_removed=self.removed)
-        self.heard = (outcome, 1)
+        self.heard = outcome
         return outcome
 
     def informative(self, c: float) -> None:
@@ -294,74 +295,67 @@ class _Exact:
 
 
 def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
-         active: np.ndarray, rng: np.random.Generator | None = None,
+         active: np.ndarray | None, rng: np.random.Generator | None = None,
          memo: dict | None = None) -> Transcript:
-    """The two-stage loop. `active` flags the nodes stage 1 scans first;
-    after each test it is the nodes of positive marginal, which a noisy
-    posterior can give back to a node it had underflowed. An observer verdict
-    of None means the observer halted the run. `memo`, under base or regular
-    only, maps a history (a key >= 1) to the stage-1 step taken there; a step
-    found in it is replayed instead of scanned. Key 0 holds the graph, dist,
-    c and observer settings that filled it: SchemaError for a memo filled for
-    another graph or dist (by identity) or other settings, and for a memo
-    under the truncated variant, whose stage 1 resumes after random node
-    picks."""
+    """The two-stage loop. `active` flags the nodes stage 1 scans first,
+    None meaning the nodes of positive marginal, as after each test, where a
+    noisy posterior can give back a node it had underflowed. An observer
+    verdict of None means the observer halted the run. `memo` holds the
+    stage-1 step tree under ("steps", graph, dist, c, obs.settings); a step
+    found in it is replayed instead of scanned, and one computed is stored.
+    The truncated variant leaves the tree at stage-2 entry, as its stage 1
+    then resumes after random node picks."""
     variant = config.variant
     c = config.c
-    if memo is not None:
-        if variant == "truncated":
-            raise SchemaError("a step memo applies only to the base and regular variants")
-        owner = memo.setdefault(0, (graph, dist, c, obs.settings))
-        if owner[0] is not graph or owner[1] is not dist or owner[2:] != (c, obs.settings):
-            raise SchemaError(f"a step memo filled for another graph, dist or c, or another "
-                              f"observer (c={owner[2]}, {owner[3]}; not c={c}, {obs.settings})")
     if variant == "truncated":
         f2 = resolve_f2(config, graph, dist)
         if rng is None:
             rng = np.random.default_rng()
     tr = obs.tr
     marg = None  # the node marginals of obs.post, taken when a step is scanned
-    key = 1  # the history, as the digits obs.heard after a leading 1
+    # The next step is table[key]: the root in the memo, then the step that
+    # the last one's test heard, in its `after`; None when there is no tree.
+    table, key = memo, ("steps", graph, dist, c, obs.settings)
 
     while True:
-        step = None if memo is None else memo.get(key)
+        step = None if table is None else table.get(key)
+        in_s = None  # a replayed step has no scan to reuse
         if step is None:
             idx = certain_edge(obs.post)
             if idx is not None:
-                if memo is not None:
-                    memo[key] = _Step(idx)
-                return _finish(tr, graph, idx)
-            if marg is None:
-                marg = node_marginals(obs.post)
-            if active is None:
-                active = marg > 0.0
-            s, found, w_s, in_s = _split_scan(obs.post.q, marg, graph, active, c)
-            if not found:
-                # No informative split exists: the residual S holds almost all
-                # the mass and each of its nodes is almost surely infected.
-                _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
-                _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
-            step = _Step(None, mask_from_flags(active & ~s), SPLIT if found else RESIDUAL,
-                         None if found else s)
-            if memo is not None:
-                memo[key] = step
-            # An empty complement is resolved as negative at zero test cost.
-            verdict = obs.ask(step.t_mask, step.stage, in_s) if step.t_mask else False
-        elif step.edge is not None:
+                step = _Step(idx)
+            else:
+                if marg is None:
+                    marg = node_marginals(obs.post)
+                if active is None:
+                    active = marg > 0.0
+                s, found, w_s, in_s = _split_scan(obs.post.q, marg, graph, active, c)
+                if not found:
+                    # No informative split exists: the residual S holds almost
+                    # all the mass and each of its nodes is almost surely infected.
+                    _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
+                    _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
+                step = _Step(None, mask_from_flags(active & ~s), SPLIT if found else RESIDUAL,
+                             None if found else s)
+            if table is not None:
+                table[key] = step
+        if step.edge is not None:
             return _finish(tr, graph, step.edge)
-        else:
-            found, s = step.stage == SPLIT, step.s
-            verdict = obs.ask(step.t_mask, step.stage) if step.t_mask else False
+        # An empty complement is resolved as negative at zero test cost.
+        verdict = obs.ask(step.t_mask, step.stage, in_s) if step.t_mask else False
         if verdict is None:
             return tr
-        if found or verdict:
+        if step.stage == SPLIT or verdict:
             obs.informative(c)
+            if table is not None:
+                table, key = step.after, obs.heard
         else:
             if tr.mu_stage2 is None:
                 tr.mu_stage2 = expected_infections(obs.post)
             if variant != "truncated":
-                return _stage2(graph, obs, s, variant == "regular")
-            pending = _uncertain_nodes(node_marginals(obs.post), s)
+                return _stage2(graph, obs, step.s, variant == "regular")
+            table = None  # the rest of the run stays out of the memo
+            pending = _uncertain_nodes(node_marginals(obs.post), step.s)
             if pending:
                 v = int(rng.choice(pending))
                 if obs.ask(1 << v, INDIVIDUAL):
@@ -372,9 +366,6 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     tr.result_edge = certain_edge(obs.post)
                     return tr
         marg = active = None
-        if memo is not None:
-            digit, bits = obs.heard
-            key = key << bits | digit
 
 
 def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
@@ -415,13 +406,11 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
     scans all n nodes, those of zero prior mass included. rng draws the
     truncated variant's random node picks; None means an unseeded one.
 
-    memo, for base and regular only, is a dict that the runs of one (graph,
-    dist, c) share, empty at first: each stage-1 step a run computes is
-    stored under its outcome history, and a later run with that history
-    replays it. Key 0 holds the (graph, dist, c) that filled it. SchemaError
-    for a memo filled for another graph, dist (by identity) or c, or by
-    `run_noisy_adaptive`, and for a memo under the truncated variant, whose
-    stage 1 resumes after random node picks."""
+    memo is a dict that runs share, empty at first, as `run_experiment`
+    shares one between the trials of an experiment: each stage-1 step a run
+    computes is stored in a tree under (graph, dist, c), graph and dist by
+    identity, and a later run with the same outcome history replays it. The
+    truncated variant stores and replays only the steps before stage 2."""
     config = config or AdaptiveConfig()
     validate_model(graph, dist)
     obs = _Exact(oracle, prior_posterior(graph, dist))

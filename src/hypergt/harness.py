@@ -40,7 +40,7 @@ from .noisy import (
     run_noisy_snagt,
 )
 from .oracle import optimal_expected_tests, run_policy
-from .snagt import SnagtConfig, band_plan, run_snagt
+from .snagt import SnagtConfig, run_snagt
 
 # The engine settings each algorithm reads. Any other must keep its default.
 READS = {
@@ -127,12 +127,11 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     n once graph is given; SchemaError for any no trial can run with. With
     dist too, return the runner of one trial, run(truth, seed, trial) ->
     Transcript, which builds the trial's engine and noise generators only
-    where it draws from them. The oracle's policy and the preplanned engines'
-    band plan are built here, once per experiment, and so is the empty step
-    memo that the trials of base, regular and noisy_adaptive share: each picks
-    every stage-1 test from the history of outcomes (of vote counts under
-    noise) alone, so a trial replays every step an earlier trial with the
-    same history computed."""
+    where it draws from them. The oracle's policy is built here, once per
+    experiment, and so is one empty memo that every engine call is given:
+    an adaptive engine stores there each stage-1 step it computes, which a
+    trial with the same history of outcomes (of vote counts under noise)
+    replays, and a preplanned one its band plan."""
     algorithm, u = config.algorithm, config.u
     try:
         if algorithm not in READS:
@@ -162,13 +161,7 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     if dist is None:
         return None
     policy = optimal_expected_tests(graph, dist)[1] if algorithm == "oracle" else None
-    memo = {} if algorithm in ("base", "regular", "noisy_adaptive") else None
-    plan = None
-    if algorithm in ("snagt", "noisy_snagt"):
-        try:
-            plan = band_plan(graph, dist, u)
-        except Exception:  # noqa: BLE001 - each trial raises it again, as its own record
-            pass
+    memo = {}
 
     # The engines are looked up by their module names on every call, so a
     # rebinding of those names (as tracing does) takes effect. At delta = 0
@@ -183,10 +176,10 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
             return run_noisy_adaptive(graph, dist, oracle, adaptive, channel, alpha=config.alpha,
                                       u=u, max_physical_tests=config.max_tests, memo=memo)
         if algorithm == "snagt":
-            return run_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed), plan=plan)
+            return run_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed), memo=memo)
         if algorithm == "noisy_snagt":
             return run_noisy_snagt(graph, dist, oracle, dataclasses.replace(snagt, seed=seed),
-                                   channel, alpha=config.alpha, plan=plan)
+                                   channel, alpha=config.alpha, memo=memo)
         rng_engine = _generator(config.seed, trial, 1) if algorithm == "truncated" else None
         return run_adaptive(graph, dist, oracle, adaptive, rng=rng_engine, memo=memo)
 

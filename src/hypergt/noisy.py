@@ -38,13 +38,15 @@ from .model import (
     certain_edge,
     condition_on_test,
     edge_outcomes,
-    node_marginals,
+    # Not called here: benchmark/spans.py wraps hypergt.noisy.node_marginals,
+    # and tests/test_trace_targets.py checks that the name resolves.
+    node_marginals,  # noqa: F401
     noiseless_oracle,
     prior_posterior,
     validate_model,
 )
 from .sets import nodes_of
-from .snagt import BandPlan, SnagtConfig, _run as _snagt_run
+from .snagt import SnagtConfig, _run as _snagt_run
 from .transcript import INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
 TestOracle = Callable[[int], bool]
@@ -154,17 +156,16 @@ class _Repeated:
         self.ells = ells
         self.cap = cap
         self.groups = 0
-        self.settings = {"delta": delta, "ells": ells, "cap": cap}  # what a step memo must match
+        self.settings = (delta, tuple(ells.items()), cap)  # keys its step tree in a memo
 
     def ask(self, t_mask: int, stage: str,
             in_s: Callable[[], np.ndarray] | None = None) -> bool | None:
         """Issue up to ell physical tests, then fold their outcomes into the
         posterior; None means the budget ran out within the group. A full
-        group's vote count is what it heard, a digit of ell.bit_length() bits
-        in the history that keys a step memo. A stage-1
-        scan's `in_s` is not read: an edge of positive prior whose q has
-        underflowed can lie outside the scanned set, so `edge_outcomes`
-        decides every edge."""
+        group's vote count is what it heard, which picks the next step in a
+        memo's step tree. A stage-1 scan's `in_s` is not read: an edge of
+        positive prior whose q has underflowed can lie outside the scanned
+        set, so `edge_outcomes` decides every edge."""
         self.groups += 1
         ell = self.ells[stage]
         asked = min(ell, self.cap - self.tr.total)
@@ -180,7 +181,7 @@ class _Repeated:
         if asked < ell:
             self.tr.halted = True
             return None
-        self.heard = (votes, ell.bit_length())
+        self.heard = votes
         return 2 * votes >= ell
 
     def _posterior(self, t_mask: int, votes: int, asked: int) -> Posterior:
@@ -225,10 +226,9 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     physical-test budget (>= 1) defaults to n, the asymptotic analysis' cap;
     desk runs usually need to raise it. Only the base variant runs under noise.
 
-    memo is as for `run_adaptive`, keyed by the vote counts each group heard:
-    a dict, empty at first, that runs of one (graph, dist, c, delta, budget)
-    and repetition counts share. Key 0 holds those; SchemaError for a memo
-    filled for others, or by `run_adaptive`.
+    memo is as for `run_adaptive`: its step tree sits under the graph, dist,
+    c, delta, repetition counts and budget, and branches on the vote count
+    each group heard.
     """
     _check_types(run_noisy_adaptive, {"alpha": alpha, "u": u, "max_physical_tests": max_physical_tests},
                  "run_noisy_adaptive")
@@ -246,18 +246,18 @@ def run_noisy_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOr
     cap = graph.n if max_physical_tests is None else max_physical_tests
     post = prior_posterior(graph, dist)
     obs = _Repeated(oracle, post, delta, _adaptive_repetitions(graph.n, u, alpha, delta), cap)
-    return _adaptive_run(graph, dist, config, obs, node_marginals(post) > 0.0, memo=memo)
+    return _adaptive_run(graph, dist, config, obs, None, memo=memo)
 
 
 def run_noisy_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
                     config: SnagtConfig, channel: NoiseChannel,
-                    alpha: float = 2.0, plan: BandPlan | None = None) -> Transcript:
+                    alpha: float = 2.0, memo: dict | None = None) -> Transcript:
     """Semi-non-adaptive run under noise: every scheduled random test is
     repeated per `repetitions` with x = u n, and the majority verdict drives
     elimination. Schedule and repetition counts depend only on (n, u, seed),
     so the design stays target-independent; the test cap scales by the
-    repetition factor. `plan` is as for `run_snagt`."""
+    repetition factor. `memo` is as for `run_snagt`."""
     _check_types(run_noisy_snagt, {"alpha": alpha}, "run_noisy_snagt")
     config._threshold_and_cap(graph.n)  # refuses n = 0 before log2(u n) can
     return _snagt_run(graph, dist, oracle, config,
-                      _repetitions(alpha, config.u * graph.n, channel.delta), plan)
+                      _repetitions(alpha, config.u * graph.n, channel.delta), memo)

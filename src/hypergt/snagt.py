@@ -8,10 +8,10 @@ candidate has survived ceil(stop_coeff * u * log2 n) further tests. `_run`
 keeps these rules as flat arrays: a band id per live edge, and a count,
 candidate flag and time per band. Those arrays at the start of a run, with
 the live edges' word store, depend only on (graph, dist, u): `band_plan`
-builds them as a read-only `BandPlan`, which the harness builds once per
-experiment and a direct call builds for itself. Every queried set is drawn
-before any outcome is seen (each node independently with probability 1/u),
-so the schedule is a pure function of (n, u, seed).
+builds them as a read-only `BandPlan`, which runs that share a memo store
+there under ("band plan", graph, dist, u), so that it is built once. Every
+queried set is drawn before any outcome is seen (each node independently
+with probability 1/u), so the schedule is a pure function of (n, u, seed).
 
 As no test waits for an outcome, `_run` draws many tests at once: no band
 can ripen within threshold - max(time) tests, so each pass of its one loop
@@ -90,7 +90,6 @@ class BandPlan:
     row-major word store. A run never writes into these arrays, so one plan
     serves every run on (graph, dist, u)."""
 
-    u: int
     live: np.ndarray
     band: np.ndarray
     count: np.ndarray
@@ -128,26 +127,28 @@ def band_plan(graph: Hypergraph, dist: EdgeDistribution, u: int) -> BandPlan:
     # Row-major live columns of the caller's cached store: the store itself
     # when every edge is live (a run's first `compress` copies it), else a `take`.
     live_words = graph.words if live.size == len(graph) else graph.words.take(live, axis=1)
-    return BandPlan(u, live, band, count, time, candidate, live_words)
+    return BandPlan(live, band, count, time, candidate, live_words)
 
 
 def run_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle,
-              config: SnagtConfig, plan: BandPlan | None = None) -> Transcript:
+              config: SnagtConfig, memo: dict | None = None) -> Transcript:
     """Noiseless semi-non-adaptive run. Empty scheduled tests are real tests:
-    they are issued, recorded, and always answer negative. `plan` is
-    band_plan(graph, dist, config.u), built here when not given."""
-    return _run(graph, dist, oracle, config, 1, plan)
+    they are issued, recorded, and always answer negative. memo is a dict
+    that runs share, empty at first, as `run_experiment` shares one between
+    the trials of an experiment: the band plan of (graph, dist, u), graph and
+    dist by identity, is read from it or built and stored in it."""
+    return _run(graph, dist, oracle, config, 1, memo)
 
 
 def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
-         repetitions: int, plan: BandPlan | None = None) -> Transcript:
+         repetitions: int, memo: dict | None = None) -> Transcript:
     validate_model(graph, dist)
     u = config.u
     n = graph.n
-    if plan is None:
-        plan = band_plan(graph, dist, u)
-    elif plan.u != u:
-        raise SchemaError(f"a band plan for u={plan.u} cannot run a config with u={u}")
+    memo, key = {} if memo is None else memo, ("band plan", graph, dist, u)
+    if key not in memo:  # a plan that raises is not stored, so each run raises it
+        memo[key] = band_plan(graph, dist, u)
+    plan = memo[key]
     live, band, count, time, candidate, live_words = (
         plan.live, plan.band, plan.count, plan.time, plan.candidate, plan.live_words)
 

@@ -585,16 +585,12 @@ def noisy_run(graph, dist, target, delta, trial, c=0.45, memo=None, **settings):
         graph, dist, oracle, AdaptiveConfig(c=c), NoiseChannel(delta), memo=memo, **settings))
 
 
-class LoggedMemo(dict):
-    """A step memo that logs each lookup as (key, whether a step was there)."""
-
-    def __init__(self):
-        super().__init__()
-        self.lookups = []
-
-    def get(self, key, default=None):
-        self.lookups.append((key, key in self))
-        return super().get(key, default)
+def tree_steps(memo):
+    """Every step of the step trees in memo, each root first."""
+    steps = [step for key, step in memo.items() if key[0] == "steps"]
+    for step in steps:  # grows as it goes: each step's children follow it
+        steps.extend(step.after.values())
+    return steps
 
 
 class TestStepMemo:
@@ -627,7 +623,8 @@ class TestStepMemo:
                 assert shared == fresh, (c, target)
                 if isinstance(shared, dict):
                     assert len(asked) == len(shared["records"]), (c, target)
-            steps = [step for key, step in memo.items() if key]
+            assert list(memo) == [("steps", graph, dist, c, "noiseless")]
+            steps = tree_steps(memo)
             if name == "point_mass":
                 assert [step.edge for step in steps] == [1]
             if name == "cosize70":  # stage 2 entered on an empty complement
@@ -646,31 +643,65 @@ class TestStepMemo:
             assert shared == run_adaptive(g, d, oracle_for(g, target), config).to_json()
             assert len(asked) == len(shared["records"])
 
-    def test_a_memo_filled_for_another_model_or_c_is_refused(self, fig1):
+    def test_runs_on_other_models_or_c_keep_apart_on_one_memo(self, fig1):
+        """Each (graph, dist, c), graph and dist by identity, has its own
+        tree in the memo; base and regular share stage 1, and so one tree."""
         graph, dist = fig1
-        memo = {}
-        run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.2), memo=memo)
-        run_adaptive(graph, dist, oracle_for(graph, 1), AdaptiveConfig(c=0.2, variant="regular"),
-                     memo=memo)  # base and regular share stage 1
-        filled = dict(memo)
         same_graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])  # equal, but not the one
-        for g, d, c in ((graph, dist, 0.45), (same_graph, dist, 0.2),
-                        (graph, EdgeDistribution([0.3, 0.2, 0.5]), 0.2)):
-            with pytest.raises(SchemaError, match="another graph, dist or c"):
-                run_adaptive(g, d, oracle_for(g, 0), AdaptiveConfig(c=c), memo=memo)
-        assert memo == filled
+        same_dist = EdgeDistribution([0.3, 0.2, 0.5])
+        other, other_dist = build_nested(5)
+        memo = {}
+        runs = list(itertools.product(((graph, dist), (same_graph, dist), (graph, same_dist),
+                                       (other, other_dist)), (0.2, 0.45), ("base", "regular")))
+        for trial in range(3):
+            for (g, d), c, variant in runs:
+                target = trial % len(d)
+                config = AdaptiveConfig(c=c, variant=variant)
+                asked, oracle = counted(g, target)
+                shared = transcript_or_error(lambda: run_adaptive(g, d, oracle, config, memo=memo))
+                assert shared == transcript_or_error(
+                    lambda: run_adaptive(g, d, oracle_for(g, target), config)), (c, variant)
+                if isinstance(shared, dict):
+                    assert len(asked) == len(shared["records"])
+        assert len(memo) == 4 * 2
 
-    def test_truncated_refuses_a_memo(self, fig1):
-        graph, dist = fig1
-        with pytest.raises(SchemaError, match="base and regular"):
-            run_adaptive(graph, dist, oracle_for(graph, 0),
-                         AdaptiveConfig(variant="truncated", f2=1), memo={})
+    def test_truncated_runs_share_stage_1_with_base_and_regular(self, fig1):
+        """Truncated runs read and write the tree up to stage-2 entry only,
+        where their random node picks begin: on a memo shared with base and
+        regular they equal fresh runs, and no step follows a residual test
+        that tested negative, though some runs resume stage 1 after it."""
+        models = [fig1, build_cosize(6), *(build_model(GOLDEN_MODELS[name][0])
+                                           for name in ("community12", "partial10"))]
+        configs = [AdaptiveConfig(c=c, variant=variant, **kw) for c in (1.0 / 3.0, 0.2)
+                   for variant, kw in (("truncated", {"f2": 1}), ("base", {}),
+                                       ("truncated", {"f2": 3}), ("regular", {}),
+                                       ("truncated", {"eps": 0.3}))]
+        residuals, resumed = [], 0
+        for graph, dist in models:
+            targets = np.random.default_rng(3).choice(len(dist), size=12, p=dist.probs).tolist()
+            memo = {}
+            for trial, target in enumerate(targets):
+                for config in configs:
+                    asked, oracle = counted(graph, target)
+                    shared = transcript_or_error(lambda: run_adaptive(
+                        graph, dist, oracle, config, rng=np.random.default_rng(trial), memo=memo))
+                    assert shared == transcript_or_error(lambda: run_adaptive(
+                        graph, dist, oracle_for(graph, target), config,
+                        rng=np.random.default_rng(trial))), (config, target)
+                    if isinstance(shared, dict):
+                        assert len(asked) == len(shared["records"])
+                        stages = "".join(r["stage"][0] for r in shared["records"])
+                        resumed += bool(re.search("i.*[sr]", stages))
+            residuals += [step for step in tree_steps(memo) if step.stage == RESIDUAL]
+        assert resumed and residuals
+        assert all(False not in step.after and (step.t_mask or not step.after)
+                   for step in residuals)
 
     @pytest.mark.parametrize("name", ["community12", "regular64", "islands"])
     def test_noisy_runs_on_a_shared_memo_match_fresh_runs(self, name):
-        """Noisy runs key each step by the vote counts of the groups before
+        """Noisy runs branch each step by the vote count of the group before
         it. The grid has runs that halt inside a replayed group, and residual
-        groups of ell >= 4 whose wide digits sit in keys beside 1-bit ones."""
+        groups of ell >= 4 with steps after them."""
         graph, dist = build_islands(4, 2, 0.5) if name == "islands" else self.model(name, None)
         targets = np.random.default_rng(11).choice(len(dist), size=24, p=dist.probs).tolist()
         halted_in_replay = wide_parents = 0
@@ -679,44 +710,41 @@ class TestStepMemo:
                 ((1.0 / 3.0, 0.05), (0.45, 0.05), (0.45, 0.2)), (0.0, 2.0), (None, 8),
                 (5, 13, 25, None)):
             settings = {"c": c, "alpha": alpha, "u": u, "max_physical_tests": cap}
-            memo = LoggedMemo()
+            memo = {}
             for trial, target in enumerate(targets):
-                memo.lookups.clear()
+                before = len(tree_steps(memo))
                 shared = noisy_run(graph, dist, target, delta, trial, memo=memo, **settings)
                 assert shared == noisy_run(graph, dist, target, delta, trial, **settings), \
                     (c, delta, alpha, u, cap, trial)
                 if isinstance(shared, dict) and shared["halted"] and shared["mu_stage2"] is None:
-                    halted_in_replay += memo.lookups[-1][1]  # the group of the last step looked up
-            ell = _adaptive_repetitions(graph.n, u, alpha, delta)[RESIDUAL]
-            if ell >= 4:
-                wide_parents += sum(
-                    step.stage == RESIDUAL and any(key << ell.bit_length() | votes in memo
-                                                   for votes in range(ell + 1))
-                    for key, step in memo.items() if key)
+                    # A run that stores a step stores every one after it, so
+                    # one that stored none halted inside a replayed group.
+                    halted_in_replay += len(tree_steps(memo)) == before
+            if _adaptive_repetitions(graph.n, u, alpha, delta)[RESIDUAL] >= 4:
+                wide_parents += sum(step.stage == RESIDUAL and bool(step.after)
+                                    for step in tree_steps(memo))
         assert halted_in_replay and wide_parents, (halted_in_replay, wide_parents)
 
-    def test_a_noisy_memo_filled_for_other_settings_is_refused(self, fig1):
+    def test_noisy_runs_with_other_settings_keep_apart_on_one_memo(self, fig1):
+        """Noisy runs at other settings, and noiseless runs, each read only
+        the tree of their own settings."""
         graph, dist = fig1
         settings = {"c": 0.45, "alpha": 2.0, "u": None, "max_physical_tests": 25}
+        others = ({}, {"delta": 0.2}, {"alpha": 0.0}, {"u": 1}, {"max_physical_tests": 13},
+                  {"max_physical_tests": None}, {"c": 0.4})
         memo = {}
-        for trial in range(4):
-            noisy_run(graph, dist, trial % 3, 0.05, trial, memo=memo, **settings)
-        filled = dict(memo)
-        for other in ({"delta": 0.2}, {"alpha": 0.0}, {"u": 1}, {"max_physical_tests": 13},
-                      {"max_physical_tests": None}, {"c": 0.4}):
-            delta = other.pop("delta", 0.05)
-            with pytest.raises(SchemaError, match="another graph, dist or c, or another observer"):
-                noisy_run(graph, dist, 0, delta, 0, memo=memo, **{**settings, **other})
-        with pytest.raises(SchemaError, match="another observer"):  # filled under noise
-            run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.45), memo=memo)
-        assert memo == filled
-
-        exact = {}
-        run_adaptive(graph, dist, oracle_for(graph, 0), AdaptiveConfig(c=0.45), memo=exact)
-        filled = dict(exact)
-        with pytest.raises(SchemaError, match="another observer"):
-            noisy_run(graph, dist, 0, 0.05, 0, memo=exact, **settings)
-        assert exact == filled
+        for trial in range(6):
+            target = trial % 3
+            for other in others:
+                other = {**settings, **other}
+                delta = other.pop("delta", 0.05)
+                assert noisy_run(graph, dist, target, delta, trial, memo=memo, **other) == \
+                    noisy_run(graph, dist, target, delta, trial, **other), (other, trial)
+            config = AdaptiveConfig(c=0.45)
+            shared = run_adaptive(graph, dist, oracle_for(graph, target), config, memo=memo)
+            assert shared.to_json() == run_adaptive(graph, dist, oracle_for(graph, target),
+                                                    config).to_json()
+        assert len(memo) == len(others) + 1
 
 
 class TestTranscriptRecord:

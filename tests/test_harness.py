@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hypergt
-from hypergt import adaptive, cli, harness, noisy
+from hypergt import adaptive, cli, harness, noisy, snagt
 from hypergt.builders import ModelSpec, build_model
 from hypergt.cli import main as cli_main
 from hypergt.errors import MismatchedConfig, NodeOutOfRange, SchemaError
@@ -95,49 +95,48 @@ class TestRunExperiment:
     ], ids=["snagt", "noisy_snagt"])
     def test_the_band_plan_is_built_once_per_experiment(self, monkeypatch, algorithm, settings):
         built = []
-        original = harness.band_plan
-        monkeypatch.setattr(harness, "band_plan", lambda *a: built.append(a) or original(*a))
+        original = snagt.band_plan
+        monkeypatch.setattr(snagt, "band_plan", lambda *a: built.append(a) or original(*a))
         config = ExperimentConfig(model=ModelSpec("nested", {"n": 6}), algorithm=algorithm,
                                   trials=4, **settings)
         results = run_experiment(config)
         assert len(built) == 1 and len(results) == 4
         assert all(r.error is None for r in results)
 
-    @pytest.mark.parametrize("algorithm,settings,shared", [
-        ("base", {}, True),
-        ("regular", {}, True),
-        ("truncated", {"eps": 0.2}, False),
-        ("noisy_adaptive", {"delta": 0.05}, True),
-        ("oracle", {}, False),
+    @pytest.mark.parametrize("algorithm,settings", [
+        ("base", {}),
+        ("regular", {}),
+        ("truncated", {"eps": 0.2}),
+        ("noisy_adaptive", {"delta": 0.05}),
+        ("snagt", {"u": 3, "stop_coeff": 1.0}),
+        ("noisy_snagt", {"u": 3, "stop_coeff": 1.0, "delta": 0.05}),
+        ("oracle", {}),
     ])
-    def test_base_regular_and_noisy_share_one_step_memo_per_experiment(self, monkeypatch,
-                                                                       algorithm, settings,
-                                                                       shared):
-        seen = []  # (experiment, memo, stage-1 steps in it) at each adaptive loop entry
-        original = adaptive._run
-        signature = inspect.signature(original)
+    def test_every_engine_call_of_an_experiment_gets_one_memo(self, monkeypatch, algorithm,
+                                                              settings):
+        seen = []  # (experiment, memo, entries in it) at each engine call
+        for module, name in ((adaptive, "_run"), (noisy, "_adaptive_run"), (snagt, "_run"),
+                             (noisy, "_snagt_run")):
+            original = getattr(module, name)
 
-        def spy(*args, **kwargs):
-            memo = signature.bind(*args, **kwargs).arguments.get("memo")
-            steps = None if memo is None else sum(key > 0 for key in memo)  # key 0: its owner
-            seen.append((experiment, memo, steps))
-            return original(*args, **kwargs)
+            def spy(*args, original=original, **kwargs):
+                memo = inspect.signature(original).bind(*args, **kwargs).arguments.get("memo")
+                seen.append((experiment, memo, None if memo is None else len(memo)))
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(adaptive, "_run", spy)
-        monkeypatch.setattr(noisy, "_adaptive_run", spy)
+            monkeypatch.setattr(module, name, spy)
         config = ExperimentConfig(model=ModelSpec("nested", {"n": 6}), algorithm=algorithm,
                                   trials=4, **settings)
         for experiment in (0, 1):
             assert all(r.error is None for r in run_experiment(config))
-        if not shared:
-            assert all(memo is None for _, memo, _ in seen)
-            assert len(seen) == (0 if algorithm == "oracle" else 8)
+        if algorithm == "oracle":
+            assert seen == []
             return
         assert len(seen) == 8
         for experiment in (0, 1):
-            memos = [(memo, steps) for e, memo, steps in seen if e == experiment]
+            memos = [(memo, entries) for e, memo, entries in seen if e == experiment]
             assert all(memo is memos[0][0] for memo, _ in memos)
-            assert isinstance(memos[0][0], dict) and memos[0][1] == 0  # no step at the first trial
+            assert isinstance(memos[0][0], dict) and memos[0][1] == 0  # empty at the first trial
         assert seen[0][1] is not seen[-1][1]
 
     @pytest.mark.parametrize("algorithm,settings,generators", [

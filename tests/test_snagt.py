@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 import hypergt.snagt
 from conftest import oracle_for, random_test_set as reference_test_set, reference_snagt, truth_for
-from hypergt.builders import build_nested, build_random_regular
+from hypergt.builders import build_cosize, build_nested, build_random_regular
 from hypergt.errors import EmptySupport, SchemaError
 from hypergt.model import NODE_CAP, EdgeDistribution, Hypergraph, noiseless_oracle, sample_truth
 from hypergt.noisy import NoiseChannel, noisy_oracle, repetitions, run_noisy_snagt
@@ -404,29 +405,60 @@ class TestStoreLayout:
 
 
 class TestBandPlan:
-    """One plan serves every run on its (graph, dist, u): runs given it equal
-    runs that build their own, and leave it as it was."""
+    """One plan serves every run on its (graph, dist, u): runs that share a
+    memo equal runs that build their own plan, and leave the plan as it was."""
 
     def test_runs_that_share_a_plan_match_runs_that_build_one(self):
         g, d = community12()
-        plan = band_plan(g, d, 4)
-        before = [a.copy() for a in (plan.live, plan.band, plan.count, plan.time, plan.candidate)]
+        memo = {}
         channel = NoiseChannel(0.1)
         for seed in range(3):
             config = SnagtConfig(u=4, stop_coeff=1.0, seed=seed)
-            shared = run_snagt(g, d, oracle_for(g, seed), config, plan=plan)
+            shared = run_snagt(g, d, oracle_for(g, seed), config, memo=memo)
             assert shared.to_json() == run_snagt(g, d, oracle_for(g, seed), config).to_json()
+            if seed == 0:
+                plan = memo[("band plan", g, d, 4)]
+                before = [a.copy() for a in (plan.live, plan.band, plan.count, plan.time,
+                                             plan.candidate)]
             noisy = [run_noisy_snagt(g, d, noisy_oracle(truth_for(g, seed), channel,
                                                         np.random.default_rng(seed)),
-                                     config, channel, **kw).to_json() for kw in ({"plan": plan}, {})]
+                                     config, channel, **kw).to_json() for kw in ({"memo": memo}, {})]
             assert noisy[0] == noisy[1]
+        assert list(memo) == [("band plan", g, d, 4)]
         after = (plan.live, plan.band, plan.count, plan.time, plan.candidate)
         assert all(np.array_equal(a, b) and not b.flags.writeable for a, b in zip(before, after))
 
-    def test_a_plan_for_another_u_is_refused(self):
-        g, d = community12()
-        with pytest.raises(SchemaError, match="a band plan for u=3 cannot run a config with u=4"):
-            run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=4, seed=0), plan=band_plan(g, d, 3))
+    def test_runs_on_other_models_or_u_keep_apart_on_one_memo(self):
+        """nested(8) and cosize(8) at u = 4 and u = 8 share one memo; each run
+        reads only its own model's plan, so it equals a fresh run. cosize(8)
+        has no edge of size <= 4, so at u = 4 every run raises EmptySupport."""
+
+        def outcome(run):
+            try:
+                return run().to_json()
+            except EmptySupport as exc:
+                return repr(exc)
+
+        models = [build_nested(8), build_cosize(8)]
+        channel = NoiseChannel(0.05)
+        memo = {}
+        empty = 0
+        for seed in range(5):
+            for (g, d), u in itertools.product(models, (8, 4)):
+                config = SnagtConfig(u=u, stop_coeff=0.5, cap_coeff=20, seed=seed)
+                for target in range(len(d)):
+                    runs = [lambda m: run_snagt(g, d, oracle_for(g, target), config, memo=m),
+                            lambda m: run_noisy_snagt(g, d, noisy_oracle(
+                                truth_for(g, target), channel, np.random.default_rng(seed)),
+                                config, channel, memo=m)]
+                    for run in runs:
+                        shared = outcome(lambda: run(memo))
+                        assert shared == outcome(lambda: run(None)), (g.n, u, seed, target)
+                        if g is models[1][0] and u == 4:
+                            assert shared.startswith("EmptySupport")
+                            empty += 1
+        assert empty == 5 * 8 * 2
+        assert len(memo) == 3  # no plan of cosize(8) at u = 4
 
     def test_an_empty_support_is_refused_when_planned(self):
         g = Hypergraph(3, [[0, 1, 2]])
