@@ -30,19 +30,28 @@ it is not inside S: the scan's in-S masses are what a negative outcome keeps,
 and q less them what a positive one keeps. The noiseless observer conditions
 on them with no pass over the edge words.
 
-Under base and regular each stage-1 test depends on the outcome history
-alone, so all runs of one model and config walk one decision tree. A memo
-that they share holds that tree: its root step under ("steps", graph, dist,
-c, observer settings), and each later step in the `after` dict of the step
-before it, under what that step's test heard. A step is the test's mask and
-stage and a residual test's flags, or a leaf's certain edge. A run that
-finds its next step there asks the stored test with no scan or marginals
-and conditions on it through `condition_on_test`, which gives the bits the
-scan's in-S route gives, so the run goes on as a fresh one would. The noisy
-observer's posterior is fixed by each group's test, size and count of
-positive votes, so its tree branches on the vote count. The truncated
-variant shares base's tree up to stage-2 entry, where its random node
-picks begin.
+Under base and regular each test depends on the outcome history alone, so
+all runs of one model and config walk one decision tree. A memo that they
+share holds that tree: its root step under ("steps", graph, dist, c,
+observer settings), and each later step in the `after` dict of the step
+before it, under what that step's test heard. A stage-1 step is the test's
+mask and stage and a residual test's node set, or a leaf's certain edge; every
+step also holds the mass that the test leading to it removed and the total
+that the posterior was divided by. A run that finds its next step there
+asks the stored test with no scan or marginals. The noiseless observer
+reads the removed mass back, checks it, and keeps the test pending; it
+rebuilds the posterior in one pass, bit for bit the one that conditioning
+test by test gives, only where it is read: where a step is computed, and
+where the truncated variant leaves the tree. Stage 2 of base and
+regular joins the tree below the residual test's negative outcome, under
+the variant, as the two share stage 1: the entry holds mu_stage2 and the
+frozen test list, and the steps after it follow by outcome and end on the
+leaf's certain edge. So a run whose whole path is stored reads no
+posterior. The noisy observer's posterior is fixed by each group's test,
+size and count of positive votes, so its tree branches on the vote count;
+it folds a replayed group in as it folds a fresh one, and leaves the tree
+at stage-2 entry. The truncated variant shares base's tree up to stage-2
+entry, where its random node picks begin.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -224,9 +233,11 @@ def _check(ok: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-def _uncertain_nodes(marg: np.ndarray, s: np.ndarray) -> list[int]:
-    flags = s & (marg > CERTAINTY_TOL) & (marg < 1.0 - CERTAINTY_TOL)
-    return [int(v) for v in np.flatnonzero(flags)]
+def _uncertain_nodes(marg: np.ndarray, s: int = -1) -> list[int]:
+    """The nodes of node mask s, all by default, whose marginal is neither 0
+    nor 1."""
+    flags = (marg > CERTAINTY_TOL) & (marg < 1.0 - CERTAINTY_TOL)
+    return [v for v in np.flatnonzero(flags).tolist() if s >> v & 1]
 
 
 def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
@@ -236,49 +247,111 @@ def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
 
 @dataclass(slots=True)
 class _Step:
-    """The stage-1 step that any trial with one outcome history takes: a
-    leaf's certain edge, or the test's mask, stage and residual flags (those
-    of a residual test only, which stage 2 reads), and the steps after it by
-    what its test heard."""
+    """The step that any trial with one outcome history takes. In stage 1 it
+    is a leaf's certain edge, or a test's mask and stage and, for a residual
+    test, the residual set's node mask, which stage 2 reads until both
+    variants' entries are stored. A stage-2 step holds no test, as its entry's list does, and the
+    last one the leaf's certain edge. Each step holds the mass that the test
+    leading to it removed and the total that the posterior was divided by
+    (None where nothing was removed), and the steps after it by what its
+    test heard, in a dict made when the first is stored."""
 
     edge: int | None
     t_mask: int = 0
     stage: str | None = None
-    s: np.ndarray | None = None
-    after: dict = field(default_factory=dict)
+    s: int | None = None
+    removed: float = 0.0
+    norm: float | None = None
+    after: dict | None = None
+
+    def child(self, key) -> _Step | None:
+        return None if self.after is None else self.after.get(key)
+
+    def adopt(self, key, step: _Step) -> _Step:
+        if self.after is None:
+            self.after = {}
+        self.after[key] = step
+        return step
+
+
+@dataclass(slots=True)
+class _Sweep(_Step):
+    """A stage-2 entry: mu_stage2, the frozen tests (mask, stage, and the
+    edge a negative complement settles on, else None) and the nodes already
+    certain at entry."""
+
+    mu: float = 0.0
+    tests: list = field(default_factory=list)
+    positives: int = 0
 
 
 class _Exact:
     """Noiseless observer: each test site is asked once and conditioned on
-    exactly; the stage-2 sweep ends on the certain edge."""
+    exactly; the stage-2 sweep ends on the certain edge.
+
+    A test whose outcome leads to a stored step is not conditioned on: the
+    step holds the mass the test removed and the normaliser, and the test
+    waits in `pending`. The posterior is rebuilt where it is read, in one
+    pass: the last one times the AND of the pending tests' keep masks,
+    divided by each normaliser in turn. Conditioning one test at a time
+    multiplies each kept mass by 1 and divides it by the same normalisers
+    in the same order, so the bits are the same."""
 
     settings = "noiseless"  # keys its step tree in a memo, with graph, dist and c
+    stage2_shared = True  # stage 2 joins the step tree
 
     def __init__(self, oracle: TestOracle, post: Posterior):
         self.oracle = oracle
-        self.post = post
+        self._post = post
+        self.pending: list[tuple[int, bool, float | None]] = []
         self.tr = Transcript()
         self.removed = 0.0
+        self.norm: float | None = None
 
-    def ask(self, t_mask: int, stage: str,
-            in_s: Callable[[], np.ndarray] | None = None) -> bool:
-        """Ask t_mask once and condition on the answer. `in_s`, a stage-1
-        scan's, gives the masses of the edges inside S, which are the edges
-        of positive mass that miss t_mask: a negative outcome keeps them,
-        a positive one keeps q less them. The outcome is what it heard,
-        which picks the next step in a memo's step tree."""
+    @property
+    def post(self) -> Posterior:
+        if self.pending:
+            graph = self._post.graph
+            keep = None
+            for t_mask, outcome, _ in self.pending:
+                hits = intersects(graph.words, t_mask)
+                kept = hits if outcome else ~hits
+                keep = kept if keep is None else np.logical_and(keep, kept, out=keep)
+            q = self._post.q * keep
+            for _, _, norm in self.pending:
+                if norm is not None:
+                    q /= norm
+            self._post = Posterior(graph, q)
+            self.pending.clear()
+        return self._post
+
+    def ask(self, t_mask: int, stage: str, in_s: Callable[[], np.ndarray] | None = None,
+            after: dict | None = None) -> bool:
+        """Ask t_mask once. Where `after`, the asking step's children, holds
+        a step for the answer, take the mass removed and the normaliser
+        from it; else condition on the answer. `in_s`, a stage-1 scan's,
+        gives the masses of the edges inside S, which are the edges of
+        positive mass that miss t_mask: a negative outcome keeps them, a
+        positive one keeps q less them. The outcome is what it heard, which
+        picks the next step in a memo's step tree."""
         outcome = self.oracle(t_mask)
-        before = self.post.q
-        try:
-            if in_s is None:
-                self.post = condition_on_test(self.post, t_mask, outcome)
-            else:
-                kept = in_s()
-                self.post = _conditioned(self.post, before - kept if outcome else kept,
-                                         t_mask, outcome)
-        except ZeroSurvivorMass as exc:
-            raise OracleInconsistent(str(exc)) from exc
-        self.removed = float(before[self.post.q == 0.0].sum())
+        child = None if after is None else after.get(outcome)
+        if child is None:
+            before = self.post.q
+            try:
+                if in_s is None:
+                    self._post = condition_on_test(self._post, t_mask, outcome)
+                else:
+                    kept = in_s()
+                    self._post = _conditioned(self._post, before - kept if outcome else kept,
+                                              t_mask, outcome)
+            except ZeroSurvivorMass as exc:
+                raise OracleInconsistent(str(exc)) from exc
+            self.removed = float(before[self._post.q == 0.0].sum())
+            self.norm = self._post.norm
+        else:
+            self.removed, self.norm = child.removed, child.norm
+            self.pending.append((t_mask, outcome, self.norm))
         self.tr.add(t_mask, outcome, stage, mass_removed=self.removed)
         self.heard = outcome
         return outcome
@@ -301,10 +374,10 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     None meaning the nodes of positive marginal, as after each test, where a
     noisy posterior can give back a node it had underflowed. An observer
     verdict of None means the observer halted the run. `memo` holds the
-    stage-1 step tree under ("steps", graph, dist, c, obs.settings); a step
-    found in it is replayed instead of scanned, and one computed is stored.
-    The truncated variant leaves the tree at stage-2 entry, as its stage 1
-    then resumes after random node picks."""
+    step tree under ("steps", graph, dist, c, obs.settings); a step found in
+    it is replayed instead of scanned, and one computed is stored. The
+    truncated variant leaves the tree at stage-2 entry, as its stage 1
+    then resumes after random node picks; so does a noisy run."""
     variant = config.variant
     c = config.c
     if variant == "truncated":
@@ -313,12 +386,14 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
             rng = np.random.default_rng()
     tr = obs.tr
     marg = None  # the node marginals of obs.post, taken when a step is scanned
-    # The next step is table[key]: the root in the memo, then the step that
-    # the last one's test heard, in its `after`; None when there is no tree.
-    table, key = memo, ("steps", graph, dist, c, obs.settings)
+    # The next step is parent.child(key): the root under a holder whose
+    # children are the memo, then the step that the last one's test heard;
+    # parent is None when there is no tree.
+    parent = None if memo is None else _Step(None, after=memo)
+    key = ("steps", graph, dist, c, obs.settings)
 
     while True:
-        step = None if table is None else table.get(key)
+        step = None if parent is None else parent.child(key)
         in_s = None  # a replayed step has no scan to reuse
         if step is None:
             idx = certain_edge(obs.post)
@@ -336,26 +411,30 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
                     _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
                 step = _Step(None, mask_from_flags(active & ~s), SPLIT if found else RESIDUAL,
-                             None if found else s)
-            if table is not None:
-                table[key] = step
+                             None if found else mask_from_flags(s))
+            if parent is not None:
+                step.removed, step.norm = obs.removed, obs.norm
+                parent.adopt(key, step)
         if step.edge is not None:
             return _finish(tr, graph, step.edge)
         # An empty complement is resolved as negative at zero test cost.
-        verdict = obs.ask(step.t_mask, step.stage, in_s) if step.t_mask else False
+        verdict = obs.ask(step.t_mask, step.stage, in_s, step.after) if step.t_mask else False
         if verdict is None:
             return tr
         if step.stage == SPLIT or verdict:
             obs.informative(c)
-            if table is not None:
-                table, key = step.after, obs.heard
+            if parent is not None:
+                parent, key = step, obs.heard
+        elif variant != "truncated":
+            return _stage2(graph, obs, step, variant == "regular",
+                           parent is not None and obs.stage2_shared)
         else:
+            parent = None  # the rest of the run stays out of the memo
             if tr.mu_stage2 is None:
                 tr.mu_stage2 = expected_infections(obs.post)
-            if variant != "truncated":
-                return _stage2(graph, obs, step.s, variant == "regular")
-            table = None  # the rest of the run stays out of the memo
-            pending = _uncertain_nodes(node_marginals(obs.post), step.s)
+            # Every uncertain node lies in S: the test of active less S came
+            # back negative, and a node outside active had no mass.
+            pending = _uncertain_nodes(node_marginals(obs.post))
             if pending:
                 v = int(rng.choice(pending))
                 if obs.ask(1 << v, INDIVIDUAL):
@@ -368,34 +447,65 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         marg = active = None
 
 
-def _stage2(graph: Hypergraph, obs, s: np.ndarray, regular: bool) -> Transcript:
-    """Stage 2 of the base and regular variants, from residual set s."""
-    if regular:
-        surviving = np.flatnonzero(obs.post.q > 0.0).tolist()
-        sizes = set(graph.edge_sizes[surviving].tolist())
-        if len(sizes) > 1:
-            raise NotRegular(f"surviving edge sizes {sorted(sizes)} at stage-2 entry")
-        if len(surviving) < int(s.sum()):
-            s_mask = mask_from_flags(s)
-            for e in surviving:
-                t2 = s_mask & ~graph.edge_masks[e]
-                # When S equals e there is nothing left to ask.
-                if t2 == 0 or not obs.ask(t2, COMPLEMENT):
-                    return _finish(obs.tr, graph, e)
-            raise OracleInconsistent("every edge complement tested positive")
-        # Dense case: fall through to individual testing.
+def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool, shared: bool) -> Transcript:
+    """Stage 2 of the base and regular variants, after residual's test came
+    back negative. Its entry fixes mu_stage2 and the test list, frozen at
+    entry: an edge complement over the residual set for each surviving
+    edge, or each node uncertain at entry, in index order, even one that
+    an earlier outcome settles. With `shared`, the entry sits under the
+    residual's negative outcome and then the variant, as base and regular
+    share stage 1, and the step after each test under the one before it by
+    what the test heard; a run that finds them reads no posterior."""
+    variant = "regular" if regular else "base"
+    fork = residual.child(False) if shared else None
+    if shared and fork is None:
+        fork = residual.adopt(False, _Step(None))
+        if residual.t_mask:
+            fork.removed, fork.norm = obs.removed, obs.norm
+    entry = None if fork is None else fork.child(variant)
+    if entry is None:
+        entry = _Sweep(None, mu=expected_infections(obs.post))
+        s = residual.s
+        if regular:
+            surviving = np.flatnonzero(obs.post.q > 0.0).tolist()
+            sizes = set(graph.edge_sizes[surviving].tolist())
+            if len(sizes) > 1:
+                raise NotRegular(f"surviving edge sizes {sorted(sizes)} at stage-2 entry")
+            if len(surviving) < s.bit_count():
+                entry.tests = [(s & ~graph.edge_masks[e], COMPLEMENT, e) for e in surviving]
+            # Dense case: fall through to individual testing.
+        if not entry.tests:
+            marg = node_marginals(obs.post)
+            entry.positives = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
+            entry.tests = [(1 << v, INDIVIDUAL, None) for v in _uncertain_nodes(marg, s)]
+        if fork is not None:
+            fork.adopt(variant, entry)
+            if len(fork.after) == 2:  # both test lists are frozen: no run reads s again
+                residual.s = None
 
-    # Test every node that is uncertain right now, in index order, updating
-    # after each; outcomes later in the sweep do not shrink the list.
-    marg = node_marginals(obs.post)
-    positives = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
-    for v in _uncertain_nodes(marg, s):
-        verdict = obs.ask(1 << v, INDIVIDUAL)
+    tr = obs.tr
+    tr.mu_stage2 = entry.mu
+    step, positives = entry, entry.positives
+    for t_mask, stage, edge in entry.tests:
+        # A complement is empty when S equals its edge: nothing is left to ask.
+        verdict = obs.ask(t_mask, stage, None, step.after) if t_mask else False
         if verdict is None:
-            return obs.tr
+            return tr
+        if shared and t_mask:
+            step = step.child(obs.heard) or step.adopt(
+                obs.heard, _Step(None, removed=obs.removed, norm=obs.norm))
         if verdict:
-            positives |= 1 << v
-    return obs.finish(positives)
+            positives |= t_mask
+        elif edge is not None:
+            return _finish(tr, graph, edge)
+    if entry.tests and entry.tests[-1][2] is not None:
+        raise OracleInconsistent("every edge complement tested positive")
+    if step.edge is not None:
+        return _finish(tr, graph, step.edge)
+    tr = obs.finish(positives)
+    if shared:
+        step.edge = tr.result_edge
+    return tr
 
 
 def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
@@ -407,10 +517,11 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
     truncated variant's random node picks; None means an unseeded one.
 
     memo is a dict that runs share, empty at first, as `run_experiment`
-    shares one between the trials of an experiment: each stage-1 step a run
-    computes is stored in a tree under (graph, dist, c), graph and dist by
-    identity, and a later run with the same outcome history replays it. The
-    truncated variant stores and replays only the steps before stage 2."""
+    shares one between the trials of an experiment: each step a run
+    computes, stage 2 included, is stored in a tree under (graph, dist, c),
+    graph and dist by identity, and a later run with the same outcome
+    history replays it without conditioning on it. The truncated variant
+    stores and replays only the steps before stage 2."""
     config = config or AdaptiveConfig()
     validate_model(graph, dist)
     obs = _Exact(oracle, prior_posterior(graph, dist))

@@ -27,6 +27,7 @@ from .model import (
     edge_entropy,
     expected_infections,
     load_model,
+    noiseless_oracle,
     prior_posterior,
     sample_truth,
 )
@@ -129,9 +130,11 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     Transcript, which builds the trial's engine and noise generators only
     where it draws from them. The oracle's policy is built here, once per
     experiment, and so is one empty memo that every engine call is given:
-    an adaptive engine stores there each stage-1 step it computes, which a
-    trial with the same history of outcomes (of vote counts under noise)
-    replays, and a preplanned one its band plan."""
+    an adaptive engine stores there each step it computes (stage 1 only
+    under noise or the truncated variant), which a trial with the same
+    history of outcomes (of vote counts under noise) replays, and a
+    preplanned one its band plan. At delta = 0 the noiseless oracle answers;
+    the noisy one would answer alike and draw nothing."""
     algorithm, u = config.algorithm, config.u
     try:
         if algorithm not in READS:
@@ -164,12 +167,13 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     memo = {}
 
     # The engines are looked up by their module names on every call, so a
-    # rebinding of those names (as tracing does) takes effect. At delta = 0
-    # the noisy oracle answers truthfully and draws nothing, so it gets no
-    # generator; only the truncated variant draws from the engine generator.
+    # rebinding of those names (as tracing does) takes effect. Only the
+    # truncated variant draws from the engine generator.
     def run(truth, seed, trial):
-        rng_noise = _generator(config.seed, trial, 2) if channel.delta else None
-        oracle = noisy_oracle(truth, channel, rng_noise)
+        if channel.delta:
+            oracle = noisy_oracle(truth, channel, _generator(config.seed, trial, 2))
+        else:
+            oracle = noiseless_oracle(truth)
         if algorithm == "oracle":
             return run_policy(graph, policy, oracle)
         if algorithm == "noisy_adaptive":

@@ -175,10 +175,13 @@ class EdgeDistribution:
 
 @dataclass(eq=False)
 class Posterior:
-    """Edge posterior after a transcript of tests; removed edges carry exact 0."""
+    """Edge posterior after a transcript of tests; removed edges carry exact 0.
+    norm is the total that the conditioning which made it divided by: None
+    where that removed no mass, or where no conditioning made it."""
 
     graph: Hypergraph
     q: np.ndarray
+    norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def _conditioned(post: Posterior, q: np.ndarray, t_mask: int, outcome: bool) -> 
     if total <= 0.0:
         raise ZeroSurvivorMass(
             f"observation ({nodes_of(t_mask)}, {outcome}) is inconsistent with every surviving edge")
-    return Posterior(post.graph, q / total)
+    return Posterior(post.graph, q / total, float(total))
 
 
 def certain_edge(post: Posterior) -> int | None:

@@ -141,7 +141,13 @@ class _Repeated:
     with D each edge's count of outcomes that contradict it; one
     `edge_outcomes` call folds a whole group into D. The run halts once the
     physical-test budget is spent; the stage-2 sweep ends on the majority
-    positives."""
+    positives. A replayed step is asked and folded in like a fresh one, so
+    a stored step keeps no removed mass or normaliser, and stage 2 stays
+    out of the step tree."""
+
+    removed = 0.0
+    norm = None
+    stage2_shared = False
 
     def __init__(self, oracle: TestOracle, post: Posterior, delta: float,
                  ells: dict[str, int], cap: int):
@@ -158,14 +164,15 @@ class _Repeated:
         self.groups = 0
         self.settings = (delta, tuple(ells.items()), cap)  # keys its step tree in a memo
 
-    def ask(self, t_mask: int, stage: str,
-            in_s: Callable[[], np.ndarray] | None = None) -> bool | None:
+    def ask(self, t_mask: int, stage: str, in_s: Callable[[], np.ndarray] | None = None,
+            after: dict | None = None) -> bool | None:
         """Issue up to ell physical tests, then fold their outcomes into the
         posterior; None means the budget ran out within the group. A full
         group's vote count is what it heard, which picks the next step in a
         memo's step tree. A stage-1 scan's `in_s` is not read: an edge of
         positive prior whose q has underflowed can lie outside the scanned
-        set, so `edge_outcomes` decides every edge."""
+        set, so `edge_outcomes` decides every edge. Nor is `after`, the
+        asking step's children."""
         self.groups += 1
         ell = self.ells[stage]
         asked = min(ell, self.cap - self.tr.total)

@@ -229,7 +229,7 @@ class ReferenceRepeated(_Repeated):
         super().__init__(oracle, post, delta, ells, cap)
         self.delta = delta
 
-    def ask(self, t_mask, stage, in_s=None):
+    def ask(self, t_mask, stage, in_s=None, after=None):
         self.groups += 1
         ell = self.ells[stage]
         votes = 0

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,7 +62,7 @@ from hypergt.noisy import (
 )
 from hypergt.oracle import direct_posterior
 from hypergt.sets import intersects, mask_from_flags, mask_of, nodes_of
-from hypergt.transcript import RESIDUAL, SPLIT
+from hypergt.transcript import COMPLEMENT, INDIVIDUAL, RESIDUAL, SPLIT
 from test_golden import MODELS as GOLDEN_MODELS
 
 
@@ -586,10 +587,11 @@ def noisy_run(graph, dist, target, delta, trial, c=0.45, memo=None, **settings):
 
 
 def tree_steps(memo):
-    """Every step of the step trees in memo, each root first."""
+    """Every step of the step trees in memo, each root first; stage-2 steps
+    included, and a step with no children has no `after` dict."""
     steps = [step for key, step in memo.items() if key[0] == "steps"]
     for step in steps:  # grows as it goes: each step's children follow it
-        steps.extend(step.after.values())
+        steps.extend((step.after or {}).values())
     return steps
 
 
@@ -625,10 +627,17 @@ class TestStepMemo:
                     assert len(asked) == len(shared["records"]), (c, target)
             assert list(memo) == [("steps", graph, dist, c, "noiseless")]
             steps = tree_steps(memo)
+            # A dict of children exists once a first child is stored; the
+            # stored masses and normalisers are Python floats.
+            assert all(step.after is None or step.after for step in steps)
+            assert all(step.after is None for step in steps if step.edge is not None)
+            assert all(type(step.removed) is float and (step.norm is None or type(step.norm) is float)
+                       for step in steps)
             if name == "point_mass":
                 assert [step.edge for step in steps] == [1]
             if name == "cosize70":  # stage 2 entered on an empty complement
-                assert [(step.stage, step.t_mask) for step in steps] == [(RESIDUAL, 0)]
+                assert [(step.stage, step.t_mask) for step in steps
+                        if step.stage in (SPLIT, RESIDUAL)] == [(RESIDUAL, 0)]
 
     @pytest.mark.parametrize("variant", ["base", "regular"])
     def test_a_failed_run_leaves_nothing_to_replay(self, variant):
@@ -667,35 +676,89 @@ class TestStepMemo:
 
     def test_truncated_runs_share_stage_1_with_base_and_regular(self, fig1):
         """Truncated runs read and write the tree up to stage-2 entry only,
-        where their random node picks begin: on a memo shared with base and
-        regular they equal fresh runs, and no step follows a residual test
-        that tested negative, though some runs resume stage 1 after it."""
+        where their random node picks begin, though some runs resume stage 1
+        after it. On a memo shared with base and regular they equal fresh
+        runs, and so they do on a memo that base and regular runs already
+        filled, stage 2 included, given the same rng seed; there some
+        residual steps have dropped their node sets."""
         models = [fig1, build_cosize(6), *(build_model(GOLDEN_MODELS[name][0])
                                            for name in ("community12", "partial10"))]
-        configs = [AdaptiveConfig(c=c, variant=variant, **kw) for c in (1.0 / 3.0, 0.2)
-                   for variant, kw in (("truncated", {"f2": 1}), ("base", {}),
-                                       ("truncated", {"f2": 3}), ("regular", {}),
-                                       ("truncated", {"eps": 0.3}))]
-        residuals, resumed = [], 0
+        truncated = [AdaptiveConfig(c=c, variant="truncated", **kw) for c in (1.0 / 3.0, 0.2)
+                     for kw in ({"f2": 1}, {"f2": 3}, {"eps": 0.3})]
+        full = [AdaptiveConfig(c=c, variant=variant) for c in (1.0 / 3.0, 0.2)
+                for variant in ("base", "regular")]
+        resumed = dropped = 0
         for graph, dist in models:
             targets = np.random.default_rng(3).choice(len(dist), size=12, p=dist.probs).tolist()
-            memo = {}
-            for trial, target in enumerate(targets):
-                for config in configs:
-                    asked, oracle = counted(graph, target)
-                    shared = transcript_or_error(lambda: run_adaptive(
-                        graph, dist, oracle, config, rng=np.random.default_rng(trial), memo=memo))
-                    assert shared == transcript_or_error(lambda: run_adaptive(
-                        graph, dist, oracle_for(graph, target), config,
-                        rng=np.random.default_rng(trial))), (config, target)
-                    if isinstance(shared, dict):
-                        assert len(asked) == len(shared["records"])
-                        stages = "".join(r["stage"][0] for r in shared["records"])
-                        resumed += bool(re.search("i.*[sr]", stages))
-            residuals += [step for step in tree_steps(memo) if step.stage == RESIDUAL]
-        assert resumed and residuals
-        assert all(False not in step.after and (step.t_mask or not step.after)
-                   for step in residuals)
+            shared_memo, filled = {}, {}
+            for target in targets:
+                for config in full:
+                    transcript_or_error(lambda: run_adaptive(
+                        graph, dist, oracle_for(graph, target), config, memo=filled))
+            for memo, configs in ((shared_memo, truncated + full), (filled, truncated)):
+                for trial, target in enumerate(targets):
+                    for config in configs:
+                        asked, oracle = counted(graph, target)
+                        shared = transcript_or_error(lambda: run_adaptive(
+                            graph, dist, oracle, config, rng=np.random.default_rng(trial), memo=memo))
+                        assert shared == transcript_or_error(lambda: run_adaptive(
+                            graph, dist, oracle_for(graph, target), config,
+                            rng=np.random.default_rng(trial))), (config, target)
+                        if isinstance(shared, dict):
+                            assert len(asked) == len(shared["records"])
+                            stages = "".join(r["stage"][0] for r in shared["records"])
+                            resumed += bool(re.search("i.*[sr]", stages))
+            dropped += sum(step.stage == RESIDUAL and step.s is None for step in tree_steps(filled))
+        assert resumed and dropped
+
+    def test_base_and_regular_keep_their_own_stage_2_on_one_memo(self):
+        """Base and regular share stage 1 but not stage 2. On regular64 at
+        c = 0.45 both enter stage 2 after the same residual tests, base
+        testing single nodes and regular edge complements; interleaved on
+        one memo, each run equals a fresh one."""
+        graph, dist = build_model(GOLDEN_MODELS["regular64"][0])
+        targets = np.random.default_rng(5).choice(len(dist), size=30, p=dist.probs).tolist()
+        memo, stages = {}, set()
+        for target in targets:
+            for variant in ("base", "regular"):
+                config = AdaptiveConfig(c=0.45, variant=variant)
+                asked, oracle = counted(graph, target)
+                shared = run_adaptive(graph, dist, oracle, config, memo=memo).to_json()
+                assert shared == run_adaptive(graph, dist, oracle_for(graph, target),
+                                              config).to_json(), (variant, target)
+                assert len(asked) == len(shared["records"])
+                stages |= {(variant, r["stage"]) for r in shared["records"]}
+        assert {("base", INDIVIDUAL), ("regular", COMPLEMENT)} <= stages
+        forks = [step.child(False) for step in tree_steps(memo) if step.stage == RESIDUAL]
+        assert any(fork and set(fork.after) == {"base", "regular"} for fork in forks)
+
+    @pytest.mark.parametrize("name", ["dense12", "cosize14"])
+    def test_a_stored_path_reads_no_posterior(self, monkeypatch, name):
+        """A run whose whole path is stored, stage 2 included, asks the
+        stored tests and reads the stored masses: it conditions on nothing,
+        scans nothing and takes no marginals."""
+        if name == "dense12":  # the benchmark's dense model
+            graph, dist = build_model(GOLDEN_MODELS["community12"][0])
+        else:
+            graph, dist = build_cosize(14)
+        calls = Counter()
+        for fn in ("condition_on_test", "_conditioned", "node_marginals", "certain_edge",
+                   "_split_scan", "expected_infections"):
+            real = getattr(adaptive, fn)
+            monkeypatch.setattr(adaptive, fn, lambda *args, _fn=fn, _real=real:
+                                calls.update([_fn]) or _real(*args))
+        targets = np.random.default_rng(2).choice(len(dist), size=25, p=dist.probs).tolist()
+        memo, stage2 = {}, 0
+        for target in targets:
+            first = run_adaptive(graph, dist, oracle_for(graph, target), AdaptiveConfig(),
+                                 memo=memo).to_json()
+            calls.clear()
+            second = run_adaptive(graph, dist, oracle_for(graph, target), AdaptiveConfig(),
+                                  memo=memo).to_json()
+            assert second == first
+            assert not calls, (target, dict(calls))
+            stage2 += second["mu_stage2"] is not None
+        assert stage2
 
     @pytest.mark.parametrize("name", ["community12", "regular64", "islands"])
     def test_noisy_runs_on_a_shared_memo_match_fresh_runs(self, name):
@@ -745,6 +808,63 @@ class TestStepMemo:
             assert shared.to_json() == run_adaptive(graph, dist, oracle_for(graph, target),
                                                     config).to_json()
         assert len(memo) == len(others) + 1
+
+
+class TestRebuild:
+    """A replayed test is not conditioned on: the noiseless observer keeps
+    it pending with the stored normaliser and rebuilds the posterior where
+    it is read. The rebuild must give the bits that conditioning one test
+    at a time gives, after every prefix of a path."""
+
+    MODELS = {"nested12": lambda: build_nested(12),
+              "community12": lambda: build_model(GOLDEN_MODELS["community12"][0]),
+              "regular130": lambda: build_random_regular(130, 3, count=400, seed=2),
+              "cosize14": lambda: build_cosize(14)}
+
+    @pytest.mark.parametrize("c", [0.2, 1.0 / 3.0, 0.45])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_rebuilt_posterior_equals_conditioning_test_by_test(self, name, c):
+        """Each path mixes the scan's tests, conditioned on through its in-S
+        masses, with single-node tests conditioned on through the mask, some
+        of which remove nothing. Replays read the posterior at random points
+        of the path, so rebuilds start from a posterior rebuilt before."""
+        graph, dist = self.MODELS[name]()
+        rng = np.random.default_rng(17)
+        routes = Counter()
+        for target in rng.choice(len(dist), size=6, p=dist.probs).tolist():
+            answer = oracle_for(graph, target)
+            fresh = _Exact(answer, prior_posterior(graph, dist))
+            ref = prior_posterior(graph, dist)
+            path, refs = [], [ref.q]
+            active = np.ones(graph.n, dtype=bool)
+            while certain_edge(ref) is None and len(path) < 16:
+                s, found, _, in_s = _split_scan(ref.q, node_marginals(ref), graph, active, c)
+                t = mask_from_flags(active & ~s)
+                if t and rng.random() < 0.7:
+                    fresh.ask(t, SPLIT if found else RESIDUAL, in_s)
+                    routes["in_s"] += 1
+                else:
+                    t = 1 << int(rng.integers(graph.n))
+                    fresh.ask(t, INDIVIDUAL)
+                    routes["mask"] += 1
+                routes["no division"] += fresh.norm is None
+                path.append((t, fresh.heard, fresh.removed, fresh.norm))
+                ref = condition_on_test(ref, t, fresh.heard)
+                assert np.array_equal(fresh.post.q, ref.q)
+                refs.append(ref.q)
+                active = node_marginals(ref) > 0.0
+            for k in range(1, len(path) + 1):
+                replay = _Exact(answer, prior_posterior(graph, dist))
+                for t, outcome, removed, norm in path[:k]:
+                    stored = adaptive._Step(None, removed=removed, norm=norm)
+                    assert replay.ask(t, SPLIT, None, {outcome: stored}) == outcome
+                    assert replay.removed == removed
+                    if rng.random() < 0.25:
+                        replay.post
+                assert np.array_equal(replay.post.q, refs[k]), (target, k)
+                assert [r.mass_removed for r in replay.tr.records] == [p[2] for p in path[:k]]
+        assert routes["mask"] and routes["no division"], routes
+        assert routes["in_s"] or name == "cosize14", routes  # a cosize scan's complement is empty
 
 
 class TestTranscriptRecord:

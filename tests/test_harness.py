@@ -154,6 +154,22 @@ class TestRunExperiment:
         run_experiment(config)
         assert len(built) == 5 * generators
 
+    @pytest.mark.parametrize("algorithm,settings,noisy_oracles", [
+        ("base", {}, 0),
+        ("snagt", {"u": 3, "stop_coeff": 1.0}, 0),
+        ("noisy_adaptive", {"delta": 0.0}, 0),
+        ("noisy_adaptive", {"delta": 0.05}, 5),
+    ], ids=["base", "snagt", "noisy-0", "noisy"])
+    def test_a_trial_asks_the_noiseless_oracle_at_delta_0(self, monkeypatch, algorithm,
+                                                           settings, noisy_oracles):
+        built = []
+        original = harness.noisy_oracle
+        monkeypatch.setattr(harness, "noisy_oracle", lambda *a: built.append(a) or original(*a))
+        config = ExperimentConfig(model=ModelSpec("nested", {"n": 6}), algorithm=algorithm,
+                                  trials=5, **settings)
+        assert all(r.error is None for r in run_experiment(config))
+        assert len(built) == noisy_oracles
+
     def test_snagt_requires_u(self, fig1_files):
         with pytest.raises(ValueError):
             ExperimentConfig(model=fig1_files, algorithm="snagt", trials=1)
