@@ -30,28 +30,28 @@ it is not inside S: the scan's in-S masses are what a negative outcome keeps,
 and q less them what a positive one keeps. The noiseless observer conditions
 on them with no pass over the edge words.
 
-Under base and regular each test depends on the outcome history alone, so
-all runs of one model and config walk one decision tree. A memo that they
-share holds that tree: its root step under ("steps", graph, dist, c,
-observer settings), and each later step in the `after` dict of the step
-before it, under what that step's test heard. A stage-1 step is the test's
-mask and stage and a residual test's node set, or a leaf's certain edge; every
-step also holds the mass that the test leading to it removed and the total
-that the posterior was divided by. A run that finds its next step there
-asks the stored test with no scan or marginals. The noiseless observer
-reads the removed mass back, checks it, and keeps the test pending; it
-rebuilds the posterior in one pass, bit for bit the one that conditioning
-test by test gives, only where it is read: where a step is computed, and
-where the truncated variant leaves the tree. Stage 2 of base and
-regular joins the tree below the residual test's negative outcome, under
-the variant, as the two share stage 1: the entry holds mu_stage2 and the
-frozen test list, and the steps after it follow by outcome and end on the
-leaf's certain edge. So a run whose whole path is stored reads no
-posterior. The noisy observer's posterior is fixed by each group's test,
-size and count of positive votes, so its tree branches on the vote count;
-it folds a replayed group in as it folds a fresh one, and leaves the tree
-at stage-2 entry. The truncated variant shares base's tree up to stage-2
-entry, where its random node picks begin.
+Up to the truncated variant's random node picks, each test depends on the
+outcome history alone, so all runs of one model and config walk one
+decision tree, and one experiment runs one config. A memo that they share
+holds that tree: its root step under ("steps", graph, dist, config,
+observer settings), config the whole `AdaptiveConfig`, and each later step
+in the `after` dict of the step before it, under what that step's test
+heard. A stage-1 step is the test's mask and stage and a residual test's
+node set, or a leaf's certain edge; every step also holds the mass that
+the test leading to it removed and the total that the posterior was
+divided by. A run that finds its next step there asks the stored test with
+no scan or marginals. The noiseless observer reads the removed mass back,
+checks it, and keeps the test pending; it rebuilds the posterior in one
+pass, bit for bit the one that conditioning test by test gives, only where
+it is read: where a step is computed, and where the truncated variant
+leaves the tree. Under base and regular the residual test's negative
+outcome leads to the stage-2 entry, which holds mu_stage2 and the frozen
+test list; the steps after it follow by outcome and end on the leaf's
+certain edge. So a run whose whole path is stored reads no posterior. The
+noisy observer's posterior is fixed by each group's test, size and count
+of positive votes, so its tree branches on the vote count; it folds a
+replayed group in as it folds a fresh one, and leaves the tree at stage-2
+entry, as the truncated variant does.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -249,11 +249,11 @@ def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
 class _Step:
     """The step that any trial with one outcome history takes. In stage 1 it
     is a leaf's certain edge, or a test's mask and stage and, for a residual
-    test, the residual set's node mask, which stage 2 reads until both
-    variants' entries are stored. A stage-2 step holds no test, as its entry's list does, and the
-    last one the leaf's certain edge. Each step holds the mass that the test
-    leading to it removed and the total that the posterior was divided by
-    (None where nothing was removed), and the steps after it by what its
+    test, the residual set's node mask, which stage 2 reads until its entry
+    is stored. A stage-2 step holds no test, as its entry's list does, and
+    the last one the leaf's certain edge. Each step holds the mass that the
+    test leading to it removed and the total that the posterior was divided
+    by (None where nothing was removed), and the steps after it by what its
     test heard, in a dict made when the first is stored."""
 
     edge: int | None
@@ -276,9 +276,9 @@ class _Step:
 
 @dataclass(slots=True)
 class _Sweep(_Step):
-    """A stage-2 entry: mu_stage2, the frozen tests (mask, stage, and the
-    edge a negative complement settles on, else None) and the nodes already
-    certain at entry."""
+    """A stage-2 entry, the residual step's negative child: mu_stage2, the
+    frozen tests (mask, stage, and the edge a negative complement settles
+    on, else None) and the nodes already certain at entry."""
 
     mu: float = 0.0
     tests: list = field(default_factory=list)
@@ -297,7 +297,7 @@ class _Exact:
     multiplies each kept mass by 1 and divides it by the same normalisers
     in the same order, so the bits are the same."""
 
-    settings = "noiseless"  # keys its step tree in a memo, with graph, dist and c
+    settings = "noiseless"  # keys its step tree in a memo, with graph, dist and config
     stage2_shared = True  # stage 2 joins the step tree
 
     def __init__(self, oracle: TestOracle, post: Posterior):
@@ -374,9 +374,9 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     None meaning the nodes of positive marginal, as after each test, where a
     noisy posterior can give back a node it had underflowed. An observer
     verdict of None means the observer halted the run. `memo` holds the
-    step tree under ("steps", graph, dist, c, obs.settings); a step found in
-    it is replayed instead of scanned, and one computed is stored. The
-    truncated variant leaves the tree at stage-2 entry, as its stage 1
+    step tree under ("steps", graph, dist, config, obs.settings); a step
+    found in it is replayed instead of scanned, and one computed is stored.
+    The truncated variant leaves the tree at stage-2 entry, as its stage 1
     then resumes after random node picks; so does a noisy run."""
     variant = config.variant
     c = config.c
@@ -390,7 +390,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     # children are the memo, then the step that the last one's test heard;
     # parent is None when there is no tree.
     parent = None if memo is None else _Step(None, after=memo)
-    key = ("steps", graph, dist, c, obs.settings)
+    key = ("steps", graph, dist, config, obs.settings)
 
     while True:
         step = None if parent is None else parent.child(key)
@@ -452,19 +452,16 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool, shared: bool
     back negative. Its entry fixes mu_stage2 and the test list, frozen at
     entry: an edge complement over the residual set for each surviving
     edge, or each node uncertain at entry, in index order, even one that
-    an earlier outcome settles. With `shared`, the entry sits under the
-    residual's negative outcome and then the variant, as base and regular
-    share stage 1, and the step after each test under the one before it by
-    what the test heard; a run that finds them reads no posterior."""
-    variant = "regular" if regular else "base"
-    fork = residual.child(False) if shared else None
-    if shared and fork is None:
-        fork = residual.adopt(False, _Step(None))
-        if residual.t_mask:
-            fork.removed, fork.norm = obs.removed, obs.norm
-    entry = None if fork is None else fork.child(variant)
+    an earlier outcome settles. With `shared`, the entry is the residual's
+    negative child, and the step after each test hangs under the one before
+    it by what the test heard; a run that finds them reads no posterior.
+    Once the entry is stored no run reads the residual's node set again,
+    and the residual drops it."""
+    entry = residual.child(False) if shared else None
     if entry is None:
         entry = _Sweep(None, mu=expected_infections(obs.post))
+        if residual.t_mask:
+            entry.removed, entry.norm = obs.removed, obs.norm
         s = residual.s
         if regular:
             surviving = np.flatnonzero(obs.post.q > 0.0).tolist()
@@ -478,10 +475,9 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool, shared: bool
             marg = node_marginals(obs.post)
             entry.positives = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
             entry.tests = [(1 << v, INDIVIDUAL, None) for v in _uncertain_nodes(marg, s)]
-        if fork is not None:
-            fork.adopt(variant, entry)
-            if len(fork.after) == 2:  # both test lists are frozen: no run reads s again
-                residual.s = None
+        if shared:
+            residual.adopt(False, entry)
+            residual.s = None
 
     tr = obs.tr
     tr.mu_stage2 = entry.mu
@@ -518,10 +514,10 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
 
     memo is a dict that runs share, empty at first, as `run_experiment`
     shares one between the trials of an experiment: each step a run
-    computes, stage 2 included, is stored in a tree under (graph, dist, c),
-    graph and dist by identity, and a later run with the same outcome
-    history replays it without conditioning on it. The truncated variant
-    stores and replays only the steps before stage 2."""
+    computes, stage 2 included, is stored in a tree under (graph, dist,
+    config), graph and dist by identity, and a later run with the same
+    outcome history replays it without conditioning on it. The truncated
+    variant stores and replays only the steps before stage 2."""
     config = config or AdaptiveConfig()
     validate_model(graph, dist)
     obs = _Exact(oracle, prior_posterior(graph, dist))

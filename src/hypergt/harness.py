@@ -131,10 +131,11 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     where it draws from them. The oracle's policy is built here, once per
     experiment, and so is one empty memo that every engine call is given:
     an adaptive engine stores there each step it computes (stage 1 only
-    under noise or the truncated variant), which a trial with the same
-    history of outcomes (of vote counts under noise) replays, and a
-    preplanned one its band plan. At delta = 0 the noiseless oracle answers;
-    the noisy one would answer alike and draw nothing."""
+    under noise or the truncated variant) in the one tree of the
+    experiment's config, which a trial with the same history of outcomes
+    (of vote counts under noise) replays, and a preplanned one its band
+    plan. At delta = 0 the noiseless oracle answers; the noisy one would
+    answer alike and draw nothing."""
     algorithm, u = config.algorithm, config.u
     try:
         if algorithm not in READS:

@@ -104,10 +104,12 @@ def _check_budget(u: int | None, max_physical_tests: int | None) -> None:
 
 def noisy_oracle(truth: GroundTruth, channel: NoiseChannel,
                  rng: np.random.Generator | None) -> TestOracle:
-    """True outcome XOR an independent Bernoulli(delta) flip per call; at
-    delta = 0 nothing is drawn, and rng may be None."""
+    """True outcome XOR an independent Bernoulli(delta) flip per call, drawn
+    from rng; at delta = 0 nothing is drawn, and rng may be None."""
     clean = noiseless_oracle(truth)
     delta = channel.delta
+    if delta and rng is None:
+        raise SchemaError(f"a noisy oracle at delta={delta} needs an rng")
 
     def answers(t_mask: int) -> bool:
         flip = delta > 0.0 and rng.random() < delta

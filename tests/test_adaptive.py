@@ -625,7 +625,7 @@ class TestStepMemo:
                 assert shared == fresh, (c, target)
                 if isinstance(shared, dict):
                     assert len(asked) == len(shared["records"]), (c, target)
-            assert list(memo) == [("steps", graph, dist, c, "noiseless")]
+            assert list(memo) == [("steps", graph, dist, config, "noiseless")]
             steps = tree_steps(memo)
             # A dict of children exists once a first child is stored; the
             # stored masses and normalisers are Python floats.
@@ -653,84 +653,85 @@ class TestStepMemo:
             assert len(asked) == len(shared["records"])
 
     def test_runs_on_other_models_or_c_keep_apart_on_one_memo(self, fig1):
-        """Each (graph, dist, c), graph and dist by identity, has its own
-        tree in the memo; base and regular share stage 1, and so one tree."""
+        """Each (graph, dist, config), graph and dist by identity, has its
+        own tree in the memo, so base, regular and truncated (f2 or eps) at
+        one c keep apart too. On regular64 at c = 0.45 base and regular
+        enter stage 2 after the same residual tests, base testing single
+        nodes and regular edge complements. Interleaved on one memo, each
+        run equals a fresh one with the same rng seed."""
         graph, dist = fig1
         same_graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])  # equal, but not the one
         same_dist = EdgeDistribution([0.3, 0.2, 0.5])
         other, other_dist = build_nested(5)
-        memo = {}
-        runs = list(itertools.product(((graph, dist), (same_graph, dist), (graph, same_dist),
-                                       (other, other_dist)), (0.2, 0.45), ("base", "regular")))
-        for trial in range(3):
-            for (g, d), c, variant in runs:
-                target = trial % len(d)
-                config = AdaptiveConfig(c=c, variant=variant)
+        regular64 = build_model(GOLDEN_MODELS["regular64"][0])
+        configs = [AdaptiveConfig(c=c, variant=variant) for c in (0.2, 0.45)
+                   for variant in ("base", "regular")]
+        configs += [AdaptiveConfig(c=0.2, variant="truncated", **kw) for kw in ({"f2": 1}, {"eps": 0.3})]
+        runs = [(model, config) for model in ((graph, dist), (same_graph, dist), (graph, same_dist),
+                                              (other, other_dist)) for config in configs]
+        runs += [(regular64, AdaptiveConfig(c=0.45, variant=variant)) for variant in ("base", "regular")]
+        targets64 = np.random.default_rng(5).choice(len(regular64[1]), size=30,
+                                                    p=regular64[1].probs).tolist()
+        memo, stages = {}, set()
+        for trial, target64 in enumerate(targets64):
+            for (g, d), config in runs:
+                target = target64 if g is regular64[0] else trial % len(d)
                 asked, oracle = counted(g, target)
-                shared = transcript_or_error(lambda: run_adaptive(g, d, oracle, config, memo=memo))
-                assert shared == transcript_or_error(
-                    lambda: run_adaptive(g, d, oracle_for(g, target), config)), (c, variant)
+                shared = transcript_or_error(lambda: run_adaptive(
+                    g, d, oracle, config, rng=np.random.default_rng(trial), memo=memo))
+                assert shared == transcript_or_error(lambda: run_adaptive(
+                    g, d, oracle_for(g, target), config, rng=np.random.default_rng(trial))), \
+                    (config, target)
                 if isinstance(shared, dict):
                     assert len(asked) == len(shared["records"])
-        assert len(memo) == 4 * 2
+                    if g is regular64[0]:
+                        stages |= {(config.variant, r["stage"]) for r in shared["records"]}
+        assert {("base", INDIVIDUAL), ("regular", COMPLEMENT)} <= stages
+        assert list(memo) == [("steps", g, d, config, "noiseless") for (g, d), config in runs]
 
-    def test_truncated_runs_share_stage_1_with_base_and_regular(self, fig1):
-        """Truncated runs read and write the tree up to stage-2 entry only,
-        where their random node picks begin, though some runs resume stage 1
-        after it. On a memo shared with base and regular they equal fresh
-        runs, and so they do on a memo that base and regular runs already
-        filled, stage 2 included, given the same rng seed; there some
-        residual steps have dropped their node sets."""
+    def test_truncated_runs_store_only_stage_1(self, fig1):
+        """Truncated runs read and write their tree up to stage-2 entry
+        only, where their random node picks begin, though some runs resume
+        stage 1 after it. On a shared memo they equal fresh runs with the
+        same rng seed, and their trees hold no stage-2 entry."""
         models = [fig1, build_cosize(6), *(build_model(GOLDEN_MODELS[name][0])
                                            for name in ("community12", "partial10"))]
-        truncated = [AdaptiveConfig(c=c, variant="truncated", **kw) for c in (1.0 / 3.0, 0.2)
-                     for kw in ({"f2": 1}, {"f2": 3}, {"eps": 0.3})]
-        full = [AdaptiveConfig(c=c, variant=variant) for c in (1.0 / 3.0, 0.2)
-                for variant in ("base", "regular")]
-        resumed = dropped = 0
+        configs = [AdaptiveConfig(c=c, variant="truncated", **kw) for c in (1.0 / 3.0, 0.2)
+                   for kw in ({"f2": 1}, {"f2": 3}, {"eps": 0.3})]
+        resumed = 0
         for graph, dist in models:
             targets = np.random.default_rng(3).choice(len(dist), size=12, p=dist.probs).tolist()
-            shared_memo, filled = {}, {}
-            for target in targets:
-                for config in full:
-                    transcript_or_error(lambda: run_adaptive(
-                        graph, dist, oracle_for(graph, target), config, memo=filled))
-            for memo, configs in ((shared_memo, truncated + full), (filled, truncated)):
-                for trial, target in enumerate(targets):
-                    for config in configs:
-                        asked, oracle = counted(graph, target)
-                        shared = transcript_or_error(lambda: run_adaptive(
-                            graph, dist, oracle, config, rng=np.random.default_rng(trial), memo=memo))
-                        assert shared == transcript_or_error(lambda: run_adaptive(
-                            graph, dist, oracle_for(graph, target), config,
-                            rng=np.random.default_rng(trial))), (config, target)
-                        if isinstance(shared, dict):
-                            assert len(asked) == len(shared["records"])
-                            stages = "".join(r["stage"][0] for r in shared["records"])
-                            resumed += bool(re.search("i.*[sr]", stages))
-            dropped += sum(step.stage == RESIDUAL and step.s is None for step in tree_steps(filled))
-        assert resumed and dropped
+            memo = {}
+            for trial, target in enumerate(targets):
+                for config in configs:
+                    asked, oracle = counted(graph, target)
+                    shared = transcript_or_error(lambda: run_adaptive(
+                        graph, dist, oracle, config, rng=np.random.default_rng(trial), memo=memo))
+                    assert shared == transcript_or_error(lambda: run_adaptive(
+                        graph, dist, oracle_for(graph, target), config,
+                        rng=np.random.default_rng(trial))), (config, target)
+                    if isinstance(shared, dict):
+                        assert len(asked) == len(shared["records"])
+                        stages = "".join(r["stage"][0] for r in shared["records"])
+                        resumed += bool(re.search("i.*[sr]", stages))
+            assert len(memo) == len(configs)
+            assert not any(isinstance(step, adaptive._Sweep) for step in tree_steps(memo))
+        assert resumed
 
-    def test_base_and_regular_keep_their_own_stage_2_on_one_memo(self):
-        """Base and regular share stage 1 but not stage 2. On regular64 at
-        c = 0.45 both enter stage 2 after the same residual tests, base
-        testing single nodes and regular edge complements; interleaved on
-        one memo, each run equals a fresh one."""
-        graph, dist = build_model(GOLDEN_MODELS["regular64"][0])
-        targets = np.random.default_rng(5).choice(len(dist), size=30, p=dist.probs).tolist()
-        memo, stages = {}, set()
+    def test_a_base_only_memo_drops_residual_node_sets(self):
+        """Stage 2 hangs directly under the residual test's negative
+        outcome: that child is the stage-2 entry, and once it is stored the
+        residual step holds no node set, though no regular run follows."""
+        graph, dist = build_model(GOLDEN_MODELS["community12"][0])
+        targets = np.random.default_rng(4).choice(len(dist), size=200, p=dist.probs).tolist()
+        memo = {}
         for target in targets:
-            for variant in ("base", "regular"):
-                config = AdaptiveConfig(c=0.45, variant=variant)
-                asked, oracle = counted(graph, target)
-                shared = run_adaptive(graph, dist, oracle, config, memo=memo).to_json()
-                assert shared == run_adaptive(graph, dist, oracle_for(graph, target),
-                                              config).to_json(), (variant, target)
-                assert len(asked) == len(shared["records"])
-                stages |= {(variant, r["stage"]) for r in shared["records"]}
-        assert {("base", INDIVIDUAL), ("regular", COMPLEMENT)} <= stages
-        forks = [step.child(False) for step in tree_steps(memo) if step.stage == RESIDUAL]
-        assert any(fork and set(fork.after) == {"base", "regular"} for fork in forks)
+            run_adaptive(graph, dist, oracle_for(graph, target), AdaptiveConfig(), memo=memo)
+        entered = [step for step in tree_steps(memo)
+                   if step.stage == RESIDUAL and step.child(False) is not None]
+        assert entered
+        assert all(step.s is None and isinstance(step.child(False), adaptive._Sweep)
+                   for step in entered)
 
     @pytest.mark.parametrize("name", ["dense12", "cosize14"])
     def test_a_stored_path_reads_no_posterior(self, monkeypatch, name):

@@ -57,6 +57,17 @@ class TestChannelAndOracle:
         for t in range(1, 32):
             assert noisy(t) == clean(t)
 
+    def test_a_noisy_oracle_needs_an_rng(self, fig1):
+        """At delta > 0 a None rng is refused when the oracle is built, not
+        on its first call; at delta = 0 nothing is drawn, so None is legal."""
+        graph, _ = fig1
+        truth = truth_for(graph, 0)
+        with pytest.raises(SchemaError, match="needs an rng"):
+            noisy_oracle(truth, NoiseChannel(0.1), None)
+        clean = noiseless_oracle(truth)
+        noisy = noisy_oracle(truth, NoiseChannel(0.0), None)
+        assert [noisy(t) for t in range(1, 32)] == [clean(t) for t in range(1, 32)]
+
     def test_flip_frequency(self, fig1):
         graph, _ = fig1
         truth = truth_for(graph, 0)  # edge {0,1,2}
