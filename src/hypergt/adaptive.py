@@ -20,26 +20,22 @@ turn, as long as each provably stays above 1-c until its turn. The stage-2
 test list is frozen at entry: every node that is uncertain at that moment is
 tested, even if an earlier outcome in the same sweep settles it.
 
-A stage-1 test reuses what its scan already holds, in two ways. First, a step
-with nodes near a bound sums w(S) exactly once, as a few floats (the exact
-partials), and decides each such node on a short exact sum of those partials
-less the masses through it. This pays where removal weights tie exactly at c
-or 1-c, as under uniform or equal-mass priors. Second, the test's complement
-T is the active set less S, so an edge of positive mass meets T exactly when
-it is not inside S: the scan's in-S masses are what a negative outcome keeps,
-and q less them what a positive one keeps. The noiseless observer conditions
-on them with no pass over the edge words.
+A scan step with nodes near a bound sums w(S) exactly once, as a few floats
+(the exact partials), and decides each such node on a short exact sum of
+those partials less the masses through it. This pays where removal weights
+tie exactly at c or 1-c, as under uniform or equal-mass priors.
 
 Up to the truncated variant's random node picks, each test depends on the
 outcome history alone, so all runs of one model and config walk one
 decision tree, and one experiment runs one config. A memo that they share
-holds that tree: its root step under ("steps", graph, dist, config,
-observer settings), config the whole `AdaptiveConfig`, and each later step
-in the `after` dict of the step before it, under what that step's test
-heard. A stage-1 step is the test's mask and stage and a residual test's
-node set, or a leaf's certain edge; every step also holds the mass that
-the test leading to it removed and the total that the posterior was
-divided by. A run that finds its next step there asks the stored test with
+holds that tree, and a run given none walks a tree of its own: its root
+step under ("steps", graph, dist, config, observer settings), config the
+whole `AdaptiveConfig`, and each later step in the `after` dict of the
+step before it, under what that step's test heard. A stage-1 step is the
+test's mask and stage and, under base and regular, a residual test's node
+set, or a leaf's certain edge; every step also holds the mass that the
+test leading to it removed and the total that the posterior was divided
+by. A run that finds its next step there asks the stored test with
 no scan or marginals. The noiseless observer reads the removed mass back,
 checks it, and keeps the test pending; it rebuilds the posterior in one
 pass, bit for bit the one that conditioning test by test gives, only where
@@ -76,7 +72,6 @@ from .model import (
     Hypergraph,
     Posterior,
     _check_types,
-    _conditioned,
     certain_edge,
     condition_on_test,
     expected_infections,
@@ -148,7 +143,7 @@ def _exact_partials(values: list[float]) -> list[float]:
 
 
 def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.ndarray,
-                c: float) -> tuple[np.ndarray, bool, float, Callable[[], np.ndarray]]:
+                c: float) -> tuple[np.ndarray, bool, float]:
     """Greedy node removal over the active set, lowest index first.
 
     `marg`, the node marginals of q, must be zero outside `active`: then E(S)
@@ -169,12 +164,8 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
     the partials less its in-S masses: O(|E|) for the edges through it and
     O(deg) for the sum.
 
-    Returns (s, found, w, in_s): the residual node flags, whether s landed
-    strictly inside the (c, 1-c) weight window, the weight of s, and a
-    function giving q on the edges inside s and 0 elsewhere. As E(S) for
-    S = active holds all the mass, these are the masses of the edges that
-    miss the test active minus s. It is computed on call, as only the
-    noiseless observer reads it.
+    Returns (s, found, w): the residual node flags, whether s landed
+    strictly inside the (c, 1-c) weight window, and the weight of s.
     """
     s = active.copy()
     m = marg.copy()
@@ -202,15 +193,10 @@ def _split_scan(q: np.ndarray, marg: np.ndarray, graph: Hypergraph, active: np.n
         if window.any():
             v = int(np.argmax(window))
             s[v] = False
-
-            def in_s() -> np.ndarray:  # the edges through v leave S with it
-                qs[intersects(graph.words, 1 << v)] = 0.0
-                return qs
-
-            return s, True, float(w_minus[v]), in_s
+            return s, True, float(w_minus[v])
         high = np.flatnonzero(s & above_hi)
         if not high.size:
-            return s, False, float(w), lambda: qs
+            return s, False, float(w)
         room = w_minus[high].min() - hi - 2.0 * _TOL
         drop = high[:1 + int(np.searchsorted(np.cumsum(m[high]), room))]
         s[drop] = False
@@ -223,7 +209,7 @@ def find_split_set(post: Posterior, c: float) -> tuple[int, bool]:
     """Stage-1 search from S = {v : q_v > 0}: returns (node mask, found);
     found means w(S) landed in the (c, 1-c] window."""
     marg = node_marginals(post)
-    s, found, _, _ = _split_scan(post.q, marg, post.graph, marg > 0.0, c)
+    s, found, _ = _split_scan(post.q, marg, post.graph, marg > 0.0, c)
     return mask_from_flags(s), found
 
 
@@ -248,13 +234,14 @@ def _finish(tr: Transcript, graph: Hypergraph, idx: int) -> Transcript:
 @dataclass(slots=True)
 class _Step:
     """The step that any trial with one outcome history takes. In stage 1 it
-    is a leaf's certain edge, or a test's mask and stage and, for a residual
-    test, the residual set's node mask, which stage 2 reads until its entry
-    is stored. A stage-2 step holds no test, as its entry's list does, and
-    the last one the leaf's certain edge. Each step holds the mass that the
-    test leading to it removed and the total that the posterior was divided
-    by (None where nothing was removed), and the steps after it by what its
-    test heard, in a dict made when the first is stored."""
+    is a leaf's certain edge, or a test's mask and stage and, for a base or
+    regular residual test, the residual set's node mask, which stage 2
+    reads until its entry is stored. A stage-2 step holds no test, as its
+    entry's list does, and the last one the leaf's certain edge. Each step
+    holds the mass that the test leading to it removed and the total that
+    the posterior was divided by (None where nothing was removed), and the
+    steps after it by what its test heard, in a dict made when the first is
+    stored."""
 
     edge: int | None
     t_mask: int = 0
@@ -325,26 +312,17 @@ class _Exact:
             self.pending.clear()
         return self._post
 
-    def ask(self, t_mask: int, stage: str, in_s: Callable[[], np.ndarray] | None = None,
-            after: dict | None = None) -> bool:
+    def ask(self, t_mask: int, stage: str, after: dict | None = None) -> bool:
         """Ask t_mask once. Where `after`, the asking step's children, holds
         a step for the answer, take the mass removed and the normaliser
-        from it; else condition on the answer. `in_s`, a stage-1 scan's,
-        gives the masses of the edges inside S, which are the edges of
-        positive mass that miss t_mask: a negative outcome keeps them, a
-        positive one keeps q less them. The outcome is what it heard, which
-        picks the next step in a memo's step tree."""
+        from it; else condition on the answer. The outcome is what it heard,
+        which picks the next step in the step tree."""
         outcome = self.oracle(t_mask)
         child = None if after is None else after.get(outcome)
         if child is None:
             before = self.post.q
             try:
-                if in_s is None:
-                    self._post = condition_on_test(self._post, t_mask, outcome)
-                else:
-                    kept = in_s()
-                    self._post = _conditioned(self._post, before - kept if outcome else kept,
-                                              t_mask, outcome)
+                self._post = condition_on_test(self._post, t_mask, outcome)
             except ZeroSurvivorMass as exc:
                 raise OracleInconsistent(str(exc)) from exc
             self.removed = float(before[self._post.q == 0.0].sum())
@@ -374,10 +352,12 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     None meaning the nodes of positive marginal, as after each test, where a
     noisy posterior can give back a node it had underflowed. An observer
     verdict of None means the observer halted the run. `memo` holds the
-    step tree under ("steps", graph, dist, config, obs.settings); a step
-    found in it is replayed instead of scanned, and one computed is stored.
-    The truncated variant leaves the tree at stage-2 entry, as its stage 1
-    then resumes after random node picks; so does a noisy run."""
+    step tree under ("steps", graph, dist, config, obs.settings), and a run
+    given none keeps a tree of its own; a step found in it is replayed
+    instead of scanned, and one computed is stored. The truncated variant
+    leaves the tree at stage-2 entry, as its stage 1 then resumes after
+    random node picks, and goes on in a tree of its own; a noisy run leaves
+    it there too."""
     variant = config.variant
     c = config.c
     if variant == "truncated":
@@ -387,14 +367,12 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     tr = obs.tr
     marg = None  # the node marginals of obs.post, taken when a step is scanned
     # The next step is parent.child(key): the root under a holder whose
-    # children are the memo, then the step that the last one's test heard;
-    # parent is None when there is no tree.
-    parent = None if memo is None else _Step(None, after=memo)
+    # children are the memo, then the step that the last one's test heard.
+    parent = _Step(None, after={} if memo is None else memo)
     key = ("steps", graph, dist, config, obs.settings)
 
     while True:
-        step = None if parent is None else parent.child(key)
-        in_s = None  # a replayed step has no scan to reuse
+        step = parent.child(key)
         if step is None:
             idx = certain_edge(obs.post)
             if idx is not None:
@@ -404,32 +382,30 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     marg = node_marginals(obs.post)
                 if active is None:
                     active = marg > 0.0
-                s, found, w_s, in_s = _split_scan(obs.post.q, marg, graph, active, c)
+                s, found, w_s = _split_scan(obs.post.q, marg, graph, active, c)
                 if not found:
                     # No informative split exists: the residual S holds almost
                     # all the mass and each of its nodes is almost surely infected.
                     _check(w_s > 1.0 - c - _TOL, f"residual weight {w_s} <= 1-c")
                     _check(bool(np.all(marg[s] > 1.0 - 2.0 * c - _TOL)), "residual node below 1-2c")
+                # Only stage 2 reads the residual set, and truncated never enters it.
                 step = _Step(None, mask_from_flags(active & ~s), SPLIT if found else RESIDUAL,
-                             None if found else mask_from_flags(s))
-            if parent is not None:
-                step.removed, step.norm = obs.removed, obs.norm
-                parent.adopt(key, step)
+                             None if found or variant == "truncated" else mask_from_flags(s))
+            step.removed, step.norm = obs.removed, obs.norm
+            parent.adopt(key, step)
         if step.edge is not None:
             return _finish(tr, graph, step.edge)
         # An empty complement is resolved as negative at zero test cost.
-        verdict = obs.ask(step.t_mask, step.stage, in_s, step.after) if step.t_mask else False
+        verdict = obs.ask(step.t_mask, step.stage, step.after) if step.t_mask else False
         if verdict is None:
             return tr
         if step.stage == SPLIT or verdict:
             obs.informative(c)
-            if parent is not None:
-                parent, key = step, obs.heard
+            parent, key = step, obs.heard
         elif variant != "truncated":
-            return _stage2(graph, obs, step, variant == "regular",
-                           parent is not None and obs.stage2_shared)
+            return _stage2(graph, obs, step, variant == "regular")
         else:
-            parent = None  # the rest of the run stays out of the memo
+            parent = _Step(None, after={})  # the rest of the run stays out of the memo
             if tr.mu_stage2 is None:
                 tr.mu_stage2 = expected_infections(obs.post)
             # Every uncertain node lies in S: the test of active less S came
@@ -447,16 +423,17 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         marg = active = None
 
 
-def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool, shared: bool) -> Transcript:
+def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcript:
     """Stage 2 of the base and regular variants, after residual's test came
     back negative. Its entry fixes mu_stage2 and the test list, frozen at
     entry: an edge complement over the residual set for each surviving
     edge, or each node uncertain at entry, in index order, even one that
-    an earlier outcome settles. With `shared`, the entry is the residual's
-    negative child, and the step after each test hangs under the one before
-    it by what the test heard; a run that finds them reads no posterior.
-    Once the entry is stored no run reads the residual's node set again,
-    and the residual drops it."""
+    an earlier outcome settles. Where the observer's `stage2_shared` holds,
+    the entry is the residual's negative child, and the step after each
+    test hangs under the one before it by what the test heard; a run that
+    finds them reads no posterior. Once the entry is stored no run reads
+    the residual's node set again, and the residual drops it."""
+    shared = obs.stage2_shared
     entry = residual.child(False) if shared else None
     if entry is None:
         entry = _Sweep(None, mu=expected_infections(obs.post))
@@ -484,7 +461,7 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool, shared: bool
     step, positives = entry, entry.positives
     for t_mask, stage, edge in entry.tests:
         # A complement is empty when S equals its edge: nothing is left to ask.
-        verdict = obs.ask(t_mask, stage, None, step.after) if t_mask else False
+        verdict = obs.ask(t_mask, stage, step.after) if t_mask else False
         if verdict is None:
             return tr
         if shared and t_mask:
@@ -516,8 +493,9 @@ def run_adaptive(graph: Hypergraph, dist: EdgeDistribution, oracle: TestOracle,
     shares one between the trials of an experiment: each step a run
     computes, stage 2 included, is stored in a tree under (graph, dist,
     config), graph and dist by identity, and a later run with the same
-    outcome history replays it without conditioning on it. The truncated
-    variant stores and replays only the steps before stage 2."""
+    outcome history replays it without conditioning on it. A run given no
+    memo keeps a tree of its own, which it drops when it returns. The
+    truncated variant stores and replays only the steps before stage 2."""
     config = config or AdaptiveConfig()
     validate_model(graph, dist)
     obs = _Exact(oracle, prior_posterior(graph, dist))

@@ -230,13 +230,7 @@ def condition_on_test(post: Posterior, t_mask: int, outcome: bool) -> Posterior:
     negative keeps edges disjoint from it; survivors are rescaled to total
     mass 1."""
     hits = edge_outcomes(post.graph, t_mask)
-    return _conditioned(post, post.q * (hits if outcome else ~hits), t_mask, outcome)
-
-
-def _conditioned(post: Posterior, q: np.ndarray, t_mask: int, outcome: bool) -> Posterior:
-    """The posterior after (t_mask, outcome), given q, the masses of post
-    that the outcome keeps and 0 elsewhere: q as it is when no mass was
-    removed, else rescaled to total mass 1."""
+    q = post.q * (hits if outcome else ~hits)
     if np.array_equal(q, post.q):  # no mass removed: keep exact prior values
         return Posterior(post.graph, q)
     total = q.sum()

@@ -166,15 +166,11 @@ class _Repeated:
         self.groups = 0
         self.settings = (delta, tuple(ells.items()), cap)  # keys its step tree in a memo
 
-    def ask(self, t_mask: int, stage: str, in_s: Callable[[], np.ndarray] | None = None,
-            after: dict | None = None) -> bool | None:
+    def ask(self, t_mask: int, stage: str, after: dict | None = None) -> bool | None:
         """Issue up to ell physical tests, then fold their outcomes into the
         posterior; None means the budget ran out within the group. A full
-        group's vote count is what it heard, which picks the next step in a
-        memo's step tree. A stage-1 scan's `in_s` is not read: an edge of
-        positive prior whose q has underflowed can lie outside the scanned
-        set, so `edge_outcomes` decides every edge. Nor is `after`, the
-        asking step's children."""
+        group's vote count is what it heard, which picks the next step in
+        the step tree. `after`, the asking step's children, is not read."""
         self.groups += 1
         ell = self.ells[stage]
         asked = min(ell, self.cap - self.tr.total)

@@ -229,7 +229,7 @@ class ReferenceRepeated(_Repeated):
         super().__init__(oracle, post, delta, ells, cap)
         self.delta = delta
 
-    def ask(self, t_mask, stage, in_s=None, after=None):
+    def ask(self, t_mask, stage, after=None):
         self.groups += 1
         ell = self.ells[stage]
         votes = 0
@@ -241,6 +241,7 @@ class ReferenceRepeated(_Repeated):
             self.post = bayes_update_noisy(self.post, t_mask, outcome, self.delta)
             self.tr.add(t_mask, outcome, stage, rep_group=self.groups)
             votes += 1 if outcome else 0
+        self.heard = votes
         return 2 * votes >= ell
 
 

@@ -210,7 +210,7 @@ class TestBatchedScan:
                 calls.clear()
                 graph.node_mass = counted
                 try:
-                    s, found, w, _ = _split_scan(post.q, marg, graph, active, c)
+                    s, found, w = _split_scan(post.q, marg, graph, active, c)
                 finally:
                     del graph.node_mass
                 assert np.array_equal(s, s_ref) and found == found_ref
@@ -261,53 +261,13 @@ class TestBatchedScan:
                 for bound in (c, 1.0 - c):
                     assert math.fsum(partials + through + [-bound]) == \
                         math.fsum(in_s + through + [-bound])
-            s, found, w, _ = _split_scan(post.q, marg, graph, marg > 0.0, c)
+            s, found, w = _split_scan(post.q, marg, graph, marg > 0.0, c)
             s_ref, found_ref, w_ref = reference_step_scan(post.q, marg, graph, marg > 0.0, c)
             assert np.array_equal(s, s_ref) and found == found_ref and w == w_ref
         if noisy:
             assert max(counts) >= 3
         else:
             assert scanned  # some step decided a node within _TOL of a bound
-
-
-class TestConditionFromScan:
-    """The noiseless observer conditions a stage-1 test on the scan's in-S
-    masses; it must give the posterior and the removed mass that conditioning
-    on the test mask gives."""
-
-    def test_matches_the_word_kernel_on_the_golden_models(self):
-        kinds = set()
-        for spec, c in GOLDEN_MODELS.values():
-            graph, dist = build_model(spec)
-            for target in np.flatnonzero(dist.probs)[::7][:12].tolist():
-                post = prior_posterior(graph, dist)
-                active = np.ones(graph.n, dtype=bool)
-                while certain_edge(post) is None:
-                    marg = node_marginals(post)
-                    s, found, _, in_s = _split_scan(post.q, marg, graph, active, c)
-                    t = mask_from_flags(active & ~s)
-                    if not t:
-                        break
-                    stage = SPLIT if found else RESIDUAL
-                    kinds.add(stage)
-                    for outcome in (False, True):
-                        scan = _Exact(lambda _: outcome, post)
-                        kernel = _Exact(lambda _: outcome, post)
-                        try:
-                            kernel.ask(t, stage)
-                        except OracleInconsistent:
-                            with pytest.raises(OracleInconsistent):
-                                scan.ask(t, stage, in_s)
-                            continue
-                        scan.ask(t, stage, in_s)
-                        assert scan.post.q.tobytes() == kernel.post.q.tobytes()
-                        assert scan.removed == kernel.removed
-                    outcome = bool(t & graph.edge_masks[target])
-                    post = condition_on_test(post, t, outcome)
-                    if not (found or outcome):
-                        break
-                    active = node_marginals(post) > 0.0
-        assert kinds == {SPLIT, RESIDUAL}
 
 
 class TestRunBase:
@@ -518,26 +478,31 @@ class TestRunRegular:
 
 
 class TestVariantGuards:
-    def test_lying_oracle_raises_oracle_inconsistent(self):
-        from hypergt.errors import OracleInconsistent
-
-        # all-negative answers contradict themselves on the second
-        # individual test of the co-size family
-        g, d = build_cosize(6)
+    @pytest.mark.parametrize("name, answer, asks", [("cosize6", False, 2), ("partial10", True, 1)])
+    def test_lying_oracle_raises_oracle_inconsistent(self, name, answer, asks):
+        # All-negative answers contradict themselves on the second individual
+        # test of the co-size family. An all-positive answer to the first
+        # test of partial10, the residual test of the nodes in no edge,
+        # contradicts every edge in stage 1.
+        if name == "cosize6":
+            g, d = build_cosize(6)
+        else:
+            g, d = build_model(GOLDEN_MODELS[name][0])
+        asked = []
         with pytest.raises(OracleInconsistent):
-            run_adaptive(g, d, lambda t: False, AdaptiveConfig(c=0.2))
+            run_adaptive(g, d, lambda t: asked.append(t) or answer, AdaptiveConfig(c=0.2))
+        assert len(asked) == asks
 
 
-# Stubs conditioning, on a test mask and on a scan's kept masses alike, with
-# a step that removes nothing, then runs fig1 at c=0.1, whose first test is a
-# weight-window split, twice on one step memo: the second run replays the
-# step the first one scanned.
+# Stubs conditioning with a step that keeps the posterior, so it removes
+# nothing, then runs fig1 at c=0.1, whose first test is a weight-window
+# split, twice on one step memo: the second run replays the step the first
+# one scanned.
 NO_OP_CONDITIONING_PROBE = """
 import hypergt.adaptive as adaptive
 from hypergt.model import EdgeDistribution, GroundTruth, Hypergraph, noiseless_oracle
 
 adaptive.condition_on_test = lambda post, t, outcome: post
-adaptive._conditioned = lambda post, q, t, outcome: post
 graph = Hypergraph(5, [[0, 1, 2], [0, 4], [3, 4]])
 dist = EdgeDistribution([0.3, 0.2, 0.5])
 truth = GroundTruth(0, graph.edge_masks[0])
@@ -718,6 +683,23 @@ class TestStepMemo:
             assert not any(isinstance(step, adaptive._Sweep) for step in tree_steps(memo))
         assert resumed
 
+    def test_a_truncated_tree_holds_no_node_set(self):
+        """Only stage 2 reads a residual step's node set, and a truncated run
+        never enters it: no residual step of a truncated tree holds one,
+        whether its runs left the tree on a negative outcome or only ever
+        went on to a positive child."""
+        graph, dist = build_model(GOLDEN_MODELS["community12"][0])
+        targets = np.random.default_rng(4).choice(len(dist), size=300, p=dist.probs).tolist()
+        config = AdaptiveConfig(variant="truncated", f2=3)
+        memo = {}
+        for trial, target in enumerate(targets):
+            run_adaptive(graph, dist, oracle_for(graph, target), config,
+                         rng=np.random.default_rng(trial), memo=memo)
+        residuals = [step for step in tree_steps(memo) if step.stage == RESIDUAL]
+        positive = sum(step.child(True) is not None for step in residuals)
+        assert 0 < positive < len(residuals)
+        assert all(step.s is None for step in residuals)
+
     def test_a_base_only_memo_drops_residual_node_sets(self):
         """Stage 2 hangs directly under the residual test's negative
         outcome: that child is the stage-2 entry, and once it is stored the
@@ -743,8 +725,8 @@ class TestStepMemo:
         else:
             graph, dist = build_cosize(14)
         calls = Counter()
-        for fn in ("condition_on_test", "_conditioned", "node_marginals", "certain_edge",
-                   "_split_scan", "expected_infections"):
+        for fn in ("condition_on_test", "node_marginals", "certain_edge", "_split_scan",
+                   "expected_infections"):
             real = getattr(adaptive, fn)
             monkeypatch.setattr(adaptive, fn, lambda *args, _fn=fn, _real=real:
                                 calls.update([_fn]) or _real(*args))
@@ -825,10 +807,10 @@ class TestRebuild:
     @pytest.mark.parametrize("c", [0.2, 1.0 / 3.0, 0.45])
     @pytest.mark.parametrize("name", list(MODELS))
     def test_rebuilt_posterior_equals_conditioning_test_by_test(self, name, c):
-        """Each path mixes the scan's tests, conditioned on through its in-S
-        masses, with single-node tests conditioned on through the mask, some
-        of which remove nothing. Replays read the posterior at random points
-        of the path, so rebuilds start from a posterior rebuilt before."""
+        """Each path mixes the scan's split and residual tests with
+        single-node tests, some of which remove nothing. Replays read the
+        posterior at random points of the path, so rebuilds start from a
+        posterior rebuilt before."""
         graph, dist = self.MODELS[name]()
         rng = np.random.default_rng(17)
         routes = Counter()
@@ -839,15 +821,13 @@ class TestRebuild:
             path, refs = [], [ref.q]
             active = np.ones(graph.n, dtype=bool)
             while certain_edge(ref) is None and len(path) < 16:
-                s, found, _, in_s = _split_scan(ref.q, node_marginals(ref), graph, active, c)
+                s, found, _ = _split_scan(ref.q, node_marginals(ref), graph, active, c)
                 t = mask_from_flags(active & ~s)
-                if t and rng.random() < 0.7:
-                    fresh.ask(t, SPLIT if found else RESIDUAL, in_s)
-                    routes["in_s"] += 1
-                else:
-                    t = 1 << int(rng.integers(graph.n))
-                    fresh.ask(t, INDIVIDUAL)
-                    routes["mask"] += 1
+                stage = SPLIT if found else RESIDUAL
+                if not (t and rng.random() < 0.7):
+                    t, stage = 1 << int(rng.integers(graph.n)), INDIVIDUAL
+                fresh.ask(t, stage)
+                routes[stage] += 1
                 routes["no division"] += fresh.norm is None
                 path.append((t, fresh.heard, fresh.removed, fresh.norm))
                 ref = condition_on_test(ref, t, fresh.heard)
@@ -858,14 +838,14 @@ class TestRebuild:
                 replay = _Exact(answer, prior_posterior(graph, dist))
                 for t, outcome, removed, norm in path[:k]:
                     stored = adaptive._Step(None, removed=removed, norm=norm)
-                    assert replay.ask(t, SPLIT, None, {outcome: stored}) == outcome
+                    assert replay.ask(t, SPLIT, {outcome: stored}) == outcome
                     assert replay.removed == removed
                     if rng.random() < 0.25:
                         replay.post
                 assert np.array_equal(replay.post.q, refs[k]), (target, k)
                 assert [r.mass_removed for r in replay.tr.records] == [p[2] for p in path[:k]]
-        assert routes["mask"] and routes["no division"], routes
-        assert routes["in_s"] or name == "cosize14", routes  # a cosize scan's complement is empty
+        assert routes[INDIVIDUAL] and routes["no division"], routes
+        assert routes[SPLIT] + routes[RESIDUAL] or name == "cosize14", routes  # a cosize scan's complement is empty
 
 
 class TestTranscriptRecord:
