@@ -79,7 +79,7 @@ from .model import (
     prior_posterior,
     validate_model,
 )
-from .sets import intersects, mask_from_flags, mask_of
+from .sets import intersects, mask_from_flags, mask_of, nodes_of
 from .transcript import COMPLEMENT, INDIVIDUAL, RESIDUAL, SPLIT, Transcript
 
 TestOracle = Callable[[int], bool]
@@ -241,7 +241,7 @@ class _Step:
     holds the mass that the test leading to it removed and the total that
     the posterior was divided by (None where nothing was removed), and the
     steps after it by what its test heard, in a dict made when the first is
-    stored."""
+    stored. The oracle's optimal policy is one such tree, of split tests."""
 
     edge: int | None
     t_mask: int = 0
@@ -259,6 +259,19 @@ class _Step:
             self.after = {}
         self.after[key] = step
         return step
+
+    def to_text(self) -> str:
+        """The binary tree from this step, indented, each test with its expected
+        tests from here: 1 + the sum over its children of norm x their own."""
+        def walk(step: _Step, pad: str) -> tuple[str, float]:
+            if step.edge is not None:
+                return f"{pad}return edge {step.edge}\n", 0.0
+            (pos, v_pos), (neg, v_neg) = (walk(step.after[o], pad + "  ") for o in (True, False))
+            value = 1.0 + step.after[True].norm * v_pos + step.after[False].norm * v_neg
+            return (f"{pad}test {set(nodes_of(step.t_mask))}  (expected tests from here: "
+                    f"{value:.6g})\n{pad}+ positive:\n{pos}{pad}- negative:\n{neg}"), value
+
+        return walk(self, "")[0]
 
 
 @dataclass(slots=True)

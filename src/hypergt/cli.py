@@ -40,12 +40,19 @@ from .oracle import direct_posterior, optimal_expected_tests
 from .transcript import read_records
 
 
+def _check_dir(path: str | None) -> None:
+    """A mistyped output directory fails here, before any work is done."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         return ExperimentConfig.from_json(parse_json(fh.read(), f"config file {path}"))
 
 
 def cmd_build_model(args) -> int:
+    _check_dir(args.out)
     if args.spec:
         what = f"model spec {args.spec}"
         with open(args.spec) as fh:
@@ -64,9 +71,7 @@ def cmd_run(args) -> int:
     out = args.out or config.output
     if not out:
         raise SchemaError("no output path: give --out or set output in the config")
-    # A mistyped directory fails here, not after every trial has run.
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    _check_dir(out)
     results = run_experiment(config)
     write_csv(results, out)
     s = summarize(results)
@@ -83,6 +88,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_dir(args.policy)
     graph, dist = load_model(args.model)
     value, policy = optimal_expected_tests(graph, dist)
     print(f"optimal expected tests: {value:.6f}")
@@ -104,6 +110,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_posterior(args) -> int:
+    _check_dir(args.out)
     graph, dist = load_model(args.model)
     what = f"transcript {args.transcript}"
     with open(args.transcript) as fh:

@@ -3,52 +3,31 @@
 Two ground truths live here: the exact optimal zero-error adaptive policy
 (exhaustive memoized search over information states) and the one-pass direct
 posterior (noiseless removal, or Bayes under symmetric noise, from
-per-edge mismatch counts).
+per-edge mismatch counts). The policy is a tree of `adaptive._Step`, the
+type of the adaptive engine's step tree: a leaf holds the edge, an inner step
+a split test and its two children by outcome, each with the shares of its
+parent's mass that the test removed and kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
+from .adaptive import _finish, _Step
 from .errors import TooLarge, ZeroSurvivorMass
 from .model import EdgeDistribution, Hypergraph, Posterior, validate_model
 from .noisy import NoiseChannel
-from .sets import nodes_of
 from .transcript import SPLIT, Transcript
 
 MAX_EDGES = 14
 
 
-@dataclass
-class PolicyNode:
-    """Decision-tree node: a leaf names the identified edge, an inner node
-    names the queried node mask and both continuations."""
-
-    value: float
-    edge: int | None = None
-    test: int | None = None
-    on_positive: "PolicyNode | None" = None
-    on_negative: "PolicyNode | None" = None
-
-    def is_leaf(self) -> bool:
-        return self.edge is not None
-
-    def to_text(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        if self.is_leaf():
-            return f"{pad}return edge {self.edge}\n"
-        out = f"{pad}test {set(nodes_of(self.test))}  (expected tests from here: {self.value:.6g})\n"
-        out += f"{pad}+ positive:\n" + self.on_positive.to_text(indent + 1)
-        out += f"{pad}- negative:\n" + self.on_negative.to_text(indent + 1)
-        return out
-
-
-def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[float, PolicyNode]:
-    """Exact minimum expected tests for zero-error identification.
+def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[float, _Step]:
+    """Exact minimum expected tests for zero-error identification, and the
+    root step of a policy that attains it.
 
     State = the set of edges still consistent with the transcript; a test only
     matters through the bipartition of the state it induces, so splits are
@@ -96,16 +75,18 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
             neg = (neg - 1) & state
         return best_val, best_neg
 
-    def build(state: int) -> PolicyNode:
-        val, neg = solve(state)
+    def build(state: int) -> _Step:
+        neg = solve(state)[1]
         if neg == -1:
-            return PolicyNode(0.0, edge=alive[state.bit_length() - 1])
+            return _Step(alive[state.bit_length() - 1])
         pos = state & ~neg
-        return PolicyNode(val, test=union[pos] & ~union[neg], on_positive=build(pos),
-                          on_negative=build(neg))
+        step = _Step(None, union[pos] & ~union[neg], SPLIT)
+        for outcome, sub in ((True, pos), (False, neg)):
+            child = step.adopt(outcome, build(sub))
+            child.removed, child.norm = mass[state & ~sub] / mass[state], mass[sub] / mass[state]
+        return step
 
-    root = build((1 << len(alive)) - 1)
-    return root.value, root
+    return solve(size - 1)[0], build(size - 1)
 
 
 def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
@@ -131,13 +112,11 @@ def direct_posterior(graph: Hypergraph, dist: EdgeDistribution,
     return Posterior(graph, weights / weights.sum())
 
 
-def run_policy(graph: Hypergraph, policy: PolicyNode, oracle) -> Transcript:
-    """Walk a policy tree against a test oracle, recording each test as SPLIT."""
+def run_policy(graph: Hypergraph, policy: _Step, oracle) -> Transcript:
+    """Walk a policy's step tree against a test oracle, recording each test."""
     tr = Transcript()
-    node = policy
-    while not node.is_leaf():
-        outcome = oracle(node.test)
-        tr.add(node.test, outcome, SPLIT)
-        node = node.on_positive if outcome else node.on_negative
-    tr.result_edge, tr.result_mask = node.edge, graph.edge_masks[node.edge]
-    return tr
+    while policy.edge is None:
+        outcome = oracle(policy.t_mask)
+        tr.add(policy.t_mask, outcome, policy.stage)
+        policy = policy.after[outcome]
+    return _finish(tr, graph, policy.edge)

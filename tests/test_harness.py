@@ -560,10 +560,24 @@ class TestCli:
          "delta=-0.5 outside [0, 1/2)"),
         (["run", "--config", "cfg.json"], {"cfg.json": {"model": NESTED4, "algorithm": "base"}},
          "no output path: give --out or set output in the config"),
+        # A missing output directory fails before any work: before the policy
+        # search and its value lines, before a build or a posterior that would
+        # fail on its own input.
+        (["oracle", "--model", "m.json", "--policy", "missing/p.txt"],
+         {"m.json": ModelSpec("nested", {"n": 4})},
+         "[Errno 2] No such file or directory: 'missing/p.txt'"),
+        (["build-model", "--family", "nested", "--params", '{"n": 0}', "--out", "missing/m.json"],
+         {}, "[Errno 2] No such file or directory: 'missing/m.json'"),
+        (["posterior", "--model", "m.json", "--transcript", "tr.json", "--delta", "-0.5",
+          "--out", "missing/post.json"],
+         {"m.json": ModelSpec("nested", {"n": 4}), "tr.json": [{"query": [0], "outcome": True}]},
+         "[Errno 2] No such file or directory: 'missing/post.json'"),
     ], ids=["malformed-params", "config-c-out-of-range", "check-trial-count",
             "oracle-missing-model", "oracle-too-large", "run-oracle-too-large",
             "negative-seed", "out-in-missing-directory", "snagt-on-zero-nodes",
-            "noisy-adaptive-on-zero-nodes", "posterior-negative-delta", "run-without-output"])
+            "noisy-adaptive-on-zero-nodes", "posterior-negative-delta", "run-without-output",
+            "oracle-policy-in-missing-directory", "build-model-out-in-missing-directory",
+            "posterior-out-in-missing-directory"])
     def test_bad_input_exits_2_without_a_traceback(self, tmp_path, argv, files, message):
         for name, content in files.items():
             if isinstance(content, ModelSpec):
@@ -577,6 +591,7 @@ class TestCli:
                               env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
+        assert done.stdout == ""
         assert done.stderr.startswith(f"hypergt: {message}")
         assert done.stderr.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "out.csv").exists()

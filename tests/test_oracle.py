@@ -1,13 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import nonadaptive_min_error, oracle_for, random_model
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
-from hypergt.builders import build_cosize, build_nested
+from hypergt.builders import build_cosize, build_islands, build_nested
 from hypergt.errors import SchemaError, TooLarge, ZeroSurvivorMass
 from hypergt.model import EdgeDistribution, Hypergraph, edge_entropy, prior_posterior
 from hypergt.oracle import direct_posterior, optimal_expected_tests, run_policy
@@ -30,18 +31,21 @@ class TestOptimalPolicy:
         assert value == pytest.approx(35 / 8, abs=1e-12)
         assert value > edge_entropy(d)
 
-    def test_policy_consistency(self, fig1):
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 10_000))
+    def test_policy_consistency(self, fig1, seed):
         """Walking the tree per target, weighted by the prior, reproduces the
-        value, and every walk ends at the right leaf."""
-        graph, dist = fig1
-        value, policy = optimal_expected_tests(graph, dist)
-        acc = 0.0
-        for i, p in enumerate(dist.probs):
-            tr = run_policy(graph, policy, oracle_for(graph, i))
-            tests, edge = tr.total, tr.result_edge
-            assert edge == i
-            acc += p * tests
-        assert acc == pytest.approx(value, abs=1e-12)
+        value, and every walk ends at the right leaf: on fig1 and on random
+        models, whose trees take other shapes."""
+        for graph, dist in (fig1, random_model(np.random.default_rng(seed))):
+            value, policy = optimal_expected_tests(graph, dist)
+            acc = 0.0
+            for i, p in enumerate(dist.probs):
+                tr = run_policy(graph, policy, oracle_for(graph, i))
+                assert tr.result_edge == i
+                acc += p * tr.total
+            assert acc == pytest.approx(value, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -83,10 +87,19 @@ class TestOptimalPolicy:
         wider, _ = optimal_expected_tests(Hypergraph(13, g.edge_masks), d)
         assert wider == pytest.approx(value, abs=1e-12)
 
-    def test_policy_text_render(self, fig1):
-        _, policy = optimal_expected_tests(*fig1)
+    @pytest.mark.parametrize("build,digest", [
+        (None, "1a61b3126e8a7ce8"),
+        (lambda: build_cosize(8), "304fd09f1f8b9b83"),
+        (lambda: build_nested(8), "4b12b6a26e8a9b36"),
+        (lambda: build_islands(3, 2, 0.3), "198a0e34f087b6f8"),
+    ], ids=["fig1", "cosize8", "nested8", "islands3x2"])
+    def test_policy_text_render(self, fig1, build, digest):
+        """The whole printed tree, each test's expected tests from here
+        included, is pinned by a hash of its text."""
+        _, policy = optimal_expected_tests(*(build() if build else fig1))
         text = policy.to_text()
-        assert "test" in text and "return edge" in text
+        assert text.startswith("test {") and "return edge" in text
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestDirectPosterior:

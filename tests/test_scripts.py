@@ -45,5 +45,9 @@ def test_scale_probe_prints_the_mean_tests_per_trial(algorithm):
     fields = dict(item.split("=") for item in run_script(
         ["scale_probe.py", "--n", "60", "--trials", "3", "--algorithm", algorithm]).split())
     assert list(fields) == ["n", "|E|", "trials", "wrong", "build_s", "ms_per_trial",
-                            "tests_per_trial", "peak_rss_mb"]
+                            "ms_per_trial_q1", "ms_per_trial_q3", "tests_per_trial",
+                            "peak_rss_mb"]
+    assert fields["trials"] == "15"  # five rounds of three
+    assert float(fields["ms_per_trial_q1"]) <= float(fields["ms_per_trial"]) \
+        <= float(fields["ms_per_trial_q3"])
     assert float(fields["tests_per_trial"]) > 0.0
