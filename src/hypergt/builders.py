@@ -6,11 +6,17 @@ per edge-faulty contact graph, or one per seed set of seeded block
 infection), and explicit structured supports (chains, co-size families,
 dense two-scale graphs, entropy-gap and random regular hypergraphs). The
 product-form families share one enumerator, `_product`, which refuses more
-than SUPPORT_CAP ways before it lists any. Each builder normalises its masses
-and hands them to the validating constructors; subsets with zero probability
-are left out of the support, and a support of more than SUPPORT_CAP edges is
-refused. Every family refuses more than NODE_CAP nodes before it builds any
-mask; seeded block infection stops at 12 nodes.
+than SUPPORT_CAP ways before it lists any. It lists them as two parallel
+lists, the union masks and the weights, with no (mask, weight) pair per way.
+Each builder hands its edges and masses as parallel sequences to `_finish`,
+which normalises the masses and calls the validating constructors; subsets
+with zero probability are left out of the support, and a support of more
+than SUPPORT_CAP edges is refused. Independent nodes, islands and
+communities pass the enumerator's lists as they are, since disjoint blocks
+never repeat a mask (`DuplicateEdge` would catch one); the other families,
+the sums of products included, collect their masses in a dict first.
+Every family refuses more than NODE_CAP nodes before it builds any mask;
+seeded block infection stops at 12 nodes.
 `BUILDERS` maps each family name to its builder, and a `ModelSpec` names a
 family and its parameters.
 """
@@ -22,7 +28,7 @@ import inspect
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, compress, repeat
 from operator import lshift
 
 import numpy as np
@@ -73,34 +79,41 @@ def _check_probabilities(**params) -> None:
                 raise ProbabilityOutOfRange(f"probability {label}={float(x)!r} outside [0, 1]")
 
 
-def _product(blocks: Iterable[tuple[Iterable[int], list[float]]]) -> list[tuple[int, float]]:
+def _product(blocks: Iterable[tuple[Iterable[int], list[float]]]) -> tuple[list[int], list[float]]:
     """Every way to pick one outcome of positive probability from each block,
-    as (union of the node masks, product of the probabilities in block
-    order). A block is (its outcomes' node masks, the list of their
-    probabilities), disjoint from the other blocks' masks; the first block
-    varies fastest, giving the model's edge order. Blocks are only counted
-    as they are read, and past SUPPORT_CAP ways the model is refused before
-    any outcome is listed."""
+    as parallel lists: the union of the node masks and the product of the
+    probabilities in block order. A block is (its outcomes' node masks, the
+    list of their probabilities), disjoint from the other blocks' masks; the
+    first block varies fastest, giving the model's edge order. Blocks are
+    only counted as they are read, and past SUPPORT_CAP ways the model is
+    refused before any outcome is listed."""
     kept, ways = [], 1
     for masks, probs in blocks:
         ways *= len(probs) - probs.count(0.0)
         if ways > SUPPORT_CAP:
             raise SupportTooLarge(f"at least {ways} edges exceed cap {SUPPORT_CAP}")
         kept.append((masks, probs))
-    combos = [(0, 1.0)]
+    unions, weights = [0], [1.0]
     for masks, probs in kept:
-        combos = [(m | bm, w * bw) for bm, bw in zip(masks, probs) if bw > 0.0 for m, w in combos]
-    return combos
+        bms = [m for m, p in zip(masks, probs) if p > 0.0]
+        bws = [p for p in probs if p > 0.0]
+        unions = [m | bm for bm in bms for m in unions]
+        weights = [w * bw for bw in bws for w in weights]
+    return unions, weights
 
 
-def _finish(n: int, masses: dict[int, float]) -> tuple[Hypergraph, EdgeDistribution]:
-    support = [(m, p) for m, p in masses.items() if p > 0.0]
-    if not support:
+def _finish(n: int, masks: Sequence[int], probs: Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
+    """The model of the edges `masks` with masses proportional to `probs`;
+    the edges of zero mass are left out of the support."""
+    probs = np.asarray(probs, dtype=float)
+    keep = probs > 0.0
+    if not keep.all():
+        masks, probs = list(compress(masks, keep)), probs[keep]
+    if not len(probs):
         raise EmptySupport("no edge carries positive probability")
-    if len(support) > SUPPORT_CAP:
-        raise SupportTooLarge(f"{len(support)} edges exceed cap {SUPPORT_CAP}")
-    probs = np.array([p for _, p in support])
-    return Hypergraph(n, [m for m, _ in support]), EdgeDistribution(probs / probs.sum())
+    if len(probs) > SUPPORT_CAP:
+        raise SupportTooLarge(f"{len(probs)} edges exceed cap {SUPPORT_CAP}")
+    return Hypergraph(n, masks), EdgeDistribution(probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +150,7 @@ def build_community(sizes: Sequence[int], q: float, p: Sequence[float]) -> tuple
         return map(lshift, members, repeat(start)), [w[m.bit_count()] for m in members]
 
     # map is lazy: each family's block is made only when _product reads it.
-    return _finish(n, dict(_product(map(block, accumulate(sizes, initial=0), sizes, p))))
+    return _finish(n, *_product(map(block, accumulate(sizes, initial=0), sizes, p)))
 
 
 def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergraph, EdgeDistribution]:
@@ -152,7 +165,7 @@ def build_islands(k: int, m: int, p: float | Sequence[float]) -> tuple[Hypergrap
     check_node_count(k * m)
     blocks = (([0, mask_of(range(j * m, (j + 1) * m))], [1.0 - pj, pj]) for j, pj in enumerate(ps))
     # With m = 0 every island is empty: no blocks, so the one empty edge.
-    return _finish(k * m, dict(_product(blocks if m > 0 else [])))
+    return _finish(k * m, *_product(blocks if m > 0 else []))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +176,7 @@ def build_nested(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """Chain of prefixes {v1..vi}, each carrying mass 1/n."""
     check_node_count(n)
     masses = {mask_of(range(i + 1)): 1.0 / n for i in range(n)}
-    return _finish(n, masses)
+    return _finish(n, list(masses), list(masses.values()))
 
 
 def build_cosize(n: int) -> tuple[Hypergraph, EdgeDistribution]:
@@ -171,7 +184,7 @@ def build_cosize(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     check_node_count(n)
     full = (1 << n) - 1
     masses = {full & ~(1 << v): 1.0 / n for v in range(n)}
-    return _finish(n, masses)
+    return _finish(n, list(masses), list(masses.values()))
 
 
 def build_partial_regular(n: int, d: int) -> tuple[Hypergraph, EdgeDistribution]:
@@ -182,7 +195,7 @@ def build_partial_regular(n: int, d: int) -> tuple[Hypergraph, EdgeDistribution]
     check_node_count(n)
     special = range(d + 1)
     masses = {mask_of(set(special) - {v}): 1.0 / (d + 1) for v in special}
-    return _finish(n, masses)
+    return _finish(n, list(masses), list(masses.values()))
 
 
 def build_big_graph(n: int) -> tuple[Hypergraph, EdgeDistribution]:
@@ -200,7 +213,7 @@ def build_big_graph(n: int) -> tuple[Hypergraph, EdgeDistribution]:
             small = comm & ~(1 << (j * n + kk))
             masses[small] = 0.5 / (n * n)
         masses[full & ~comm] = 0.5 / n
-    return _finish(total, masses)
+    return _finish(total, list(masses), list(masses.values()))
 
 
 def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None) -> tuple[Hypergraph, EdgeDistribution]:
@@ -226,7 +239,7 @@ def build_entropy_gap(n: int, m: int, d: int, seed: int | None = None) -> tuple[
             continue
         edges.update(subsets)
     masses = {e: 1.0 / len(edges) for e in edges}
-    return _finish(n, masses)
+    return _finish(n, list(masses), list(masses.values()))
 
 
 def build_random_regular(n: int, d: int, r: float | None = None, count: int | None = None,
@@ -256,11 +269,10 @@ def build_random_regular(n: int, d: int, r: float | None = None, count: int | No
             raise SupportTooLarge(f"{count} edges exceed cap {SUPPORT_CAP}")
         chosen_set: set[int] = set()
         while len(chosen_set) < count:
-            pick = rng.choice(n, size=d, replace=False)
-            chosen_set.add(mask_of(map(int, pick)))
+            chosen_set.add(mask_of(rng.choice(n, size=d, replace=False).tolist()))
         chosen = sorted(chosen_set)
     masses = {e: 1.0 / len(chosen) for e in chosen}
-    return _finish(n, masses)
+    return _finish(n, list(masses), list(masses.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +318,9 @@ def build_edge_faulty(n: int, contact_edges: Sequence[tuple[int, int]], r: float
         kept = [contact_edges[i] for i in range(len(contact_edges)) if kept_bits >> i & 1]
         w_graph = (r ** len(kept)) * ((1.0 - r) ** (len(contact_edges) - len(kept)))
         blocks = [([0], [w_graph])] + [([0, comp], [1.0 - p, p]) for comp in _components(n, kept)]
-        for mask, w in _product(blocks):
+        for mask, w in zip(*_product(blocks)):
             masses[mask] = masses.get(mask, 0.0) + w
-    return _finish(n, masses)
+    return _finish(n, list(masses), list(masses.values()))
 
 
 def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[Hypergraph, EdgeDistribution]:
@@ -335,9 +347,10 @@ def build_sbim(m: int, k: int, seed_prob: float, q1: float, q2: float) -> tuple[
                 same = (seeds & community[v]).bit_count()
                 miss = ((1.0 - q1) ** same) * ((1.0 - q2) ** (t - same))
                 blocks.append(([0, 1 << v], [miss, 1.0 - miss]))
-        for mask, w in _product(blocks):
+        for mask, w in zip(*_product(blocks)):
             masses[mask] = masses.get(mask, 0.0) + w
-    return _finish(n, dict(sorted(masses.items())))
+    masks = sorted(masses)
+    return _finish(n, masks, [masses[m] for m in masks])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .builders import ModelSpec, build_model
-from .errors import ModelError, SchemaError
+from .errors import ModelError, SchemaError, ZeroSurvivorMass
 from .harness import (
     ExperimentConfig,
     check_bounds,
@@ -115,7 +115,10 @@ def cmd_posterior(args) -> int:
     what = f"transcript {args.transcript}"
     with open(args.transcript) as fh:
         transcript = read_records(parse_json(fh.read(), what), graph.n, what)
-    post = direct_posterior(graph, dist, transcript, delta=args.delta)
+    try:
+        post = direct_posterior(graph, dist, transcript, delta=args.delta)
+    except ZeroSurvivorMass:
+        raise ModelError(f"{what} contradicts every edge of positive probability") from None
     dump = {
         "q": [float(x) for x in post.q],
         "marginals": [float(x) for x in node_marginals(post)],

@@ -62,13 +62,16 @@ def check_node_count(n: int) -> None:
 class Hypergraph:
     """n nodes plus an explicit list of candidate infected sets.
 
-    Edges (node lists or bitmasks) are stored as bitmasks in input order;
-    edge identity is the index into that list. The empty edge (nobody
-    infected) is a legal member. The constructor rejects a non-integer n or
-    node, a boolean included (SchemaError), an n outside 0..NODE_CAP or a
-    node outside 0..n-1 (NodeOutOfRange) and a repeated edge (DuplicateEdge),
-    naming the first offending edge, and builds the read-only packed words
-    (see `sets`) and edge sizes.
+    Edges are stored as bitmasks in input order; edge identity is the index
+    into that list. The empty edge (nobody infected) is a legal member. Edges
+    come in two forms. When every edge is an exact `int`, a mask, as every
+    builder passes them, the masks are taken as given and checked in bulk;
+    otherwise each edge, a node list or a mask, is read on its own, as a model
+    file's are. Either way the constructor rejects a non-integer n, node or
+    mask, a boolean or numpy integer edge included (SchemaError), an n outside
+    0..NODE_CAP or a node outside 0..n-1 (NodeOutOfRange) and a repeated edge
+    (DuplicateEdge), naming the first offending edge, and builds the read-only
+    packed words (see `sets`) and edge sizes.
     """
 
     def __init__(self, n: int, edges: Iterable[Iterable[int] | int]):
@@ -76,7 +79,9 @@ class Hypergraph:
         self.n = int(n)
         if not isinstance(edges, Iterable):
             raise SchemaError(f"edges must be a list, not {type(edges).__name__}")
-        masks = tuple(_edge_mask(i, e, self.n) for i, e in enumerate(edges))
+        masks = tuple(edges)
+        if set(map(type, masks)) != {int}:  # node lists, or an edge of another type
+            masks = tuple(_edge_mask(i, e, self.n) for i, e in enumerate(masks))
         limit = full_mask(self.n)
         if (masks and (min(masks) < 0 or max(masks) > limit)) or len(set(masks)) != len(masks):
             seen = set()  # walk the edges only to name the first offender
@@ -88,7 +93,7 @@ class Hypergraph:
                 seen.add(m)
         self.edge_masks: tuple[int, ...] = masks
         self.words = pack_words(masks, self.n)  # (ceil(n/64), |E|) uint64
-        self.edge_sizes = np.array([m.bit_count() for m in masks], dtype=np.int64)
+        self.edge_sizes = np.fromiter(map(int.bit_count, masks), np.int64, len(masks))
         self.words.flags.writeable = False
         self.edge_sizes.flags.writeable = False
         self._kernel = None  # node_mass builds it on first use

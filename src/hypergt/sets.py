@@ -49,8 +49,12 @@ def full_mask(n: int) -> int:
 
 
 def pack_words(masks: Sequence[int], n: int) -> np.ndarray:
-    """(ceil(n/64), len(masks)) word store of non-negative masks below 2^(64 ceil(n/64))."""
+    """(ceil(n/64), len(masks)) word store of non-negative masks below 2^(64 ceil(n/64)).
+    A one-word store is converted in one call; wider masks are split into words
+    through their bytes."""
     rows = (n + WORD_BITS - 1) // WORD_BITS
+    if rows == 1:
+        return np.array(masks, dtype=WORD_DTYPE).reshape(1, len(masks))
     words = np.empty((rows, len(masks)), dtype=WORD_DTYPE)
     for lo in range(0, len(masks), _PACK_CHUNK):  # chunks bound the bytes held beside the store
         chunk = masks[lo:lo + _PACK_CHUNK]

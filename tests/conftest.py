@@ -260,6 +260,17 @@ def random_test_set(n, u, rng):
     return mask_from_flags(rng.random(n) < 1.0 / u)
 
 
+def reference_product(blocks):
+    """The block enumerator as a list comprehension over (mask, weight) pairs,
+    block by block: outcomes of zero probability are skipped, the first block
+    varies fastest, and each weight is the running product times the outcome's
+    probability."""
+    combos = [(0, 1.0)]
+    for masks, probs in blocks:
+        combos = [(m | bm, w * bw) for bm, bw in zip(masks, probs) if bw > 0.0 for m, w in combos]
+    return combos
+
+
 def reference_sbim(m, k, seed_prob, q1, q2):
     """`build_sbim` as the loop it ran before it summed one block product per
     seed set: for each infected set S, over every seed set T inside it, the
@@ -286,7 +297,7 @@ def reference_sbim(m, k, seed_prob, q1, q2):
                 w *= ((1.0 - q1) ** same) * ((1.0 - q2) ** (len(seeds) - same))
             total += w
         masses[s] = total
-    return _finish(n, masses)
+    return _finish(n, list(masses), list(masses.values()))
 
 
 # References that only tests use: the exact majority tail, the single-probe

@@ -5,11 +5,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_sbim, sample_edge_faulty, sample_sbim
+from conftest import reference_product, reference_sbim, sample_edge_faulty, sample_sbim
 from hypergt.builders import (
     SUPPORT_CAP,
     ModelSpec,
+    _product,
     build_big_graph,
     build_community,
     build_cosize,
@@ -308,6 +311,28 @@ class TestGenerative:
         tv = 0.5 * sum(abs(enumerated.get(m, 0.0) - counts.get(m, 0) / draws)
                        for m in set(enumerated) | set(counts))
         assert tv <= 0.02
+
+
+# A block: one to four outcomes, each a mask of up to 140 bits (past the
+# first two words) and a probability that may be zero, tiny or one.
+BLOCK = st.lists(st.tuples(st.integers(0, (1 << 140) - 1),
+                           st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
+                                     st.floats(0.0, 1e-200))),
+                 min_size=1, max_size=4).map(lambda outcomes: tuple(map(list, zip(*outcomes))))
+
+
+class TestProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(BLOCK, max_size=7))
+    def test_matches_the_pair_by_pair_enumeration(self, blocks):
+        """Equal masks and bit-equal weights, in the same order, as the
+        enumeration of (mask, weight) pairs."""
+        want = reference_product(blocks)
+        masks, weights = _product(blocks)
+        assert masks == [m for m, _ in want]
+        assert all(type(m) is int for m in masks)
+        assert np.array(weights).view(np.uint64).tolist() == np.array(
+            [w for _, w in want]).view(np.uint64).tolist()
 
 
 class TestGuards:

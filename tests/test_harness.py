@@ -15,7 +15,7 @@ import hypergt
 from hypergt import adaptive, cli, harness, noisy, snagt
 from hypergt.builders import ModelSpec, build_model
 from hypergt.cli import main as cli_main
-from hypergt.errors import MismatchedConfig, NodeOutOfRange, SchemaError
+from hypergt.errors import MismatchedConfig, ModelError, NodeOutOfRange, SchemaError
 from hypergt.harness import (
     ExperimentConfig,
     TrialResult,
@@ -509,8 +509,12 @@ class TestCli:
         ([{"query": [1.5], "outcome": False}], SchemaError, "transcript record 0 "),
         ([{"query": [9], "outcome": True}], NodeOutOfRange, "transcript record 0 "),
         ([{"query": [0], "outcome": "no"}], SchemaError, "transcript record 0 "),
+        # Node 0 is in fig1's first two edges and node 3 in the third.
+        ([{"query": [0, 3], "outcome": False}], ModelError,
+         "^transcript .*tr.json contradicts every edge of positive probability$"),
     ], ids=["no-query", "no-outcome", "unknown-key", "not-a-list", "negative-node",
-            "string-query", "float-node", "node-out-of-range", "string-outcome"])
+            "string-query", "float-node", "node-out-of-range", "string-outcome",
+            "contradicts-every-edge"])
     def test_posterior_checks_transcript_records(self, tmp_path, fig1_files, doc, error, message,
                                                  capsys):
         transcript_path = tmp_path / "tr.json"

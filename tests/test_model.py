@@ -96,6 +96,13 @@ class TestValidation:
         with pytest.raises(NodeOutOfRange, match="edge 1 "):
             g = Hypergraph(3, [[0], -1])
             validate_model(g, EdgeDistribution([0.5, 0.5]))
+        # The same, with every edge a mask.
+        with pytest.raises(DuplicateEdge, match="edge 1 "):
+            Hypergraph(3, [0b1, 0b1, 1 << 5])
+        with pytest.raises(NodeOutOfRange, match="edge 1 "):
+            Hypergraph(3, [0b1, 1 << 7, 0b1])
+        with pytest.raises(NodeOutOfRange, match="edge 1 "):
+            Hypergraph(3, [0b1, -1])
 
     def test_numpy_node_indices(self):
         g = Hypergraph(70, [np.array([65]), [np.int64(3)]])
@@ -103,6 +110,10 @@ class TestValidation:
         assert all(type(m) is int for m in g.edge_masks)
         with pytest.raises(NodeOutOfRange, match="edge 0 "):
             Hypergraph(70, [[np.int64(-1)]])
+        # A numpy integer is a node, not a mask: as a whole edge it is refused.
+        with pytest.raises(SchemaError, match=re.escape(
+                f"edge 1 is not a list of integer node indices: {np.int64(3)!r}")):
+            Hypergraph(70, [0b1, np.int64(3)])
 
     @pytest.mark.parametrize("node", [2 ** 63, 10 ** 30], ids=["two-to-the-63", "ten-to-the-30"])
     def test_a_huge_node_index_is_out_of_range_before_any_shift(self, node):
@@ -114,11 +125,12 @@ class TestValidation:
         with pytest.raises(SchemaError, match="node count True is not an integer"):
             Hypergraph(True, [[0]])
 
-    @pytest.mark.parametrize("edge", [[True, 2], True], ids=["node", "edge"])
-    def test_a_boolean_node_or_edge_is_refused_as_the_model_file_loader_does(self, edge):
-        message = f"edge 0 is not a list of integer node indices: {edge!r}"
+    @pytest.mark.parametrize("edges", [[[True, 2]], [True], [0b1, 0b10, True]],
+                             ids=["node", "edge", "edge-after-masks"])
+    def test_a_boolean_node_or_edge_is_refused_as_the_model_file_loader_does(self, edges):
+        message = f"edge {len(edges) - 1} is not a list of integer node indices: {edges[-1]!r}"
         with pytest.raises(SchemaError, match=re.escape(message)):
-            Hypergraph(3, [edge])
+            Hypergraph(3, edges)
 
     def test_probs_are_read_only(self, fig1):
         _, dist = fig1

@@ -144,6 +144,27 @@ class TestPackWords:
             assert np.array_equal(got, want)
 
 
+class TestConstructorInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((0, 1, 63, 64, 65, 130)).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(node_set(0, n - 1) if n else st.just(0), max_size=20))))
+    def test_masks_and_node_lists_build_the_same_store(self, case):
+        """Exact int masks are taken as given; node lists, or a mix of both,
+        go edge by edge. Every form gives the same masks, words and sizes."""
+        n, masks = case
+        masks = list(masks)
+        lists = [list(nodes_of(m)) for m in masks]
+        mixed = [m if i % 2 else nodes for i, (m, nodes) in enumerate(zip(masks, lists))]
+        graphs = [Hypergraph(n, edges) for edges in (masks, lists, mixed)]
+        for g in graphs:
+            assert g.edge_masks == tuple(masks) and all(type(m) is int for m in g.edge_masks)
+            assert g.words.dtype == np.dtype("<u8") and g.words.shape == ((n + 63) // 64, len(masks))
+            assert g.words.flags.c_contiguous and not g.words.flags.writeable
+            assert np.array_equal(g.words, reference_pack_words(masks, n))
+            assert g.edge_sizes.dtype == np.int64 and not g.edge_sizes.flags.writeable
+            assert g.edge_sizes.tolist() == [len(nodes) for nodes in lists]
+
+
 class TestMembership:
     @settings(max_examples=150, deadline=None)
     @given(graph_and_query())
