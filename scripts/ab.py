@@ -26,7 +26,9 @@ control), `a` and `b` (the sides), `ratio` (the median over rounds of b's
 seconds over a's, so below 1 means b is faster) with the bootstrap 95%
 interval `ci_lo`..`ci_hi`, `won` (rounds where b was faster) and the median
 milliseconds `a_ms` and `b_ms`. An A/A interval that holds 1 shows the rounds
-see the same machine.
+see the same machine, and one that excludes 1 shows they do not, so the
+`batch` and `setup` rows add `resolved`: `yes` only where the row's interval
+excludes 1 and its `_aa` row's interval holds 1.
 
 Use it to resolve a change of a few percent, which subprocess runs of
 `benchmark/run.py` taken minutes apart cannot. Peak memory stays with
@@ -103,14 +105,29 @@ def outcomes(results) -> list:
     return [(r.tests, r.correct, r.error) for r in results]
 
 
-def row(name: str, a: str, b: str, a_s: list[float], b_s: list[float]) -> str:
+def interval(a_s: list[float], b_s: list[float]) -> tuple[np.ndarray, float, float]:
+    """b's seconds over a's in each round, and the bootstrap 95% interval of
+    their median, rounded to the four places it is printed with."""
     ratios = np.array(b_s) / np.array(a_s)
     draws = np.random.default_rng(0).integers(0, len(ratios), (BOOTSTRAP, len(ratios)))
     lo, hi = np.percentile(np.median(ratios[draws], axis=1), [2.5, 97.5])
+    return ratios, round(float(lo), 4), round(float(hi), 4)
+
+
+def row(name: str, a: str, b: str, a_s: list[float], b_s: list[float],
+        control: tuple[list[float], list[float]] | None = None) -> str:
+    """One comparison's line; given the (a, b) seconds of its A/A control,
+    it ends with whether the comparison resolved."""
+    ratios, lo, hi = interval(a_s, b_s)
     won = int((ratios < 1.0).sum())
-    return (f"row={name} a={a} b={b} ratio={np.median(ratios):.4f} ci_lo={lo:.4f} ci_hi={hi:.4f} "
+    line = (f"row={name} a={a} b={b} ratio={np.median(ratios):.4f} ci_lo={lo:.4f} ci_hi={hi:.4f} "
             f"won={won}/{len(ratios)} a_ms={statistics.median(a_s) * 1e3:.3f} "
             f"b_ms={statistics.median(b_s) * 1e3:.3f}")
+    if control is not None:
+        _, aa_lo, aa_hi = interval(*control)
+        resolved = not lo <= 1.0 <= hi and aa_lo <= 1.0 <= aa_hi
+        line += f" resolved={'yes' if resolved else 'no'}"
+    return line
 
 
 def main() -> int:
@@ -167,10 +184,10 @@ def main() -> int:
                 print(f"ab: {name}: {bench.problems[0]}", file=sys.stderr)
                 return 1
     print(f"workload={w.name} rounds={args.rounds} parent={args.parent} batch_trials={w.batch_trials}")
-    print(row("batch", "parent", "change", batch_s["parent"], batch_s["change"]))
-    print(row("batch_aa", "change", "copy", batch_s["change"], batch_s["copy"]))
-    print(row("setup", "parent", "change", setup_s["parent"], setup_s["change"]))
-    print(row("setup_aa", "change", "copy", setup_s["change"], setup_s["copy"]))
+    for what, seconds in (("batch", batch_s), ("setup", setup_s)):
+        aa = (seconds["change"], seconds["copy"])
+        print(row(what, "parent", "change", seconds["parent"], seconds["change"], control=aa))
+        print(row(f"{what}_aa", "change", "copy", *aa))
     return 0
 
 

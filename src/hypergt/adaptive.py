@@ -45,9 +45,9 @@ outcome leads to the stage-2 entry, which holds mu_stage2 and the frozen
 test list; the steps after it follow by outcome and end on the leaf's
 certain edge. So a run whose whole path is stored reads no posterior. The
 noisy observer's posterior is fixed by each group's test, size and count
-of positive votes, so its tree branches on the vote count; it folds a
-replayed group in as it folds a fresh one, and leaves the tree at stage-2
-entry, as the truncated variant does.
+of positive votes, so its tree branches on the vote count, stage 2
+included; it folds a replayed group in as it folds a fresh one. Only the
+truncated variant's random picks take a run out of its tree.
 
 One loop, `_run`, drives the noiseless variants here and the noisy engine in
 `noisy`. What differs between them lives in an observer, which decides how
@@ -236,12 +236,13 @@ class _Step:
     """The step that any trial with one outcome history takes. In stage 1 it
     is a leaf's certain edge, or a test's mask and stage and, for a base or
     regular residual test, the residual set's node mask, which stage 2
-    reads until its entry is stored. A stage-2 step holds no test, as its
-    entry's list does, and the last one the leaf's certain edge. Each step
-    holds the mass that the test leading to it removed and the total that
-    the posterior was divided by (None where nothing was removed), and the
-    steps after it by what its test heard, in a dict made when the first is
-    stored. The oracle's optimal policy is one such tree, of split tests."""
+    reads at each entry it stores (one per vote count under noise). A
+    stage-2 step holds no test, as its entry's list does, and the last one
+    the sweep's edge. Each step holds the mass that the test leading to it
+    removed and the total that the posterior was divided by (None where
+    nothing was removed), and the steps after it by what its test heard, in
+    a dict made when the first is stored. The oracle's optimal policy is
+    one such tree, of split tests."""
 
     edge: int | None
     t_mask: int = 0
@@ -276,9 +277,10 @@ class _Step:
 
 @dataclass(slots=True)
 class _Sweep(_Step):
-    """A stage-2 entry, the residual step's negative child: mu_stage2, the
-    frozen tests (mask, stage, and the edge a negative complement settles
-    on, else None) and the nodes already certain at entry."""
+    """A stage-2 entry, the residual step's child under a negative outcome
+    (or vote count): mu_stage2, the frozen tests (mask, stage, and the edge
+    a negative complement settles on, else None) and the nodes already
+    certain at entry."""
 
     mu: float = 0.0
     tests: list = field(default_factory=list)
@@ -298,7 +300,6 @@ class _Exact:
     in the same order, so the bits are the same."""
 
     settings = "noiseless"  # keys its step tree in a memo, with graph, dist and config
-    stage2_shared = True  # stage 2 joins the step tree
 
     def __init__(self, oracle: TestOracle, post: Posterior):
         self.oracle = oracle
@@ -351,11 +352,14 @@ class _Exact:
         _check(self.removed >= c - _TOL, f"informative test removed only {self.removed}")
         self.tr.informative += 1
 
-    def finish(self, positives: int) -> Transcript:
-        idx = certain_edge(self.post)
-        if idx is None:
-            raise OracleInconsistent("individual sweep left no certain edge")
-        return _finish(self.tr, self.post.graph, idx)
+    def finish(self, positives: int, edge: int | None) -> Transcript:
+        """End the sweep on `edge`, a stored leaf's, without reading the
+        posterior, or else on the posterior's certain edge."""
+        if edge is None:
+            edge = certain_edge(self.post)
+            if edge is None:
+                raise OracleInconsistent("individual sweep left no certain edge")
+        return _finish(self.tr, self._post.graph, edge)
 
 
 def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
@@ -369,8 +373,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     given none keeps a tree of its own; a step found in it is replayed
     instead of scanned, and one computed is stored. The truncated variant
     leaves the tree at stage-2 entry, as its stage 1 then resumes after
-    random node picks, and goes on in a tree of its own; a noisy run leaves
-    it there too."""
+    random node picks, and goes on in a tree of its own."""
     variant = config.variant
     c = config.c
     if variant == "truncated":
@@ -378,7 +381,6 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         if rng is None:
             rng = np.random.default_rng()
     tr = obs.tr
-    marg = None  # the node marginals of obs.post, taken when a step is scanned
     # The next step is parent.child(key): the root under a holder whose
     # children are the memo, then the step that the last one's test heard.
     parent = _Step(None, after={} if memo is None else memo)
@@ -391,8 +393,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
             if idx is not None:
                 step = _Step(idx)
             else:
-                if marg is None:
-                    marg = node_marginals(obs.post)
+                marg = node_marginals(obs.post)
                 if active is None:
                     active = marg > 0.0
                 s, found, w_s = _split_scan(obs.post.q, marg, graph, active, c)
@@ -433,7 +434,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                     tr.result_mask = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
                     tr.result_edge = certain_edge(obs.post)
                     return tr
-        marg = active = None
+        active = None
 
 
 def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcript:
@@ -441,13 +442,13 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcrip
     back negative. Its entry fixes mu_stage2 and the test list, frozen at
     entry: an edge complement over the residual set for each surviving
     edge, or each node uncertain at entry, in index order, even one that
-    an earlier outcome settles. Where the observer's `stage2_shared` holds,
-    the entry is the residual's negative child, and the step after each
-    test hangs under the one before it by what the test heard; a run that
-    finds them reads no posterior. Once the entry is stored no run reads
-    the residual's node set again, and the residual drops it."""
-    shared = obs.stage2_shared
-    entry = residual.child(False) if shared else None
+    an earlier outcome settles. The entry is the residual's child under
+    what its test heard (False for an empty residual, which is not asked),
+    the step after each test hangs under the one before it by what the
+    test heard, and the last one holds the sweep's edge; a run that finds
+    them reads no posterior."""
+    key = obs.heard if residual.t_mask else False
+    entry = residual.child(key)
     if entry is None:
         entry = _Sweep(None, mu=expected_infections(obs.post))
         if residual.t_mask:
@@ -465,9 +466,7 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcrip
             marg = node_marginals(obs.post)
             entry.positives = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
             entry.tests = [(1 << v, INDIVIDUAL, None) for v in _uncertain_nodes(marg, s)]
-        if shared:
-            residual.adopt(False, entry)
-            residual.s = None
+        residual.adopt(key, entry)
 
     tr = obs.tr
     tr.mu_stage2 = entry.mu
@@ -477,7 +476,7 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcrip
         verdict = obs.ask(t_mask, stage, step.after) if t_mask else False
         if verdict is None:
             return tr
-        if shared and t_mask:
+        if t_mask:
             step = step.child(obs.heard) or step.adopt(
                 obs.heard, _Step(None, removed=obs.removed, norm=obs.norm))
         if verdict:
@@ -486,11 +485,8 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcrip
             return _finish(tr, graph, edge)
     if entry.tests and entry.tests[-1][2] is not None:
         raise OracleInconsistent("every edge complement tested positive")
-    if step.edge is not None:
-        return _finish(tr, graph, step.edge)
-    tr = obs.finish(positives)
-    if shared:
-        step.edge = tr.result_edge
+    tr = obs.finish(positives, step.edge)
+    step.edge = tr.result_edge
     return tr
 
 

@@ -87,9 +87,6 @@ class ExperimentConfig:
             raise SchemaError(f"experiment config: seed={self.seed} must be >= 0")
         _engine(self)
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)  # a ModelSpec becomes its {family, params} record
-
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         """Parse a config record; SchemaError for a missing or unknown key,
@@ -131,11 +128,11 @@ def _engine(config: ExperimentConfig, graph: Hypergraph | None = None,
     where it draws from them. The oracle's policy is built here, once per
     experiment, and so is one empty memo that every engine call is given:
     an adaptive engine stores there each step it computes (stage 1 only
-    under noise or the truncated variant) in the one tree of the
-    experiment's config, which a trial with the same history of outcomes
-    (of vote counts under noise) replays, and a preplanned one its band
-    plan. At delta = 0 the noiseless oracle answers; the noisy one would
-    answer alike and draw nothing."""
+    under the truncated variant) in the one tree of the experiment's
+    config, which a trial with the same history of outcomes (of vote
+    counts under noise) replays, and a preplanned one its band plan. At
+    delta = 0 the noiseless oracle answers; the noisy one would answer
+    alike and draw nothing."""
     algorithm, u = config.algorithm, config.u
     try:
         if algorithm not in READS:

@@ -144,12 +144,10 @@ class _Repeated:
     `edge_outcomes` call folds a whole group into D. The run halts once the
     physical-test budget is spent; the stage-2 sweep ends on the majority
     positives. A replayed step is asked and folded in like a fresh one, so
-    a stored step keeps no removed mass or normaliser, and stage 2 stays
-    out of the step tree."""
+    a stored step keeps no removed mass or normaliser."""
 
     removed = 0.0
     norm = None
-    stage2_shared = False
 
     def __init__(self, oracle: TestOracle, post: Posterior, delta: float,
                  ells: dict[str, int], cap: int):
@@ -211,9 +209,11 @@ class _Repeated:
     def informative(self, c: float) -> None:
         self.tr.informative += 1
 
-    def finish(self, positives: int) -> Transcript:
+    def finish(self, positives: int, edge: int | None) -> Transcript:
+        """End the sweep on the majority positives and on `edge`, a stored
+        leaf's, or else the posterior's certain edge (None if it has none)."""
         self.tr.result_mask = positives
-        self.tr.result_edge = certain_edge(self.post)
+        self.tr.result_edge = certain_edge(self.post) if edge is None else edge
         return self.tr
 
 

@@ -6,10 +6,11 @@ survivors are partitioned into dyadic probability bands; a band becomes a
 candidate once a single edge of it survives, and the run stops when some
 candidate has survived ceil(stop_coeff * u * log2 n) further tests. `_run`
 keeps these rules as flat arrays: a band id per live edge, and a count,
-candidate flag and time per band. Those arrays at the start of a run, with
-the live edges' word store, depend only on (graph, dist, u): `band_plan`
-builds them as a read-only `BandPlan`, which runs that share a memo store
-there under ("band plan", graph, dist, u), so that it is built once. Every
+candidate flag and time per band. The live edges, their band ids and word
+store and the band counts at the start of a run depend only on
+(graph, dist, u): `band_plan` builds them as a read-only `BandPlan`, which
+runs that share a memo store there under ("band plan", graph, dist, u), so
+that it is built once. Every
 queried set is drawn before any outcome is seen (each node independently
 with probability 1/u), so the schedule is a pure function of (n, u, seed).
 
@@ -86,15 +87,13 @@ def random_test_set(n: int, u: int, rng: np.random.Generator, k: int) -> np.ndar
 class BandPlan:
     """The per-model part of a preplanned run at size bound u: the indices of
     the live edges (size <= u, positive mass), the band id of each, and per
-    band its edge count, zero time and no candidacy; plus the live edges'
-    row-major word store. A run never writes into these arrays, so one plan
-    serves every run on (graph, dist, u)."""
+    band its edge count; plus the live edges' row-major word store. A run
+    never writes into these arrays, so one plan serves every run on
+    (graph, dist, u)."""
 
     live: np.ndarray
     band: np.ndarray
     count: np.ndarray
-    time: np.ndarray
-    candidate: np.ndarray
     live_words: np.ndarray
 
 
@@ -119,15 +118,12 @@ def band_plan(graph: Hypergraph, dist: EdgeDistribution, u: int) -> BandPlan:
     ids = np.array([min(dyadic_bucket(float(p)), tail) for p in values])
     band = np.unique(ids, return_inverse=True)[1][inverse]  # ascending band ids
     count = np.bincount(band)
-    # A band's time counts the tests it survived as a candidate; candidacy is
-    # count == 1, taken after each test, so no band starts as one.
-    time, candidate = np.zeros(count.size, dtype=np.int64), np.zeros(count.size, dtype=bool)
-    for a in (live, band, count, time, candidate):
+    for a in (live, band, count):
         a.flags.writeable = False
     # Row-major live columns of the caller's cached store: the store itself
     # when every edge is live (a run's first `compress` copies it), else a `take`.
     live_words = graph.words if live.size == len(graph) else graph.words.take(live, axis=1)
-    return BandPlan(live, band, count, time, candidate, live_words)
+    return BandPlan(live, band, count, live_words)
 
 
 def run_snagt(graph: Hypergraph, dist: EdgeDistribution, oracle,
@@ -149,8 +145,10 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, oracle, config: SnagtConfig,
     if key not in memo:  # a plan that raises is not stored, so each run raises it
         memo[key] = band_plan(graph, dist, u)
     plan = memo[key]
-    live, band, count, time, candidate, live_words = (
-        plan.live, plan.band, plan.count, plan.time, plan.candidate, plan.live_words)
+    live, band, count, live_words = plan.live, plan.band, plan.count, plan.live_words
+    # A band's time counts the tests it survived as a candidate; candidacy is
+    # count == 1, taken after each test, so no band starts as one.
+    time, candidate = np.zeros(count.size, dtype=np.int64), np.zeros(count.size, dtype=bool)
 
     threshold, cap = config._threshold_and_cap(n)
     if threshold >= cap:

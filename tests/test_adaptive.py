@@ -24,6 +24,7 @@ from conftest import (
 )
 import hypergt
 import hypergt.adaptive as adaptive
+import hypergt.noisy as noisy
 from hypergt.adaptive import (
     AdaptiveConfig,
     _exact_partials,
@@ -700,10 +701,8 @@ class TestStepMemo:
         assert 0 < positive < len(residuals)
         assert all(step.s is None for step in residuals)
 
-    def test_a_base_only_memo_drops_residual_node_sets(self):
-        """Stage 2 hangs directly under the residual test's negative
-        outcome: that child is the stage-2 entry, and once it is stored the
-        residual step holds no node set, though no regular run follows."""
+    def test_stage_2_hangs_under_the_residual_tests_negative_outcome(self):
+        """The residual test's negative child is the stage-2 entry."""
         graph, dist = build_model(GOLDEN_MODELS["community12"][0])
         targets = np.random.default_rng(4).choice(len(dist), size=200, p=dist.probs).tolist()
         memo = {}
@@ -712,8 +711,7 @@ class TestStepMemo:
         entered = [step for step in tree_steps(memo)
                    if step.stage == RESIDUAL and step.child(False) is not None]
         assert entered
-        assert all(step.s is None and isinstance(step.child(False), adaptive._Sweep)
-                   for step in entered)
+        assert all(isinstance(step.child(False), adaptive._Sweep) for step in entered)
 
     @pytest.mark.parametrize("name", ["dense12", "cosize14"])
     def test_a_stored_path_reads_no_posterior(self, monkeypatch, name):
@@ -743,14 +741,40 @@ class TestStepMemo:
             stage2 += second["mu_stage2"] is not None
         assert stage2
 
+    def test_a_stored_noisy_path_reads_no_posterior(self, monkeypatch):
+        """A noisy run repeated, with the same flips, on a memo that holds
+        its whole path, stage 2 included, replays every step by the vote
+        count it hears: it scans nothing, takes no marginals or mu_stage2,
+        and ends on the stored edge without reading the certain one."""
+        graph, dist = build_model(GOLDEN_MODELS["community12"][0])  # the benchmark's noisy12 model
+        calls = Counter()
+        for module, fn in ((adaptive, "node_marginals"), (adaptive, "certain_edge"),
+                           (adaptive, "_split_scan"), (adaptive, "expected_infections"),
+                           (noisy, "certain_edge")):
+            real = getattr(module, fn)
+            monkeypatch.setattr(module, fn, lambda *args, _fn=fn, _real=real:
+                                calls.update([_fn]) or _real(*args))
+        targets = np.random.default_rng(2).choice(len(dist), size=25, p=dist.probs).tolist()
+        memo, stage2 = {}, 0
+        for trial, target in enumerate(targets):
+            first = noisy_run(graph, dist, target, 0.05, trial, memo=memo, max_physical_tests=2000)
+            calls.clear()
+            second = noisy_run(graph, dist, target, 0.05, trial, memo=memo, max_physical_tests=2000)
+            assert second == first
+            if first["result_edge"] is not None:  # else no run stores an edge to end on
+                assert not calls, (target, dict(calls))
+                stage2 += second["mu_stage2"] is not None
+        assert stage2
+
     @pytest.mark.parametrize("name", ["community12", "regular64", "islands"])
     def test_noisy_runs_on_a_shared_memo_match_fresh_runs(self, name):
         """Noisy runs branch each step by the vote count of the group before
-        it. The grid has runs that halt inside a replayed group, and residual
-        groups of ell >= 4 with steps after them."""
+        it, stage 2 included. The grid has runs that halt inside a replayed
+        group, residual groups of ell >= 4 with steps after them, and
+        stage-2 entries with stored steps after them."""
         graph, dist = build_islands(4, 2, 0.5) if name == "islands" else self.model(name, None)
         targets = np.random.default_rng(11).choice(len(dist), size=24, p=dist.probs).tolist()
-        halted_in_replay = wide_parents = 0
+        halted_in_replay = wide_parents = sweeps = 0
         # c = 1/3 lies below the admissible threshold at delta = 0.2.
         for (c, delta), alpha, u, cap in itertools.product(
                 ((1.0 / 3.0, 0.05), (0.45, 0.05), (0.45, 0.2)), (0.0, 2.0), (None, 8),
@@ -769,7 +793,9 @@ class TestStepMemo:
             if _adaptive_repetitions(graph.n, u, alpha, delta)[RESIDUAL] >= 4:
                 wide_parents += sum(step.stage == RESIDUAL and bool(step.after)
                                     for step in tree_steps(memo))
-        assert halted_in_replay and wide_parents, (halted_in_replay, wide_parents)
+            sweeps += sum(isinstance(step, adaptive._Sweep) and bool(step.after)
+                          for step in tree_steps(memo))
+        assert halted_in_replay and wide_parents and sweeps, (halted_in_replay, wide_parents, sweeps)
 
     def test_noisy_runs_with_other_settings_keep_apart_on_one_memo(self, fig1):
         """Noisy runs at other settings, and noiseless runs, each read only

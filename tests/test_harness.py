@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -177,7 +178,7 @@ class TestRunExperiment:
     def test_config_json_round_trip(self):
         cfg = ExperimentConfig(model=ModelSpec("nested", {"n": 4}), algorithm="base",
                                trials=3, seed=7, c=0.25)
-        doc = json.loads(json.dumps(cfg.to_json()))
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
         again = ExperimentConfig.from_json(doc)
         assert again == cfg
 

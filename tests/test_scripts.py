@@ -72,8 +72,16 @@ def test_ab_prints_a_paired_ratio_row_for_each_comparison():
     assert [(r["row"], r["a"], r["b"]) for r in rows] == [
         ("batch", "parent", "change"), ("batch_aa", "change", "copy"),
         ("setup", "parent", "change"), ("setup_aa", "change", "copy")]
-    for r in rows:
-        assert list(r) == ["row", "a", "b", "ratio", "ci_lo", "ci_hi", "won", "a_ms", "b_ms"]
+    fields = ["row", "a", "b", "ratio", "ci_lo", "ci_hi", "won", "a_ms", "b_ms"]
+    for r, control in zip(rows, rows[1:] + [None]):
+        holds_one = float(r["ci_lo"]) <= 1.0 <= float(r["ci_hi"])
+        if r["row"].endswith("_aa"):
+            assert list(r) == fields
+        else:
+            # resolved: this row's interval excludes 1 and its A/A control's holds it.
+            assert list(r) == fields + ["resolved"]
+            control_holds_one = float(control["ci_lo"]) <= 1.0 <= float(control["ci_hi"])
+            assert r["resolved"] == ("yes" if not holds_one and control_holds_one else "no")
         assert 0.0 < float(r["ci_lo"]) <= float(r["ratio"]) <= float(r["ci_hi"])
         assert r["won"] in ("0/3", "1/3", "2/3", "3/3")
         assert float(r["a_ms"]) > 0.0 and float(r["b_ms"]) > 0.0
