@@ -35,7 +35,7 @@ def main() -> None:
     for target in (0, args.edges // 2, args.edges - 1):
         truth = GroundTruth(target, graph.edge_masks[target])
         tr = run_snagt(graph, dist, noiseless_oracle(truth), SnagtConfig(u=args.u, seed=99))
-        schedules.append([r.query for r in tr.records])
+        schedules.append([r["query"] for r in tr.records])
     k = min(len(s) for s in schedules)
     same = all(s[:k] == schedules[0][:k] for s in schedules)
     print(f"schedule identical across targets on the shared prefix: {same}")

@@ -39,7 +39,7 @@ expected = 0.0
 for i, p in enumerate(dist.probs):
     truth = GroundTruth(i, graph.edge_masks[i])
     tr = run_adaptive(graph, dist, noiseless_oracle(truth), AdaptiveConfig(c=0.1))
-    seq = ", ".join(f"{r.query}{'+' if r.outcome else '-'}" for r in tr.records)
+    seq = ", ".join(f"{r['query']}{'+' if r['outcome'] else '-'}" for r in tr.records)
     print(f"  target {nodes_of(truth.mask)}: {tr.total} tests  [{seq}]")
     expected += p * tr.total
 print(f"expected tests, weighted by the prior: {expected}")

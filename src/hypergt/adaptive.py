@@ -238,11 +238,12 @@ class _Step:
     regular residual test, the residual set's node mask, which stage 2
     reads at each entry it stores (one per vote count under noise). A
     stage-2 step holds no test, as its entry's list does, and the last one
-    the sweep's edge. Each step holds the mass that the test leading to it
+    holds the sweep's end under the key None, which no outcome uses: a leaf
+    with the edge the sweep returned, None where a noisy sweep found no
+    certain edge. Each step holds the mass that the test leading to it
     removed and the total that the posterior was divided by (None where
-    nothing was removed), and the steps after it by what its test heard, in
-    a dict made when the first is stored. The oracle's optimal policy is
-    one such tree, of split tests."""
+    nothing was removed), and the steps after it by what its test heard.
+    The oracle's optimal policy is one such tree, of split tests."""
 
     edge: int | None
     t_mask: int = 0
@@ -250,16 +251,7 @@ class _Step:
     s: int | None = None
     removed: float = 0.0
     norm: float | None = None
-    after: dict | None = None
-
-    def child(self, key) -> _Step | None:
-        return None if self.after is None else self.after.get(key)
-
-    def adopt(self, key, step: _Step) -> _Step:
-        if self.after is None:
-            self.after = {}
-        self.after[key] = step
-        return step
+    after: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         """The binary tree from this step, indented, each test with its expected
@@ -326,13 +318,13 @@ class _Exact:
             self.pending.clear()
         return self._post
 
-    def ask(self, t_mask: int, stage: str, after: dict | None = None) -> bool:
+    def ask(self, t_mask: int, stage: str, after: dict) -> bool:
         """Ask t_mask once. Where `after`, the asking step's children, holds
         a step for the answer, take the mass removed and the normaliser
         from it; else condition on the answer. The outcome is what it heard,
         which picks the next step in the step tree."""
         outcome = self.oracle(t_mask)
-        child = None if after is None else after.get(outcome)
+        child = after.get(outcome)
         if child is None:
             before = self.post.q
             try:
@@ -352,13 +344,12 @@ class _Exact:
         _check(self.removed >= c - _TOL, f"informative test removed only {self.removed}")
         self.tr.informative += 1
 
-    def finish(self, positives: int, edge: int | None) -> Transcript:
-        """End the sweep on `edge`, a stored leaf's, without reading the
-        posterior, or else on the posterior's certain edge."""
+    def finish(self, positives: int, end: _Step | None) -> Transcript:
+        """End the sweep on the edge of `end`, the stored leaf, without
+        reading the posterior, or else on the posterior's certain edge."""
+        edge = certain_edge(self.post) if end is None else end.edge
         if edge is None:
-            edge = certain_edge(self.post)
-            if edge is None:
-                raise OracleInconsistent("individual sweep left no certain edge")
+            raise OracleInconsistent("individual sweep left no certain edge")
         return _finish(self.tr, self._post.graph, edge)
 
 
@@ -372,8 +363,11 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
     step tree under ("steps", graph, dist, config, obs.settings), and a run
     given none keeps a tree of its own; a step found in it is replayed
     instead of scanned, and one computed is stored. The truncated variant
-    leaves the tree at stage-2 entry, as its stage 1 then resumes after
-    random node picks, and goes on in a tree of its own."""
+    leaves the tree at stage-2 entry and goes on in a tree of its own: its
+    random node picks make nearly every path after them unique, so storing
+    them costs more than replays save. Kept in the memo, 2000 eps = 0.1
+    runs on cosize(70) stored 203 966 steps and ran about 1.3x slower, as
+    did sparse500; only community12 gained (README, 2-vCPU VM)."""
     variant = config.variant
     c = config.c
     if variant == "truncated":
@@ -381,13 +375,13 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         if rng is None:
             rng = np.random.default_rng()
     tr = obs.tr
-    # The next step is parent.child(key): the root under a holder whose
+    # The next step is parent.after.get(key): the root under a holder whose
     # children are the memo, then the step that the last one's test heard.
     parent = _Step(None, after={} if memo is None else memo)
     key = ("steps", graph, dist, config, obs.settings)
 
     while True:
-        step = parent.child(key)
+        step = parent.after.get(key)
         if step is None:
             idx = certain_edge(obs.post)
             if idx is not None:
@@ -406,7 +400,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
                 step = _Step(None, mask_from_flags(active & ~s), SPLIT if found else RESIDUAL,
                              None if found or variant == "truncated" else mask_from_flags(s))
             step.removed, step.norm = obs.removed, obs.norm
-            parent.adopt(key, step)
+            parent.after[key] = step
         if step.edge is not None:
             return _finish(tr, graph, step.edge)
         # An empty complement is resolved as negative at zero test cost.
@@ -419,7 +413,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
         elif variant != "truncated":
             return _stage2(graph, obs, step, variant == "regular")
         else:
-            parent = _Step(None, after={})  # the rest of the run stays out of the memo
+            parent = _Step(None)  # the rest of the run stays out of the memo
             if tr.mu_stage2 is None:
                 tr.mu_stage2 = expected_infections(obs.post)
             # Every uncertain node lies in S: the test of active less S came
@@ -427,7 +421,7 @@ def _run(graph: Hypergraph, dist: EdgeDistribution, config: AdaptiveConfig, obs,
             pending = _uncertain_nodes(node_marginals(obs.post))
             if pending:
                 v = int(rng.choice(pending))
-                if obs.ask(1 << v, INDIVIDUAL):
+                if obs.ask(1 << v, INDIVIDUAL, parent.after):
                     tr.pn += 1
                 if tr.pn >= f2:
                     marg = node_marginals(obs.post)
@@ -445,10 +439,10 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcrip
     an earlier outcome settles. The entry is the residual's child under
     what its test heard (False for an empty residual, which is not asked),
     the step after each test hangs under the one before it by what the
-    test heard, and the last one holds the sweep's edge; a run that finds
-    them reads no posterior."""
+    test heard, and the last one holds the sweep's end, None included,
+    under the key None; a run that finds them reads no posterior."""
     key = obs.heard if residual.t_mask else False
-    entry = residual.child(key)
+    entry = residual.after.get(key)
     if entry is None:
         entry = _Sweep(None, mu=expected_infections(obs.post))
         if residual.t_mask:
@@ -466,7 +460,7 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcrip
             marg = node_marginals(obs.post)
             entry.positives = mask_from_flags(marg >= 1.0 - CERTAINTY_TOL)
             entry.tests = [(1 << v, INDIVIDUAL, None) for v in _uncertain_nodes(marg, s)]
-        residual.adopt(key, entry)
+        residual.after[key] = entry
 
     tr = obs.tr
     tr.mu_stage2 = entry.mu
@@ -477,16 +471,19 @@ def _stage2(graph: Hypergraph, obs, residual: _Step, regular: bool) -> Transcrip
         if verdict is None:
             return tr
         if t_mask:
-            step = step.child(obs.heard) or step.adopt(
-                obs.heard, _Step(None, removed=obs.removed, norm=obs.norm))
+            if obs.heard not in step.after:
+                step.after[obs.heard] = _Step(None, removed=obs.removed, norm=obs.norm)
+            step = step.after[obs.heard]
         if verdict:
             positives |= t_mask
         elif edge is not None:
             return _finish(tr, graph, edge)
     if entry.tests and entry.tests[-1][2] is not None:
         raise OracleInconsistent("every edge complement tested positive")
-    tr = obs.finish(positives, step.edge)
-    step.edge = tr.result_edge
+    end = step.after.get(None)
+    tr = obs.finish(positives, end)
+    if end is None:
+        step.after[None] = _Step(tr.result_edge)
     return tr
 
 

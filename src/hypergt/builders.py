@@ -181,10 +181,8 @@ def build_nested(n: int) -> tuple[Hypergraph, EdgeDistribution]:
 
 def build_cosize(n: int) -> tuple[Hypergraph, EdgeDistribution]:
     """All n edges of size n-1 (complement of each single node), uniform."""
-    check_node_count(n)
-    full = (1 << n) - 1
-    masses = {full & ~(1 << v): 1.0 / n for v in range(n)}
-    return _finish(n, list(masses), list(masses.values()))
+    check_node_count(n)  # before n - 1, which a non-integer n would fail
+    return build_partial_regular(n, n - 1)
 
 
 def build_partial_regular(n: int, d: int) -> tuple[Hypergraph, EdgeDistribution]:

@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, _run as _adaptive_run
-from .errors import SchemaError, ZeroSurvivorMass
+from .adaptive import AdaptiveConfig, _Step, _run as _adaptive_run
+from .errors import OracleInconsistent, SchemaError
 from .model import (
     NODE_CAP,
     EdgeDistribution,
@@ -195,8 +195,8 @@ class _Repeated:
         d = self.mismatches
         low = int(d.min())
         if low and not self.r:
-            raise ZeroSurvivorMass(f"observation ({nodes_of(t_mask)}, {votes} of {asked} positive) "
-                                   "is inconsistent with every surviving edge")
+            raise OracleInconsistent(f"observation ({nodes_of(t_mask)}, {votes} of {asked} "
+                                     "positive) is inconsistent with every surviving edge")
         # powers[k] = r^(k - low) for k >= low, by repeated multiplication,
         # which rounds alike on every CPU. No count of an edge of positive
         # prior exceeds the tests asked.
@@ -209,11 +209,12 @@ class _Repeated:
     def informative(self, c: float) -> None:
         self.tr.informative += 1
 
-    def finish(self, positives: int, edge: int | None) -> Transcript:
-        """End the sweep on the majority positives and on `edge`, a stored
-        leaf's, or else the posterior's certain edge (None if it has none)."""
+    def finish(self, positives: int, end: _Step | None) -> Transcript:
+        """End the sweep on the majority positives and on the edge of `end`,
+        the stored leaf, or else the posterior's certain edge (None if it
+        has none)."""
         self.tr.result_mask = positives
-        self.tr.result_edge = certain_edge(self.post) if edge is None else edge
+        self.tr.result_edge = certain_edge(self.post) if end is None else end.edge
         return self.tr
 
 

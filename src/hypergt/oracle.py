@@ -82,7 +82,7 @@ def optimal_expected_tests(graph: Hypergraph, dist: EdgeDistribution) -> tuple[f
         pos = state & ~neg
         step = _Step(None, union[pos] & ~union[neg], SPLIT)
         for outcome, sub in ((True, pos), (False, neg)):
-            child = step.adopt(outcome, build(sub))
+            child = step.after[outcome] = build(sub)
             child.removed, child.norm = mass[state & ~sub] / mass[state], mass[sub] / mass[state]
         return step
 

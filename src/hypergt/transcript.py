@@ -23,41 +23,14 @@ _OPTIONAL_KEYS = ("mass_removed", "rep_group", "sg_size", "sg_max_time")
 RECORD_KEYS = ("query", "outcome", "stage") + _OPTIONAL_KEYS
 
 
-@dataclass(slots=True)
-class TestEntry:
-    query_mask: int
-    outcome: bool
-    stage: str
-    mass_removed: float | None = None
-    rep_group: int | None = None
-    sg_size: int | None = None
-    sg_max_time: int | None = None
-
-    @property
-    def query(self) -> tuple[int, ...]:
-        return nodes_of(self.query_mask)
-
-    def to_json(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "query": list(self.query),
-            "outcome": bool(self.outcome),
-            "stage": self.stage,
-        }
-        for key in _OPTIONAL_KEYS:
-            val = getattr(self, key)
-            if val is not None:
-                doc[key] = val
-        return doc
-
-
 @dataclass
 class Transcript:
     """What a run did: every issued test, counters, and the returned answer.
 
-    The records are stored as columns, one list per `TestEntry` field;
-    `records` builds the entries when read. Stage 2 counts the individual and
-    complement records and stage 1 the rest; empty queries are resolved as
-    negative at zero cost and never appear here (the preplanned engines are
+    The records are stored as columns, one list per `RECORD_KEYS` key;
+    `records` builds their JSON records when read. Stage 2 counts the
+    individual and complement records and stage 1 the rest; empty queries
+    are resolved as negative at zero cost and never appear here (the preplanned engines are
     the exception: their empty tests are real scheduled tests).
     """
 
@@ -76,13 +49,17 @@ class Transcript:
     mu_stage2: float | None = None  # expected infections at stage-2 entry
 
     def _columns(self) -> tuple[list, ...]:
-        """The record columns in `TestEntry` field order."""
+        """The record columns in `RECORD_KEYS` order."""
         return (self.query_masks, self.outcomes, self.stages, self.masses_removed,
                 self.rep_groups, self.sg_sizes, self.sg_max_times)
 
     @property
-    def records(self) -> list[TestEntry]:
-        return [TestEntry(*row) for row in zip(*self._columns())]
+    def records(self) -> list[dict[str, Any]]:
+        """Each test's JSON record: its query as a node list, outcome and
+        stage, then each optional field that is not None."""
+        return [{"query": list(nodes_of(mask)), "outcome": outcome, "stage": stage,
+                 **{k: v for k, v in zip(_OPTIONAL_KEYS, optional) if v is not None}}
+                for mask, outcome, stage, *optional in zip(*self._columns())]
 
     @property
     def total(self) -> int:
@@ -134,7 +111,7 @@ class Transcript:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "records": [r.to_json() for r in self.records],
+            "records": self.records,
             "stage1": self.stage1,
             "stage2": self.stage2,
             "informative": self.informative,
@@ -148,7 +125,7 @@ class Transcript:
 
 def read_records(doc, n: int, what: str) -> list[tuple[int, bool]]:
     """(query mask, outcome) pairs from a JSON list of test records in the
-    `TestEntry.to_json` form, for a model on n nodes. SchemaError for a
+    `Transcript.records` form, for a model on n nodes. SchemaError for a
     malformed list or record, NodeOutOfRange for a node outside 0..n-1; `what`
     names the list in errors."""
     if not isinstance(doc, list):

@@ -207,7 +207,7 @@ def test_criterion_08_preplanned_engine():
     schedules = []
     for target in (0, 11, 29):
         tr = run_snagt(graph, dist, oracle_for(graph, target), SnagtConfig(u=3, seed=4242))
-        schedules.append([r.query for r in tr.records])
+        schedules.append([r["query"] for r in tr.records])
     k = min(len(q) for q in schedules)
     same_design = schedules[0][:k] == schedules[1][:k] == schedules[2][:k]
 
@@ -239,10 +239,10 @@ def test_criterion_09_noisy_adaptive():
         weights = d.probs.copy()
         for rec in tr.records:
             t_mask = 0
-            for v in rec.query:
+            for v in rec["query"]:
                 t_mask |= 1 << v
             hits = np.array([bool(m & t_mask) for m in g.edge_masks])
-            like = np.where(hits == rec.outcome, 1 - delta, delta)
+            like = np.where(hits == rec["outcome"], 1 - delta, delta)
             weights = weights * like
             weights = weights / weights.sum()
             positivity &= weights[truth.target] > 0.0

@@ -33,6 +33,7 @@ from hypergt.noisy import (
     run_noisy_snagt,
 )
 from hypergt.snagt import SnagtConfig, run_snagt
+from hypergt.transcript import read_records
 
 # name: (spec, c)
 MODELS = {
@@ -126,6 +127,21 @@ def test_transcripts_unchanged(model, engine):
     with (pytest.warns(UserWarning, match="threshold 144 >= test cap 96")
           if (model, engine) in NEVER_RETURNS else contextlib.nullcontext()):
         assert cell_hash(model, engine) == GOLDEN[(model, engine)]
+
+
+@pytest.mark.parametrize("model,engine", sorted(GOLDEN))
+def test_records_read_back_as_the_columns(model, engine):
+    """Each golden run's JSON records read back, through the reader of the
+    `posterior` command's transcript file, as its query masks and outcomes,
+    and come through a JSON round trip unchanged."""
+    spec, c = MODELS[model]
+    graph, dist = build_model(spec)
+    with (pytest.warns(UserWarning, match="threshold 144 >= test cap 96")
+          if (model, engine) in NEVER_RETURNS else contextlib.nullcontext()):
+        runs = [run_engine(engine, graph, dist, c, seed) for seed in SEEDS]
+    for tr in runs:
+        assert read_records(tr.records, graph.n, "records") == list(zip(tr.query_masks, tr.outcomes))
+        assert json.loads(json.dumps(tr.records)) == tr.records
 
 
 # family: params, one model per builder family.

@@ -15,8 +15,8 @@ from conftest import (
     truth_for,
 )
 from hypergt.adaptive import AdaptiveConfig, run_adaptive
-from hypergt.builders import build_independent, build_islands, build_random_regular
-from hypergt.errors import ModelError, SchemaError, ZeroSurvivorMass
+from hypergt.builders import build_cosize, build_independent, build_islands, build_random_regular
+from hypergt.errors import ModelError, OracleInconsistent, SchemaError, ZeroSurvivorMass
 from hypergt.model import (
     EdgeDistribution,
     Hypergraph,
@@ -135,7 +135,7 @@ class TestMajority:
         script = iter(answers)
         tr = run_noisy_adaptive(graph, dist, lambda t: next(script), AdaptiveConfig(),
                                 NoiseChannel(0.1), alpha=1.0, max_physical_tests=100)
-        assert [(r.query_mask, r.outcome, r.stage) for r in tr.records] == [
+        assert list(zip(tr.query_masks, tr.outcomes, tr.stages)) == [
             (1 << v, a, INDIVIDUAL) for v, a in zip((0, 0, 1, 1), answers)]
         assert tr.result_nodes == positives
 
@@ -189,8 +189,8 @@ class TestNoisyAdaptive:
             noisy = run_noisy_adaptive(graph, dist, oracle_for(graph, i),
                                        AdaptiveConfig(c=0.1), NoiseChannel(0.0),
                                        alpha=0.0, max_physical_tests=1000)
-            assert [(r.query, r.outcome) for r in noisy.records] == \
-                   [(r.query, r.outcome) for r in base.records]
+            assert [(r["query"], r["outcome"]) for r in noisy.records] == \
+                   [(r["query"], r["outcome"]) for r in base.records]
             assert noisy.result_mask == base.result_mask
 
     @pytest.mark.parametrize("config", [
@@ -233,7 +233,7 @@ class TestNoisyAdaptive:
                                 max_physical_tests=2000)
         prefix = []
         for rec in tr.records:
-            prefix.append((mask_of(rec.query), rec.outcome))
+            prefix.append((mask_of(rec["query"]), rec["outcome"]))
             post = direct_posterior(g, d, prefix, delta=0.1)
             assert post.q[truth.target] > 0.0
 
@@ -281,10 +281,10 @@ class TestNoisyAdaptive:
         tr = run_noisy_adaptive(g, d, noisy_oracle(truth, channel, r_n),
                                 AdaptiveConfig(c=1 / 3), channel, u=8,
                                 max_physical_tests=2000)
-        assert all(r.rep_group is not None for r in tr.records)
+        assert all("rep_group" in r for r in tr.records)
         groups = {}
         for r in tr.records:
-            groups.setdefault(r.rep_group, set()).add(r.query)
+            groups.setdefault(r["rep_group"], set()).add(tuple(r["query"]))
         assert all(len(qs) == 1 for qs in groups.values())  # one set per group
 
 
@@ -313,7 +313,7 @@ class TestMismatchCounts:
         for t in r_q.integers(1, 2 ** g.n, size=400).tolist():
             obs.ask(t, SPLIT)
         assert obs.post.q[edge] > 0.0
-        transcript = [(r.query_mask, r.outcome) for r in obs.tr.records]
+        transcript = list(zip(obs.tr.query_masks, obs.tr.outcomes))
         direct = direct_posterior(g, d, transcript, delta=channel.delta)
         assert direct.q[edge] > 0.0
         assert np.allclose(direct.q, obs.post.q, rtol=1e-12, atol=0.0)
@@ -387,6 +387,17 @@ class TestMismatchCounts:
         with pytest.raises(ZeroSurvivorMass):
             direct_posterior(graph, dist, [(0b01, True), (0b01, False)])
 
+    def test_a_contradiction_is_the_noiseless_engines_error(self):
+        """An oracle that contradicts every edge is one fault: at delta = 0 the
+        noisy engine raises the class `run_adaptive` raises, not its parent."""
+        graph, dist = build_cosize(6)
+        config = AdaptiveConfig(c=0.2)
+        with pytest.raises(OracleInconsistent):
+            run_adaptive(graph, dist, lambda t: False, config)
+        with pytest.raises(OracleInconsistent, match="inconsistent with every surviving edge"):
+            run_noisy_adaptive(graph, dist, lambda t: False, config, NoiseChannel(0.0),
+                               max_physical_tests=100)
+
 
 class TestNoisySnagt:
     def test_zero_delta_behaves_like_snagt(self):
@@ -394,8 +405,8 @@ class TestNoisySnagt:
         clean = run_snagt(g, d, oracle_for(g, 3), SnagtConfig(u=3, seed=4))
         noisy = run_noisy_snagt(g, d, oracle_for(g, 3), SnagtConfig(u=3, seed=4),
                                 NoiseChannel(0.0), alpha=0.0)
-        assert [(r.query, r.outcome) for r in noisy.records] == \
-               [(r.query, r.outcome) for r in clean.records]
+        assert [(r["query"], r["outcome"]) for r in noisy.records] == \
+               [(r["query"], r["outcome"]) for r in clean.records]
         assert noisy.result_edge == clean.result_edge
 
     def test_schedule_unchanged_by_noise_draws(self):
@@ -409,7 +420,7 @@ class TestNoisySnagt:
             # logical schedule: first query of each repetition group
             seen = {}
             for r in tr.records:
-                seen.setdefault(r.rep_group, r.query)
+                seen.setdefault(r["rep_group"], r["query"])
             runs.append(list(seen.values()))
         k = min(len(runs[0]), len(runs[1]))
         assert runs[0][:k] == runs[1][:k]
@@ -518,7 +529,7 @@ class TestSchedule:
                                     max_physical_tests=cap)
             groups = {}
             for r in tr.records:
-                groups.setdefault(r.rep_group, []).append(r.stage)
+                groups.setdefault(r["rep_group"], []).append(r["stage"])
             last = max(groups)
             for group, stages in groups.items():
                 assert len(set(stages)) == 1
@@ -535,6 +546,6 @@ class TestSchedule:
                              config, channel)
         groups = {}
         for r in tr.records:
-            groups.setdefault(r.rep_group, []).append(r.query)
+            groups.setdefault(r["rep_group"], []).append(r["query"])
         assert len(groups) > 1
         assert all(len(qs) == repetitions(2.0, config.u * g.n, delta) for qs in groups.values())

@@ -89,7 +89,7 @@ class TestRunSnagt:
         runs = []
         for target in (0, 7, 19):
             tr = run_snagt(g, d, oracle_for(g, target), SnagtConfig(u=3, seed=12))
-            runs.append([r.query for r in tr.records])
+            runs.append([r["query"] for r in tr.records])
         k = min(len(q) for q in runs)
         assert runs[0][:k] == runs[1][:k] == runs[2][:k]
 
@@ -100,13 +100,13 @@ class TestRunSnagt:
         assert tr.result_edge == target
         # replay: the target is consistent with every recorded outcome
         for rec in tr.records:
-            hit = bool(mask_of(rec.query) & g.edge_masks[target])
-            assert hit == rec.outcome
+            hit = bool(mask_of(rec["query"]) & g.edge_masks[target])
+            assert hit == rec["outcome"]
 
     def test_elimination_soundness_by_replay(self):
         g, d = three_regular(n=30, count=12, seed=2)
         tr = run_snagt(g, d, oracle_for(g, 3), SnagtConfig(u=3, seed=4))
-        transcript = [(mask_of(r.query), r.outcome) for r in tr.records]
+        transcript = [(mask_of(r["query"]), r["outcome"]) for r in tr.records]
         # an edge is inconsistent iff some recorded pair disagrees with it
         consistent = [
             all(bool(m & t) == r for t, r in transcript) for m in g.edge_masks
@@ -148,8 +148,8 @@ class TestRunSnagt:
         g, d = three_regular(n=30, count=12, seed=5)
         tr = run_snagt(g, d, oracle_for(g, 0), SnagtConfig(u=3, seed=0))
         assert not tr.halted
-        assert all(r.sg_size is not None and r.sg_max_time is not None for r in tr.records)
-        assert tr.records[-1].sg_max_time >= math.ceil(10 * 3 * math.log2(30)) - 1
+        assert all("sg_size" in r and "sg_max_time" in r for r in tr.records)
+        assert tr.records[-1]["sg_max_time"] >= math.ceil(10 * 3 * math.log2(30)) - 1
 
     def test_empty_support(self):
         g = Hypergraph(3, [[0, 1, 2]])
@@ -237,8 +237,8 @@ def replay_stopping_rule(graph, dist, config, tr):
     alive = set(band)
     history = [single(alive)]  # history[j]: bands with one edge in A_j
     for rec in tr.records:
-        q = mask_of(rec.query)
-        alive = {e for e in alive if bool(graph.edge_masks[e] & q) == rec.outcome}
+        q = mask_of(rec["query"])
+        alive = {e for e in alive if bool(graph.edge_masks[e] & q) == rec["outcome"]}
         history.append(single(alive))
 
     def state(k):
@@ -248,8 +248,8 @@ def replay_stopping_rule(graph, dist, config, tr):
 
     for k, rec in enumerate(tr.records):
         candidates, time = state(k)
-        assert rec.sg_size == len(candidates)
-        assert rec.sg_max_time == max(time.values())
+        assert rec["sg_size"] == len(candidates)
+        assert rec["sg_max_time"] == max(time.values())
         assert not any(time[b] >= threshold for b in candidates)
     candidates, time = state(len(tr.records))
     ripe = {b for b in candidates if time[b] >= threshold}
@@ -372,7 +372,7 @@ class TestBlockEngine:
             tr = self.same_run(g, d,
                                lambda: noisy_oracle(truth, channel, np.random.default_rng(seed)),
                                SnagtConfig(u=u, stop_coeff=1.0, seed=seed), channel)
-            assert all(r.rep_group is not None for r in tr.records)
+            assert all("rep_group" in r for r in tr.records)
 
 
 class TestStoreLayout:
@@ -478,8 +478,8 @@ class TestTranscriptBlocks:
     def one_at_a_time(records):
         tr = Transcript()
         for r in records:
-            tr.add(r.query_mask, r.outcome, r.stage, r.mass_removed, r.rep_group, r.sg_size,
-                   r.sg_max_time)
+            tr.add(mask_of(r["query"]), r["outcome"], r["stage"], r.get("mass_removed"),
+                   r.get("rep_group"), r.get("sg_size"), r.get("sg_max_time"))
         return tr
 
     @staticmethod
@@ -505,13 +505,11 @@ class TestTranscriptBlocks:
         channel = NoiseChannel(0.1)
         tr = run_noisy_snagt(g, d, noisy_oracle(truth_for(g, 1), channel, np.random.default_rng(1)),
                              SnagtConfig(u=4, stop_coeff=1.0, seed=1), channel)
-        assert len({r.rep_group for r in tr.records}) < tr.total  # groups of repeats
+        assert len({r["rep_group"] for r in tr.records}) < tr.total  # groups of repeats
         self.assert_same(tr, self.one_at_a_time(tr.records))
         whole = Transcript()
-        records = tr.records
-        whole.extend([r.query_mask for r in records], [r.outcome for r in records], RANDOM,
-                     rep_group=[r.rep_group for r in records], sg_size=[r.sg_size for r in records],
-                     sg_max_time=[r.sg_max_time for r in records])
+        whole.extend(tr.query_masks, tr.outcomes, RANDOM, rep_group=tr.rep_groups,
+                     sg_size=tr.sg_sizes, sg_max_time=tr.sg_max_times)
         self.assert_same(whole, tr)
 
     def test_outcomes_are_stored_as_booleans(self):
